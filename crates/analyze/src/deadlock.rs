@@ -324,27 +324,24 @@ impl CommPlan {
 }
 
 /// The wait-for graph of a plan under one [`CommModel`]: global node ids
-/// (rank-major program order) and the dependency edges between them.
-/// Shared by the prover ([`verify_plan`], which topologically sorts it)
-/// and the certificate checker (which only validates that a *witnessed*
-/// topological order respects every edge — O(V+E), no sort, no cycle
-/// search).
-pub(crate) struct WaitGraph {
+/// (rank-major program order) and the dependency edges between them, as
+/// [`verify_plan`] topologically sorts them.
+struct WaitGraph {
     /// `base[r]` = global id of rank `r`'s first op; `base[ranks]` = node count.
-    pub base: Vec<usize>,
+    base: Vec<usize>,
     /// `edges[dep]` = nodes that must wait for `dep` to complete.
-    pub edges: Vec<Vec<usize>>,
+    edges: Vec<Vec<usize>>,
     /// In-degree per node (for Kahn's algorithm).
-    pub indegree: Vec<usize>,
+    indegree: Vec<usize>,
 }
 
 impl WaitGraph {
-    pub fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         *self.base.last().expect("base has ranks+1 entries")
     }
 
     /// The (rank, pos) coordinates of a global node id.
-    pub fn locate(&self, node: usize) -> (usize, usize) {
+    fn locate(&self, node: usize) -> (usize, usize) {
         let ranks = self.base.len() - 1;
         let rank = (0..ranks).rfind(|&r| self.base[r] <= node).expect("node in range");
         (rank, node - self.base[rank])
@@ -354,7 +351,7 @@ impl WaitGraph {
 /// Build the wait-for graph of `plan` under `model`, checking plan
 /// completeness on the way (every receive matched, every send consumed,
 /// tags unambiguous, prefetch posts paired).
-pub(crate) fn build_wait_graph(plan: &CommPlan, model: CommModel) -> Result<WaitGraph, Violation> {
+fn build_wait_graph(plan: &CommPlan, model: CommModel) -> Result<WaitGraph, Violation> {
     // global node ids: (rank, position) -> id
     let mut base = vec![0usize; plan.ranks + 1];
     for r in 0..plan.ranks {
@@ -473,27 +470,15 @@ pub(crate) fn build_wait_graph(plan: &CommPlan, model: CommModel) -> Result<Wait
 /// [`Violation::AmbiguousTag`], or [`Violation::WaitCycle`] with the full
 /// wait chain.
 pub fn verify_plan(plan: &CommPlan, model: CommModel) -> Result<(), Violation> {
-    plan_topo_order(plan, model).map(|_| ())
-}
-
-/// Prove `plan` deadlock-free under `model` and return a concrete
-/// topological order of its wait-for graph — the witness a
-/// [`ProofCertificate`](crate::ProofCertificate) stores, which
-/// [`check_certificate`](crate::check_certificate) can later validate in
-/// O(V+E) without re-running this sort.
-///
-/// # Errors
-/// As [`verify_plan`].
-pub fn plan_topo_order(plan: &CommPlan, model: CommModel) -> Result<Vec<usize>, Violation> {
-    let graph = build_wait_graph(plan, model)?;
+    let mut graph = build_wait_graph(plan, model)?;
     let node_count = graph.node_count();
-    let mut indegree = graph.indegree.clone();
+    let mut indegree = std::mem::take(&mut graph.indegree);
 
     // Kahn's algorithm; whatever survives with nonzero indegree is cyclic
     let mut queue: Vec<usize> = (0..node_count).filter(|&v| indegree[v] == 0).collect();
-    let mut order: Vec<usize> = Vec::with_capacity(node_count);
+    let mut sorted = 0usize;
     while let Some(v) = queue.pop() {
-        order.push(v);
+        sorted += 1;
         for &w in &graph.edges[v] {
             indegree[w] -= 1;
             if indegree[w] == 0 {
@@ -501,8 +486,8 @@ pub fn plan_topo_order(plan: &CommPlan, model: CommModel) -> Result<Vec<usize>, 
             }
         }
     }
-    if order.len() == node_count {
-        return Ok(order);
+    if sorted == node_count {
+        return Ok(());
     }
 
     // extract one concrete cycle among the remaining nodes for the report
@@ -558,7 +543,7 @@ pub fn verify_deadlock_freedom(prog: &Program) -> Result<(), Violation> {
 
 /// Verify the *overlapped* (send-ahead) plan of one sweep program under
 /// **both** communication models. This is the gate the distributed
-/// executor runs before enabling comm/compute overlap: unlike the legacy
+/// executor runs before enabling comm/compute overlap: unlike the
 /// blocking plan — whose exchange idiom deadlocks under rendezvous — the
 /// prefetch posts make the overlapped order acyclic even with synchronous
 /// sends, because a send only waits for the peer to *post* the receive at
@@ -576,7 +561,7 @@ pub fn verify_overlap_freedom(prog: &Program, vectors: bool) -> Result<(), Viola
 /// Verify that one sweep program stays deadlock-free with the fault
 /// layer's retry/ack recovery protocol armed
 /// ([`CommPlan::with_recovery`]): the blocking plan under buffered
-/// semantics (the legacy and zero-copy transports), and the overlapped
+/// semantics (the non-overlapped zero-copy rung), and the overlapped
 /// plan under **both** models. This is the gate the distributed executor
 /// runs instead of [`verify_overlap_freedom`] when a fault policy arms
 /// retransmission — deposits and acks are nonblocking store writes, so a
@@ -718,8 +703,8 @@ mod tests {
 
     #[test]
     fn legacy_blocking_plan_still_cycles_but_overlap_does_not() {
-        // the PR 2 two-cycle: blocking receives + rendezvous sends deadlock
-        // on the very same schedule whose overlapped plan is clean
+        // the exchange two-cycle: blocking receives + rendezvous sends
+        // deadlock on the very same schedule whose overlapped plan is clean
         let prog = sweep(&NewRingOrdering::new(8).unwrap());
         assert!(matches!(
             verify_plan(&CommPlan::from_program(&prog), CommModel::Rendezvous),

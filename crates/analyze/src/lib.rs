@@ -29,13 +29,6 @@
 //! [`verify_ordering_schedule`] is the cheap topology-free subset the SVD
 //! driver runs when `SvdOptions::verify_schedule` is enabled.
 //!
-//! Each proof also produces a serializable, independently re-checkable
-//! witness — see the [`certificate`] module: [`emit_certificate`] packages
-//! the witnesses, [`check_certificate`] validates them in O(plan) without
-//! re-running the provers, and [`CertificateCache`] lets the driver and
-//! the distributed executor skip re-proving schedules they have already
-//! certified.
-//!
 //! ```
 //! use treesvd_analyze::{analyze_ordering, AnalysisOptions};
 //! use treesvd_net::{Topology, TopologyKind};
@@ -54,7 +47,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod certificate;
 pub mod contention;
 pub mod coverage;
 pub mod deadlock;
@@ -62,15 +54,11 @@ pub mod permutation;
 pub mod pool;
 pub mod report;
 
-pub use certificate::{
-    check_certificate, emit_certificate, CertKey, CertificateCache, ProofCertificate,
-    ANALYZER_VERSION,
-};
 pub use contention::{verify_contention, ContentionProof};
 pub use coverage::{assert_valid_sweep, check_restores_after, verify_coverage, verify_restore};
 pub use deadlock::{
-    overlap_tag_a, overlap_tag_v, plan_topo_order, verify_deadlock_freedom, verify_overlap_freedom,
-    verify_plan, verify_recovery_freedom, CommModel, CommOp, CommPlan,
+    overlap_tag_a, overlap_tag_v, verify_deadlock_freedom, verify_overlap_freedom, verify_plan,
+    verify_recovery_freedom, CommModel, CommOp, CommPlan,
 };
 pub use permutation::verify_permutation_safety;
 pub use pool::{restart_splice, verify_pool_discipline, verify_pool_safety, Lease, PoolProof};
@@ -78,6 +66,12 @@ pub use report::{AnalysisReport, Check, CheckOutcome, OpRef, Violation};
 
 use treesvd_net::Topology;
 use treesvd_orderings::JacobiOrdering;
+
+/// Version of the analyzer's proof rules. Bump whenever a prover or a
+/// plan constructor changes semantics: the tuner keys its decision cache
+/// on it, so a plan chosen under one generation of schedule proofs never
+/// survives into the next.
+pub const ANALYZER_VERSION: u32 = 1;
 
 /// Knobs for [`analyze_ordering`].
 #[derive(Debug, Clone, Default)]
@@ -179,60 +173,7 @@ pub fn analyze_ordering(ord: &dyn JacobiOrdering, opts: &AnalysisOptions) -> Ana
         steps_per_sweep,
         outcomes,
         max_contention,
-        cert_skips: 0,
     }
-}
-
-/// [`analyze_ordering`] with a certificate cache in front of the provers.
-///
-/// On a cache hit the witnesses are validated with [`check_certificate`]
-/// and the report's [`AnalysisReport::cert_skips`] counts the proof
-/// obligations served without re-proving. On a miss (including an
-/// [`ANALYZER_VERSION`] skew) the provers run as usual and, when the
-/// schedule verifies, a fresh certificate is emitted into the cache.
-///
-/// # Errors
-/// [`Violation::CertificateMismatch`] when a cached certificate with a
-/// matching key fails witness validation — a hard error by design (the
-/// artifact claims to certify this exact schedule and does not).
-pub fn analyze_ordering_cached(
-    ord: &dyn JacobiOrdering,
-    opts: &AnalysisOptions,
-    cache: &CertificateCache,
-) -> Result<AnalysisReport, Violation> {
-    let key = CertKey::for_analysis(ord, opts, true, true);
-    if let Some(cert) = cache.get(&key) {
-        let cert_skips = check_certificate(&cert, ord, opts)?;
-        cache.record_hit();
-        let n = ord.n();
-        let outcomes = Check::ALL
-            .iter()
-            .map(|&check| {
-                let msg = if check == Check::Contention && opts.topology.is_none() {
-                    "not checked (no topology given)".to_string()
-                } else {
-                    "witness validated against a cached proof certificate".to_string()
-                };
-                (check, Ok(msg))
-            })
-            .collect();
-        return Ok(AnalysisReport {
-            ordering: ord.name(),
-            n,
-            processors: n / 2,
-            sweeps: cert.period,
-            steps_per_sweep: cert.steps_per_sweep,
-            outcomes,
-            max_contention: opts.topology.as_ref().map(|_| cert.worst_contention),
-            cert_skips,
-        });
-    }
-    cache.record_miss();
-    let report = analyze_ordering(ord, opts);
-    if report.is_verified() {
-        cache.insert(emit_certificate(ord, opts, true, true)?);
-    }
-    Ok(report)
 }
 
 /// The topology-free subset of the checks (permutation safety, coverage,

@@ -41,7 +41,7 @@ pub struct PoolProof {
 }
 
 /// One proven lease: where the buffer was deposited and where it was
-/// returned. The certificate layer stores these as the pool witness.
+/// returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lease {
     /// Store key: the original sender.
@@ -175,8 +175,8 @@ pub fn restart_splice(plan: &CommPlan, cut_step: usize, clear: bool) -> CommPlan
 
 /// Prove the pool-lease discipline for one sweep program across every
 /// recovery path the distributed executor can take: the blocking and
-/// overlapped recovery plans (the zero-copy/legacy and overlapped ladder
-/// rungs — the sequential rung exchanges nothing), and a mid-sweep
+/// overlapped recovery plans (the zero-copy and overlapped ladder rungs —
+/// the sequential rung exchanges nothing), and a mid-sweep
 /// restart replay of each (checkpoint restart / ladder descent with the
 /// store cleared in between). This is the pool half of the recovery gate
 /// in `treesvd-sim::distributed`.

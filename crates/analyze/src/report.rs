@@ -222,26 +222,6 @@ pub enum Violation {
         /// The unmatched return.
         op: OpRef,
     },
-    /// A certificate witness entry disagrees with the schedule it claims
-    /// to certify — the certificate is stale or tampered with; the caller
-    /// must hard-fail (or re-prove from scratch) rather than trust it.
-    CertificateMismatch {
-        /// The check whose witness failed validation.
-        cert_check: Check,
-        /// Sweep (restore-period index) of the offending witness entry.
-        sweep: usize,
-        /// Step of the offending witness entry within that sweep.
-        step: usize,
-        /// What disagreed.
-        detail: String,
-    },
-    /// A serialized certificate could not be parsed.
-    CertificateMalformed {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong with it.
-        detail: String,
-    },
 }
 
 impl Violation {
@@ -266,10 +246,6 @@ impl Violation {
             Violation::BufferLeak { .. }
             | Violation::DoubleReturn { .. }
             | Violation::ReturnWithoutLease { .. } => Check::Pool,
-            Violation::CertificateMismatch { cert_check, .. } => *cert_check,
-            // a malformed certificate invalidates the whole bundle before
-            // any witness can be attributed; report it under the first check
-            Violation::CertificateMalformed { .. } => Check::Permutation,
         }
     }
 }
@@ -353,13 +329,6 @@ impl fmt::Display for Violation {
             Violation::ReturnWithoutLease { op } => {
                 write!(f, "{op} acknowledges a deposit that was never made in this store epoch")
             }
-            Violation::CertificateMismatch { cert_check, sweep, step, detail } => write!(
-                f,
-                "certificate witness for {cert_check} disagrees at sweep {sweep} step {step}: {detail}"
-            ),
-            Violation::CertificateMalformed { line, detail } => {
-                write!(f, "malformed certificate at line {line}: {detail}")
-            }
         }
     }
 }
@@ -387,10 +356,6 @@ pub struct AnalysisReport {
     /// Worst per-phase contention factor observed (when a topology was
     /// given); ≤ 1.0 means the zero-contention claim holds.
     pub max_contention: Option<f64>,
-    /// Number of proof obligations served from a validated
-    /// [`ProofCertificate`](crate::ProofCertificate) instead of re-running
-    /// the prover. `0` whenever the prover actually ran.
-    pub cert_skips: usize,
 }
 
 impl AnalysisReport {
@@ -417,9 +382,6 @@ impl fmt::Display for AnalysisReport {
                 Ok(msg) => writeln!(f, "  {:<20} OK   {msg}", check.name())?,
                 Err(v) => writeln!(f, "  {:<20} FAIL {v}", check.name())?,
             }
-        }
-        if self.cert_skips > 0 {
-            writeln!(f, "  ({} proof(s) served from a validated certificate)", self.cert_skips)?;
         }
         Ok(())
     }

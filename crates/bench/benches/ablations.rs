@@ -36,25 +36,5 @@ fn bench_threshold(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cached_norms(c: &mut Criterion) {
-    // the classical Hestenes optimization: cached column norms skip the
-    // a·a and b·b dot products of every pair test
-    let mut group = c.benchmark_group("ablation/cached_norms");
-    group.sample_size(10);
-    let a = generate::random_uniform(512, 32, 6);
-    for cached in [false, true] {
-        let label = if cached { "cached" } else { "reference" };
-        group.bench_with_input(BenchmarkId::new("svd_512x32", label), &a, |b, a| {
-            b.iter(|| {
-                let run = HestenesSvd::new(SvdOptions::default().with_cached_norms(cached))
-                    .compute(a)
-                    .expect("convergence");
-                std::hint::black_box(run.svd.sigma[0])
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_threshold, bench_cached_norms);
+criterion_group!(benches, bench_threshold);
 criterion_main!(benches);

@@ -78,7 +78,7 @@ pub fn a2_intra_group(n: usize, groups: usize, words: u64) -> Table {
         // convergence with this exact ordering through a custom factory
         let a = generate::random_uniform(2 * n, n, 77);
         let opts = SvdOptions {
-            ordering: treesvd_core::OrderingChoice::Custom(Box::new(move |size| {
+            ordering: treesvd_core::OrderingChoice::Custom(std::sync::Arc::new(move |size| {
                 Ok(Box::new(HybridOrdering::with_intra(size, groups, intra)?)
                     as Box<dyn JacobiOrdering>)
             })),

@@ -379,8 +379,7 @@ fn full_run(seed: u64) -> bool {
     json.push_str(
         "  \"generated_by\": \"cargo run --release -p treesvd-bench --bin bench_auto\",\n",
     );
-    let _ =
-        writeln!(json, "  \"meta\": {},", treesvd_bench::meta::meta_json_calibrated(seed, None));
+    let _ = writeln!(json, "  \"meta\": {},", treesvd_bench::meta::meta_json(seed));
     json.push_str("  \"unit\": \"seconds (median wall-clock, full solve, vectors on)\",\n");
     json.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {

@@ -1,6 +1,5 @@
-//! Machine-readable distributed-executor benchmarks: legacy copying
-//! transport vs zero-copy pooled messaging, with and without
-//! comm/compute overlap.
+//! Machine-readable distributed-executor benchmarks: the zero-copy
+//! transport with and without comm/compute overlap.
 //!
 //! ```text
 //! cargo run --release -p treesvd-bench --bin bench_distributed            # full run,
@@ -10,54 +9,45 @@
 //!
 //! The full run times `distributed_svd_with` end to end (one thread per
 //! processor, vectors accumulated) over three orderings and two problem
-//! sizes, for three executor configurations: the legacy encode/decode
-//! transport (the baseline this PR replaces), the zero-copy transport with
-//! overlap off, and the zero-copy transport with send-ahead overlap. It
-//! writes median wall-clock seconds plus derived speedups to
-//! `BENCH_distributed.json` at the repository root. The smoke run is the
-//! regression gate wired into `scripts/verify.sh`: overlap + pool must not
-//! lose to the legacy executor, the overlapped schedule must actually
-//! engage, and the steady state must make zero payload allocations.
+//! sizes, with send-ahead overlap off and on. It writes median wall-clock
+//! seconds to `BENCH_distributed.json` at the repository root, plus the
+//! per-step price of the overlapped schedule (`overlap_step_ns`, the one
+//! cost-model constant a microprobe cannot reach; the tuner compiles it
+//! into `Calibration::builtin`). The smoke run is the regression gate
+//! wired into `scripts/verify.sh`: the overlapped schedule must actually
+//! engage, and its steady state must make zero payload allocations.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 use treesvd_matrix::generate;
 use treesvd_orderings::OrderingKind;
-use treesvd_sim::{distributed_svd_with, DistConfig, DistributedOutcome, ExecConfig, Transport};
+use treesvd_sim::{distributed_svd_with, DistConfig, DistributedOutcome, ExecConfig};
 
 /// Timed samples per configuration; the median is reported.
 const SAMPLES: usize = 5;
 
-/// The three executor configurations under comparison.
+/// The two executor configurations under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Config {
-    Legacy,
     ZeroCopy,
     ZeroCopyOverlap,
 }
 
 impl Config {
-    const ALL: [Config; 3] = [Config::Legacy, Config::ZeroCopy, Config::ZeroCopyOverlap];
+    const ALL: [Config; 2] = [Config::ZeroCopy, Config::ZeroCopyOverlap];
 
     fn label(self) -> &'static str {
         match self {
-            Config::Legacy => "legacy",
             Config::ZeroCopy => "zero-copy",
             Config::ZeroCopyOverlap => "zero-copy+overlap",
         }
     }
 
     fn dist(self) -> DistConfig {
-        let (transport, overlap) = match self {
-            Config::Legacy => (Transport::Legacy, false),
-            Config::ZeroCopy => (Transport::ZeroCopy, false),
-            Config::ZeroCopyOverlap => (Transport::ZeroCopy, true),
-        };
         DistConfig {
             exec: ExecConfig::default(),
             max_sweeps: 64,
-            transport,
-            overlap,
+            overlap: self == Config::ZeroCopyOverlap,
             ..DistConfig::default()
         }
     }
@@ -166,12 +156,11 @@ fn full_run(seed: u64) {
     json.push_str(
         "  \"generated_by\": \"cargo run --release -p treesvd-bench --bin bench_distributed\",\n",
     );
-    let _ = writeln!(
-        json,
-        "  \"meta\": {},",
-        treesvd_bench::meta::meta_json_calibrated(seed, overlap_step_ns)
-    );
+    let _ = writeln!(json, "  \"meta\": {},", treesvd_bench::meta::meta_json(seed));
     let _ = writeln!(json, "  \"matrix_rows\": {M},");
+    if let Some(ns) = overlap_step_ns {
+        let _ = writeln!(json, "  \"overlap_step_ns\": {ns:.1},");
+    }
     json.push_str(
         "  \"unit\": \"seconds (median wall-clock, full distributed_svd, vectors on)\",\n",
     );
@@ -193,20 +182,7 @@ fn full_run(seed: u64) {
             r.steady_allocs
         );
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"overlap_speedup_over_legacy\": {\n");
-    for (i, &kind) in orderings.iter().enumerate() {
-        let mut entries = String::new();
-        for (j, &n) in sizes.iter().enumerate() {
-            let sep = if j + 1 < sizes.len() { ", " } else { "" };
-            let s = find(&records, kind, n, Config::Legacy)
-                / find(&records, kind, n, Config::ZeroCopyOverlap);
-            let _ = write!(entries, "\"{n}\": {s:.2}{sep}");
-        }
-        let comma = if i + 1 < orderings.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{}\": {{{entries}}}{comma}", kind.name());
-    }
-    json.push_str("  }\n");
+    json.push_str("  ]\n");
     json.push_str("}\n");
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_distributed.json");
@@ -215,32 +191,26 @@ fn full_run(seed: u64) {
     eprintln!("wrote {out}");
 }
 
-/// Quick gate: zero-copy + overlap must not lose to the legacy executor,
-/// the overlapped schedule must actually engage, and the steady state must
-/// make zero payload allocations.
+/// Quick gate: the overlapped schedule must actually engage, and its
+/// steady state must make zero payload allocations. (Whether overlap is
+/// worth engaging at this point is `bench_auto --smoke`'s gate.)
 fn smoke_run(seed: u64) -> bool {
     const M: usize = 4096;
     const N: usize = 16;
     let kind = OrderingKind::NewRing;
 
-    let (legacy, _) = time_distributed(kind, M, N, Config::Legacy, seed);
     let (overlapped, run) = time_distributed(kind, M, N, Config::ZeroCopyOverlap, seed);
-
-    // generous 10% slack: the gate guards against regressions, not noise
-    let fast_enough = overlapped <= legacy * 1.10;
     let engaged = run.overlap;
     let zero_alloc = run.steady_payload_allocs == 0;
     println!(
-        "smoke {M}x{N} {}: overlap {:.1} ms vs legacy {:.1} ms ({:.2}x), \
-         overlap engaged {engaged}, steady payload allocations {} — {}",
+        "smoke {M}x{N} {}: overlap {:.1} ms, overlap engaged {engaged}, \
+         steady payload allocations {} — {}",
         kind.name(),
         overlapped * 1e3,
-        legacy * 1e3,
-        legacy / overlapped,
         run.steady_payload_allocs,
-        if fast_enough && engaged && zero_alloc { "PASS" } else { "FAIL" }
+        if engaged && zero_alloc { "PASS" } else { "FAIL" }
     );
-    fast_enough && engaged && zero_alloc
+    engaged && zero_alloc
 }
 
 fn main() {

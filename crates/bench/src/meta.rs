@@ -57,36 +57,6 @@ pub fn meta_json(seed: u64) -> String {
     s
 }
 
-/// The `"calibration"` JSON object: this host's probed machine constants
-/// (the [`treesvd_tune::Calibration`] microprobe battery), plus the
-/// executor-measured per-step overlap cost when the caller has one — it
-/// needs a full distributed run to observe and cannot be microprobed, so
-/// only `bench_distributed` supplies it. These are exactly the keys the
-/// tuner's *Recorded* calibration layer reads back out of the committed
-/// `BENCH_distributed.json`.
-#[must_use]
-pub fn calibration_json(overlap_step_ns: Option<f64>) -> String {
-    let c = treesvd_tune::Calibration::probed();
-    let overlap =
-        overlap_step_ns.filter(|v| v.is_finite() && *v > 0.0).unwrap_or(c.overlap_step_ns);
-    format!(
-        "{{\"flop_ns\": {:.6}, \"panel_flop_ns\": {:.6}, \"word_ns\": {:.6}, \
-         \"msg_ns\": {:.1}, \"overlap_step_ns\": {:.1}, \"l2_bytes\": {}}}",
-        c.flop_ns, c.panel_flop_ns, c.word_ns, c.msg_ns, overlap, c.l2_bytes
-    )
-}
-
-/// [`meta_json`] extended with the [`calibration_json`] block — what the
-/// calibration-bearing bench files (`BENCH_distributed.json`,
-/// `BENCH_auto.json`) embed so runs double as tuner seed data.
-#[must_use]
-pub fn meta_json_calibrated(seed: u64, overlap_step_ns: Option<f64>) -> String {
-    let mut s = meta_json(seed);
-    s.truncate(s.len() - 1); // re-open the object
-    let _ = write!(s, ", \"calibration\": {}}}", calibration_json(overlap_step_ns));
-    s
-}
-
 /// Parse `--seed N` from the process arguments (default 42), so every
 /// bench bin records and honors an explicit seed.
 ///
@@ -127,23 +97,5 @@ mod tests {
         for key in ["target_arch", "simd_tier", "f64_lanes", "threads", "\"seed\": 7"] {
             assert!(m.contains(key), "missing {key} in {m}");
         }
-    }
-
-    #[test]
-    fn calibrated_meta_round_trips_through_the_tuner_parser() {
-        let m = meta_json_calibrated(7, Some(6500.0));
-        for key in
-            ["calibration", "flop_ns", "panel_flop_ns", "word_ns", "msg_ns", "l2_bytes", "seed"]
-        {
-            assert!(m.contains(key), "missing {key} in {m}");
-        }
-        // the tuner's Recorded layer must read back what we wrote
-        let c = treesvd_tune::Calibration::from_bench_meta(&m);
-        assert_eq!(c.overlap_step_ns, 6500.0);
-        assert_eq!(c.source, treesvd_tune::CalibSource::Recorded);
-        assert!(c.flop_ns > 0.0 && c.panel_flop_ns > 0.0 && c.word_ns > 0.0);
-        // with no measured overlap delta the probed carry-over is kept
-        let fallback = meta_json_calibrated(7, None);
-        assert!(treesvd_tune::Calibration::from_bench_meta(&fallback).overlap_step_ns > 0.0);
     }
 }

@@ -19,7 +19,6 @@ usage:
               [--sigma-out FILE] [--u-out FILE] [--v-out FILE]
   treesvd analyze [--ordering NAME] [--n N] [--topology NAME]
                   [--groups M] [--words W]
-                  [--emit-cert FILE | --check-cert FILE]
   treesvd batch --order N --count K [--rows M] [--seed S] [--lanes L]
                 [--scalar] [--threads T] [--no-vectors] [--max-sweeps S]
   treesvd lstsq <matrix-file> <rhs-file> [--rcond X]
@@ -56,12 +55,6 @@ block kernels (with --processors): pairwise | gram   (default: gram)
             the fault-free run bitwise or fail with a diagnostic
 --recv-timeout MS / --max-retries N tune the receive watchdog and
             retransmission budget of the recovery layer (distributed)
---emit-cert FILE runs the provers and, when every check passes, writes
-            a serialized proof certificate whose witnesses any later
-            `--check-cert` run can validate without re-proving
---check-cert FILE validates a previously emitted certificate against
-            the named schedule in O(plan) — no provers are re-run;
-            exits non-zero on any witness mismatch or version skew
 batch:      synthetic throughput run of the batched small-SVD engine —
             K random M×N problems (M defaults to N, N ≤ 64 is the
             intended regime) solved in SoA lanes; --lanes picks the
@@ -363,11 +356,6 @@ fn cmd_analyze(rest: &[String]) -> Result<String, String> {
         .transpose()?;
     let words = take_flag(&mut args, "--words")?
         .map_or(Ok(1), |v| v.parse::<u64>().map_err(|e| format!("--words: {e}")))?;
-    let emit_cert = take_flag(&mut args, "--emit-cert")?.map(PathBuf::from);
-    let check_cert = take_flag(&mut args, "--check-cert")?.map(PathBuf::from);
-    if emit_cert.is_some() && check_cert.is_some() {
-        return Err("--emit-cert and --check-cert are mutually exclusive".to_string());
-    }
     if !args.is_empty() {
         return Err(format!("analyze: unexpected argument {:?}", args[0]));
     }
@@ -387,33 +375,11 @@ fn cmd_analyze(rest: &[String]) -> Result<String, String> {
         words_per_column: words,
     };
 
-    // fast path: validate an existing certificate without re-proving
-    if let Some(path) = check_cert {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let cert = treesvd_analyze::ProofCertificate::parse(&text).map_err(|e| e.to_string())?;
-        let obligations = treesvd_analyze::check_certificate(&cert, ord.as_ref(), &opts)
-            .map_err(|e| format!("certificate rejected: {e}"))?;
-        return Ok(format!(
-            "# certificate {} VALID for {} (n = {n}): {obligations} proof obligation(s) \
-             discharged without re-running the provers\n",
-            path.display(),
-            ord.name(),
-        ));
-    }
-
     let report = treesvd_analyze::analyze_ordering(ord.as_ref(), &opts);
     if !report.is_verified() {
         return Err(format!("schedule verification failed\n{report}"));
     }
-    let mut out = report.to_string();
-    if let Some(path) = emit_cert {
-        let cert = treesvd_analyze::emit_certificate(ord.as_ref(), &opts, true, true)
-            .map_err(|e| e.to_string())?;
-        std::fs::write(&path, cert.to_text()).map_err(|e| format!("{}: {e}", path.display()))?;
-        out.push_str(&format!("# proof certificate written to {}\n", path.display()));
-    }
-    Ok(out)
+    Ok(report.to_string())
 }
 
 fn cmd_batch(rest: &[String]) -> Result<String, String> {
@@ -864,50 +830,6 @@ mod tests {
                 .unwrap_err();
         assert!(err.contains("FAIL"), "{err}");
         assert!(err.contains("contention"), "{err}");
-    }
-
-    #[test]
-    fn analyze_emit_and_check_cert_round_trip() {
-        let dir = std::env::temp_dir().join("treesvd-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let cert = dir.join("ring16.cert");
-        let _ = std::fs::remove_file(&cert);
-        let base = ["analyze", "--ordering", "ring", "--n", "16", "--topology", "perfect"];
-        let mut emit = argv(&base);
-        emit.extend(["--emit-cert".to_string(), cert.to_str().unwrap().to_string()]);
-        let out = run(&emit).unwrap();
-        assert!(out.contains("proof certificate written"), "{out}");
-
-        let mut check = argv(&base);
-        check.extend(["--check-cert".to_string(), cert.to_str().unwrap().to_string()]);
-        let out = run(&check).unwrap();
-        assert!(out.contains("VALID"), "{out}");
-        assert!(out.contains("proof obligation(s)"), "{out}");
-
-        // the same certificate must not validate a different schedule
-        let mut wrong = argv(&["analyze", "--ordering", "new-ring", "--n", "16"]);
-        wrong.extend(["--check-cert".to_string(), cert.to_str().unwrap().to_string()]);
-        let err = run(&wrong).unwrap_err();
-        assert!(err.contains("certificate rejected"), "{err}");
-
-        // and a truncated file is a parse error with a line number
-        let garbled = dir.join("garbled.cert");
-        let text = std::fs::read_to_string(&cert).unwrap();
-        let keep = text.lines().count() / 2;
-        std::fs::write(&garbled, text.lines().take(keep).collect::<Vec<_>>().join("\n")).unwrap();
-        let mut bad = argv(&base);
-        bad.extend(["--check-cert".to_string(), garbled.to_str().unwrap().to_string()]);
-        assert!(run(&bad).is_err());
-
-        // the two flags are mutually exclusive
-        let mut both = argv(&base);
-        both.extend([
-            "--emit-cert".to_string(),
-            cert.to_str().unwrap().to_string(),
-            "--check-cert".to_string(),
-            cert.to_str().unwrap().to_string(),
-        ]);
-        assert!(run(&both).is_err());
     }
 
     #[test]

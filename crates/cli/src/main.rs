@@ -4,7 +4,7 @@
 //! treesvd svd <matrix-file> [--ordering NAME] [--topology NAME] [--no-vectors]
 //!             [--distributed] [--processors P] [--sigma-out FILE]
 //! treesvd analyze [--ordering NAME] [--n N] [--topology NAME] [--groups M]
-//!                 [--emit-cert FILE | --check-cert FILE]
+//!                 [--words W]
 //! treesvd batch --order N --count K [--rows M] [--seed S] [--lanes L] [--scalar]
 //! treesvd lstsq <matrix-file> <rhs-file> [--rcond X]
 //! treesvd cond <matrix-file>

@@ -316,9 +316,9 @@ impl FaultInjector {
     }
 
     /// Drop every retransmission copy. Called between executor attempts:
-    /// different transports use different tag encodings, so a deposit
-    /// left over from a failed attempt must never satisfy a redelivery in
-    /// the next one. Stall latches and counters are deliberately kept —
+    /// a new attempt re-sends tags the failed one already used, so a
+    /// deposit left over from the failed attempt must never satisfy a
+    /// redelivery in the next one. Stall latches and counters are deliberately kept —
     /// a crash event stays fired across the restart it caused.
     pub fn reset_store(&self) {
         self.store.lock().expect("fault store").clear();

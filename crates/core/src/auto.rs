@@ -2,15 +2,15 @@
 //! dispatch entry — the production default path.
 //!
 //! The tuner ([`treesvd_tune`]) selects a full execution config (driver,
-//! ordering, kernel, block width, threads, transport, overlap, QR
-//! crossover, hierarchical blocking) by minimizing the calibrated cost
-//! model; this module maps that [`TunePlan`] onto [`SvdOptions`] and
-//! runs the planned driver. The mapping is *transparent*: an auto run is
-//! bitwise-identical to handing the same options to the same driver
-//! explicitly (pinned by a property test), and every tuner choice still
-//! flows through the existing gates — schedules verify, overlap engages
-//! only behind the analyzer's deadlock-freedom proof, certificates
-//! validate. The tuner requests; the gates decide.
+//! ordering, kernel, block width, threads, overlap, QR crossover,
+//! hierarchical blocking) by minimizing the calibrated cost model; this
+//! module maps that [`TunePlan`] onto [`SvdOptions`] and runs the planned
+//! driver. The mapping is *transparent*: an auto run is bitwise-identical
+//! to handing the same options to the same driver explicitly (pinned by a
+//! property test), and every tuner choice still flows through the
+//! existing gates — schedules verify, and overlap engages only behind the
+//! analyzer's deadlock-freedom proof. The tuner requests; the gates
+//! decide.
 
 use crate::blocked::{blocked_svd, BlockedOptions, BlockedRun};
 use crate::driver::HestenesSvd;

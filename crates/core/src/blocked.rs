@@ -42,8 +42,9 @@
 //! sweep the driver performs no allocation (block movement swaps
 //! pre-allocated buffers, and the Gram/`W`/tile scratches are reused).
 
-use crate::options::{BlockKernel, HierBlocking, OrderingChoice, SvdError, SvdOptions};
-use crate::result::{complete_orthonormal, Svd};
+use crate::driver::checked_ordering;
+use crate::options::{BlockKernel, HierBlocking, SvdError, SvdOptions};
+use crate::result::{extract_svd, Svd};
 use treesvd_matrix::ops;
 use treesvd_matrix::rotation::{
     apply_rotation, apply_rotation_swapped, compute_rotation, orthogonalize_pair,
@@ -193,14 +194,8 @@ pub(crate) fn blocked_svd_inner(
 
     // A single processor needs no ordering: both blocks are resident and
     // every sweep is one meeting of the pair.
-    let ordering: Option<Box<dyn JacobiOrdering>> = if n_super > 2 {
-        Some(match &opts.svd.ordering {
-            OrderingChoice::Kind(k) => k.build(n_super)?,
-            OrderingChoice::Custom(f) => f(n_super)?,
-        })
-    } else {
-        None
-    };
+    let ordering: Option<Box<dyn JacobiOrdering>> =
+        if n_super > 2 { Some(checked_ordering(&opts.svd, n_super)?) } else { None };
 
     // distribute columns: super-slot s holds labels [s*c, (s+1)*c),
     // stored contiguously per slot (padding columns stay zero)
@@ -308,51 +303,15 @@ pub(crate) fn blocked_svd_inner(
         }
     }
 
-    // extraction (mirrors the unblocked driver)
-    let col_of = |j: usize| -> &[f64] {
+    let col = |j: usize| {
         let (s, k) = locate[j];
-        &slots[s].a[k * m..(k + 1) * m]
+        let slot = &slots[s];
+        (&slot.a[k * m..(k + 1) * m], slot.v.get(k * n_pad..(k + 1) * n_pad).unwrap_or(&[]))
     };
-    let norms: Vec<f64> = (0..n).map(|j| ops::norm2(col_of(j))).collect();
-    let max_norm = norms.iter().fold(0.0_f64, |acc, &x| acc.max(x));
-    let rank_tol = max_norm * n_pad as f64 * f64::EPSILON;
-    let mut u = Matrix::zeros(m, n).map_err(|_| SvdError::EmptyMatrix)?;
-    let mut sigma = vec![0.0; n];
-    let mut zero_u = Vec::new();
-    for j in 0..n {
-        if norms[j] > rank_tol {
-            sigma[j] = norms[j];
-            let mut col = col_of(j).to_vec();
-            ops::scal(1.0 / norms[j], &mut col);
-            u.set_col(j, &col);
-        } else {
-            zero_u.push(j);
-        }
-    }
-    let rank = n - zero_u.len();
-    complete_orthonormal(&mut u, &zero_u);
-
-    let v = if vectors {
-        let mut v = Matrix::zeros(n, n).map_err(|_| SvdError::EmptyMatrix)?;
-        let mut zero_v = Vec::new();
-        for j in 0..n {
-            let (s, k) = locate[j];
-            let vj = &slots[s].v[k * n_pad..(k + 1) * n_pad];
-            let head_norm = ops::norm2(&vj[..n]);
-            if sigma[j] > 0.0 || head_norm > 0.5 {
-                v.set_col(j, &vj[..n]);
-            } else {
-                zero_v.push(j);
-            }
-        }
-        complete_orthonormal(&mut v, &zero_v);
-        v
-    } else {
-        Matrix::identity(n, n).map_err(|_| SvdError::EmptyMatrix)?
-    };
+    let svd = extract_svd(col, m, n, n_pad, opts.svd.sort, vectors)?;
 
     Ok(BlockedRun {
-        svd: Svd { u, sigma, v, rank },
+        svd,
         sweeps,
         block_size: c,
         total_rotations,
@@ -710,19 +669,31 @@ mod tests {
 
     #[test]
     fn blocked_matches_unblocked_spectra() {
-        let a = generate::random_uniform(40, 32, 1);
-        let full = HestenesSvd::new(SvdOptions::default()).compute(&a).unwrap();
-        for kernel in [BlockKernel::Pairwise, BlockKernel::Gram] {
-            for procs in [2usize, 4, 8] {
-                let run = blocked_svd(&a, &opts_with(procs, kernel)).unwrap();
-                assert_eq!(run.block_size, 32 / (2 * procs));
-                assert!(
-                    checks::spectrum_distance(&run.svd.sigma, &full.svd.sigma) < 1e-9,
-                    "P = {procs} kernel = {kernel}"
-                );
-                assert!(run.svd.residual(&a) < 1e-10, "P = {procs} kernel = {kernel}");
-                assert!(run.svd.orthogonality() < 1e-10, "P = {procs} kernel = {kernel}");
-                assert!(checks::is_nonincreasing(&run.svd.sigma), "P = {procs} kernel = {kernel}");
+        // a generic input, and a two-level repeated spectrum whose
+        // re-measured norms tie to the last ulps (the shared extraction
+        // must repair their order, as the unblocked driver does)
+        let repeated: Vec<f64> = (0..32).map(|k| if k < 16 { 1.0 } else { 0.5 }).collect();
+        for a in
+            [generate::random_uniform(40, 32, 1), generate::with_singular_values(40, &repeated, 1)]
+        {
+            let full = HestenesSvd::new(SvdOptions::default()).compute(&a).unwrap();
+            for kernel in [BlockKernel::Pairwise, BlockKernel::Gram] {
+                for procs in [2usize, 4, 8] {
+                    let run = blocked_svd(&a, &opts_with(procs, kernel)).unwrap();
+                    let what = format!("P = {procs} kernel = {kernel}");
+                    assert_eq!(run.block_size, 32 / (2 * procs));
+                    assert!(
+                        checks::spectrum_distance(&run.svd.sigma, &full.svd.sigma) < 1e-9,
+                        "{what}"
+                    );
+                    assert!(run.svd.residual(&a) < 1e-10, "{what}");
+                    assert!(run.svd.orthogonality() < 1e-10, "{what}");
+                    assert!(
+                        checks::is_nonincreasing(&run.svd.sigma),
+                        "{what}: {:?}",
+                        run.svd.sigma
+                    );
+                }
             }
         }
     }

@@ -7,15 +7,29 @@
 //! interchange), and extraction of `U`, `σ`, `V` in index order with
 //! rank handling.
 
-use crate::options::{OrderingChoice, SvdError, SvdOptions};
-use crate::result::{complete_orthonormal, Svd};
+use crate::options::{SvdError, SvdOptions};
+use crate::result::{extract_svd, Svd};
 use treesvd_matrix::Matrix;
 use treesvd_net::Topology;
 use treesvd_orderings::{JacobiOrdering, OrderingError, OrderingKind};
 use treesvd_sim::{
-    execute_program_with_scratch, ColumnStore, ExecConfig, ExecScratch, Machine, SortMode,
-    SweepStats,
+    execute_program_with_scratch, ColumnStore, ExecConfig, ExecScratch, Machine, SweepStats,
 };
+
+/// Build the configured ordering for `n` (padded) columns and, when
+/// [`SvdOptions::verify_schedule`] is set, gate it through the static
+/// schedule verifier before any matrix data is touched. Every driver
+/// builds its ordering here, so the gate cannot be bypassed.
+pub(crate) fn checked_ordering(
+    options: &SvdOptions,
+    n: usize,
+) -> Result<Box<dyn JacobiOrdering>, SvdError> {
+    let ordering = options.ordering.build(n)?;
+    if options.verify_schedule {
+        treesvd_analyze::verify_ordering_schedule(ordering.as_ref())?;
+    }
+    Ok(ordering)
+}
 
 /// A completed SVD run: the decomposition plus everything the experiments
 /// need to know about how it went.
@@ -105,49 +119,17 @@ impl HestenesSvd {
         }
     }
 
-    /// Instantiate the configured ordering for `n_padded` columns.
-    fn build_ordering(&self, n_padded: usize) -> Result<Box<dyn JacobiOrdering>, OrderingError> {
-        match &self.options.ordering {
-            OrderingChoice::Kind(k) => k.build(n_padded),
-            OrderingChoice::Custom(f) => f(n_padded),
-        }
-    }
-
-    /// Build the ordering and, when `verify_schedule` is set, gate it
-    /// through the static schedule verifier before any matrix data is
-    /// touched. With a certificate cache configured, a warm run consumes
-    /// the cached [`ProofCertificate`](treesvd_analyze::ProofCertificate)
-    /// — witness validation instead of re-proving; mismatch on a matching
-    /// key is a hard error, version skew silently re-proves.
-    fn checked_ordering(&self, n_padded: usize) -> Result<Box<dyn JacobiOrdering>, SvdError> {
-        let ordering = self.build_ordering(n_padded)?;
-        if self.options.verify_schedule {
-            match &self.options.certificate_cache {
-                Some(cache) => {
-                    cache.verify_or_prove(
-                        ordering.as_ref(),
-                        &treesvd_analyze::AnalysisOptions::default(),
-                        true,
-                        true,
-                    )?;
-                }
-                None => treesvd_analyze::verify_ordering_schedule(ordering.as_ref())?,
-            }
-        }
-        Ok(ordering)
-    }
-
     /// The padded size for `n` columns: the smallest size ≥ max(n, 4) the
     /// ordering accepts (try even sizes, then powers of two).
     fn padded_size(&self, n: usize) -> Result<usize, OrderingError> {
         let start = n.max(4);
         // even candidate
         let even = start + start % 2;
-        if self.build_ordering(even).is_ok() {
+        if self.options.ordering.build(even).is_ok() {
             return Ok(even);
         }
         let pow2 = start.next_power_of_two();
-        self.build_ordering(pow2).map(|_| pow2)
+        self.options.ordering.build(pow2).map(|_| pow2)
     }
 
     /// Run the chosen Jacobi driver on `A = QR`'s small factor `R`, then
@@ -185,7 +167,7 @@ impl HestenesSvd {
             return self.frontend_run(a, transposed, false);
         }
         let n_pad = self.padded_size(n)?;
-        let ordering = self.checked_ordering(n_pad)?;
+        let ordering = checked_ordering(&self.options, n_pad)?;
 
         // distribute columns (zero columns as padding)
         let mut columns = a.clone().into_columns();
@@ -201,7 +183,6 @@ impl HestenesSvd {
         let config = ExecConfig {
             threshold,
             sort: self.options.sort,
-            cached_norms: self.options.cached_norms,
             serial_cutoff: self.options.serial_cutoff,
             threads: self.options.threads.unwrap_or(0),
         };
@@ -247,7 +228,7 @@ impl HestenesSvd {
         }
 
         let simulated_time = sweep_stats.iter().map(|s| s.total_time()).sum();
-        let svd = self.extract(a, &store, m, n, n_pad)?;
+        let svd = self.extract(&store, m, n, n_pad)?;
         Ok(SvdRun {
             svd,
             sweeps: sweep_stats.len(),
@@ -304,14 +285,13 @@ impl HestenesSvd {
             return self.frontend_run(a, false, true);
         }
         let n_pad = self.padded_size(n)?;
-        let ordering = self.checked_ordering(n_pad)?;
+        let ordering = checked_ordering(&self.options, n_pad)?;
         let mut columns = a.clone().into_columns();
         columns.resize(n_pad, vec![0.0; m]);
         let threshold = self.options.threshold.unwrap_or(n_pad as f64 * f64::EPSILON);
         let config = treesvd_sim::ExecConfig {
             threshold,
             sort: self.options.sort,
-            cached_norms: false, // the distributed path keeps the reference kernel
             serial_cutoff: self.options.serial_cutoff,
             threads: self.options.threads.unwrap_or(0),
         };
@@ -326,11 +306,9 @@ impl HestenesSvd {
         let dist_cfg = treesvd_sim::DistConfig {
             exec: config,
             max_sweeps: self.options.max_sweeps,
-            transport: treesvd_sim::Transport::ZeroCopy,
             overlap,
             policy: self.options.effective_policy(),
             fault: self.options.chaos.clone(),
-            cert_cache: self.options.certificate_cache.clone(),
         };
         let outcome = treesvd_sim::distributed_svd_with(
             ordering.as_ref(),
@@ -345,7 +323,7 @@ impl HestenesSvd {
             });
         }
         let store = ColumnStore { slots: outcome.slots, layout: outcome.layout };
-        let svd = self.extract(a, &store, m, n, n_pad)?;
+        let svd = self.extract(&store, m, n, n_pad)?;
         Ok(SvdRun {
             svd,
             sweeps: outcome.sweeps,
@@ -363,87 +341,14 @@ impl HestenesSvd {
     /// Extract `U`, `σ`, `V` from the converged store.
     fn extract(
         &self,
-        a: &Matrix,
         store: &ColumnStore,
         m: usize,
         n: usize,
         n_pad: usize,
     ) -> Result<Svd, SvdError> {
-        let mut cols = store.columns_in_index_order();
-        debug_assert_eq!(cols.len(), n_pad);
-
-        // singular values = column norms of the converged H = A·V
-        let mut norms: Vec<f64> = cols.iter().map(|c| treesvd_matrix::ops::norm2(&c.a)).collect();
-
-        // The larger-norm-to-smaller-label rule orders columns by the norms
-        // the sweep tracked; re-measuring the converged columns can land a
-        // (near-)duplicate pair the other way round in the last few ulps.
-        // Repair only those measurement-level ties — a larger inversion is
-        // a real ordering bug and must stay visible to the sorted-σ tests.
-        if self.options.sort == SortMode::Descending {
-            let tied = |lo: f64, hi: f64| hi - lo <= 4.0 * f64::EPSILON * hi;
-            let mut swapped = true;
-            while swapped {
-                swapped = false;
-                for j in 1..norms.len() {
-                    if norms[j - 1] < norms[j] && tied(norms[j - 1], norms[j]) {
-                        norms.swap(j - 1, j);
-                        cols.swap(j - 1, j);
-                        swapped = true;
-                    }
-                }
-            }
-        }
-        let max_norm = norms.iter().fold(0.0_f64, |acc, &v| acc.max(v));
-        let rank_tol = max_norm * n_pad as f64 * f64::EPSILON;
-
-        // keep the first n (for descending sort the padding zeros are at
-        // the tail; without sorting the padded columns never swap, so they
-        // also sit at labels >= n)
-        let mut u = Matrix::zeros(m, n).map_err(|_| SvdError::EmptyMatrix)?;
-        let mut sigma = vec![0.0; n];
-        let mut zero_u = Vec::new();
-        for j in 0..n {
-            sigma[j] = norms[j];
-            if norms[j] > rank_tol {
-                let mut col = cols[j].a.clone();
-                treesvd_matrix::ops::scal(1.0 / norms[j], &mut col);
-                u.set_col(j, &col);
-            } else {
-                sigma[j] = 0.0;
-                zero_u.push(j);
-            }
-        }
-        let rank = n - zero_u.len();
-        complete_orthonormal(&mut u, &zero_u);
-
-        let v = if self.options.vectors {
-            let mut v = Matrix::zeros(n, n).map_err(|_| SvdError::EmptyMatrix)?;
-            let mut zero_v = Vec::new();
-            for j in 0..n {
-                let vj = &cols[j].v;
-                // rotations only ever mix V columns within the original
-                // coordinates (padded columns never rotate), so a column
-                // belonging to a nonzero singular value is supported on
-                // the first n coordinates; a padded column that was
-                // swapped into the leading block is a unit vector in a
-                // padded coordinate and gets re-completed below.
-                let head_norm = treesvd_matrix::ops::norm2(&vj[..n]);
-                if sigma[j] > 0.0 || head_norm > 0.5 {
-                    let head: Vec<f64> = vj[..n].to_vec();
-                    v.set_col(j, &head);
-                } else {
-                    zero_v.push(j);
-                }
-            }
-            complete_orthonormal(&mut v, &zero_v);
-            v
-        } else {
-            Matrix::identity(n, n).map_err(|_| SvdError::EmptyMatrix)?
-        };
-
-        let _ = a;
-        Ok(Svd { u, sigma, v, rank })
+        let cols = store.columns_in_index_order();
+        let col = |j: usize| (cols[j].a.as_slice(), cols[j].v.as_slice());
+        extract_svd(col, m, n, n_pad, self.options.sort, self.options.vectors)
     }
 }
 
@@ -480,6 +385,9 @@ mod tests {
 
     #[test]
     fn verified_schedule_accepts_builtin_and_rejects_corrupt() {
+        use crate::options::OrderingChoice;
+        use crate::{blocked_svd, BlockedOptions};
+        use std::sync::Arc;
         use treesvd_orderings::{PairStep, Permutation, Program};
 
         let a = generate::random_uniform(12, 8, 5);
@@ -509,19 +417,32 @@ mod tests {
                 }
             }
         }
-        let options = SvdOptions {
-            ordering: OrderingChoice::Custom(Box::new(|n| {
-                Ok(Box::new(Stalled(n)) as Box<dyn JacobiOrdering>)
-            })),
-            ..SvdOptions::default()
-        }
-        .with_verify_schedule(true);
-        match HestenesSvd::new(options).compute(&a) {
+        let stalled = || {
+            SvdOptions {
+                ordering: OrderingChoice::Custom(Arc::new(|n| {
+                    Ok(Box::new(Stalled(n)) as Box<dyn JacobiOrdering>)
+                })),
+                ..SvdOptions::default()
+            }
+            .with_verify_schedule(true)
+        };
+        let expect_schedule_error = |result: Result<Svd, SvdError>| match result {
             Err(SvdError::Schedule(v)) => {
                 assert!(v.to_string().contains("step"), "diagnostic not step-precise: {v}");
             }
             other => panic!("expected SvdError::Schedule, got {other:?}"),
-        }
+        };
+        expect_schedule_error(HestenesSvd::new(stalled()).compute(&a).map(|r| r.svd));
+
+        // the blocked driver verifies its block-level ordering the same way
+        // (32×16 on P = 4: eight block slots of two columns)
+        let a = generate::random_uniform(32, 16, 5);
+        let blocked = BlockedOptions { processors: 4, svd: stalled() };
+        expect_schedule_error(blocked_svd(&a, &blocked).map(|r| r.svd));
+        let builtin =
+            BlockedOptions { processors: 4, svd: SvdOptions::default().with_verify_schedule(true) };
+        let run = blocked_svd(&a, &builtin).unwrap();
+        assert!(run.svd.orthogonality() < 1e-11, "orthogonality {}", run.svd.orthogonality());
     }
 
     #[test]
@@ -705,33 +626,6 @@ mod distributed_tests {
         assert_eq!(on.svd.sigma, off.svd.sigma);
         assert_eq!(on.svd.u, off.svd.u);
         assert_eq!(on.svd.v, off.svd.v);
-    }
-
-    #[test]
-    fn warm_certificate_run_skips_prover_and_is_bitwise_identical() {
-        let a = generate::random_uniform(18, 8, 36);
-        let cache = std::sync::Arc::new(treesvd_analyze::CertificateCache::new());
-        let opts = || {
-            SvdOptions::default()
-                .with_verify_schedule(true)
-                .with_certificate_cache(std::sync::Arc::clone(&cache))
-        };
-        // cold: the provers run and emit the certificate
-        let cold = HestenesSvd::new(opts()).compute_distributed(&a).unwrap();
-        assert_eq!(cache.hits(), 0, "first run must prove from scratch");
-        let cold_misses = cache.misses();
-        assert!(cold_misses > 0);
-        // warm: served from the validated certificate, bitwise identical
-        let warm = HestenesSvd::new(opts()).compute_distributed(&a).unwrap();
-        assert!(cache.hits() > 0, "warm run must consume the certificate");
-        assert_eq!(cache.misses(), cold_misses, "warm run must not re-prove");
-        assert_eq!(cold.sweeps, warm.sweeps);
-        assert_eq!(cold.svd.sigma, warm.svd.sigma);
-        assert_eq!(cold.svd.u, warm.svd.u);
-        assert_eq!(cold.svd.v, warm.svd.v);
-        // a certificate-free run stays bitwise identical too
-        let bare = HestenesSvd::new(SvdOptions::default()).compute_distributed(&a).unwrap();
-        assert_eq!(bare.svd.sigma, warm.svd.sigma);
     }
 
     #[test]

@@ -63,4 +63,4 @@ pub use treesvd_sim::SortMode;
 pub use treesvd_sim::{
     DistError, FaultPlan, FaultPolicy, FaultSnapshot, HealthReport, StallEvent, StallKind,
 };
-pub use treesvd_tune::{DriverSel, KernelSel, TransportSel, TunePlan, TuneProblem};
+pub use treesvd_tune::{DriverSel, KernelSel, TunePlan, TuneProblem};

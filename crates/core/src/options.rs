@@ -1,16 +1,18 @@
 //! Configuration for the parallel Hestenes SVD.
 
 use std::fmt;
+use std::sync::Arc;
 use treesvd_net::{CostModel, TopologyKind};
 use treesvd_orderings::{JacobiOrdering, OrderingError, OrderingKind};
 use treesvd_sim::{DistError, FaultPlan, FaultPolicy, SortMode};
 
 /// A caller-supplied ordering factory: given the padded column count,
-/// produce the ordering.
+/// produce the ordering. Shared, so cloning a choice clones the handle.
 pub type OrderingFactory =
-    Box<dyn Fn(usize) -> Result<Box<dyn JacobiOrdering>, OrderingError> + Send + Sync>;
+    Arc<dyn Fn(usize) -> Result<Box<dyn JacobiOrdering>, OrderingError> + Send + Sync>;
 
 /// Which Jacobi ordering drives the sweeps.
+#[derive(Clone)]
 pub enum OrderingChoice {
     /// One of the built-in orderings, instantiated for the (padded) size.
     Kind(OrderingKind),
@@ -27,13 +29,12 @@ impl fmt::Debug for OrderingChoice {
     }
 }
 
-impl Clone for OrderingChoice {
-    fn clone(&self) -> Self {
+impl OrderingChoice {
+    /// Instantiate the ordering for `n` (padded) columns.
+    pub(crate) fn build(&self, n: usize) -> Result<Box<dyn JacobiOrdering>, OrderingError> {
         match self {
-            OrderingChoice::Kind(k) => OrderingChoice::Kind(*k),
-            OrderingChoice::Custom(_) => {
-                panic!("custom ordering choices cannot be cloned; use OrderingChoice::Kind")
-            }
+            OrderingChoice::Kind(k) => k.build(n),
+            OrderingChoice::Custom(f) => f(n),
         }
     }
 }
@@ -122,10 +123,6 @@ pub struct SvdOptions {
     /// Record the exact off-diagonal measure before the first sweep and
     /// after every sweep (O(n²m) per sweep — instrumentation only).
     pub track_off: bool,
-    /// Use the cached-column-norms fast path (the classical Hestenes
-    /// optimization; ~30% fewer flops per rotation, last-ulp differences
-    /// from the reference path possible).
-    pub cached_norms: bool,
     /// Adaptive dispatch cutoff forwarded to the executor
     /// ([`treesvd_sim::ExecConfig::serial_cutoff`]): per-step work (in
     /// data words) below which rotations run serially instead of forking
@@ -134,9 +131,10 @@ pub struct SvdOptions {
     /// Statically verify the ordering's schedule (ownership safety, pair
     /// coverage, order restoration, deadlock freedom) with
     /// `treesvd-analyze` before touching matrix data, rejecting the run
-    /// with [`SvdError::Schedule`] on a violation. Cheap (combinatorial in
-    /// `n`, independent of `m`); mainly valuable with
-    /// [`OrderingChoice::Custom`].
+    /// with [`SvdError::Schedule`] on a violation — in the unblocked,
+    /// distributed and blocked drivers alike (the blocked driver verifies
+    /// its block-level ordering). Cheap (combinatorial in `n`, independent
+    /// of `m`); mainly valuable with [`OrderingChoice::Custom`].
     pub verify_schedule: bool,
     /// Meeting kernel for the blocked (Schreiber) driver
     /// ([`blocked_svd`](crate::blocked_svd)); ignored by the unblocked
@@ -170,15 +168,6 @@ pub struct SvdOptions {
     /// (chaos testing). Replayable: the same seed injects the identical
     /// fault sequence. Ignored by the simulated/sequential paths.
     pub chaos: Option<FaultPlan>,
-    /// Proof-certificate cache shared with the schedule verifier and the
-    /// distributed executor's overlap/recovery gate. When set, a repeat
-    /// run over the same `(ordering, n)` consumes the cached
-    /// [`ProofCertificate`](treesvd_analyze::ProofCertificate) — witness
-    /// validation in O(plan) instead of re-running the provers — with
-    /// identical results either way. A matching certificate that fails
-    /// validation is a hard error; a version-skewed one silently
-    /// re-proves and refreshes the cache. `None` re-proves every run.
-    pub certificate_cache: Option<std::sync::Arc<treesvd_analyze::CertificateCache>>,
     /// Tall-skinny QR front-end: when the aspect ratio `m/n` reaches
     /// [`SvdOptions::qr_crossover`], factor `A = QR` with the TSQR tree
     /// ([`treesvd_matrix::qr`]), run the Jacobi driver on the `n×n`
@@ -209,7 +198,6 @@ impl Default for SvdOptions {
             sort: SortMode::Descending,
             vectors: true,
             track_off: false,
-            cached_norms: false,
             serial_cutoff: treesvd_sim::ExecConfig::DEFAULT_SERIAL_CUTOFF,
             verify_schedule: false,
             block_kernel: BlockKernel::default(),
@@ -217,7 +205,6 @@ impl Default for SvdOptions {
             threads: None,
             fault_policy: None,
             chaos: None,
-            certificate_cache: None,
             qr_frontend: false,
             qr_crossover: 8.0,
             qr_panel: 32,
@@ -260,12 +247,6 @@ impl SvdOptions {
     /// Enable exact off-diagonal tracking (instrumentation).
     pub fn with_track_off(mut self, track_off: bool) -> Self {
         self.track_off = track_off;
-        self
-    }
-
-    /// Enable the cached-norms fast path.
-    pub fn with_cached_norms(mut self, cached: bool) -> Self {
-        self.cached_norms = cached;
         self
     }
 
@@ -324,18 +305,6 @@ impl SvdOptions {
         let mut policy = self.effective_policy();
         policy.max_retries = max_retries;
         self.fault_policy = Some(policy);
-        self
-    }
-
-    /// Share a proof-certificate cache across runs: the schedule
-    /// verifier and the distributed executor's overlap/recovery gate
-    /// consume validated certificates instead of re-proving (see
-    /// [`SvdOptions::certificate_cache`]).
-    pub fn with_certificate_cache(
-        mut self,
-        cache: std::sync::Arc<treesvd_analyze::CertificateCache>,
-    ) -> Self {
-        self.certificate_cache = Some(cache);
         self
     }
 
@@ -559,11 +528,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot be cloned")]
-    fn custom_choice_clone_panics() {
-        let c = OrderingChoice::Custom(Box::new(|n| {
+    fn cloned_custom_choice_builds_the_same_ordering() {
+        let c = OrderingChoice::Custom(Arc::new(|n| {
             Ok(Box::new(treesvd_orderings::RoundRobinOrdering::new(n)?) as Box<dyn JacobiOrdering>)
         }));
-        let _ = c.clone();
+        let (a, b) = (c.build(8).unwrap(), c.clone().build(8).unwrap());
+        assert_eq!(a.name(), b.name());
+        assert_eq!(a.programs(2), b.programs(2));
+        assert!(c.clone().build(7).is_err(), "the clone keeps the factory's size checks");
     }
 }

@@ -1,6 +1,9 @@
-//! The SVD result type and orthonormal completion.
+//! The SVD result type, the extraction every Jacobi driver ends with, and
+//! orthonormal completion.
 
-use treesvd_matrix::{Matrix, MatrixError};
+use crate::options::SvdError;
+use treesvd_matrix::{ops, Matrix, MatrixError};
+use treesvd_sim::SortMode;
 
 /// A thin singular value decomposition `A = U · diag(σ) · Vᵀ` of an
 /// `m × n` matrix (`m ≥ n`): `U` is `m × n` with orthonormal columns,
@@ -56,6 +59,97 @@ impl Svd {
         }
         Ok(out)
     }
+}
+
+/// Extract `U`, `σ`, `V` from converged one-sided Jacobi columns: the
+/// last step of both the unblocked and the blocked driver.
+///
+/// `col(j)` returns the converged `A` column (length `m`) and `V` column
+/// (length `n_pad`, read only when `vectors` is set) holding index label
+/// `j`, for every label in `0..n_pad`; labels `n..n_pad` are padding.
+/// The singular values are the `A` column norms. Norms at or below
+/// `max σ · n_pad · ε` count as zero, and their `U`/`V` columns are
+/// completed to an orthonormal basis.
+///
+/// # Errors
+/// [`SvdError::EmptyMatrix`] if `m` or `n` is zero.
+pub(crate) fn extract_svd<'c>(
+    col: impl Fn(usize) -> (&'c [f64], &'c [f64]),
+    m: usize,
+    n: usize,
+    n_pad: usize,
+    sort: SortMode,
+    vectors: bool,
+) -> Result<Svd, SvdError> {
+    // label order after the tie repair below: output column j is label
+    // order[j]
+    let mut order: Vec<usize> = (0..n_pad).collect();
+    let mut norms: Vec<f64> = order.iter().map(|&j| ops::norm2(col(j).0)).collect();
+
+    // The larger-norm-to-smaller-label rule orders columns by the norms
+    // the sweep tracked; re-measuring the converged columns can land a
+    // (near-)duplicate pair the other way round in the last few ulps.
+    // Repair only those measurement-level ties — a larger inversion is
+    // a real ordering bug and must stay visible to the sorted-σ tests.
+    if sort == SortMode::Descending {
+        let tied = |lo: f64, hi: f64| hi - lo <= 4.0 * f64::EPSILON * hi;
+        let mut swapped = true;
+        while swapped {
+            swapped = false;
+            for j in 1..norms.len() {
+                if norms[j - 1] < norms[j] && tied(norms[j - 1], norms[j]) {
+                    norms.swap(j - 1, j);
+                    order.swap(j - 1, j);
+                    swapped = true;
+                }
+            }
+        }
+    }
+    let max_norm = norms.iter().fold(0.0_f64, |acc, &v| acc.max(v));
+    let rank_tol = max_norm * n_pad as f64 * f64::EPSILON;
+
+    // keep the first n (for descending sort the padding zeros are at the
+    // tail; without sorting the padded columns never swap, so they also
+    // sit at labels >= n)
+    let mut u = Matrix::zeros(m, n).map_err(|_| SvdError::EmptyMatrix)?;
+    let mut sigma = vec![0.0; n];
+    let mut zero_u = Vec::new();
+    for j in 0..n {
+        if norms[j] > rank_tol {
+            sigma[j] = norms[j];
+            let mut c = col(order[j]).0.to_vec();
+            ops::scal(1.0 / norms[j], &mut c);
+            u.set_col(j, &c);
+        } else {
+            zero_u.push(j);
+        }
+    }
+    let rank = n - zero_u.len();
+    complete_orthonormal(&mut u, &zero_u);
+
+    let v = if vectors {
+        let mut v = Matrix::zeros(n, n).map_err(|_| SvdError::EmptyMatrix)?;
+        let mut zero_v = Vec::new();
+        for j in 0..n {
+            // rotations only ever mix V columns within the original
+            // coordinates (padded columns never rotate), so a column
+            // belonging to a nonzero singular value is supported on the
+            // first n coordinates; a padded column that was swapped into
+            // the leading block is a unit vector in a padded coordinate
+            // and gets re-completed below.
+            let head = &col(order[j]).1[..n];
+            if sigma[j] > 0.0 || ops::norm2(head) > 0.5 {
+                v.set_col(j, head);
+            } else {
+                zero_v.push(j);
+            }
+        }
+        complete_orthonormal(&mut v, &zero_v);
+        v
+    } else {
+        Matrix::identity(n, n).map_err(|_| SvdError::EmptyMatrix)?
+    };
+    Ok(Svd { u, sigma, v, rank })
 }
 
 /// Replace (near-)zero columns of `q` with unit vectors orthonormal to all

@@ -10,34 +10,28 @@
 //! `tests/simulation_integration.rs`), because rotation order within a pair
 //! is fully determined by the schedule and f64 arithmetic is deterministic.
 //!
-//! Two transports are available ([`Transport`]):
+//! The transport is **zero-copy**: a departing column's storage *is* the
+//! message. The sender moves its `Vec` into a detached
+//! [`MsgBuf`](treesvd_comm::MsgBuf) and the receiver adopts the
+//! allocation, so exactly `n` data (and `n` vector) buffers exist for the
+//! whole run, wandering between ranks along the movement permutations; the
+//! steady state performs **zero payload allocations** (collectives lease
+//! from the rank-local [`BufferPool`](treesvd_comm::BufferPool), which is
+//! warm after the first sweep).
 //!
-//! * **Legacy** — the original oracle path: every exchange serializes both
-//!   columns into a fresh header-prefixed `Vec<f64>` (plus two more
-//!   allocations on decode) and every step blocks on its receives.
-//! * **Zero-copy** (default) — a departing column's storage *is* the
-//!   message: the sender moves its `Vec` into a detached
-//!   [`MsgBuf`](treesvd_comm::MsgBuf) and the receiver adopts the
-//!   allocation. Exactly `n` data (and `n` vector) buffers exist for the
-//!   whole run, wandering between ranks along the movement permutations;
-//!   the steady state performs **zero payload allocations** (collectives
-//!   lease from the rank-local [`BufferPool`](treesvd_comm::BufferPool),
-//!   which is warm after the first sweep).
-//!
-//! On top of the zero-copy transport, [`DistConfig::overlap`] enables
-//! communication/computation overlap: §4's movement permutations fix every
-//! next destination statically, so a rank ships a departing data column
-//! immediately after the A-phase rotation — while its own vector update,
-//! the V-phase messages, and the *receiver's* current step are still in
-//! flight — and defers each arrival to its point of use one step later
-//! (post at the top of step `s`, complete at step `s+1`). The split is
-//! bitwise-invisible because a Jacobi pair factors exactly into
-//! `rotate_pair_a` (Gram + data columns) then `rotate_pair_v` (vector
-//! columns). Before enabling the overlap the executor asks
-//! `treesvd-analyze` to prove the overlapped plan deadlock-free under both
-//! buffered and rendezvous semantics ([`verify_overlap_freedom`]); if the
-//! proof fails for an exotic ordering, the run silently falls back to the
-//! non-overlapped zero-copy path.
+//! [`DistConfig::overlap`] enables communication/computation overlap:
+//! §4's movement permutations fix every next destination statically, so a
+//! rank ships a departing data column immediately after the A-phase
+//! rotation — while its own vector update, the V-phase messages, and the
+//! *receiver's* current step are still in flight — and defers each arrival
+//! to its point of use one step later (post at the top of step `s`,
+//! complete at step `s+1`). The split is bitwise-invisible because a
+//! Jacobi pair factors exactly into `rotate_pair_a` (Gram + data columns)
+//! then `rotate_pair_v` (vector columns). Before enabling the overlap the
+//! executor asks `treesvd-analyze` to prove the overlapped plan
+//! deadlock-free under both buffered and rendezvous semantics
+//! ([`verify_overlap_freedom`]); if the proof fails for an exotic
+//! ordering, the run silently falls back to the non-overlapped schedule.
 //!
 //! # Fault tolerance
 //!
@@ -56,8 +50,8 @@
 //!    boundaries; a crash restarts the world from the last sweep *all*
 //!    ranks completed.
 //! 3. **Degradation ladder** — when restarts are exhausted the executor
-//!    descends overlapped → zero-copy → legacy → single-rank sequential
-//!    (no network at all, so even a fully poisoned link is absorbed).
+//!    descends overlapped → zero-copy → single-rank sequential (no
+//!    network at all, so even a fully poisoned link is absorbed).
 //!
 //! Absorbable faults leave the result **bitwise identical** to the
 //! fault-free run — the store redelivers the exact payload, checkpoints
@@ -74,28 +68,14 @@ use crate::recovery::{CheckpointStore, DistError, FaultPolicy, HealthReport, Ran
 use std::sync::Arc;
 use treesvd_analyze::{
     overlap_tag_a, overlap_tag_v, verify_overlap_freedom, verify_pool_safety,
-    verify_recovery_freedom, AnalysisOptions, CertificateCache, Violation,
+    verify_recovery_freedom,
 };
 use treesvd_comm::{
-    allreduce_sum, allreduce_sum_in_place, Communicator, FaultInjector, FaultPlan, MsgBuf,
-    RecvError, RetryPolicy, StallKind, ThreadWorld, WorldConfig,
+    allreduce_sum_in_place, Communicator, FaultInjector, FaultPlan, MsgBuf, RecvError, RetryPolicy,
+    StallKind, ThreadWorld, WorldConfig,
 };
 use treesvd_net::TopologyKind;
 use treesvd_orderings::{ColIndex, JacobiOrdering, Program};
-
-/// Column-exchange transport of the distributed executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// Serialize both columns of an exchange into a fresh header-prefixed
-    /// `Vec<f64>` per message (the original executor; kept as the oracle
-    /// and benchmark baseline).
-    Legacy,
-    /// Move the column storage itself as a detached
-    /// [`MsgBuf`](treesvd_comm::MsgBuf); the receiver adopts the
-    /// allocation. Zero copies, zero steady-state allocations.
-    #[default]
-    ZeroCopy,
-}
 
 /// Configuration of a distributed run.
 #[derive(Debug, Clone)]
@@ -104,11 +84,9 @@ pub struct DistConfig {
     pub exec: ExecConfig,
     /// Sweep cap.
     pub max_sweeps: usize,
-    /// Column-exchange transport.
-    pub transport: Transport,
     /// Communication/computation overlap (send-ahead + deferred receives).
-    /// Only effective with [`Transport::ZeroCopy`], and only after the
-    /// analyzer proves the overlapped plan deadlock-free for the ordering.
+    /// Only effective after the analyzer proves the overlapped plan
+    /// deadlock-free for the ordering.
     pub overlap: bool,
     /// Recovery knobs: receive windows, retries, checkpoints, restarts,
     /// and the degradation ladder. The default policy reproduces the
@@ -117,15 +95,6 @@ pub struct DistConfig {
     /// Seeded fault plan to arm, if any. `None` runs fault-free with no
     /// interposition at all.
     pub fault: Option<FaultPlan>,
-    /// Certificate cache for the overlap/recovery gate. When set, the
-    /// gate consumes a validated [`ProofCertificate`] instead of
-    /// re-running the analyzer's provers on every call; a matching
-    /// certificate that fails witness validation is a hard
-    /// [`DistError::BadCertificate`]. `None` re-proves every time (the
-    /// pre-certificate behavior).
-    ///
-    /// [`ProofCertificate`]: treesvd_analyze::ProofCertificate
-    pub cert_cache: Option<Arc<CertificateCache>>,
 }
 
 impl Default for DistConfig {
@@ -133,11 +102,9 @@ impl Default for DistConfig {
         Self {
             exec: ExecConfig::default(),
             max_sweeps: 64,
-            transport: Transport::ZeroCopy,
             overlap: true,
             policy: FaultPolicy::default(),
             fault: None,
-            cert_cache: None,
         }
     }
 }
@@ -178,7 +145,6 @@ pub struct DistributedOutcome {
 enum Rung {
     Overlapped,
     ZeroCopy,
-    Legacy,
     Sequential,
 }
 
@@ -187,22 +153,17 @@ impl Rung {
         match self {
             Self::Overlapped => "overlapped",
             Self::ZeroCopy => "zero-copy",
-            Self::Legacy => "legacy",
             Self::Sequential => "sequential",
         }
     }
 }
 
-/// The rungs a run may use, fastest first: entry point from the requested
-/// transport (and whether the overlap proof went through), descent only
-/// when the policy allows degradation.
-fn build_ladder(transport: Transport, overlap_ok: bool, degrade: bool) -> Vec<Rung> {
-    const FULL: [Rung; 4] = [Rung::Overlapped, Rung::ZeroCopy, Rung::Legacy, Rung::Sequential];
-    let start = match (transport, overlap_ok) {
-        (Transport::ZeroCopy, true) => 0,
-        (Transport::ZeroCopy, false) => 1,
-        (Transport::Legacy, _) => 2,
-    };
+/// The rungs a run may use, fastest first: entry at the overlapped rung
+/// when its proof went through, descent only when the policy allows
+/// degradation.
+fn build_ladder(overlap_ok: bool, degrade: bool) -> Vec<Rung> {
+    const FULL: [Rung; 3] = [Rung::Overlapped, Rung::ZeroCopy, Rung::Sequential];
+    let start = if overlap_ok { 0 } else { 1 };
     if degrade {
         FULL[start..].to_vec()
     } else {
@@ -218,7 +179,6 @@ struct WorkerTask<'a> {
     left: SlotData,
     right: SlotData,
     config: ExecConfig,
-    transport: Transport,
     overlap: bool,
     vectors: bool,
     /// First sweep to execute (0 on a fresh start, the checkpointed sweep
@@ -289,139 +249,17 @@ fn maybe_checkpoint(
 
 /// Per-rank worker: executes its two slots across all sweeps.
 fn worker(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<WorkerOut, DistError> {
-    match (task.transport, task.overlap) {
-        (Transport::Legacy, _) => worker_legacy(comm, task),
-        (Transport::ZeroCopy, false) => worker_zero_copy(comm, task),
-        (Transport::ZeroCopy, true) => worker_overlapped(comm, task),
+    if task.overlap {
+        worker_overlapped(comm, task)
+    } else {
+        worker_zero_copy(comm, task)
     }
-}
-
-/// The original executor loop: encode/decode copies, blocking receives at
-/// the end of every step. Kept verbatim as the oracle and baseline.
-fn worker_legacy(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<WorkerOut, DistError> {
-    let WorkerTask {
-        programs,
-        mut left,
-        mut right,
-        config,
-        start_sweep,
-        start_step,
-        base_rotations,
-        checkpoints,
-        checkpoint_every,
-        ..
-    } = task;
-    let rank = comm.rank();
-    let my_slots = [2 * rank, 2 * rank + 1];
-    let mut total_rotations = base_rotations;
-    let mut sweeps = start_sweep;
-    let mut converged = false;
-    let mut global_step: u64 = start_step as u64;
-    let mut warm_allocs = 0u64;
-
-    'sweeps: for (sweep_no, program) in programs.iter().enumerate().skip(start_sweep) {
-        check_stall(comm, rank, sweep_no)?;
-        let layouts = program.layouts();
-        let mut rotations = 0usize;
-        let mut swaps = 0usize;
-        for (step_no, step) in program.steps.iter().enumerate() {
-            // --- rotate the resident pair ---
-            let layout = &layouts[step_no];
-            let small_on_left = layout[my_slots[0]] < layout[my_slots[1]];
-            let report =
-                rotate_pair(&mut left, &mut right, config.threshold, config.sort, small_on_left);
-            if report.rotated {
-                rotations += 1;
-            }
-            if report.swapped {
-                swaps += 1;
-            }
-
-            // --- communication: route this step's movement ---
-            let perm = &step.move_after;
-            let inv = perm.inverse();
-            // send departing columns; tag identifies (global step, dest slot)
-            for (i, &s) in my_slots.iter().enumerate() {
-                let d = perm.dest_of(s);
-                if d / 2 != rank {
-                    let data =
-                        if i == 0 { std::mem::take(&mut left) } else { std::mem::take(&mut right) };
-                    let tag = global_step << 1 | (d % 2) as u64;
-                    comm.send(d / 2, tag, encode(&data));
-                }
-            }
-            // local shuffles (within this rank)
-            let mut next: [Option<SlotData>; 2] = [None, None];
-            for (i, &s) in my_slots.iter().enumerate() {
-                let d = perm.dest_of(s);
-                if d / 2 == rank {
-                    let data =
-                        if i == 0 { std::mem::take(&mut left) } else { std::mem::take(&mut right) };
-                    next[d % 2] = Some(data);
-                }
-            }
-            // receive arrivals into the still-empty slots
-            for local in 0..2usize {
-                if next[local].is_none() {
-                    let dest_slot = my_slots[local];
-                    let src_slot = inv.dest_of(dest_slot);
-                    if src_slot / 2 == rank {
-                        // already handled as a local shuffle above
-                        continue;
-                    }
-                    let tag = global_step << 1 | (dest_slot % 2) as u64;
-                    let payload = comm.recv(src_slot / 2, tag).map_err(recv_fail(
-                        rank,
-                        sweep_no,
-                        global_step,
-                    ))?;
-                    next[local] = Some(decode(payload));
-                }
-            }
-            left = next[0].take().expect("slot 0 filled");
-            right = next[1].take().expect("slot 1 filled");
-            global_step += 1;
-        }
-
-        // --- global convergence test ---
-        let sums = allreduce_sum(comm, sweep_no as u64, vec![rotations as f64, swaps as f64])
-            .map_err(recv_fail(rank, sweep_no, global_step))?;
-        total_rotations += rotations;
-        sweeps = sweep_no + 1;
-        if sweep_no == start_sweep {
-            warm_allocs = comm.payload_allocations();
-        }
-        maybe_checkpoint(
-            &checkpoints,
-            checkpoint_every,
-            sweeps,
-            rank,
-            &left,
-            &right,
-            total_rotations,
-        );
-        if sums[0] == 0.0 && sums[1] == 0.0 {
-            converged = true;
-            break 'sweeps;
-        }
-    }
-    let steady_allocs = comm.payload_allocations() - warm_allocs;
-    Ok(WorkerOut {
-        left,
-        right,
-        sweeps,
-        rotations: total_rotations,
-        converged,
-        warm_allocs,
-        steady_allocs,
-        retries: comm.retries(),
-    })
 }
 
 /// Zero-copy transport without overlap: the full pair rotation runs, then
 /// departing columns leave as two detached messages (A phase: the data
 /// column; V phase: the vector column) whose storage the receiver adopts,
-/// and the step blocks on its arrivals like the legacy loop.
+/// and the step blocks on its arrivals.
 fn worker_zero_copy(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<WorkerOut, DistError> {
     let WorkerTask {
         programs,
@@ -760,21 +598,6 @@ fn crosses_locally(perm: &treesvd_orderings::schedule::Permutation, rank: usize)
     false
 }
 
-fn encode(d: &SlotData) -> Vec<f64> {
-    let mut out = Vec::with_capacity(d.a.len() + d.v.len() + 1);
-    out.push(d.a.len() as f64);
-    out.extend_from_slice(&d.a);
-    out.extend_from_slice(&d.v);
-    out
-}
-
-fn decode(payload: Vec<f64>) -> SlotData {
-    let m = payload[0] as usize;
-    let a = payload[1..1 + m].to_vec();
-    let v = payload[1 + m..].to_vec();
-    SlotData { a, v }
-}
-
 /// What one completed attempt (any rung) produced.
 struct AttemptOut {
     slots: Vec<SlotData>,
@@ -827,10 +650,9 @@ fn run_attempt(
     checkpoints: &Option<Arc<CheckpointStore>>,
 ) -> Result<AttemptOut, DistError> {
     let procs = slot_data.len() / 2;
-    let (transport, overlap) = match rung {
-        Rung::Overlapped => (Transport::ZeroCopy, true),
-        Rung::ZeroCopy => (Transport::ZeroCopy, false),
-        Rung::Legacy => (Transport::Legacy, false),
+    let overlap = match rung {
+        Rung::Overlapped => true,
+        Rung::ZeroCopy => false,
         Rung::Sequential => unreachable!("the sequential rung runs outside the world"),
     };
     let world = ThreadWorld::with_config(
@@ -860,7 +682,6 @@ fn run_attempt(
                     left,
                     right,
                     config: exec,
-                    transport,
                     overlap,
                     vectors,
                     start_sweep,
@@ -988,17 +809,17 @@ pub fn distributed_svd(
     distributed_svd_with(ordering, columns, accumulate_v, &cfg)
 }
 
-/// [`distributed_svd`] with full control over transport, overlap, fault
-/// injection, and recovery.
+/// [`distributed_svd`] with full control over overlap, fault injection,
+/// and recovery.
 ///
 /// The supervisor walks the degradation ladder: on each rung it runs up
 /// to `1 + policy.max_restarts` whole-world attempts (each resuming from
 /// the newest complete checkpoint, or the initial columns), then — if the
 /// policy allows — descends to the next rung. The retransmission store is
-/// cleared between attempts (rungs encode tags differently, so a stale
-/// deposit must never satisfy a later redelivery); stall/crash latches
-/// are *not* cleared, so a restarted run resumes past the event that
-/// killed its predecessor.
+/// cleared between attempts (a new attempt re-sends tags the aborted one
+/// already used, so a stale deposit must never satisfy a later
+/// redelivery); stall/crash latches are *not* cleared, so a restarted run
+/// resumes past the event that killed its predecessor.
 ///
 /// # Errors
 /// [`DistError::Unrecoverable`] when every attempt on every permitted
@@ -1025,42 +846,27 @@ pub fn distributed_svd_with(
         cfg.fault.as_ref().map(|plan| Arc::new(FaultInjector::new(plan.clone())));
     let recovery = injector.is_some() || policy.is_armed();
 
-    // overlap only runs on the zero-copy transport, and only once the
-    // analyzer has proved the send-ahead plan deadlock-free under both
-    // buffered and rendezvous semantics; with recovery armed the stricter
-    // proofs (send-ahead *plus* the deposit/ack retransmission protocol,
-    // plus the pool-lease discipline on every recovery path) gate it
-    // instead. One restore period covers every distinct per-sweep program
-    // the ordering generates. With a certificate cache configured, the
-    // gate consumes a validated certificate instead of re-proving; a
-    // matching certificate that fails witness validation is a hard error.
+    // overlap only runs once the analyzer has proved the send-ahead plan
+    // deadlock-free under both buffered and rendezvous semantics; with
+    // recovery armed the stricter proofs (send-ahead *plus* the
+    // deposit/ack retransmission protocol, plus the pool-lease discipline
+    // on every recovery path) gate it instead. One restore period covers
+    // every distinct per-sweep program the ordering generates.
     let period = ordering.restore_period().max(1).min(programs.len());
-    let overlap_requested = cfg.overlap && cfg.transport == Transport::ZeroCopy;
-    let overlap_ok = overlap_requested
-        && match &cfg.cert_cache {
-            Some(cache) => {
-                match cache.verify_or_prove(ordering, &AnalysisOptions::default(), true, recovery) {
-                    Ok(_) => true,
-                    Err(v @ Violation::CertificateMismatch { .. }) => {
-                        return Err(DistError::BadCertificate { detail: v.to_string() });
-                    }
-                    Err(_) => false,
-                }
+    let overlap_ok = cfg.overlap
+        && programs[..period].iter().all(|p| {
+            if recovery {
+                verify_recovery_freedom(p, accumulate_v).is_ok()
+                    && verify_pool_safety(p, accumulate_v).is_ok()
+            } else {
+                verify_overlap_freedom(p, accumulate_v).is_ok()
             }
-            None => programs[..period].iter().all(|p| {
-                if recovery {
-                    verify_recovery_freedom(p, accumulate_v).is_ok()
-                        && verify_pool_safety(p, accumulate_v).is_ok()
-                } else {
-                    verify_overlap_freedom(p, accumulate_v).is_ok()
-                }
-            }),
-        };
+        });
 
     let store = ColumnStore::from_columns(columns, accumulate_v);
     let initial: Vec<SlotData> = store.slots;
 
-    let ladder = build_ladder(cfg.transport, overlap_ok, policy.degrade);
+    let ladder = build_ladder(overlap_ok, policy.degrade);
     let checkpoints = (policy.checkpoint_every > 0).then(|| Arc::new(CheckpointStore::new(procs)));
 
     let mut restarts_used = 0u32;
@@ -1232,12 +1038,8 @@ mod tests {
             let a = generate::random_uniform(12, n, 11);
             let ord = kind.build(n).unwrap();
             let mut runs = Vec::new();
-            for (transport, overlap) in [
-                (Transport::Legacy, false),
-                (Transport::ZeroCopy, false),
-                (Transport::ZeroCopy, true),
-            ] {
-                let cfg = DistConfig { transport, overlap, ..DistConfig::default() };
+            for overlap in [false, true] {
+                let cfg = DistConfig { overlap, ..DistConfig::default() };
                 let run = distributed_svd_with(ord.as_ref(), a.clone().into_columns(), true, &cfg)
                     .unwrap();
                 assert_eq!(run.overlap, overlap, "{kind}: overlap gate disagreed");
@@ -1262,8 +1064,7 @@ mod tests {
             let n = 16;
             let a = generate::random_uniform(24, n, 13);
             let ord = OrderingKind::NewRing.build(n).unwrap();
-            let cfg =
-                DistConfig { transport: Transport::ZeroCopy, overlap, ..DistConfig::default() };
+            let cfg = DistConfig { overlap, ..DistConfig::default() };
             let run = distributed_svd_with(ord.as_ref(), a.into_columns(), true, &cfg).unwrap();
             assert!(run.converged);
             assert!(run.sweeps > 2, "need a steady state to measure");
@@ -1273,20 +1074,6 @@ mod tests {
                 "overlap={overlap}: steady state allocated payload buffers"
             );
         }
-    }
-
-    #[test]
-    fn legacy_transport_never_overlaps() {
-        let n = 8;
-        let a = generate::random_uniform(16, n, 17);
-        let ord = OrderingKind::NewRing.build(n).unwrap();
-        // even with overlap requested, the legacy transport must refuse it:
-        // its blocking plan cycles under rendezvous semantics (PR 2)
-        let cfg =
-            DistConfig { transport: Transport::Legacy, overlap: true, ..DistConfig::default() };
-        let run = distributed_svd_with(ord.as_ref(), a.into_columns(), true, &cfg).unwrap();
-        assert!(run.converged);
-        assert!(!run.overlap, "legacy transport must never overlap");
     }
 
     #[test]
@@ -1433,7 +1220,7 @@ mod tests {
         assert!(run.converged);
         assert_eq!(
             run.health.fallbacks,
-            vec!["overlapped", "zero-copy", "legacy"],
+            vec!["overlapped", "zero-copy"],
             "every network rung must fail on a dead edge"
         );
         assert!(!run.overlap);

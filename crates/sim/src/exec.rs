@@ -1,7 +1,7 @@
 //! Executing a sweep program on real column data.
 //!
 //! The hot path is allocation-free after warm-up: all per-step buffers
-//! (permuted slots/layout/norms, pair reports, phase messages) live in a
+//! (permuted slots/layout, pair reports, phase messages) live in a
 //! reusable [`ExecScratch`], and the rotation kernel is the fused
 //! rotate-and-measure pass from `treesvd-matrix`. Steps whose work is
 //! below [`ExecConfig::serial_cutoff`] run serially; larger steps fork
@@ -36,16 +36,6 @@ pub struct ExecConfig {
     pub threshold: f64,
     /// Sorting behaviour.
     pub sort: SortMode,
-    /// Cache column squared norms across steps, updating them from the
-    /// rotation algebra instead of recomputing — the classical Hestenes
-    /// optimization (saves the `a·a` and `b·b` dot products per pair,
-    /// roughly 30% of the rotation flops). Norms are recomputed exactly at
-    /// the start of every sweep, so drift stays bounded; results may differ
-    /// from the uncached path in the last ulp. With the fused rotation
-    /// kernel the cache is refreshed from the *measured* norms of each
-    /// rotated pair (free — the fused pass produces them anyway), so only
-    /// skipped pairs carry the cached value forward.
-    pub cached_norms: bool,
     /// Adaptive dispatch cutoff: when a step's work — `n · m` data words,
     /// plus `n · n` when `V` is accumulated — is below this, the rotation
     /// phase runs serially on the calling thread instead of forking scoped
@@ -70,7 +60,6 @@ impl Default for ExecConfig {
         Self {
             threshold: 1e-14,
             sort: SortMode::Descending,
-            cached_norms: false,
             serial_cutoff: Self::DEFAULT_SERIAL_CUTOFF,
             threads: 0,
         }
@@ -198,8 +187,8 @@ pub(crate) struct PairReport {
 
 /// Reusable per-sweep working memory for [`execute_program_with_scratch`].
 ///
-/// The executor permutes columns, refreshes norm caches, collects pair
-/// reports and builds communication phases on every step; doing that with
+/// The executor permutes columns, collects pair reports and builds
+/// communication phases on every step; doing that with
 /// fresh `Vec`s is pure allocator churn. A scratch owns all of those
 /// buffers and hands them back after each step, so after the first step of
 /// the first sweep (the warm-up) the executor performs **zero heap
@@ -209,8 +198,6 @@ pub(crate) struct PairReport {
 pub struct ExecScratch {
     new_slots: Vec<SlotData>,
     new_layout: Vec<ColIndex>,
-    norm_cache: Vec<f64>,
-    new_norms: Vec<f64>,
     reports: Vec<PairReport>,
     messages: Vec<Message>,
     alloc_events: u64,
@@ -237,16 +224,10 @@ impl ExecScratch {
     }
 
     /// Size every buffer for an `n`-column program.
-    fn ensure(&mut self, n: usize, cached: bool) {
+    fn ensure(&mut self, n: usize) {
         Self::grow(&mut self.new_slots, n, &mut self.alloc_events);
         Self::grow(&mut self.new_layout, n, &mut self.alloc_events);
         Self::grow(&mut self.reports, n / 2, &mut self.alloc_events);
-        if cached {
-            Self::grow(&mut self.norm_cache, n, &mut self.alloc_events);
-            Self::grow(&mut self.new_norms, n, &mut self.alloc_events);
-        } else {
-            self.norm_cache.clear();
-        }
     }
 }
 
@@ -307,13 +288,7 @@ pub fn execute_program_with_scratch(
         level_histogram: vec![0; machine.topology().levels() + 1],
     };
 
-    scratch.ensure(n, config.cached_norms);
-    if config.cached_norms {
-        // exact norms at sweep start
-        for (c, s) in scratch.norm_cache.iter_mut().zip(store.slots.iter()) {
-            *c = ops::norm2_sq(&s.a);
-        }
-    }
+    scratch.ensure(n);
 
     // Adaptive dispatch: fork only when a step moves enough data to
     // amortize the queue handoff to the worker pool.
@@ -325,7 +300,7 @@ pub fn execute_program_with_scratch(
     for step in &program.steps {
         // --- compute phase: rotate every processor's pair ---
         let ColumnStore { slots, layout } = &mut *store;
-        rotate_pairs(slots, &mut scratch.norm_cache, &mut scratch.reports, layout, 0, tasks, &ctx);
+        rotate_pairs(slots, &mut scratch.reports, layout, 0, tasks, &ctx);
         for r in &scratch.reports {
             if r.rotated {
                 stats.rotations += 1;
@@ -359,8 +334,7 @@ pub fn execute_program_with_scratch(
         stats.phases.push(cost);
         scratch.messages = phase.into_messages();
 
-        // physically move the columns (and the layout labels, and the
-        // cached norms when enabled)
+        // physically move the columns (and the layout labels)
         apply_movement(store, &step.move_after, scratch);
     }
     stats
@@ -374,11 +348,9 @@ struct RotCtx {
 }
 
 /// Rotate the pairs covered by `slots`/`reports` (pair `p` of this chunk is
-/// global pair `base + p`), forking into at most `tasks` leaves. `norms` is
-/// the matching chunk of the norm cache, or empty when caching is off.
+/// global pair `base + p`), forking into at most `tasks` leaves.
 fn rotate_pairs(
     slots: &mut [SlotData],
-    norms: &mut [f64],
     reports: &mut [PairReport],
     layout: &[ColIndex],
     base: usize,
@@ -390,72 +362,21 @@ fn rotate_pairs(
         let mid = pairs / 2;
         let (sl, sr) = slots.split_at_mut(2 * mid);
         let (rl, rr) = reports.split_at_mut(mid);
-        let (nl, nr) = norms.split_at_mut(if norms.is_empty() { 0 } else { 2 * mid });
         par::join(
-            || rotate_pairs(sl, nl, rl, layout, base, tasks / 2, ctx),
-            || rotate_pairs(sr, nr, rr, layout, base + mid, tasks - tasks / 2, ctx),
+            || rotate_pairs(sl, rl, layout, base, tasks / 2, ctx),
+            || rotate_pairs(sr, rr, layout, base + mid, tasks - tasks / 2, ctx),
         );
         return;
     }
-    let cached = !norms.is_empty();
     for (p, (pair, rep)) in slots.chunks_exact_mut(2).zip(reports.iter_mut()).enumerate() {
         let (left, right) = pair.split_at_mut(1);
         // sorting rule: the larger-norm column must end in the slot holding
         // the smaller index label
         let g = base + p;
         let small_label_on_left = layout[2 * g] < layout[2 * g + 1];
-        *rep = if cached {
-            let (nl, nr) = norms[2 * p..2 * p + 2].split_at_mut(1);
-            rotate_pair_cached(
-                &mut left[0],
-                &mut right[0],
-                &mut nl[0],
-                &mut nr[0],
-                ctx.threshold,
-                ctx.sort,
-                small_label_on_left,
-            )
-        } else {
-            rotate_pair(&mut left[0], &mut right[0], ctx.threshold, ctx.sort, small_label_on_left)
-        };
+        *rep =
+            rotate_pair(&mut left[0], &mut right[0], ctx.threshold, ctx.sort, small_label_on_left);
     }
-}
-
-/// The cached-norms variant of [`rotate_pair`]: `alpha` and `beta` come
-/// from the cache; only `gamma = a·b` is computed. The cache is refreshed
-/// with the *measured* norms the fused kernel produces, so (unlike the
-/// classical rotation-algebra update) cached values do not drift between
-/// the per-sweep exact recomputations.
-fn rotate_pair_cached(
-    left: &mut SlotData,
-    right: &mut SlotData,
-    left_norm_sq: &mut f64,
-    right_norm_sq: &mut f64,
-    threshold: f64,
-    sort: SortMode,
-    small_label_on_left: bool,
-) -> PairReport {
-    let alpha = *left_norm_sq;
-    let beta = *right_norm_sq;
-    let gamma = ops::dot(&left.a, &right.a);
-    let coupling =
-        if alpha > 0.0 && beta > 0.0 { gamma.abs() / (alpha.sqrt() * beta.sqrt()) } else { 0.0 };
-    let rot = compute_rotation(alpha, beta, gamma, threshold);
-    let need_swap = need_swap(rot, alpha, beta, gamma, sort, small_label_on_left);
-    if rot.skipped && !need_swap {
-        return PairReport { rotated: false, swapped: false, coupling };
-    }
-    let (na, nb) = rotate_pair_fused(rot, &mut left.a, &mut right.a, need_swap);
-    *left_norm_sq = na;
-    *right_norm_sq = nb;
-    if !left.v.is_empty() {
-        if need_swap {
-            apply_rotation_swapped(rot, &mut left.v, &mut right.v);
-        } else {
-            apply_rotation(rot, &mut left.v, &mut right.v);
-        }
-    }
-    PairReport { rotated: !rot.skipped, swapped: need_swap, coupling }
 }
 
 /// The A phase of [`rotate_pair`]: Gram accumulation, rotation decision,
@@ -546,8 +467,8 @@ fn need_swap(
     }
 }
 
-/// Apply a slot permutation to the store (columns, layout labels, and the
-/// cached norms when enabled), recycling the scratch's buffers.
+/// Apply a slot permutation to the store (columns and layout labels),
+/// recycling the scratch's buffers.
 fn apply_movement(
     store: &mut ColumnStore,
     perm: &treesvd_orderings::schedule::Permutation,
@@ -561,12 +482,6 @@ fn apply_movement(
     }
     std::mem::swap(&mut store.slots, &mut scratch.new_slots);
     std::mem::swap(&mut store.layout, &mut scratch.new_layout);
-    if !scratch.norm_cache.is_empty() {
-        for s in 0..n {
-            scratch.new_norms[perm.dest_of(s)] = scratch.norm_cache[s];
-        }
-        std::mem::swap(&mut scratch.norm_cache, &mut scratch.new_norms);
-    }
 }
 
 /// Work threshold (in multiply-adds) below which [`off_measure`] stays
@@ -733,62 +648,50 @@ mod tests {
         // after one sweep warms the scratch up, further sweeps of the same
         // shape must not grow any scratch buffer — the zero-alloc-per-step
         // acceptance criterion.
-        for cached in [false, true] {
-            let n = 8;
-            let ord = RoundRobinOrdering::new(n).unwrap();
-            let mut store = store_from(12, n, 21, false);
-            let mac = machine(n);
-            let cfg = ExecConfig { cached_norms: cached, ..ExecConfig::default() };
-            let mut scratch = ExecScratch::new();
-            let mut layout = ord.initial_layout();
-            let prog = ord.sweep_program(0, &layout);
+        let n = 8;
+        let ord = RoundRobinOrdering::new(n).unwrap();
+        let mut store = store_from(12, n, 21, false);
+        let mac = machine(n);
+        let cfg = ExecConfig::default();
+        let mut scratch = ExecScratch::new();
+        let mut layout = ord.initial_layout();
+        let prog = ord.sweep_program(0, &layout);
+        execute_program_with_scratch(&mac, &prog, &mut store, &cfg, &mut scratch);
+        layout = prog.final_layout();
+        let warm = scratch.alloc_events();
+        assert!(warm > 0, "warm-up should have populated the scratch");
+        for k in 1..4 {
+            let prog = ord.sweep_program(k, &layout);
             execute_program_with_scratch(&mac, &prog, &mut store, &cfg, &mut scratch);
             layout = prog.final_layout();
-            let warm = scratch.alloc_events();
-            assert!(warm > 0, "warm-up should have populated the scratch");
-            for k in 1..4 {
-                let prog = ord.sweep_program(k, &layout);
-                execute_program_with_scratch(&mac, &prog, &mut store, &cfg, &mut scratch);
-                layout = prog.final_layout();
-            }
-            assert_eq!(
-                scratch.alloc_events(),
-                warm,
-                "scratch reallocated after warm-up (cached={cached})"
-            );
         }
+        assert_eq!(scratch.alloc_events(), warm, "scratch reallocated after warm-up");
     }
 
     #[test]
     fn forked_execution_matches_serial_bitwise() {
         // the fork tree partitions the same disjoint pairs, so forcing
         // parallel dispatch must give bit-identical columns to serial.
-        for cached in [false, true] {
-            let n = 16;
-            let ord = FatTreeOrdering::new(n).unwrap();
-            let mac = machine(n);
-            let run = |cutoff: usize| -> ColumnStore {
-                let mut store = store_from(20, n, 22, true);
-                let cfg = ExecConfig {
-                    cached_norms: cached,
-                    serial_cutoff: cutoff,
-                    ..ExecConfig::default()
-                };
-                let mut layout = ord.initial_layout();
-                for k in 0..3 {
-                    let prog = ord.sweep_program(k, &layout);
-                    execute_program(&mac, &prog, &mut store, &cfg);
-                    layout = prog.final_layout();
-                }
-                store
-            };
-            let serial = run(usize::MAX);
-            let forked = run(0);
-            assert_eq!(serial.layout, forked.layout);
-            for (s, f) in serial.slots.iter().zip(forked.slots.iter()) {
-                assert_eq!(s.a, f.a, "cached={cached}");
-                assert_eq!(s.v, f.v, "cached={cached}");
+        let n = 16;
+        let ord = FatTreeOrdering::new(n).unwrap();
+        let mac = machine(n);
+        let run = |cutoff: usize| -> ColumnStore {
+            let mut store = store_from(20, n, 22, true);
+            let cfg = ExecConfig { serial_cutoff: cutoff, ..ExecConfig::default() };
+            let mut layout = ord.initial_layout();
+            for k in 0..3 {
+                let prog = ord.sweep_program(k, &layout);
+                execute_program(&mac, &prog, &mut store, &cfg);
+                layout = prog.final_layout();
             }
+            store
+        };
+        let serial = run(usize::MAX);
+        let forked = run(0);
+        assert_eq!(serial.layout, forked.layout);
+        for (s, f) in serial.slots.iter().zip(forked.slots.iter()) {
+            assert_eq!(s.a, f.a);
+            assert_eq!(s.v, f.v);
         }
     }
 
@@ -832,72 +735,5 @@ mod tests {
         let norms: Vec<f64> =
             cols.iter().map(|c| treesvd_matrix::ops::norm2_sq(&c.a).sqrt()).collect();
         assert!(treesvd_matrix::checks::is_nonincreasing(&norms), "norms not sorted: {norms:?}");
-    }
-}
-
-#[cfg(test)]
-mod cached_norm_tests {
-    use super::*;
-    use crate::machine::Machine;
-    use treesvd_matrix::generate;
-    use treesvd_net::TopologyKind;
-    use treesvd_orderings::OrderingKind;
-
-    #[test]
-    fn cached_norms_match_reference_spectra() {
-        let n = 16;
-        let a = generate::random_uniform(24, n, 9);
-        let ord = OrderingKind::FatTree.build(n).unwrap();
-        let mac = Machine::with_kind(TopologyKind::PerfectFatTree, n / 2);
-
-        let run = |cached: bool| -> Vec<f64> {
-            let mut store = ColumnStore::from_columns(a.clone().into_columns(), false);
-            let mut layout = ord.initial_layout();
-            let cfg = ExecConfig { cached_norms: cached, ..ExecConfig::default() };
-            for k in 0..40 {
-                let prog = ord.sweep_program(k, &layout);
-                let stats = execute_program(&mac, &prog, &mut store, &cfg);
-                layout = prog.final_layout();
-                if stats.is_converged() {
-                    break;
-                }
-            }
-            let mut norms: Vec<f64> = store
-                .columns_in_index_order()
-                .iter()
-                .map(|c| treesvd_matrix::ops::norm2(&c.a))
-                .collect();
-            norms.sort_by(|x, y| y.partial_cmp(x).unwrap());
-            norms
-        };
-        let reference = run(false);
-        let cached = run(true);
-        for (r, c) in reference.iter().zip(cached.iter()) {
-            assert!((r - c).abs() <= 1e-10 * r.max(1.0), "{r} vs {c}");
-        }
-    }
-
-    #[test]
-    fn cached_norms_converge_on_every_ordering() {
-        let n = 8;
-        let a = generate::random_uniform(12, n, 10);
-        for kind in OrderingKind::ALL {
-            let ord = kind.build(n).unwrap();
-            let mac = Machine::with_kind(TopologyKind::PerfectFatTree, n / 2);
-            let mut store = ColumnStore::from_columns(a.clone().into_columns(), false);
-            let mut layout = ord.initial_layout();
-            let cfg = ExecConfig { cached_norms: true, ..ExecConfig::default() };
-            let mut converged = false;
-            for k in 0..40 {
-                let prog = ord.sweep_program(k, &layout);
-                let stats = execute_program(&mac, &prog, &mut store, &cfg);
-                layout = prog.final_layout();
-                if stats.is_converged() {
-                    converged = true;
-                    break;
-                }
-            }
-            assert!(converged, "{kind}");
-        }
     }
 }

@@ -46,9 +46,7 @@ pub mod recovery;
 pub mod timeline;
 
 pub use analyze::{analyze_program, CommReport};
-pub use distributed::{
-    distributed_svd, distributed_svd_with, DistConfig, DistributedOutcome, Transport,
-};
+pub use distributed::{distributed_svd, distributed_svd_with, DistConfig, DistributedOutcome};
 pub use recovery::{DistError, FaultPolicy, HealthReport};
 // the fault-injection vocabulary, re-exported so downstream crates (core,
 // cli, bench) can arm chaos without a direct treesvd-comm dependency

@@ -14,10 +14,10 @@
 //!   sweeps each rank deposits its two columns into a shared
 //!   [`CheckpointStore`]; after a crash the whole world restarts from the
 //!   last sweep *all* ranks completed.
-//! * **A degradation ladder** — if restarts are exhausted on one transport
-//!   the executor descends: overlapped → synchronous zero-copy → legacy →
-//!   a single-rank sequential fallback that needs no network at all and
-//!   therefore absorbs even a fully poisoned link.
+//! * **A degradation ladder** — if restarts are exhausted on one rung the
+//!   executor descends: overlapped → synchronous zero-copy → a single-rank
+//!   sequential fallback that needs no network at all and therefore
+//!   absorbs even a fully poisoned link.
 //!
 //! What the run actually needed is reported in a [`HealthReport`]; what it
 //! could not absorb becomes a [`DistError::Unrecoverable`] carrying the
@@ -53,9 +53,9 @@ pub struct FaultPolicy {
     pub checkpoint_every: usize,
     /// Whole-world restarts allowed per ladder rung before descending.
     pub max_restarts: u32,
-    /// Whether to descend the transport ladder (overlapped → zero-copy →
-    /// legacy → sequential) once restarts are exhausted. `false` turns the
-    /// last restart failure into [`DistError::Unrecoverable`] directly.
+    /// Whether to descend the ladder (overlapped → zero-copy → sequential)
+    /// once restarts are exhausted. `false` turns the last restart failure
+    /// into [`DistError::Unrecoverable`] directly.
     pub degrade: bool,
     /// Screen every received payload for NaN/Inf at the communicator seam.
     pub check_finite: bool,
@@ -165,15 +165,6 @@ pub enum DistError {
         /// Ladder rungs attempted, in order.
         rungs: Vec<&'static str>,
     },
-    /// A cached proof certificate whose key matches this exact run failed
-    /// witness validation. Hard error by design: the artifact claims to
-    /// certify this schedule and does not, so it is tampered with or
-    /// stale in a way the analyzer version did not catch — never silently
-    /// re-prove over it.
-    BadCertificate {
-        /// The analyzer's step-precise diagnostic.
-        detail: String,
-    },
 }
 
 impl fmt::Display for DistError {
@@ -184,9 +175,6 @@ impl fmt::Display for DistError {
             }
             Self::Crashed { rank, sweep } => {
                 write!(f, "rank {rank} crashed at the start of sweep {sweep}")
-            }
-            Self::BadCertificate { detail } => {
-                write!(f, "proof certificate rejected: {detail}")
             }
             Self::Unrecoverable { last, restarts, rungs } => {
                 write!(
@@ -204,7 +192,7 @@ impl std::error::Error for DistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Recv { err, .. } => Some(err),
-            Self::Crashed { .. } | Self::BadCertificate { .. } => None,
+            Self::Crashed { .. } => None,
             Self::Unrecoverable { last, .. } => Some(last),
         }
     }
@@ -300,11 +288,11 @@ mod tests {
         let err = DistError::Unrecoverable {
             last: Box::new(last),
             restarts: 3,
-            rungs: vec!["overlapped", "zero-copy", "legacy"],
+            rungs: vec!["overlapped", "zero-copy"],
         };
         let s = err.to_string();
         assert!(s.contains("3 restart(s)"), "{s}");
-        assert!(s.contains("overlapped → zero-copy → legacy"), "{s}");
+        assert!(s.contains("overlapped → zero-copy"), "{s}");
         assert!(s.contains("rank 2 crashed at the start of sweep 4"), "{s}");
         assert!(std::error::Error::source(&err).is_some());
     }

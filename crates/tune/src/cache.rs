@@ -6,10 +6,8 @@
 //! plans exactly once; after that every tuning call is one read-locked
 //! `HashMap` probe over a `Copy` key returning a `Copy` plan — no
 //! allocation, no probe, no model evaluation. The analyzer version rides
-//! in the key for the same reason it rides in
-//! [`ProofCertificate`](treesvd_analyze::ProofCertificate): a plan chosen
-//! under one generation of schedule proofs must not survive into the
-//! next.
+//! in the key so that a plan chosen under one generation of schedule
+//! proofs does not survive into the next.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,7 +168,7 @@ pub fn global() -> &'static TuneCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{DriverSel, KernelSel, TransportSel};
+    use crate::plan::{DriverSel, KernelSel};
     use treesvd_orderings::OrderingKind;
 
     fn dummy_plan() -> TunePlan {
@@ -180,7 +178,6 @@ mod tests {
             kernel: KernelSel::Gram,
             block_cols: 1,
             threads: 4,
-            transport: TransportSel::ZeroCopy,
             overlap: false,
             qr_frontend: true,
             qr_crossover: 8.0,

@@ -1,15 +1,13 @@
 //! Calibration of the cost model against the machine the process runs on.
 //!
-//! Constants come from three layers, each refining the last:
+//! Constants come from two layers, the second refining the first:
 //!
-//! 1. **Builtin** — conservative x86-class defaults compiled in, so the
-//!    tuner is never without numbers.
-//! 2. **Recorded** — the `"calibration"` object embedded in the committed
-//!    `BENCH_distributed.json` meta block (see `bench::meta`): the
-//!    constants measured on the recording machine. This is the only
-//!    source for `overlap_step_ns`, which needs a full executor run to
-//!    measure and cannot be microprobed.
-//! 3. **Probed** — cheap one-shot online microprobes run on *this* host:
+//! 1. **Builtin** — compiled-in constants: the values `bench_distributed`
+//!    recorded on an AVX-512 x86-64 host (the `"calibration"` block of
+//!    `BENCH_distributed.json`). This is the only source for
+//!    `overlap_step_ns`, which needs a full executor run to measure and
+//!    cannot be microprobed.
+//! 2. **Probed** — cheap one-shot online microprobes run on *this* host:
 //!    a timed [`dot`](treesvd_matrix::ops::dot) burst (streaming flop
 //!    rate), a timed [`gram_block`](treesvd_matrix::ops::gram_block)
 //!    burst (panel flop rate), a timed buffer copy (link word rate), a
@@ -30,11 +28,9 @@ use treesvd_net::CostModel;
 /// that contributed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CalibSource {
-    /// Compiled-in defaults only.
+    /// Compiled-in constants only.
     Builtin,
-    /// Builtin refined by the recorded bench meta block.
-    Recorded,
-    /// Recorded refined by this process's one-shot microprobes.
+    /// Builtin refined by this process's one-shot microprobes.
     Probed,
 }
 
@@ -49,15 +45,15 @@ pub struct Calibration {
     /// product) — the rate that makes the Gram kernel win.
     pub panel_flop_ns: f64,
     /// Time to move one 8-byte word over the in-process "link" (a payload
-    /// copy, the legacy-transport unit cost).
+    /// copy).
     pub word_ns: f64,
     /// Fixed per-message cost: one pool lease + channel round-trip (the
     /// zero-copy transport's whole price).
     pub msg_ns: f64,
     /// Per-step bookkeeping of the overlapped distributed schedule
     /// (posted early receives, `try_recv` harvest, split A/V rotation).
-    /// Measured at re-record time from the overlap-vs-zero-copy delta;
-    /// not microprobable.
+    /// Measured by `bench_distributed` from the overlap-vs-zero-copy
+    /// delta; not microprobable.
     pub overlap_step_ns: f64,
     /// L2 cache size in bytes (sysfs probe / `TREESVD_L2` / fallback).
     pub l2_bytes: usize,
@@ -66,68 +62,29 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// Compiled-in defaults: x86-class server, ~4 GF/s streaming, ~10 GF/s
-    /// panel, ~50 GB/s copy, ~0.3 µs per message, overlap bookkeeping in
-    /// the microseconds (what `BENCH_distributed.json` measured).
+    /// Compiled-in constants, as `bench_distributed` recorded them on an
+    /// AVX-512 x86-64 host: ~5 GF/s streaming, ~28 GF/s panel, ~0.2 ns
+    /// per copied word, ~0.15 µs per message, ~8 µs of overlap
+    /// bookkeeping per step, 2 MiB of L2. [`Calibration::probed`]
+    /// re-measures every constant but `overlap_step_ns`.
     #[must_use]
     pub fn builtin() -> Self {
         Self {
-            flop_ns: 0.25,
-            panel_flop_ns: 0.10,
-            word_ns: 0.16,
-            msg_ns: 300.0,
-            overlap_step_ns: 4000.0,
-            l2_bytes: treesvd_matrix::cache::L2_FALLBACK_BYTES,
+            flop_ns: 0.189159,
+            panel_flop_ns: 0.035919,
+            word_ns: 0.206261,
+            msg_ns: 149.2,
+            overlap_step_ns: 7968.2,
+            l2_bytes: 2 * 1024 * 1024,
             source: CalibSource::Builtin,
         }
     }
 
-    /// Builtin constants overridden by whatever the committed
-    /// `BENCH_distributed.json` meta block recorded (absent keys keep the
-    /// builtin value, so a pre-calibration recording still works).
-    #[must_use]
-    pub fn recorded() -> Self {
-        let text =
-            include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_distributed.json"));
-        Self::from_bench_meta(text)
-    }
-
-    /// Parse the `"calibration"` constants out of a recorded bench JSON
-    /// (string-scanning, matching the hand-rolled writer in
-    /// `bench::meta`). Missing keys fall back to [`Calibration::builtin`].
-    #[must_use]
-    pub fn from_bench_meta(text: &str) -> Self {
-        let b = Self::builtin();
-        let mut c = b;
-        let mut seen = false;
-        let mut take = |key: &str, slot: &mut f64| {
-            if let Some(v) = json_number(text, key) {
-                if v.is_finite() && v > 0.0 {
-                    *slot = v;
-                    seen = true;
-                }
-            }
-        };
-        take("word_ns", &mut c.word_ns);
-        take("flop_ns", &mut c.flop_ns);
-        take("panel_flop_ns", &mut c.panel_flop_ns);
-        take("msg_ns", &mut c.msg_ns);
-        take("overlap_step_ns", &mut c.overlap_step_ns);
-        if let Some(v) = json_number(text, "l2_bytes") {
-            if v.is_finite() && v >= 4096.0 {
-                c.l2_bytes = v as usize;
-                seen = true;
-            }
-        }
-        c.source = if seen { CalibSource::Recorded } else { CalibSource::Builtin };
-        c
-    }
-
-    /// The recorded constants refined by this process's microprobes.
+    /// The builtin constants refined by this process's microprobes.
     /// Prefer [`global`], which memoizes the result.
     #[must_use]
     pub fn probed() -> Self {
-        let mut c = Self::recorded();
+        let mut c = Self::builtin();
         c.flop_ns = probe_stream_flop_ns().unwrap_or(c.flop_ns);
         c.panel_flop_ns = probe_panel_flop_ns().unwrap_or(c.panel_flop_ns);
         c.word_ns = probe_word_ns().unwrap_or(c.word_ns);
@@ -155,7 +112,7 @@ impl Calibration {
     }
 }
 
-/// The process-wide calibration: recorded constants refined by the
+/// The process-wide calibration: builtin constants refined by the
 /// one-shot probe battery. First call pays the (sub-millisecond) probes;
 /// every later call is a memoized copy — see [`probe_runs`].
 #[must_use]
@@ -175,22 +132,6 @@ static PROBE_RUNS: AtomicU64 = AtomicU64::new(0);
 #[must_use]
 pub fn probe_runs() -> u64 {
     PROBE_RUNS.load(Ordering::Relaxed)
-}
-
-/// Scan `text` for `"key": <number>` and parse the number. Good enough
-/// for the hand-written bench JSON this repo emits (no nested duplicate
-/// keys inside the calibration object).
-#[must_use]
-pub fn json_number(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|ch: char| {
-            !(ch.is_ascii_digit() || ch == '.' || ch == '-' || ch == '+' || ch == 'e' || ch == 'E')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Median-of-samples timer: run `f` once to warm, then `samples` timed
@@ -246,8 +187,8 @@ fn probe_panel_flop_ns() -> Option<f64> {
     Some(ns / (k * k * m * reps) as f64)
 }
 
-/// Link word rate: timed payload copies (the legacy transport's unit
-/// cost; the zero-copy transport moves pointers instead).
+/// Link word rate: timed payload copies (the zero-copy transport moves
+/// pointers instead, but the cost model still prices a copied word).
 fn probe_word_ns() -> Option<f64> {
     let words = 8 * 1024;
     let src = vec![1.5f64; words];
@@ -289,37 +230,6 @@ mod tests {
         assert!(c.panel_flop_ns < c.flop_ns, "panel flops must be cheaper");
         assert!(c.msg_ns > c.word_ns);
         assert!(c.overlap_step_ns > c.msg_ns);
-    }
-
-    #[test]
-    fn json_number_scans_hand_written_json() {
-        let text =
-            r#"{"meta": {"calibration": {"word_ns": 0.125, "flop_ns": 0.5, "l2_bytes": 1048576}}}"#;
-        assert_eq!(json_number(text, "word_ns"), Some(0.125));
-        assert_eq!(json_number(text, "flop_ns"), Some(0.5));
-        assert_eq!(json_number(text, "l2_bytes"), Some(1048576.0));
-        assert_eq!(json_number(text, "absent"), None);
-    }
-
-    #[test]
-    fn from_bench_meta_falls_back_per_key() {
-        let partial = r#"{"calibration": {"flop_ns": 0.5}}"#;
-        let c = Calibration::from_bench_meta(partial);
-        assert_eq!(c.flop_ns, 0.5);
-        assert_eq!(c.word_ns, Calibration::builtin().word_ns, "absent key keeps builtin");
-        assert_eq!(c.source, CalibSource::Recorded);
-        let none = Calibration::from_bench_meta("{}");
-        assert_eq!(none.source, CalibSource::Builtin);
-    }
-
-    #[test]
-    fn garbage_values_are_rejected() {
-        let bad = r#"{"calibration": {"flop_ns": -1.0, "word_ns": 0, "l2_bytes": 12}}"#;
-        let c = Calibration::from_bench_meta(bad);
-        let b = Calibration::builtin();
-        assert_eq!(c.flop_ns, b.flop_ns);
-        assert_eq!(c.word_ns, b.word_ns);
-        assert_eq!(c.l2_bytes, b.l2_bytes);
     }
 
     #[test]

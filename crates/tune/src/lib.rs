@@ -3,12 +3,12 @@
 //! Given a problem statement `(m, n, vectors, P, topology)` — plus the
 //! compile-time architecture — select the full execution config: driver
 //! (simulated / blocked / distributed), Jacobi ordering, block kernel,
-//! block width `c`, thread count, transport, comm/compute overlap, QR
-//! front-end crossover, and hierarchical-blocking width. Selection
-//! minimizes the calibrated [`treesvd_net::CostModel`] extended with
-//! per-phase compute terms; see [`model`] for the procedure and
-//! [`calib`] for where the constants come from (recorded bench meta
-//! blocks refined by one-shot microprobes).
+//! block width `c`, thread count, comm/compute overlap, QR front-end
+//! crossover, and hierarchical-blocking width. Selection minimizes the
+//! calibrated [`treesvd_net::CostModel`] extended with per-phase compute
+//! terms; see [`model`] for the procedure and [`calib`] for where the
+//! constants come from (compiled-in constants refined by one-shot
+//! microprobes).
 //!
 //! Decisions are memoized in a process-wide [`cache::TuneCache`] keyed
 //! by `(shape-class, P, topology, arch, ANALYZER_VERSION)`: steady-state
@@ -21,8 +21,8 @@
 //! consults [`advise_overlap`] when the caller did not pin overlap.
 //! Plans are *requests*, not bypasses — every choice still flows through
 //! the analyzer gates (overlap engages only when
-//! `verify_overlap_freedom` proves the plan deadlock-free, schedules
-//! still verify, certificates still validate).
+//! `verify_overlap_freedom` proves the plan deadlock-free, and schedules
+//! still verify).
 
 pub mod cache;
 pub mod calib;
@@ -32,7 +32,7 @@ pub mod plan;
 pub use cache::{ShapeClass, TuneCache, TuneKey};
 pub use calib::{CalibSource, Calibration};
 pub use model::compute_plan;
-pub use plan::{DriverSel, KernelSel, TransportSel, TunePlan, TuneProblem};
+pub use plan::{DriverSel, KernelSel, TunePlan, TuneProblem};
 
 use treesvd_net::TopologyKind;
 
@@ -62,7 +62,7 @@ pub fn plan_for(problem: &TuneProblem) -> TunePlan {
 #[must_use]
 pub fn advise_overlap(m: usize, n_pad: usize, vectors: bool, _topology: TopologyKind) -> bool {
     let cm = calib::global().cost_model();
-    model::overlap_decision(&cm, m, n_pad, vectors, TransportSel::ZeroCopy)
+    model::overlap_decision(&cm, m, n_pad, vectors)
 }
 
 #[cfg(test)]

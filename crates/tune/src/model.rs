@@ -27,7 +27,7 @@ use treesvd_orderings::OrderingKind;
 use treesvd_sim::{analyze_program, Machine};
 
 use crate::calib::Calibration;
-use crate::plan::{DriverSel, KernelSel, TransportSel, TunePlan, TuneProblem};
+use crate::plan::{DriverSel, KernelSel, TunePlan, TuneProblem};
 
 /// Thread-spawn cost charged per distributed rank (the executor spawns
 /// fresh rank threads per run; the blocked/simulated pool is persistent).
@@ -110,9 +110,7 @@ fn score_blocked(
     }
 }
 
-/// Score the thread-per-rank distributed executor (zero-copy transport;
-/// the legacy copy-transport is priced inside the overlap decision and
-/// never wins in-process).
+/// Score the thread-per-rank distributed executor (zero-copy transport).
 fn score_distributed(
     cm: &CostModel,
     me: usize,
@@ -124,7 +122,7 @@ fn score_distributed(
     let q = ranks.div_ceil(p.max(1)) as f64;
     let comp =
         pair_compute_ns(cm, me, ne_pad, vectors) * q * if q > 1.0 { OVERSUB_PENALTY } else { 1.0 };
-    let overlap = overlap_decision(cm, me, ne_pad, vectors, TransportSel::ZeroCopy);
+    let overlap = overlap_decision(cm, me, ne_pad, vectors);
     let step = if overlap {
         cm.alpha + comp.max(zero_copy_serialization_ns(cm)) + cm.nu
     } else {
@@ -177,23 +175,10 @@ fn zero_copy_serialization_ns(cm: &CostModel) -> f64 {
 /// bookkeeping — it pays only when the hidden serialization beats ν.
 /// Zero-copy messages serialize almost nothing (the payload moves by
 /// pointer), which is exactly why overlap *loses* at the recorded small-P
-/// points; a payload-copying transport with long columns flips the sign.
-pub(crate) fn overlap_decision(
-    cm: &CostModel,
-    me: usize,
-    ne_pad: usize,
-    vectors: bool,
-    transport: TransportSel,
-) -> bool {
+/// points.
+pub(crate) fn overlap_decision(cm: &CostModel, me: usize, ne_pad: usize, vectors: bool) -> bool {
     let comp = pair_compute_ns(cm, me, ne_pad, vectors);
-    let serialization = match transport {
-        TransportSel::ZeroCopy => zero_copy_serialization_ns(cm),
-        TransportSel::Legacy => {
-            let words = me + if vectors { ne_pad } else { 0 };
-            words as f64 * cm.beta
-        }
-    };
-    comp.min(serialization) > cm.nu
+    comp.min(zero_copy_serialization_ns(cm)) > cm.nu
 }
 
 /// Choose the ordering for a sweep unit of `n_eff` columns by replaying
@@ -347,7 +332,6 @@ pub fn compute_plan(problem: &TuneProblem, cal: &Calibration) -> TunePlan {
         kernel: best.kernel,
         block_cols: best.block_cols,
         threads: best.threads.min(host).max(1),
-        transport: TransportSel::ZeroCopy,
         overlap: best.overlap,
         qr_frontend: true,
         qr_crossover: crossover,
@@ -376,15 +360,8 @@ mod tests {
         // the recorded regression: new-ring P=8, m=4096 — overlap lost to
         // plain zero-copy, so the calibrated model must turn it off
         let cm = cal().cost_model();
-        assert!(!overlap_decision(&cm, 4096, 16, true, TransportSel::ZeroCopy));
-        assert!(!overlap_decision(&cm, 4096, 32, true, TransportSel::ZeroCopy));
-    }
-
-    #[test]
-    fn copying_transport_with_long_columns_flips_overlap_on() {
-        let cm = cal().cost_model();
-        assert!(overlap_decision(&cm, 1 << 20, 64, true, TransportSel::Legacy));
-        assert!(!overlap_decision(&cm, 256, 64, true, TransportSel::Legacy));
+        assert!(!overlap_decision(&cm, 4096, 16, true));
+        assert!(!overlap_decision(&cm, 4096, 32, true));
     }
 
     #[test]
@@ -393,7 +370,6 @@ mod tests {
         assert!(matches!(plan.driver, DriverSel::Blocked { .. }), "{plan:?}");
         assert_eq!(plan.kernel, KernelSel::Gram);
         assert!(plan.block_cols >= 2);
-        assert_eq!(plan.transport, TransportSel::ZeroCopy);
         assert!(plan.predicted_ns > 0.0);
     }
 

@@ -109,16 +109,6 @@ pub enum KernelSel {
     Gram,
 }
 
-/// Which transport the distributed executor uses (mirror of sim's
-/// `Transport`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TransportSel {
-    /// Payload-copying legacy transport.
-    Legacy,
-    /// Pool-leased zero-copy transport.
-    ZeroCopy,
-}
-
 /// A full execution config, as selected by the tuner. `Copy` throughout:
 /// a warm cache hit hands one out without touching the heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,8 +125,6 @@ pub struct TunePlan {
     pub block_cols: u16,
     /// Worker-thread budget the plan prices.
     pub threads: u16,
-    /// Distributed transport.
-    pub transport: TransportSel,
     /// Comm/compute overlap in the distributed executor. Only a *request*:
     /// the executor still engages it solely when the analyzer proves the
     /// overlapped plan deadlock-free (`verify_overlap_freedom`).

@@ -21,7 +21,7 @@ cargo run --release -p treesvd-bench --bin bench_kernels -- --smoke
 echo "== bench smoke: Gram vs pairwise blocked meeting (512x128, c=16) =="
 cargo run --release -p treesvd-bench --bin bench_blocked -- --smoke
 
-echo "== bench smoke: zero-copy overlapped vs legacy distributed executor (4096x16) =="
+echo "== bench smoke: overlapped zero-copy distributed executor engages allocation-free (4096x16) =="
 cargo run --release -p treesvd-bench --bin bench_distributed -- --smoke
 
 echo "== bench smoke: batched SoA engine vs per-problem sequential loop (8x8 x 100k) =="
@@ -36,14 +36,6 @@ echo "== bench smoke: auto-tuner vs fixed configs + warm-path zero-alloc gate ==
 # point with overlap correctly disabled), and the second plan_for on a
 # cached key makes zero heap allocations and re-runs no probe
 cargo run --release -p treesvd-bench --bin bench_auto -- --smoke
-
-echo "== certificate smoke: warm driver run must skip the provers, bitwise-identical =="
-# the cold run proves and emits a certificate; the warm run validates it
-# instead of re-proving (hit/miss counters assert the skip) and must
-# reproduce sigma/U/V bitwise (see docs/ANALYSIS.md, "Certificates and
-# the fast checker")
-cargo test -q --release -p treesvd-core --lib -- --exact \
-    driver::distributed_tests::warm_certificate_run_skips_prover_and_is_bitwise_identical
 
 echo "== chaos soak: seeded fault plans must recover bitwise (96x16, P=8) =="
 # fixed seeds, bounded wall time; also gates zero steady-state payload

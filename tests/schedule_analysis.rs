@@ -4,9 +4,9 @@
 //! diagnostic.
 
 use treesvd_analyze::{
-    analyze_ordering, check_certificate, emit_certificate, verify_contention, verify_coverage,
-    verify_deadlock_freedom, verify_ordering_schedule, verify_permutation_safety, verify_plan,
-    verify_restore, AnalysisOptions, Check, CommModel, CommPlan, ProofCertificate, Violation,
+    analyze_ordering, verify_contention, verify_coverage, verify_deadlock_freedom,
+    verify_ordering_schedule, verify_permutation_safety, verify_plan, verify_restore,
+    AnalysisOptions, CommModel, CommPlan, Violation,
 };
 use treesvd_net::{Topology, TopologyKind};
 use treesvd_orderings::four_block::{module_a_movements, module_b_movements};
@@ -261,7 +261,7 @@ fn mutilated_comm_plan_fails_deadlock_check() {
 fn overlapped_plans_verify_and_legacy_plans_cycle_under_rendezvous() {
     // the overlapped (send-ahead) plan the distributed executor runs must
     // hold under BOTH message models — including rendezvous, where the
-    // legacy blocking plan deadlocks (previous test) — for every built-in
+    // blocking plan deadlocks (previous test) — for every built-in
     // ordering
     for n in [8usize, 16] {
         for ord in orderings_for(n) {
@@ -368,101 +368,4 @@ fn analysis_report_displays_failures() {
     let rendered = format!("{report}");
     assert!(rendered.contains("FAIL"), "rendered report must flag the failure:\n{rendered}");
     assert!(rendered.contains("step 1"), "diagnostic must be step-precise:\n{rendered}");
-}
-
-// ---------------------------------------------------------------------
-// proof certificates: emit → serialize → parse → check round-trips, and
-// every class of witness tampering is rejected with a step-precise error
-
-/// Expect a `CertificateMismatch` and return its (check, sweep, step).
-fn expect_mismatch(
-    cert: &ProofCertificate,
-    ord: &dyn JacobiOrdering,
-    opts: &AnalysisOptions,
-) -> (Check, usize, usize) {
-    match check_certificate(cert, ord, opts) {
-        Err(Violation::CertificateMismatch { cert_check, sweep, step, .. }) => {
-            (cert_check, sweep, step)
-        }
-        other => panic!("tampered certificate must be rejected, got {other:?}"),
-    }
-}
-
-#[test]
-fn certificates_round_trip_over_every_builtin_ordering() {
-    for n in [8, 12, 16] {
-        for ord in orderings_for(n) {
-            let opts = AnalysisOptions::default();
-            let cert = emit_certificate(ord.as_ref(), &opts, true, true)
-                .unwrap_or_else(|e| panic!("{} n={n}: {e}", ord.name()));
-            let obligations = check_certificate(&cert, ord.as_ref(), &opts)
-                .unwrap_or_else(|e| panic!("{} n={n}: {e}", ord.name()));
-            assert!(obligations > 0, "{} n={n}", ord.name());
-
-            let parsed = ProofCertificate::parse(&cert.to_text())
-                .unwrap_or_else(|e| panic!("{} n={n}: {e}", ord.name()));
-            assert_eq!(parsed, cert, "{} n={n}: serialization must round-trip", ord.name());
-            assert_eq!(
-                check_certificate(&parsed, ord.as_ref(), &opts).unwrap(),
-                obligations,
-                "{} n={n}",
-                ord.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn tampered_certificates_fail_step_precisely() {
-    let ord = FatTreeOrdering::new(16).unwrap();
-    let opts = AnalysisOptions {
-        topology: Some(Topology::new(TopologyKind::PerfectFatTree, 8)),
-        words_per_column: 16,
-    };
-    let cert = emit_certificate(&ord, &opts, true, true).unwrap();
-    assert!(check_certificate(&cert, &ord, &opts).unwrap() > 0);
-
-    // 1. a flipped ownership cell breaks the permutation witness exactly
-    // where it was flipped
-    let mut t = cert.clone();
-    t.layouts[0][1][0] = t.layouts[0][1][1];
-    let (check, sweep, step) = expect_mismatch(&t, &ord, &opts);
-    assert_eq!(check, Check::Permutation);
-    assert_eq!((sweep, step), (0, 1));
-
-    // 2. a perturbed pair digest breaks the coverage witness at its step
-    let mut t = cert.clone();
-    t.pair_digests[0][2] ^= 0x5bd1_e995;
-    let (check, sweep, step) = expect_mismatch(&t, &ord, &opts);
-    assert_eq!(check, Check::Coverage);
-    assert_eq!((sweep, step), (0, 2));
-
-    // 3. an inflated channel load breaks the contention witness at the
-    // (sweep, step) of the doctored entry
-    let mut t = cert.clone();
-    let doctored = (t.loads[0].sweep, t.loads[0].step);
-    t.loads[0].load += 7;
-    let (check, sweep, step) = expect_mismatch(&t, &ord, &opts);
-    assert_eq!(check, Check::Contention);
-    assert_eq!((sweep, step), doctored);
-
-    // 4. a reordered topological witness is no longer a valid linear
-    // extension of the wait-for graph
-    let mut t = cert.clone();
-    t.plans[0].order.reverse();
-    let (check, _, _) = expect_mismatch(&t, &ord, &opts);
-    assert_eq!(check, Check::Deadlock);
-
-    // 5. a dropped pool release means a lease the plan proves is missing
-    // from the witness
-    let mut t = cert.clone();
-    t.leases.remove(0);
-    let (check, _, _) = expect_mismatch(&t, &ord, &opts);
-    assert_eq!(check, Check::Pool);
-
-    // 6. the untampered certificate still refuses to certify a different
-    // schedule outright
-    let other = RingOrdering::new(16).unwrap();
-    let (check, _, _) = expect_mismatch(&cert, &other, &opts);
-    assert_eq!(check, Check::Permutation);
 }
