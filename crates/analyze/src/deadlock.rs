@@ -2,11 +2,13 @@
 //!
 //! The distributed executor (`treesvd-sim::distributed`) turns each step's
 //! `move_after` into explicit tag-matched messages over the
-//! `treesvd-comm` world: every rank first sends its departing columns,
-//! then blocks receiving its arrivals, with the tag identifying
-//! `(global step, destination slot)`. [`CommPlan::from_program`] extracts
-//! exactly that operation sequence, and [`verify_deadlock_freedom`] checks
-//! that the induced wait-for graph is acyclic and complete:
+//! `treesvd-comm` world: every rank first sends its departing columns
+//! (each as a data message, then a vector message when `V` is
+//! accumulated), then blocks receiving its arrivals in the same order,
+//! with the tags of [`tag_a`] and [`tag_v`]. [`CommPlan::from_program`]
+//! extracts exactly that operation sequence, and
+//! [`verify_deadlock_freedom`] checks that the induced wait-for graph is
+//! acyclic and complete:
 //!
 //! * every receive has exactly one matching send (an unmatched receive
 //!   blocks forever — the static twin of `RecvError::Timeout`);
@@ -42,30 +44,11 @@ pub enum CommOp {
     Send {
         /// Destination rank.
         to: usize,
-        /// Message tag (`global_step << 1 | dest_slot parity`).
+        /// Message tag ([`tag_a`] or [`tag_v`]).
         tag: u64,
     },
     /// Blocking receive from `from` with `tag`.
     Recv {
-        /// Source rank.
-        from: usize,
-        /// Message tag.
-        tag: u64,
-    },
-    /// Nonblocking prefetch post (MPI `Irecv` style): the rank registers
-    /// the landing buffer for a future arrival and continues computing.
-    /// The overlapped executor posts the arrivals of movement *s* at the
-    /// top of step *s*, before its rotation — the double buffer.
-    PostRecv {
-        /// Source rank.
-        from: usize,
-        /// Message tag.
-        tag: u64,
-    },
-    /// Blocking completion of an earlier [`CommOp::PostRecv`] with the
-    /// same `(from, tag)` — issued at the point of use, one step after the
-    /// post.
-    WaitRecv {
         /// Source rank.
         from: usize,
         /// Message tag.
@@ -102,17 +85,17 @@ pub enum CommOp {
     ClearStore,
 }
 
-/// Tag of an overlapped-transport A-phase message (the data column) for
-/// an arrival into `dest_slot` belonging to global step `step`. The low
-/// bit is the phase (A = 0, V = 1), the next the destination-slot parity.
-pub fn overlap_tag_a(step: usize, dest_slot: usize) -> u64 {
+/// Tag of the A-phase message (the data column) for an arrival into
+/// `dest_slot` at global step `step`. The low bit is the phase (A = 0,
+/// V = 1), the next the destination-slot parity.
+pub fn tag_a(step: usize, dest_slot: usize) -> u64 {
     (step as u64) << 2 | ((dest_slot % 2) as u64) << 1
 }
 
-/// Tag of an overlapped-transport V-phase message (the accumulated right
-/// singular vector column); see [`overlap_tag_a`].
-pub fn overlap_tag_v(step: usize, dest_slot: usize) -> u64 {
-    overlap_tag_a(step, dest_slot) | 1
+/// Tag of the V-phase message (the accumulated right singular vector
+/// column); see [`tag_a`].
+pub fn tag_v(step: usize, dest_slot: usize) -> u64 {
+    tag_a(step, dest_slot) | 1
 }
 
 /// The per-rank, program-ordered communication operations implied by a
@@ -128,9 +111,11 @@ pub struct CommPlan {
 
 impl CommPlan {
     /// Extract the communication plan of one sweep, mirroring the
-    /// distributed executor: per step, each rank sends its departing
-    /// columns (slot order), then receives its arrivals (slot order).
-    pub fn from_program(prog: &Program) -> Self {
+    /// distributed executor message for message: per step, each rank
+    /// sends its departing columns (slot order; the A-phase data column,
+    /// then the V-phase vector column when `vectors`), then receives its
+    /// arrivals in the same order.
+    pub fn from_program(prog: &Program, vectors: bool) -> Self {
         let ranks = prog.processors();
         let mut ops: Vec<Vec<(usize, CommOp)>> = vec![Vec::new(); ranks];
         for (step, pair_step) in prog.steps.iter().enumerate() {
@@ -140,101 +125,23 @@ impl CommPlan {
                 for s in [2 * rank, 2 * rank + 1] {
                     let d = perm.dest_of(s);
                     if d / 2 != rank {
-                        let tag = (step as u64) << 1 | (d % 2) as u64;
-                        rank_ops.push((step, CommOp::Send { to: d / 2, tag }));
+                        let to = d / 2;
+                        rank_ops.push((step, CommOp::Send { to, tag: tag_a(step, d) }));
+                        if vectors {
+                            rank_ops.push((step, CommOp::Send { to, tag: tag_v(step, d) }));
+                        }
                     }
                 }
-                for dest_slot in [2 * rank, 2 * rank + 1] {
-                    let src_slot = inv.dest_of(dest_slot);
-                    if src_slot / 2 != rank {
-                        let tag = (step as u64) << 1 | (dest_slot % 2) as u64;
-                        rank_ops.push((step, CommOp::Recv { from: src_slot / 2, tag }));
-                    }
-                }
-            }
-        }
-        Self { ranks, ops }
-    }
-
-    /// Extract the communication plan of one sweep under the *overlapped*
-    /// transport, mirroring `treesvd-sim`'s send-ahead executor. Per step
-    /// `s`, each rank:
-    ///
-    /// 1. posts the receives for movement-`s` arrivals (`PostRecv`, the
-    ///    prefetch/double buffer — legal because the movement permutation
-    ///    fixes every next destination statically);
-    /// 2. completes the movement-`s−1` A-phase arrivals (`WaitRecv`) it
-    ///    posted one step earlier, then rotates the data columns;
-    /// 3. sends its departing A-phase columns;
-    /// 4. completes the movement-`s−1` V-phase arrivals, rotates the
-    ///    vector columns, and sends the departing V phase (when `vectors`).
-    ///
-    /// A final drain step (index `steps.len()`) completes the last
-    /// movement's arrivals.
-    pub fn from_program_overlapped(prog: &Program, vectors: bool) -> Self {
-        let ranks = prog.processors();
-        let mut ops: Vec<Vec<(usize, CommOp)>> = vec![Vec::new(); ranks];
-        // arrivals[rank] = the (src_rank, dest_slot, step) triples whose
-        // completions are still pending from the previous movement
-        let mut arrivals: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); ranks];
-        for (step, pair_step) in prog.steps.iter().enumerate() {
-            let perm = &pair_step.move_after;
-            let inv = perm.inverse();
-            for (rank, rank_ops) in ops.iter_mut().enumerate() {
-                let mut posted = Vec::new();
                 for dest_slot in [2 * rank, 2 * rank + 1] {
                     let src_slot = inv.dest_of(dest_slot);
                     if src_slot / 2 != rank {
                         let from = src_slot / 2;
-                        let tag = overlap_tag_a(step, dest_slot);
-                        rank_ops.push((step, CommOp::PostRecv { from, tag }));
+                        rank_ops.push((step, CommOp::Recv { from, tag: tag_a(step, dest_slot) }));
                         if vectors {
-                            let tag = overlap_tag_v(step, dest_slot);
-                            rank_ops.push((step, CommOp::PostRecv { from, tag }));
-                        }
-                        posted.push((from, dest_slot, step));
-                    }
-                }
-                for &(from, dest_slot, prev) in &arrivals[rank] {
-                    let tag = overlap_tag_a(prev, dest_slot);
-                    rank_ops.push((step, CommOp::WaitRecv { from, tag }));
-                }
-                for s in [2 * rank, 2 * rank + 1] {
-                    let d = perm.dest_of(s);
-                    if d / 2 != rank {
-                        let tag = overlap_tag_a(step, d);
-                        rank_ops.push((step, CommOp::Send { to: d / 2, tag }));
-                    }
-                }
-                if vectors {
-                    for &(from, dest_slot, prev) in &arrivals[rank] {
-                        let tag = overlap_tag_v(prev, dest_slot);
-                        rank_ops.push((step, CommOp::WaitRecv { from, tag }));
-                    }
-                    for s in [2 * rank, 2 * rank + 1] {
-                        let d = perm.dest_of(s);
-                        if d / 2 != rank {
-                            let tag = overlap_tag_v(step, d);
-                            rank_ops.push((step, CommOp::Send { to: d / 2, tag }));
+                            let tag = tag_v(step, dest_slot);
+                            rank_ops.push((step, CommOp::Recv { from, tag }));
                         }
                     }
-                }
-                arrivals[rank] = posted;
-            }
-        }
-        // drain: the last movement's posts complete after the sweep loop
-        let drain = prog.steps.len();
-        for (rank, rank_ops) in ops.iter_mut().enumerate() {
-            for &(from, dest_slot, prev) in &arrivals[rank] {
-                rank_ops
-                    .push((drain, CommOp::WaitRecv { from, tag: overlap_tag_a(prev, dest_slot) }));
-            }
-            if vectors {
-                for &(from, dest_slot, prev) in &arrivals[rank] {
-                    rank_ops.push((
-                        drain,
-                        CommOp::WaitRecv { from, tag: overlap_tag_v(prev, dest_slot) },
-                    ));
                 }
             }
         }
@@ -257,7 +164,7 @@ impl CommPlan {
                         ops[rank].push((step, CommOp::Deposit { to, tag }));
                         ops[rank].push((step, op));
                     }
-                    CommOp::Recv { from, tag } | CommOp::WaitRecv { from, tag } => {
+                    CommOp::Recv { from, tag } => {
                         ops[rank].push((step, op));
                         ops[rank].push((step, CommOp::Ack { to: from, tag }));
                     }
@@ -290,7 +197,7 @@ impl CommPlan {
                         ops[rank].push((step, op));
                         ops[rank].push((step, CommOp::Recv { from: to, tag: tag | Self::ACK_TAG }));
                     }
-                    CommOp::Recv { from, tag } | CommOp::WaitRecv { from, tag } => {
+                    CommOp::Recv { from, tag } => {
                         ops[rank].push((step, op));
                         ops[rank].push((step, CommOp::Send { to: from, tag: tag | Self::ACK_TAG }));
                     }
@@ -312,10 +219,7 @@ impl CommPlan {
             CommOp::Send { to, tag } | CommOp::Deposit { to, tag } => {
                 OpRef { rank, step, is_send: true, peer: to, tag }
             }
-            CommOp::Recv { from, tag }
-            | CommOp::PostRecv { from, tag }
-            | CommOp::WaitRecv { from, tag }
-            | CommOp::Ack { to: from, tag } => {
+            CommOp::Recv { from, tag } | CommOp::Ack { to: from, tag } => {
                 OpRef { rank, step, is_send: false, peer: from, tag }
             }
             CommOp::ClearStore => OpRef { rank, step, is_send: false, peer: rank, tag: 0 },
@@ -350,7 +254,7 @@ impl WaitGraph {
 
 /// Build the wait-for graph of `plan` under `model`, checking plan
 /// completeness on the way (every receive matched, every send consumed,
-/// tags unambiguous, prefetch posts paired).
+/// tags unambiguous).
 fn build_wait_graph(plan: &CommPlan, model: CommModel) -> Result<WaitGraph, Violation> {
     // global node ids: (rank, position) -> id
     let mut base = vec![0usize; plan.ranks + 1];
@@ -360,26 +264,15 @@ fn build_wait_graph(plan: &CommPlan, model: CommModel) -> Result<WaitGraph, Viol
     let node_count = base[plan.ranks];
     let id = |rank: usize, pos: usize| base[rank] + pos;
 
-    // match sends to recvs on (sender, receiver, tag); prefetch posts are
-    // matched the same way, keyed by the rank that posts them
+    // match sends to recvs on (sender, receiver, tag)
     let mut sends: HashMap<(usize, usize, u64), usize> = HashMap::new();
-    let mut posts: HashMap<(usize, usize, u64), usize> = HashMap::new();
     let mut consumed: Vec<bool> = vec![false; node_count];
-    let mut post_used: Vec<bool> = vec![false; node_count];
     for rank in 0..plan.ranks {
         for (pos, &(_, op)) in plan.ops[rank].iter().enumerate() {
-            match op {
-                CommOp::Send { to, tag }
-                    if sends.insert((rank, to, tag), id(rank, pos)).is_some() =>
-                {
+            if let CommOp::Send { to, tag } = op {
+                if sends.insert((rank, to, tag), id(rank, pos)).is_some() {
                     return Err(Violation::AmbiguousTag { op: plan.op_ref(rank, pos) });
                 }
-                CommOp::PostRecv { from, tag }
-                    if posts.insert((from, rank, tag), pos).is_some() =>
-                {
-                    return Err(Violation::AmbiguousTag { op: plan.op_ref(rank, pos) });
-                }
-                _ => {}
             }
         }
     }
@@ -398,54 +291,18 @@ fn build_wait_graph(plan: &CommPlan, model: CommModel) -> Result<WaitGraph, Viol
             if pos > 0 {
                 add_edge(&mut edges, &mut indegree, id(rank, pos - 1), node);
             }
-            match op {
-                CommOp::Recv { from, tag } => {
-                    let Some(&send) = sends.get(&(from, rank, tag)) else {
-                        return Err(Violation::UnmatchedRecv { op: plan.op_ref(rank, pos) });
-                    };
-                    consumed[send] = true;
-                    // the message must be sent before it is received
-                    add_edge(&mut edges, &mut indegree, send, node);
-                    if model == CommModel::Rendezvous {
-                        // a synchronous send cannot complete until the peer
-                        // has *reached* the receive: everything before the
-                        // recv in the peer's program order must complete
-                        // first
-                        if pos > 0 {
-                            add_edge(&mut edges, &mut indegree, id(rank, pos - 1), send);
-                        }
-                    }
-                }
-                CommOp::WaitRecv { from, tag } => {
-                    // the completion must pair with an earlier prefetch
-                    // post on this rank ...
-                    match posts.get(&(from, rank, tag)) {
-                        Some(&post_pos) if post_pos < pos => post_used[id(rank, post_pos)] = true,
-                        _ => return Err(Violation::PrefetchMissing { op: plan.op_ref(rank, pos) }),
-                    }
-                    // ... and with a send, which must happen first
-                    let Some(&send) = sends.get(&(from, rank, tag)) else {
-                        return Err(Violation::UnmatchedRecv { op: plan.op_ref(rank, pos) });
-                    };
-                    consumed[send] = true;
-                    add_edge(&mut edges, &mut indegree, send, node);
-                    // under rendezvous the send blocks only until the peer
-                    // *posts* the receive — not until the completion — so
-                    // the prefetch is exactly what breaks the exchange
-                    // idiom's two-cycle
-                }
-                _ => {}
-            }
-        }
-    }
-    if model == CommModel::Rendezvous {
-        for (&(from, to, tag), &post_pos) in &posts {
-            if let Some(&send) = sends.get(&(from, to, tag)) {
-                // a synchronous send completes once the peer has reached
-                // the matching post: everything before the post must
-                // complete first
-                if post_pos > 0 {
-                    add_edge(&mut edges, &mut indegree, id(to, post_pos - 1), send);
+            if let CommOp::Recv { from, tag } = op {
+                let Some(&send) = sends.get(&(from, rank, tag)) else {
+                    return Err(Violation::UnmatchedRecv { op: plan.op_ref(rank, pos) });
+                };
+                consumed[send] = true;
+                // the message must be sent before it is received
+                add_edge(&mut edges, &mut indegree, send, node);
+                if model == CommModel::Rendezvous && pos > 0 {
+                    // a synchronous send cannot complete until the peer has
+                    // *reached* the receive: everything before the recv in
+                    // the peer's program order must complete first
+                    add_edge(&mut edges, &mut indegree, id(rank, pos - 1), send);
                 }
             }
         }
@@ -454,9 +311,6 @@ fn build_wait_graph(plan: &CommPlan, model: CommModel) -> Result<WaitGraph, Viol
         for (pos, &(_, op)) in plan.ops[rank].iter().enumerate() {
             if matches!(op, CommOp::Send { .. }) && !consumed[id(rank, pos)] {
                 return Err(Violation::UnconsumedSend { op: plan.op_ref(rank, pos) });
-            }
-            if matches!(op, CommOp::PostRecv { .. }) && !post_used[id(rank, pos)] {
-                return Err(Violation::PrefetchUnused { op: plan.op_ref(rank, pos) });
             }
         }
     }
@@ -532,49 +386,26 @@ fn find_cycle(edges: &[Vec<usize>], indegree: &[usize], start: usize) -> Vec<usi
     }
 }
 
-/// Verify deadlock freedom of one sweep program under buffered semantics —
-/// the semantics of the real executor.
+/// Verify deadlock freedom of one sweep program's plan
+/// ([`CommPlan::from_program`]) under buffered semantics — the semantics
+/// of the real executor.
 ///
 /// # Errors
 /// As [`verify_plan`].
-pub fn verify_deadlock_freedom(prog: &Program) -> Result<(), Violation> {
-    verify_plan(&CommPlan::from_program(prog), CommModel::Buffered)
-}
-
-/// Verify the *overlapped* (send-ahead) plan of one sweep program under
-/// **both** communication models. This is the gate the distributed
-/// executor runs before enabling comm/compute overlap: unlike the
-/// blocking plan — whose exchange idiom deadlocks under rendezvous — the
-/// prefetch posts make the overlapped order acyclic even with synchronous
-/// sends, because a send only waits for the peer to *post* the receive at
-/// the top of its step, never for the completion.
-///
-/// # Errors
-/// As [`verify_plan`], plus [`Violation::PrefetchMissing`] /
-/// [`Violation::PrefetchUnused`] if posts and completions do not pair up.
-pub fn verify_overlap_freedom(prog: &Program, vectors: bool) -> Result<(), Violation> {
-    let plan = CommPlan::from_program_overlapped(prog, vectors);
-    verify_plan(&plan, CommModel::Buffered)?;
-    verify_plan(&plan, CommModel::Rendezvous)
+pub fn verify_deadlock_freedom(prog: &Program, vectors: bool) -> Result<(), Violation> {
+    verify_plan(&CommPlan::from_program(prog, vectors), CommModel::Buffered)
 }
 
 /// Verify that one sweep program stays deadlock-free with the fault
-/// layer's retry/ack recovery protocol armed
-/// ([`CommPlan::with_recovery`]): the blocking plan under buffered
-/// semantics (the non-overlapped zero-copy rung), and the overlapped
-/// plan under **both** models. This is the gate the distributed executor
-/// runs instead of [`verify_overlap_freedom`] when a fault policy arms
-/// retransmission — deposits and acks are nonblocking store writes, so a
-/// plan that was clean without them must stay clean, and this proves it
-/// rather than assuming it.
+/// layer's retry/ack recovery protocol armed ([`CommPlan::with_recovery`])
+/// under buffered semantics. Deposits and acks are nonblocking store
+/// writes, so a plan that was clean without them must stay clean; this
+/// proves it rather than assuming it.
 ///
 /// # Errors
 /// As [`verify_plan`].
 pub fn verify_recovery_freedom(prog: &Program, vectors: bool) -> Result<(), Violation> {
-    verify_plan(&CommPlan::from_program(prog).with_recovery(), CommModel::Buffered)?;
-    let plan = CommPlan::from_program_overlapped(prog, vectors).with_recovery();
-    verify_plan(&plan, CommModel::Buffered)?;
-    verify_plan(&plan, CommModel::Rendezvous)
+    verify_plan(&CommPlan::from_program(prog, vectors).with_recovery(), CommModel::Buffered)
 }
 
 #[cfg(test)]
@@ -588,16 +419,21 @@ mod tests {
 
     #[test]
     fn built_in_orderings_deadlock_free_when_buffered() {
-        assert!(verify_deadlock_freedom(&sweep(&FatTreeOrdering::new(16).unwrap())).is_ok());
-        assert!(verify_deadlock_freedom(&sweep(&RoundRobinOrdering::new(12).unwrap())).is_ok());
-        assert!(verify_deadlock_freedom(&sweep(&NewRingOrdering::new(10).unwrap())).is_ok());
+        for vectors in [false, true] {
+            let fat_tree = sweep(&FatTreeOrdering::new(16).unwrap());
+            assert!(verify_deadlock_freedom(&fat_tree, vectors).is_ok());
+            let round_robin = sweep(&RoundRobinOrdering::new(12).unwrap());
+            assert!(verify_deadlock_freedom(&round_robin, vectors).is_ok());
+            let new_ring = sweep(&NewRingOrdering::new(10).unwrap());
+            assert!(verify_deadlock_freedom(&new_ring, vectors).is_ok());
+        }
     }
 
     #[test]
     fn exchange_idiom_deadlocks_under_rendezvous() {
         // the first step of round-robin is a pure pairwise exchange: with
         // synchronous sends both partners block in send — a 4-op cycle
-        let plan = CommPlan::from_program(&sweep(&RoundRobinOrdering::new(8).unwrap()));
+        let plan = CommPlan::from_program(&sweep(&RoundRobinOrdering::new(8).unwrap()), false);
         match verify_plan(&plan, CommModel::Rendezvous) {
             Err(Violation::WaitCycle { cycle }) => {
                 assert!(cycle.len() >= 2, "cycle too short: {cycle:?}");
@@ -608,7 +444,7 @@ mod tests {
 
     #[test]
     fn dropped_send_is_an_unmatched_recv() {
-        let mut plan = CommPlan::from_program(&sweep(&FatTreeOrdering::new(8).unwrap()));
+        let mut plan = CommPlan::from_program(&sweep(&FatTreeOrdering::new(8).unwrap()), false);
         // lose the first send of rank 0
         let pos = plan.ops[0]
             .iter()
@@ -623,7 +459,7 @@ mod tests {
 
     #[test]
     fn dropped_recv_is_an_unconsumed_send() {
-        let mut plan = CommPlan::from_program(&sweep(&FatTreeOrdering::new(8).unwrap()));
+        let mut plan = CommPlan::from_program(&sweep(&FatTreeOrdering::new(8).unwrap()), false);
         let pos = plan.ops[0]
             .iter()
             .position(|(_, op)| matches!(op, CommOp::Recv { .. }))
@@ -637,7 +473,7 @@ mod tests {
 
     #[test]
     fn duplicate_tag_detected() {
-        let mut plan = CommPlan::from_program(&sweep(&FatTreeOrdering::new(8).unwrap()));
+        let mut plan = CommPlan::from_program(&sweep(&FatTreeOrdering::new(8).unwrap()), false);
         let dup = plan.ops[0]
             .iter()
             .find(|(_, op)| matches!(op, CommOp::Send { .. }))
@@ -653,7 +489,7 @@ mod tests {
     #[test]
     fn plan_mirrors_program_movement_volume() {
         let prog = sweep(&FatTreeOrdering::new(16).unwrap());
-        let plan = CommPlan::from_program(&prog);
+        let plan = CommPlan::from_program(&prog, false);
         let sends: usize =
             plan.ops.iter().flatten().filter(|(_, op)| matches!(op, CommOp::Send { .. })).count();
         assert_eq!(sends, prog.total_messages());
@@ -661,56 +497,23 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_plans_deadlock_free_under_both_models() {
-        use treesvd_orderings::{HybridOrdering, ModifiedRingOrdering, RingOrdering};
-        let orderings: Vec<Box<dyn JacobiOrdering>> = vec![
-            Box::new(NewRingOrdering::new(10).unwrap()),
-            Box::new(RingOrdering::new(8).unwrap()),
-            Box::new(ModifiedRingOrdering::new(8).unwrap()),
-            Box::new(RoundRobinOrdering::new(12).unwrap()),
-            Box::new(FatTreeOrdering::new(16).unwrap()),
-            Box::new(HybridOrdering::with_default_groups(16).unwrap()),
-        ];
-        for ord in &orderings {
-            for vectors in [false, true] {
-                // every sweep of the restore period, since movement
-                // patterns differ sweep to sweep
-                for prog in ord.programs(ord.restore_period().max(1)) {
-                    verify_overlap_freedom(&prog, vectors).unwrap_or_else(|v| {
-                        panic!("{} (vectors={vectors}): {v}", ord.name());
-                    });
-                }
-            }
-        }
-    }
-
-    #[test]
     fn overlapped_plan_doubles_messages_with_vectors() {
+        // the name predates the single zero-copy schedule: every moved
+        // column sends its A-phase message and, when vectors ride along,
+        // a V-phase message too, each matched by one receive
         let prog = sweep(&FatTreeOrdering::new(16).unwrap());
         for (vectors, factor) in [(false, 1), (true, 2)] {
-            let plan = CommPlan::from_program_overlapped(&prog, vectors);
-            let count = |pred: fn(&CommOp) -> bool| {
+            let plan = CommPlan::from_program(&prog, vectors);
+            let count = |pred: &dyn Fn(&CommOp) -> bool| {
                 plan.ops.iter().flatten().filter(|(_, op)| pred(op)).count()
             };
-            let sends = count(|op| matches!(op, CommOp::Send { .. }));
-            let posts = count(|op| matches!(op, CommOp::PostRecv { .. }));
-            let waits = count(|op| matches!(op, CommOp::WaitRecv { .. }));
+            let sends = count(&|op| matches!(op, CommOp::Send { .. }));
+            let recvs = count(&|op| matches!(op, CommOp::Recv { .. }));
+            let v_sends = count(&|op| matches!(op, CommOp::Send { tag, .. } if tag & 1 == 1));
             assert_eq!(sends, factor * prog.total_messages());
-            assert_eq!(posts, sends, "one prefetch post per message");
-            assert_eq!(waits, sends, "one completion per message");
+            assert_eq!(recvs, sends, "one receive per message");
+            assert_eq!(v_sends, (factor - 1) * prog.total_messages(), "one V-phase send per move");
         }
-    }
-
-    #[test]
-    fn legacy_blocking_plan_still_cycles_but_overlap_does_not() {
-        // the exchange two-cycle: blocking receives + rendezvous sends
-        // deadlock on the very same schedule whose overlapped plan is clean
-        let prog = sweep(&NewRingOrdering::new(8).unwrap());
-        assert!(matches!(
-            verify_plan(&CommPlan::from_program(&prog), CommModel::Rendezvous),
-            Err(Violation::WaitCycle { .. })
-        ));
-        assert!(verify_overlap_freedom(&prog, true).is_ok());
     }
 
     #[test]
@@ -738,12 +541,12 @@ mod tests {
     #[test]
     fn recovery_adds_one_deposit_per_send_and_one_ack_per_recv() {
         let prog = sweep(&FatTreeOrdering::new(16).unwrap());
-        let plan = CommPlan::from_program(&prog).with_recovery();
+        let plan = CommPlan::from_program(&prog, true).with_recovery();
         let count = |pred: fn(&CommOp) -> bool| {
             plan.ops.iter().flatten().filter(|(_, op)| pred(op)).count()
         };
         let sends = count(|op| matches!(op, CommOp::Send { .. }));
-        assert_eq!(sends, prog.total_messages());
+        assert_eq!(sends, 2 * prog.total_messages());
         assert_eq!(count(|op| matches!(op, CommOp::Deposit { .. })), sends);
         assert_eq!(count(|op| matches!(op, CommOp::Ack { .. })), sends);
         // each deposit immediately precedes its send, sharing (peer, tag)
@@ -761,8 +564,8 @@ mod tests {
         // the negative exhibit: ack-by-message with the sender blocking on
         // its ack deadlocks on a pairwise exchange even with buffered
         // sends — the verifier must produce the cycle, not hang or pass
-        let plan = CommPlan::from_program(&sweep(&RoundRobinOrdering::new(8).unwrap()))
-            .with_blocking_acks();
+        let prog = sweep(&RoundRobinOrdering::new(8).unwrap());
+        let plan = CommPlan::from_program(&prog, true).with_blocking_acks();
         match verify_plan(&plan, CommModel::Buffered) {
             Err(Violation::WaitCycle { cycle }) => {
                 assert!(cycle.len() >= 4, "cycle too short: {cycle:?}");
@@ -774,27 +577,6 @@ mod tests {
             other => panic!("expected WaitCycle, got {other:?}"),
         }
         // ... and the shipped store-based protocol on the same schedule is clean
-        let prog = sweep(&RoundRobinOrdering::new(8).unwrap());
         assert!(verify_recovery_freedom(&prog, true).is_ok());
-    }
-
-    #[test]
-    fn corrupted_prefetch_is_rejected_step_precisely() {
-        let prog = sweep(&NewRingOrdering::new(8).unwrap());
-        let mut plan = CommPlan::from_program_overlapped(&prog, false);
-        // aim one prefetch at the wrong next destination
-        let pos = plan.ops[1]
-            .iter()
-            .position(|(_, op)| matches!(op, CommOp::PostRecv { .. }))
-            .expect("rank 1 posts something");
-        let (step, CommOp::PostRecv { from, tag }) = plan.ops[1][pos] else { unreachable!() };
-        plan.ops[1][pos] = (step, CommOp::PostRecv { from: (from + 1) % plan.ranks, tag });
-        match verify_plan(&plan, CommModel::Buffered) {
-            Err(Violation::PrefetchMissing { op }) => {
-                assert_eq!(op.rank, 1);
-                assert_eq!(op.peer, from, "the starving completion names the true source");
-            }
-            other => panic!("expected PrefetchMissing, got {other:?}"),
-        }
     }
 }

@@ -57,8 +57,8 @@ pub mod report;
 pub use contention::{verify_contention, ContentionProof};
 pub use coverage::{assert_valid_sweep, check_restores_after, verify_coverage, verify_restore};
 pub use deadlock::{
-    overlap_tag_a, overlap_tag_v, verify_deadlock_freedom, verify_overlap_freedom, verify_plan,
-    verify_recovery_freedom, CommModel, CommOp, CommPlan,
+    tag_a, tag_v, verify_deadlock_freedom, verify_plan, verify_recovery_freedom, CommModel, CommOp,
+    CommPlan,
 };
 pub use permutation::verify_permutation_safety;
 pub use pool::{restart_splice, verify_pool_discipline, verify_pool_safety, Lease, PoolProof};
@@ -71,7 +71,7 @@ use treesvd_orderings::JacobiOrdering;
 /// plan constructor changes semantics: the tuner keys its decision cache
 /// on it, so a plan chosen under one generation of schedule proofs never
 /// survives into the next.
-pub const ANALYZER_VERSION: u32 = 1;
+pub const ANALYZER_VERSION: u32 = 2;
 
 /// Knobs for [`analyze_ordering`].
 #[derive(Debug, Clone, Default)]
@@ -138,16 +138,15 @@ pub fn analyze_ordering(ord: &dyn JacobiOrdering, opts: &AnalysisOptions) -> Ana
     let deadlock = programs
         .iter()
         .try_for_each(|prog| {
-            verify_deadlock_freedom(prog)?;
-            // the overlapped (send-ahead) plan must hold under both
-            // buffered and rendezvous semantics before the executor may
-            // prefetch
-            verify_overlap_freedom(prog, true)?;
-            verify_overlap_freedom(prog, false)
+            for vectors in [false, true] {
+                verify_deadlock_freedom(prog, vectors)?;
+                verify_recovery_freedom(prog, vectors)?;
+            }
+            Ok(())
         })
         .map(|()| {
-            "wait-for graph acyclic; all sends matched (buffered model); \
-             overlapped plan safe under buffered + rendezvous"
+            "wait-for graph acyclic; all sends matched (buffered model), \
+             with and without the recovery protocol"
                 .to_string()
         });
     outcomes.push((Check::Deadlock, deadlock));
@@ -186,7 +185,8 @@ pub fn verify_ordering_schedule(ord: &dyn JacobiOrdering) -> Result<(), Violatio
     let period = ord.restore_period().max(1);
     for prog in &ord.programs(period) {
         verify_coverage(prog)?; // implies permutation safety
-        verify_deadlock_freedom(prog)?;
+        verify_deadlock_freedom(prog, false)?;
+        verify_deadlock_freedom(prog, true)?;
     }
     verify_restore(ord)
 }

@@ -22,9 +22,8 @@
 //! splice **without** the clear is the negative exhibit showing why the
 //! supervisor must reset the store.
 //!
-//! [`verify_pool_safety`] is the per-program bundle the distributed
-//! executor's recovery gate runs: the blocking and overlapped recovery
-//! plans, plus a mid-sweep restart replay of each.
+//! [`verify_pool_safety`] is the per-program bundle: the executor's
+//! recovery plan, plus a mid-sweep restart replay of it.
 
 use crate::deadlock::{CommOp, CommPlan};
 use crate::report::{OpRef, Violation};
@@ -174,26 +173,18 @@ pub fn restart_splice(plan: &CommPlan, cut_step: usize, clear: bool) -> CommPlan
 }
 
 /// Prove the pool-lease discipline for one sweep program across every
-/// recovery path the distributed executor can take: the blocking and
-/// overlapped recovery plans (the zero-copy and overlapped ladder rungs —
-/// the sequential rung exchanges nothing), and a mid-sweep
-/// restart replay of each (checkpoint restart / ladder descent with the
-/// store cleared in between). This is the pool half of the recovery gate
-/// in `treesvd-sim::distributed`.
+/// recovery path the distributed executor can take: the recovery plan of
+/// the zero-copy rung (the sequential rung exchanges nothing), and a
+/// mid-sweep restart replay of it (checkpoint restart / ladder descent
+/// with the store cleared in between).
 ///
 /// # Errors
 /// As [`verify_pool_discipline`], from the first failing plan.
 pub fn verify_pool_safety(prog: &Program, vectors: bool) -> Result<PoolProof, Violation> {
     let mut proof = PoolProof { leases: 0, epochs: 0 };
-    let blocking = CommPlan::from_program(prog).with_recovery();
-    let overlapped = CommPlan::from_program_overlapped(prog, vectors).with_recovery();
+    let plan = CommPlan::from_program(prog, vectors).with_recovery();
     let cut = prog.steps.len() / 2;
-    for plan in [
-        &blocking,
-        &overlapped,
-        &restart_splice(&blocking, cut, true),
-        &restart_splice(&overlapped, cut, true),
-    ] {
+    for plan in [&plan, &restart_splice(&plan, cut, true)] {
         proof.leases += verify_pool_discipline(plan)?.len();
         proof.epochs += 1 + plan
             .ops
@@ -234,14 +225,16 @@ mod tests {
     #[test]
     fn lease_count_matches_message_count() {
         let prog = sweep(&FatTreeOrdering::new(16).unwrap());
-        let plan = CommPlan::from_program(&prog).with_recovery();
-        let leases = verify_pool_discipline(&plan).unwrap();
-        assert_eq!(leases.len(), prog.total_messages());
-        for lease in &leases {
-            assert!(lease.deposit.is_send, "deposits live on the sender");
-            assert!(!lease.ack.is_send, "acks live on the receiver");
-            assert_eq!(lease.deposit.rank, lease.src);
-            assert_eq!(lease.ack.rank, lease.dst);
+        for vectors in [false, true] {
+            let plan = CommPlan::from_program(&prog, vectors).with_recovery();
+            let leases = verify_pool_discipline(&plan).unwrap();
+            assert_eq!(leases.len(), (1 + usize::from(vectors)) * prog.total_messages());
+            for lease in &leases {
+                assert!(lease.deposit.is_send, "deposits live on the sender");
+                assert!(!lease.ack.is_send, "acks live on the receiver");
+                assert_eq!(lease.deposit.rank, lease.src);
+                assert_eq!(lease.ack.rank, lease.dst);
+            }
         }
     }
 
@@ -249,7 +242,7 @@ mod tests {
     fn seeded_leak_is_rejected_step_precisely() {
         // drop one ack: the matching deposit's buffer is never returned
         let prog = sweep(&FatTreeOrdering::new(8).unwrap());
-        let mut plan = CommPlan::from_program(&prog).with_recovery();
+        let mut plan = CommPlan::from_program(&prog, true).with_recovery();
         let pos = plan.ops[1]
             .iter()
             .position(|(_, op)| matches!(op, CommOp::Ack { .. }))
@@ -269,7 +262,7 @@ mod tests {
     #[test]
     fn duplicate_delivery_ack_is_a_double_return() {
         let prog = sweep(&RoundRobinOrdering::new(8).unwrap());
-        let mut plan = CommPlan::from_program(&prog).with_recovery();
+        let mut plan = CommPlan::from_program(&prog, true).with_recovery();
         let dup = plan.ops[0]
             .iter()
             .find(|(_, op)| matches!(op, CommOp::Ack { .. }))
@@ -289,7 +282,7 @@ mod tests {
     #[test]
     fn ack_without_deposit_is_rejected() {
         let prog = sweep(&RoundRobinOrdering::new(8).unwrap());
-        let mut plan = CommPlan::from_program(&prog);
+        let mut plan = CommPlan::from_program(&prog, false);
         // a bare plan has no deposits at all; a stray ack has no lease
         plan.ops[0].push((0, CommOp::Ack { to: 1, tag: 0 }));
         assert!(matches!(verify_pool_discipline(&plan), Err(Violation::ReturnWithoutLease { .. })));
@@ -298,7 +291,7 @@ mod tests {
     #[test]
     fn restart_with_store_clear_is_leak_free_but_without_is_not() {
         let prog = sweep(&NewRingOrdering::new(8).unwrap());
-        let plan = CommPlan::from_program(&prog).with_recovery();
+        let plan = CommPlan::from_program(&prog, false).with_recovery();
         let cut = prog.steps.len() / 2;
         // the supervisor's discipline: clear between attempts
         let leases = verify_pool_discipline(&restart_splice(&plan, cut, true)).unwrap();

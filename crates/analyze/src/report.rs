@@ -189,19 +189,6 @@ pub enum Violation {
         /// The operations forming the cycle, in wait order.
         cycle: Vec<OpRef>,
     },
-    /// A blocking completion (`WaitRecv`) with no earlier matching
-    /// prefetch post on the same rank: the overlapped executor would wait
-    /// on a receive it never posted.
-    PrefetchMissing {
-        /// The completion lacking a post.
-        op: OpRef,
-    },
-    /// A prefetch post (`PostRecv`) that no completion ever consumes —
-    /// e.g. a prefetch aimed at the wrong next destination.
-    PrefetchUnused {
-        /// The dangling post.
-        op: OpRef,
-    },
     /// A deposited buffer lease (`Deposit`) is never returned (`Ack`)
     /// before the store epoch ends: the pooled `MsgBuf` copy leaks.
     BufferLeak {
@@ -240,9 +227,7 @@ impl Violation {
             Violation::UnmatchedRecv { .. }
             | Violation::UnconsumedSend { .. }
             | Violation::AmbiguousTag { .. }
-            | Violation::WaitCycle { .. }
-            | Violation::PrefetchMissing { .. }
-            | Violation::PrefetchUnused { .. } => Check::Deadlock,
+            | Violation::WaitCycle { .. } => Check::Deadlock,
             Violation::BufferLeak { .. }
             | Violation::DoubleReturn { .. }
             | Violation::ReturnWithoutLease { .. } => Check::Pool,
@@ -313,12 +298,6 @@ impl fmt::Display for Violation {
                     write!(f, "[{op}]")?;
                 }
                 Ok(())
-            }
-            Violation::PrefetchMissing { op } => {
-                write!(f, "{op} completes a receive that was never posted as a prefetch")
-            }
-            Violation::PrefetchUnused { op } => {
-                write!(f, "{op} posts a prefetch that no completion consumes (wrong destination?)")
             }
             Violation::BufferLeak { op } => {
                 write!(f, "{op} deposits a retransmission copy that is never acknowledged: the pooled buffer leaks")

@@ -25,10 +25,14 @@
 //! no swap (the final empty sweep is counted), singular values are the
 //! column norms above `‖A‖·n·ε`, `U` is the normalized columns with
 //! rank-deficient directions completed by modified Gram–Schmidt, and `V`
-//! accumulates the same rotations from the identity.
+//! accumulates the same rotations from the identity. Like the drivers'
+//! entry screen, a problem whose largest entry lies outside the window of
+//! [`treesvd_matrix::scaling`] is swept at an exact power-of-two scale and
+//! its singular values are multiplied back.
 
 use crate::layout::BatchSoA;
 use crate::options::{BatchError, BatchOptions, BatchStats};
+use treesvd_matrix::scaling::{mul_pow2, shift_for};
 use treesvd_matrix::soa::{gram_lanes, rotate_lanes, rotate_lanes_dual, rotation_lanes, LanePath};
 use treesvd_matrix::{ops, Matrix};
 use treesvd_sim::par;
@@ -469,6 +473,7 @@ fn run_shard<const L: usize>(
         }
         let ag = &mut a[gi * ga..(gi + 1) * ga];
         let vg: &mut [f64] = if ctx.vectors { &mut v[gi * gv..(gi + 1) * gv] } else { &mut [] };
+        let shifts = screen_lanes::<L>(ag, real);
         // monomorphize the sweep loop on the path once per group, so the
         // per-pair kernel calls dispatch on a constant and inline
         let sw = &mut sweeps[gi * L..(gi + 1) * L];
@@ -476,15 +481,40 @@ fn run_shard<const L: usize>(
             LanePath::Scalar => sweep_group::<L, true>(ctx, ag, vg, real, sw, scratch),
             LanePath::Auto => sweep_group::<L, false>(ctx, ag, vg, real, sw, scratch),
         }
-        extract_group::<L>(
-            ctx,
-            ag,
-            real,
-            &mut sigma[gi * L * ctx.cols..(gi + 1) * L * ctx.cols],
-            &mut ranks[gi * L..(gi + 1) * L],
-            scratch,
-        );
+        let sg = &mut sigma[gi * L * ctx.cols..(gi + 1) * L * ctx.cols];
+        extract_group::<L>(ctx, ag, real, sg, &mut ranks[gi * L..(gi + 1) * L], scratch);
+        for (lane_sigma, &k) in sg.chunks_exact_mut(ctx.cols).zip(&shifts) {
+            if k != 0 {
+                for s in lane_sigma {
+                    *s = mul_pow2(*s, -k);
+                }
+            }
+        }
     }
+}
+
+/// Rescale, in place, every lane of a group whose largest entry lies
+/// outside the safe window of [`treesvd_matrix::scaling`]; returns the
+/// per-lane power-of-two shifts (0 for untouched lanes).
+fn screen_lanes<const L: usize>(ag: &mut [f64], real: usize) -> [i32; L] {
+    let mut max = [0.0_f64; L];
+    for row in ag.chunks_exact(L) {
+        for (m, &x) in max.iter_mut().zip(row) {
+            *m = m.max(x.abs());
+        }
+    }
+    let mut shifts = [0; L];
+    for (k, &m) in shifts.iter_mut().zip(&max).take(real) {
+        *k = shift_for(m);
+    }
+    if shifts.iter().any(|&k| k != 0) {
+        for row in ag.chunks_exact_mut(L) {
+            for (x, &k) in row.iter_mut().zip(&shifts) {
+                *x = mul_pow2(*x, k);
+            }
+        }
+    }
+    shifts
 }
 
 /// The per-group sweep loop: cyclic-by-rows pairs, all `L` lanes advanced

@@ -7,9 +7,9 @@
 //! cargo run --release -p treesvd-bench --bin bench_auto -- --smoke # quick gate, no file
 //! ```
 //!
-//! The full run walks a (shape × P) grid of nine points in three
-//! families and, at every point, times the auto-tuned path against that
-//! point's fixed candidate set and against the untuned default:
+//! The full run walks a (shape × P) grid of six points in two families
+//! and, at every point, times the auto-tuned path against that point's
+//! fixed candidate set and against the untuned default:
 //!
 //! - **blocked** points: fixed = the blocked driver with the Gram and the
 //!   pairwise meeting kernels; default = the simulated driver with stock
@@ -17,26 +17,19 @@
 //! - **tall** points: fixed = the direct path and the QR front-end at
 //!   crossover 4; default = the direct path (the front-end is opt-in
 //!   without the tuner).
-//! - **distributed-pinned** points: the driver is pinned to the
-//!   distributed executor and only the overlap decision is tuned
-//!   (`overlap` left unset, so the executor consults the cost model);
-//!   fixed = overlap pinned on / pinned off; default = overlap on (the
-//!   pre-tuner default that lost to zero-copy at small P).
 //!
 //! Gates, asserted by the full run and the `--smoke` subset alike:
 //! auto within 5% of the best fixed config at every point; auto strictly
-//! faster than the untuned default on ≥ 2 points, among them a small-P
-//! distributed point where the tuner correctly disables overlap; and the
-//! warm tuning path (second `plan_for` on a cached key) makes zero heap
-//! allocations and re-runs no calibration probe.
+//! faster than the untuned default on ≥ 2 points (≥ 1 in the smoke
+//! subset); and the warm tuning path (second `plan_for` on a cached key)
+//! makes zero heap allocations and re-runs no calibration probe.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use treesvd_core::{
-    auto_svd_for, blocked_svd, BlockKernel, BlockedOptions, HestenesSvd, OrderingKind, SvdOptions,
-    TuneProblem,
+    auto_svd_for, blocked_svd, BlockKernel, BlockedOptions, HestenesSvd, SvdOptions, TuneProblem,
 };
 use treesvd_matrix::{generate, Matrix};
 
@@ -90,7 +83,6 @@ static ALLOC: CountingAlloc = CountingAlloc;
 enum Family {
     Blocked,
     Tall,
-    DistributedPinned,
 }
 
 impl Family {
@@ -98,7 +90,6 @@ impl Family {
         match self {
             Family::Blocked => "blocked",
             Family::Tall => "tall",
-            Family::DistributedPinned => "distributed-pinned",
         }
     }
 }
@@ -118,7 +109,6 @@ struct PointResult {
     auto_seconds: f64,
     auto_driver: &'static str,
     auto_kernel: &'static str,
-    auto_overlap: bool,
     fixed: Vec<(&'static str, f64)>,
     default_seconds: f64,
     best_fixed: &'static str,
@@ -174,15 +164,6 @@ fn run_frontend(a: &Matrix) {
     std::hint::black_box(run.sweeps);
 }
 
-fn run_distributed(a: &Matrix, overlap: Option<bool>) {
-    let mut opts = SvdOptions::default().with_ordering(OrderingKind::NewRing);
-    if let Some(ov) = overlap {
-        opts = opts.with_overlap(ov);
-    }
-    let run = HestenesSvd::new(opts).compute_distributed(a).expect("compute_distributed");
-    std::hint::black_box(run.sweeps);
-}
-
 fn run_auto(a: &Matrix, problem: &TuneProblem) {
     let run = auto_svd_for(a, problem).expect("auto_svd_for");
     std::hint::black_box(run.sweeps);
@@ -202,9 +183,7 @@ fn measure_point(pt: &Point, samples: usize, seed: u64) -> PointResult {
     };
     // config 0 is always the auto path; the last index named here is the
     // untuned default (it may alias a fixed config, timed once)
-    let (auto_seconds, auto_driver, auto_kernel, auto_overlap, fixed, default_seconds) = match pt
-        .family
-    {
+    let (auto_seconds, fixed, default_seconds) = match pt.family {
         Family::Blocked => {
             let mut configs: Vec<Config<'_>> = vec![
                 ("auto", Box::new(|| run_auto(&a, &problem))),
@@ -216,14 +195,7 @@ fn measure_point(pt: &Point, samples: usize, seed: u64) -> PointResult {
                 ("default", Box::new(|| run_default(&a))),
             ];
             let t = time_round_robin(&mut configs, samples);
-            (
-                t[0],
-                plan.driver.name(),
-                kernel_name,
-                plan.overlap,
-                vec![("blocked-gram", t[1]), ("blocked-pairwise", t[2])],
-                t[3],
-            )
+            (t[0], vec![("blocked-gram", t[1]), ("blocked-pairwise", t[2])], t[3])
         }
         Family::Tall => {
             let mut configs: Vec<Config<'_>> = vec![
@@ -234,39 +206,7 @@ fn measure_point(pt: &Point, samples: usize, seed: u64) -> PointResult {
             let t = time_round_robin(&mut configs, samples);
             // the direct path IS the untuned default (front-end is
             // opt-in without the tuner)
-            (
-                t[0],
-                plan.driver.name(),
-                kernel_name,
-                plan.overlap,
-                vec![("direct", t[1]), ("qr-frontend", t[2])],
-                t[1],
-            )
-        }
-        Family::DistributedPinned => {
-            // driver pinned; only the overlap policy is under test —
-            // `overlap: None` is what the tuner-advised path runs,
-            // and overlap-on is the pre-tuner default
-            let mut configs: Vec<Config<'_>> = vec![
-                ("auto", Box::new(|| run_distributed(&a, None))),
-                ("overlap-on", Box::new(|| run_distributed(&a, Some(true)))),
-                ("overlap-off", Box::new(|| run_distributed(&a, Some(false)))),
-            ];
-            let t = time_round_robin(&mut configs, samples);
-            let advised = treesvd_tune::advise_overlap(
-                pt.m,
-                pt.n,
-                true,
-                treesvd_core::TopologyKind::PerfectFatTree,
-            );
-            (
-                t[0],
-                "distributed",
-                "-",
-                advised,
-                vec![("overlap-on", t[1]), ("overlap-off", t[2])],
-                t[1],
-            )
+            (t[0], vec![("direct", t[1]), ("qr-frontend", t[2])], t[1])
         }
     };
 
@@ -278,9 +218,8 @@ fn measure_point(pt: &Point, samples: usize, seed: u64) -> PointResult {
         n: pt.n,
         processors: pt.processors,
         auto_seconds,
-        auto_driver,
-        auto_kernel,
-        auto_overlap,
+        auto_driver: plan.driver.name(),
+        auto_kernel: kernel_name,
         fixed,
         default_seconds,
         best_fixed,
@@ -294,8 +233,7 @@ fn report(r: &PointResult) {
     let fixed: Vec<String> =
         r.fixed.iter().map(|(l, s)| format!("{l} {:.1} ms", s * 1e3)).collect();
     eprintln!(
-        "{:<18} {:>5}x{:<3} P={:<2} auto {:.1} ms ({}, {}, overlap {}) vs [{}] \
-         default {:.1} ms — {}{}",
+        "{:<7} {:>5}x{:<3} P={:<2} auto {:.1} ms ({}, {}) vs [{}] default {:.1} ms — {}{}",
         r.family.label(),
         r.m,
         r.n,
@@ -303,7 +241,6 @@ fn report(r: &PointResult) {
         r.auto_seconds * 1e3,
         r.auto_driver,
         r.auto_kernel,
-        r.auto_overlap,
         fixed.join(", "),
         r.default_seconds * 1e3,
         if r.within_5pct { "within 5% of best fixed" } else { "SLOWER than best fixed +5%" },
@@ -312,16 +249,10 @@ fn report(r: &PointResult) {
 }
 
 /// Judge the cross-point gates over a measured grid.
-fn grid_gates(results: &[PointResult]) -> (bool, usize, bool) {
+fn grid_gates(results: &[PointResult]) -> (bool, usize) {
     let within_everywhere = results.iter().all(|r| r.within_5pct);
     let strict_wins = results.iter().filter(|r| r.beats_default).count();
-    let small_p_dist_off = results.iter().any(|r| {
-        r.family == Family::DistributedPinned
-            && r.processors <= 8
-            && !r.auto_overlap
-            && r.beats_default
-    });
-    (within_everywhere, strict_wins, small_p_dist_off)
+    (within_everywhere, strict_wins)
 }
 
 /// Warm-path gate: a second `plan_for` on an already-planned key must hit
@@ -354,24 +285,17 @@ fn full_grid() -> Vec<Point> {
         Point { family: Family::Blocked, m: 512, n: 96, processors: 8 },
         Point { family: Family::Tall, m: 4096, n: 16, processors: 4 },
         Point { family: Family::Tall, m: 2048, n: 12, processors: 4 },
-        Point { family: Family::DistributedPinned, m: 4096, n: 16, processors: 8 },
-        Point { family: Family::DistributedPinned, m: 2048, n: 16, processors: 8 },
-        Point { family: Family::DistributedPinned, m: 2048, n: 32, processors: 16 },
     ]
 }
 
 fn full_run(seed: u64) -> bool {
     let mut results = Vec::new();
     for pt in &full_grid() {
-        // the distributed deltas are the tightest margins on the grid
-        // (overlap bookkeeping is microseconds per step); extra samples
-        // keep the medians out of scheduler noise
-        let samples = if pt.family == Family::DistributedPinned { 9 } else { 5 };
-        let r = measure_point(pt, samples, seed);
+        let r = measure_point(pt, 5, seed);
         report(&r);
         results.push(r);
     }
-    let (within, wins, small_p) = grid_gates(&results);
+    let (within, wins) = grid_gates(&results);
     let warm_ok = warm_path_gate();
 
     let mut json = String::new();
@@ -393,7 +317,7 @@ fn full_run(seed: u64) -> bool {
             json,
             "    {{\"family\": \"{}\", \"m\": {}, \"n\": {}, \"processors\": {}, \
              \"auto_seconds\": {:.6}, \"auto_driver\": \"{}\", \"auto_kernel\": \"{}\", \
-             \"auto_overlap\": {}, \"fixed\": {{{fixed}}}, \
+             \"fixed\": {{{fixed}}}, \
              \"best_fixed\": \"{}\", \"best_fixed_seconds\": {:.6}, \
              \"default_seconds\": {:.6}, \"auto_within_5pct\": {}, \
              \"auto_beats_default\": {}}}{comma}",
@@ -404,7 +328,6 @@ fn full_run(seed: u64) -> bool {
             r.auto_seconds,
             r.auto_driver,
             r.auto_kernel,
-            r.auto_overlap,
             r.best_fixed,
             r.best_fixed_seconds,
             r.default_seconds,
@@ -417,7 +340,6 @@ fn full_run(seed: u64) -> bool {
         json,
         "  \"gates\": {{\"auto_within_5pct_everywhere\": {within}, \
          \"strict_wins_vs_default\": {wins}, \
-         \"small_p_distributed_overlap_off_win\": {small_p}, \
          \"warm_path_zero_alloc_probe_free\": {warm_ok}}}\n"
     );
     json.push_str("}\n");
@@ -427,39 +349,34 @@ fn full_run(seed: u64) -> bool {
     println!("{json}");
     eprintln!("wrote {out}");
 
-    let pass = within && wins >= 2 && small_p && warm_ok;
+    let pass = within && wins >= 2 && warm_ok;
     println!(
         "gates: within-5%-everywhere {within}, strict wins vs default {wins} (need ≥ 2), \
-         small-P distributed overlap-off win {small_p}, warm path {warm_ok} — {}",
+         warm path {warm_ok} — {}",
         if pass { "PASS" } else { "FAIL" }
     );
     pass
 }
 
-/// Quick gate for `scripts/verify.sh`: a three-point sub-grid (one per
+/// Quick gate for `scripts/verify.sh`: a two-point sub-grid (one per
 /// family, shrunk shapes) plus the warm-path gate.
 fn smoke_run(seed: u64) -> bool {
     let grid = [
         Point { family: Family::Blocked, m: 256, n: 64, processors: 4 },
         Point { family: Family::Tall, m: 2048, n: 12, processors: 4 },
-        // the recorded regression point: new-ring P=8 at m=4096, where
-        // unconditional overlap lost ~15% to plain zero-copy
-        Point { family: Family::DistributedPinned, m: 4096, n: 16, processors: 8 },
     ];
     let mut results = Vec::new();
     for pt in &grid {
-        let samples = if pt.family == Family::DistributedPinned { 7 } else { 3 };
-        let r = measure_point(pt, samples, seed);
+        let r = measure_point(pt, 3, seed);
         report(&r);
         results.push(r);
     }
-    let (within, wins, small_p) = grid_gates(&results);
+    let (within, wins) = grid_gates(&results);
     let warm_ok = warm_path_gate();
-    let pass = within && wins >= 1 && small_p && warm_ok;
+    let pass = within && wins >= 1 && warm_ok;
     println!(
         "smoke gates: within-5%-of-best-fixed {within}, strict wins vs default {wins} \
-         (need ≥ 1), small-P distributed overlap-off win {small_p}, \
-         warm path zero-alloc + probe-free {warm_ok} — {}",
+         (need ≥ 1), warm path zero-alloc + probe-free {warm_ok} — {}",
         if pass { "PASS" } else { "FAIL" }
     );
     pass

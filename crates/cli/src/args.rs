@@ -12,7 +12,7 @@ pub const USAGE: &str = "\
 usage:
   treesvd svd <matrix-file> [--auto] [--ordering NAME] [--topology NAME]
               [--no-vectors]
-              [--distributed] [--no-overlap] [--processors P]
+              [--distributed] [--processors P]
               [--block-kernel NAME] [--threads N]
               [--qr-frontend] [--qr-crossover X] [--hier-block auto|off|W]
               [--chaos SEED] [--recv-timeout MS] [--max-retries N]
@@ -31,14 +31,11 @@ topologies: perfect | fat-tree | cm5 | binary | skinny-above-K
             (default: perfect for svd; none for analyze)
 block kernels (with --processors): pairwise | gram   (default: gram)
 --auto lets the calibrated cost model pick the whole execution config
-            (driver, ordering, kernel, block width, threads, overlap, QR
-            crossover, hierarchical blocking); combine only with the
-            problem statement — --topology, --no-vectors, and --processors
-            as a parallelism budget. Pinning a config flag (--ordering,
-            --block-kernel, --no-overlap, …) alongside --auto is an error
---no-overlap pins comm/compute overlap off in the distributed executor
-            (bitwise-identical results; when the flag is absent the
-            calibrated cost model decides per shape)
+            (driver, ordering, kernel, block width, threads, QR crossover,
+            hierarchical blocking); combine only with the problem
+            statement — --topology, --no-vectors, and --processors as a
+            parallelism budget. Pinning a config flag (--ordering,
+            --block-kernel, --threads, …) alongside --auto is an error
 --threads N caps the host worker lanes (default: machine parallelism,
             or the TREESVD_THREADS environment variable)
 --qr-frontend enables the tall-skinny QR front-end: past the aspect
@@ -182,7 +179,6 @@ fn cmd_svd(rest: &[String]) -> Result<String, String> {
     };
     let no_vectors = take_switch(&mut args, "--no-vectors");
     let distributed = take_switch(&mut args, "--distributed");
-    let no_overlap = take_switch(&mut args, "--no-overlap");
     if auto {
         // --auto delegates the whole execution config to the tuner; only
         // the problem statement (matrix, --topology, --processors budget,
@@ -190,7 +186,6 @@ fn cmd_svd(rest: &[String]) -> Result<String, String> {
         let pinned = [
             ("--ordering", ordering_flag.is_some()),
             ("--block-kernel", block_kernel_flag.is_some()),
-            ("--no-overlap", no_overlap),
             ("--threads", threads.is_some()),
             ("--qr-frontend", qr_frontend),
             ("--qr-crossover", qr_crossover.is_some()),
@@ -225,11 +220,6 @@ fn cmd_svd(rest: &[String]) -> Result<String, String> {
         .with_threads(threads)
         .with_qr_frontend(qr_frontend)
         .with_hier_blocking(hier);
-    if no_overlap {
-        // pin overlap off; when the flag is absent the option stays unset
-        // and the distributed executor asks the cost model
-        opts = opts.with_overlap(false);
-    }
     if let Some(x) = qr_crossover {
         opts = opts.with_qr_crossover(x);
     }
@@ -259,10 +249,8 @@ fn cmd_svd(rest: &[String]) -> Result<String, String> {
             treesvd_core::KernelSel::Pairwise => "pairwise",
         };
         let extra = format!(
-            "auto plan: {} driver, {kernel} kernel, overlap {}, {} thread(s), \
-             predicted {:.3e} ns{}",
+            "auto plan: {} driver, {kernel} kernel, {} thread(s), predicted {:.3e} ns{}",
             plan.driver.name(),
-            if plan.overlap { "on" } else { "off" },
             plan.threads,
             plan.predicted_ns,
             fe_tag(run.qr_frontend)
@@ -555,7 +543,6 @@ mod tests {
         for flags in [
             &["--ordering", "ring"][..],
             &["--block-kernel", "gram"],
-            &["--no-overlap"],
             &["--threads", "2"],
             &["--qr-frontend"],
             &["--hier-block", "off"],
@@ -600,6 +587,32 @@ mod tests {
     }
 
     #[test]
+    fn svd_screens_extreme_and_non_finite_input() {
+        // σ of [[1,2],[3,4],[5,6]], recovered at 1e±200 (squares of those
+        // entries overflow or underflow without the entry screen)
+        let exact = [9.525518091565107, 0.5143005806586441];
+        for scale in [1e200, 1e-200] {
+            let rows: String =
+                [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]].iter().fold(String::new(), |acc, r| {
+                    acc + &format!("{:e} {:e}\n", r[0] * scale, r[1] * scale)
+                });
+            let p = write_temp("extreme.txt", &rows);
+            let out = run(&argv(&["svd", p.to_str().unwrap()])).unwrap();
+            let nums: Vec<f64> = out
+                .lines()
+                .filter(|l| !l.starts_with('#'))
+                .filter_map(|l| l.trim().parse::<f64>().ok())
+                .collect();
+            for (c, e) in nums.iter().zip(exact) {
+                assert!((c / scale - e).abs() < 1e-14 * e, "scale {scale:e}: {c:e} vs {e}");
+            }
+        }
+        let p = write_temp("nan.txt", "1 2\n3 NaN\n5 6\n");
+        let err = run(&argv(&["svd", p.to_str().unwrap()])).unwrap_err();
+        assert!(err.contains("(1, 1)") && err.contains("not finite"), "{err}");
+    }
+
+    #[test]
     fn svd_flags_parse() {
         let p = write_temp("b.txt", "1 0\n0 2\n1 1\n");
         let out = run(&argv(&[
@@ -626,18 +639,11 @@ mod tests {
         let p = write_temp("c.txt", "2 0 0 0\n0 3 0 0\n0 0 1 0\n0 0 0 4\n1 1 1 1\n");
         let out = run(&argv(&["svd", p.to_str().unwrap(), "--distributed"])).unwrap();
         assert!(out.contains("distributed"));
-        // --no-overlap parses and produces the identical spectrum
-        let plain =
-            run(&argv(&["svd", p.to_str().unwrap(), "--distributed", "--no-overlap"])).unwrap();
-        let sigmas = |s: &str| -> Vec<f64> {
-            s.lines()
-                .filter(|l| !l.starts_with('#'))
-                .filter_map(|l| l.trim().parse::<f64>().ok())
-                .collect()
-        };
-        assert_eq!(sigmas(&out), sigmas(&plain), "overlap must be bitwise-invisible");
         let out = run(&argv(&["svd", p.to_str().unwrap(), "--processors", "2"])).unwrap();
         assert!(out.contains("block size"));
+        // zero processors is a typed error, not a panic
+        let err = run(&argv(&["svd", p.to_str().unwrap(), "--processors", "0"])).unwrap_err();
+        assert!(err.contains("at least one processor"), "{err}");
     }
 
     #[test]

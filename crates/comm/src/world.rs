@@ -404,36 +404,6 @@ impl Communicator {
         }
     }
 
-    /// Non-blocking receive: returns the `(source, tag)` message if it has
-    /// already been delivered (and is due), `None` otherwise (never
-    /// parks). Used by the overlapped executor to complete a prefetched
-    /// arrival early — at the top of the step instead of its deferred
-    /// point of use — whenever the message is in; correctness never
-    /// depends on it succeeding (a poisoned early arrival is discarded
-    /// here and recovered by the blocking receive later).
-    pub fn try_recv_buf(&mut self, source: usize, tag: u64) -> Option<MsgBuf> {
-        while let Ok(env) = self.inbox.try_recv() {
-            self.intake(env);
-        }
-        let now = Instant::now();
-        let idx =
-            self.pending.iter().position(|e| e.source == source && e.tag == tag && e.due(now))?;
-        let env = self.pending.swap_remove(idx);
-        #[cfg(feature = "hb-tracker")]
-        self.hb.join(&env.clock);
-        if self.screen(&env.payload).is_some() {
-            return None; // drop the poisoned copy; blocking recv recovers
-        }
-        self.complete(source, tag);
-        Some(env.payload)
-    }
-
-    /// Non-blocking receive returning an owned `Vec<f64>` — the detaching
-    /// wrapper over [`try_recv_buf`](Communicator::try_recv_buf).
-    pub fn try_recv(&mut self, source: usize, tag: u64) -> Option<Vec<f64>> {
-        Some(self.try_recv_buf(source, tag)?.detach())
-    }
-
     /// Blocking receive returning an owned `Vec<f64>` — the compatibility
     /// wrapper over [`recv_buf`](Communicator::recv_buf) (the payload is
     /// detached, so pooled storage is adopted rather than recycled).
@@ -783,9 +753,12 @@ mod tests {
         c0.send(1, 8, vec![4.5]);
         assert_eq!(c1.recv(0, 7).unwrap(), vec![3.5]);
         assert_eq!(c1.recv(0, 8).unwrap(), vec![4.5]);
-        // the duplicate copies were discarded at intake or purge time
-        assert!(c1.try_recv(0, 7).is_none());
-        assert!(c1.try_recv(0, 8).is_none());
+        // the duplicate copies were discarded at intake or purge time:
+        // nothing is left parked once the inbox is drained
+        while let Ok(env) = c1.inbox.try_recv() {
+            c1.intake(env);
+        }
+        assert!(c1.pending.is_empty(), "a duplicate copy survived");
         assert_eq!(inj.snapshot().duplicates, 2);
     }
 

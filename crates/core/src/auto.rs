@@ -2,15 +2,14 @@
 //! dispatch entry — the production default path.
 //!
 //! The tuner ([`treesvd_tune`]) selects a full execution config (driver,
-//! ordering, kernel, block width, threads, overlap, QR crossover,
-//! hierarchical blocking) by minimizing the calibrated cost model; this
+//! ordering, kernel, block width, threads, QR crossover, hierarchical
+//! blocking) by minimizing the calibrated cost model; this
 //! module maps that [`TunePlan`] onto [`SvdOptions`] and runs the planned
 //! driver. The mapping is *transparent*: an auto run is bitwise-identical
 //! to handing the same options to the same driver explicitly (pinned by a
 //! property test), and every tuner choice still flows through the
-//! existing gates — schedules verify, and overlap engages only behind the
-//! analyzer's deadlock-freedom proof. The tuner requests; the gates
-//! decide.
+//! existing gates (schedules verify when asked to). The tuner requests;
+//! the gates decide.
 
 use crate::blocked::{blocked_svd, BlockedOptions, BlockedRun};
 use crate::driver::HestenesSvd;
@@ -52,7 +51,6 @@ pub fn options_from_plan(plan: &TunePlan, problem: &TuneProblem) -> SvdOptions {
             KernelSel::Pairwise => BlockKernel::Pairwise,
             KernelSel::Gram => BlockKernel::Gram,
         })
-        .with_overlap(plan.overlap)
         .with_threads(Some(plan.threads as usize))
         .with_qr_frontend(plan.qr_frontend)
         .with_qr_crossover(plan.qr_crossover)
@@ -142,7 +140,6 @@ mod tests {
         let problem = TuneProblem::new(512, 64).with_processors(4);
         let plan = plan_for(&problem);
         let opts = SvdOptions::auto_for(&problem);
-        assert_eq!(opts.overlap, Some(plan.overlap));
         assert_eq!(opts.threads, Some(plan.threads as usize));
         assert!(opts.qr_frontend);
         assert_eq!(opts.qr_crossover, plan.qr_crossover);

@@ -45,6 +45,7 @@
 use crate::driver::checked_ordering;
 use crate::options::{BlockKernel, HierBlocking, SvdError, SvdOptions};
 use crate::result::{extract_svd, Svd};
+use crate::screen::screened;
 use treesvd_matrix::ops;
 use treesvd_matrix::rotation::{
     apply_rotation, apply_rotation_swapped, compute_rotation, orthogonalize_pair,
@@ -151,23 +152,23 @@ struct MeetCtx {
 /// processors using blocked sweeps.
 ///
 /// # Errors
-/// As [`crate::HestenesSvd::compute`].
-///
-/// # Panics
-/// Panics if `opts.processors == 0`.
+/// [`SvdError::NoProcessors`] when `opts.processors == 0`; otherwise as
+/// [`crate::HestenesSvd::compute`].
 pub fn blocked_svd(a: &Matrix, opts: &BlockedOptions) -> Result<BlockedRun, SvdError> {
-    blocked_svd_inner(a, opts, true)
+    if opts.processors == 0 {
+        return Err(SvdError::NoProcessors);
+    }
+    screened(a, |a| blocked_svd_inner(a, opts, true), |run| &mut run.svd)
 }
 
 /// The blocked driver behind the front-end gate: `allow_frontend` is
 /// dropped for the recursive solve on `R` (square, but a degenerate
 /// crossover setting must not re-enter the factorization).
-pub(crate) fn blocked_svd_inner(
+fn blocked_svd_inner(
     a: &Matrix,
     opts: &BlockedOptions,
     allow_frontend: bool,
 ) -> Result<BlockedRun, SvdError> {
-    assert!(opts.processors > 0, "need at least one processor");
     if a.rows() == 0 || a.cols() == 0 {
         return Err(SvdError::EmptyMatrix);
     }
@@ -826,6 +827,9 @@ mod tests {
                 assert!(run.svd.residual(&a) < 1e-10, "P = {procs} kernel = {kernel}");
                 assert!(run.svd.orthogonality() < 1e-10, "P = {procs} kernel = {kernel}");
             }
+            // no processors at all is a typed error, not a panic
+            let err = blocked_svd(&a, &opts_with(0, kernel)).unwrap_err();
+            assert!(matches!(err, SvdError::NoProcessors), "kernel = {kernel}: {err:?}");
         }
     }
 

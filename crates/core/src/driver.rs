@@ -9,6 +9,7 @@
 
 use crate::options::{SvdError, SvdOptions};
 use crate::result::{extract_svd, Svd};
+use crate::screen::screened;
 use treesvd_matrix::Matrix;
 use treesvd_net::Topology;
 use treesvd_orderings::{JacobiOrdering, OrderingError, OrderingKind};
@@ -51,7 +52,8 @@ pub struct SvdRun {
     /// Padded column count actually used by the ordering.
     pub padded_n: usize,
     /// Exact off-diagonal measure before the first sweep and after each
-    /// sweep (empty unless `track_off` was set).
+    /// sweep (empty unless `track_off` was set), of the matrix as swept:
+    /// an input rescaled at entry is measured at that scale.
     pub off_history: Vec<f64>,
     /// Recovery summary of a distributed run (injected faults, retries,
     /// restarts, ladder descents). `None` on the simulated path.
@@ -98,13 +100,20 @@ impl HestenesSvd {
     /// (`A = UΣVᵀ ⇔ Aᵀ = VΣUᵀ`), and the column count is padded with zero
     /// columns up to the ordering's size requirement (even, or a power of
     /// two for the tree orderings); padding contributes exact zero
-    /// singular values that are stripped before returning.
+    /// singular values that are stripped before returning. Inputs with
+    /// extreme magnitudes are swept at an exact power-of-two scale (see
+    /// the crate's input screen); `σ` is returned unscaled.
     ///
     /// # Errors
     /// [`SvdError::EmptyMatrix`] for degenerate shapes,
+    /// [`SvdError::NonFinite`] for a NaN or infinite entry,
     /// [`SvdError::Ordering`] if no padded size suits the ordering, and
     /// [`SvdError::NoConvergence`] if `max_sweeps` is exhausted.
     pub fn compute(&self, a: &Matrix) -> Result<SvdRun, SvdError> {
+        screened(a, |a| self.compute_screened(a), |run| &mut run.svd)
+    }
+
+    fn compute_screened(&self, a: &Matrix) -> Result<SvdRun, SvdError> {
         if a.rows() == 0 || a.cols() == 0 {
             return Err(SvdError::EmptyMatrix);
         }
@@ -262,7 +271,7 @@ impl HestenesSvd {
     /// the executor fails past its recovery budget — carrying the failing
     /// rank, sweep, step, and message context.
     pub fn compute_distributed(&self, a: &Matrix) -> Result<SvdRun, SvdError> {
-        self.compute_distributed_inner(a, true)
+        screened(a, |a| self.compute_distributed_inner(a, true), |run| &mut run.svd)
     }
 
     fn compute_distributed_inner(
@@ -295,18 +304,9 @@ impl HestenesSvd {
             serial_cutoff: self.options.serial_cutoff,
             threads: self.options.threads.unwrap_or(0),
         };
-        // Overlap: honor an explicit pin; otherwise ask the calibrated
-        // cost model (which turns it off where the zero-copy transport
-        // leaves nothing to hide — the recorded small-P regression). The
-        // executor still engages overlap only behind the analyzer's
-        // deadlock-freedom proof; results are bitwise-identical either way.
-        let overlap = self.options.overlap.unwrap_or_else(|| {
-            treesvd_tune::advise_overlap(m, n_pad, self.options.vectors, self.options.topology)
-        });
         let dist_cfg = treesvd_sim::DistConfig {
             exec: config,
             max_sweeps: self.options.max_sweeps,
-            overlap,
             policy: self.options.effective_policy(),
             fault: self.options.chaos.clone(),
         };
@@ -611,21 +611,6 @@ mod distributed_tests {
             assert!(run.svd.residual(&a) < 1e-10, "{kind}");
             assert!(checks::is_nonincreasing(&run.svd.sigma), "{kind}");
         }
-    }
-
-    #[test]
-    fn overlap_option_is_bitwise_invisible() {
-        let a = generate::random_uniform(18, 8, 34);
-        let on = HestenesSvd::new(SvdOptions::default().with_overlap(true))
-            .compute_distributed(&a)
-            .unwrap();
-        let off = HestenesSvd::new(SvdOptions::default().with_overlap(false))
-            .compute_distributed(&a)
-            .unwrap();
-        assert_eq!(on.sweeps, off.sweeps);
-        assert_eq!(on.svd.sigma, off.svd.sigma);
-        assert_eq!(on.svd.u, off.svd.u);
-        assert_eq!(on.svd.v, off.svd.v);
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod driver;
 pub mod options;
 mod proptests;
 pub mod result;
+mod screen;
 pub mod sequential;
 pub mod tall;
 

@@ -140,18 +140,6 @@ pub struct SvdOptions {
     /// ([`blocked_svd`](crate::blocked_svd)); ignored by the unblocked
     /// driver. Default: [`BlockKernel::Gram`].
     pub block_kernel: BlockKernel,
-    /// Communication/computation overlap in the distributed executor
-    /// ([`HestenesSvd::compute_distributed`](crate::HestenesSvd::compute_distributed)):
-    /// ship a rotated data column as soon as its A-phase completes and
-    /// defer each arrival to its point of use one step later. Only takes
-    /// effect after `treesvd-analyze` proves the overlapped plan
-    /// deadlock-free for the ordering; bitwise-identical results either
-    /// way. Default: `None` — the driver consults the calibrated cost
-    /// model ([`treesvd_tune::advise_overlap`]), which turns overlap
-    /// *off* where the zero-copy transport leaves it nothing to hide
-    /// (the recorded small-P regression in `BENCH_distributed.json`).
-    /// `Some(_)` pins the choice.
-    pub overlap: Option<bool>,
     /// Host-thread budget: caps the fork lanes used by the executor, the
     /// blocked driver, and `off_measure`. `None` uses
     /// [`par::num_threads`](treesvd_sim::par::num_threads) (which honors
@@ -201,7 +189,6 @@ impl Default for SvdOptions {
             serial_cutoff: treesvd_sim::ExecConfig::DEFAULT_SERIAL_CUTOFF,
             verify_schedule: false,
             block_kernel: BlockKernel::default(),
-            overlap: None,
             threads: None,
             fault_policy: None,
             chaos: None,
@@ -266,14 +253,6 @@ impl SvdOptions {
     /// Select the blocked driver's meeting kernel.
     pub fn with_block_kernel(mut self, kernel: BlockKernel) -> Self {
         self.block_kernel = kernel;
-        self
-    }
-
-    /// Pin comm/compute overlap in the distributed executor on or off
-    /// (the default, unpinned, lets the calibrated cost model decide per
-    /// problem).
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = Some(overlap);
         self
     }
 
@@ -358,6 +337,16 @@ impl SvdOptions {
 pub enum SvdError {
     /// The input matrix had a zero dimension.
     EmptyMatrix,
+    /// The input matrix holds a NaN or an infinite entry (the first one
+    /// in column-major order is named). Detected before any sweep.
+    NonFinite {
+        /// Row of the entry.
+        row: usize,
+        /// Column of the entry.
+        col: usize,
+    },
+    /// The blocked driver was asked to run on zero processors.
+    NoProcessors,
     /// The chosen ordering rejected the (padded) size.
     Ordering(OrderingError),
     /// Static schedule verification found a violation (only with
@@ -381,6 +370,10 @@ impl fmt::Display for SvdError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SvdError::EmptyMatrix => write!(f, "matrix has a zero dimension"),
+            SvdError::NonFinite { row, col } => {
+                write!(f, "matrix entry ({row}, {col}) is not finite (NaN or infinite)")
+            }
+            SvdError::NoProcessors => write!(f, "the blocked driver needs at least one processor"),
             SvdError::Ordering(e) => write!(f, "ordering rejected the problem size: {e}"),
             SvdError::Schedule(v) => write!(f, "schedule verification failed: {v}"),
             SvdError::NoConvergence { sweeps, last_coupling } => write!(
@@ -430,7 +423,6 @@ mod tests {
         assert_eq!(o.topology, TopologyKind::PerfectFatTree);
         assert_eq!(o.sort, SortMode::Descending);
         assert!(o.vectors);
-        assert_eq!(o.overlap, None, "overlap defaults to model-decided");
     }
 
     #[test]
@@ -442,7 +434,6 @@ mod tests {
             .with_sort(SortMode::None)
             .with_vectors(false)
             .with_block_kernel(BlockKernel::Pairwise)
-            .with_overlap(false)
             .with_threads(Some(2));
         assert!(matches!(o.ordering, OrderingChoice::Kind(OrderingKind::NewRing)));
         assert_eq!(o.topology, TopologyKind::Cm5);
@@ -450,7 +441,6 @@ mod tests {
         assert_eq!(o.sort, SortMode::None);
         assert!(!o.vectors);
         assert_eq!(o.block_kernel, BlockKernel::Pairwise);
-        assert_eq!(o.overlap, Some(false), "with_overlap pins the choice");
         assert_eq!(o.threads, Some(2));
     }
 
@@ -491,6 +481,8 @@ mod tests {
         let e = SvdError::NoConvergence { sweeps: 60, last_coupling: 1e-3 };
         assert!(e.to_string().contains("60"));
         assert!(SvdError::EmptyMatrix.to_string().contains("zero"));
+        assert!(SvdError::NonFinite { row: 3, col: 1 }.to_string().contains("(3, 1)"));
+        assert!(SvdError::NoProcessors.to_string().contains("processor"));
         let e: SvdError = OrderingError::OddSize(7).into();
         assert!(e.to_string().contains('7'));
     }

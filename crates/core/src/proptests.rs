@@ -55,15 +55,13 @@ proptest! {
         }
     }
 
-    /// The distributed executor is bitwise-deterministic across its
-    /// communication strategies: the zero-copy transport with send-ahead
-    /// overlap, the non-overlapped zero-copy transport, and the
-    /// synchronous simulated oracle all produce identical singular values,
-    /// identical singular vectors, and identical sweep counts — over
-    /// random shapes, random processor counts, and three orderings with
-    /// very different movement patterns.
+    /// The distributed executor is bitwise-identical to the synchronous
+    /// simulated oracle: identical singular values, identical singular
+    /// vectors, and identical sweep counts — over random shapes, random
+    /// processor counts, and three orderings with very different movement
+    /// patterns.
     #[test]
-    fn overlapped_distributed_run_is_bitwise_identical_to_oracle(
+    fn distributed_run_is_bitwise_identical_to_oracle(
         half_n in 2usize..9,
         extra_rows in 1usize..16,
         seed in 0u64..1000,
@@ -73,36 +71,28 @@ proptest! {
         let m = n + extra_rows;
         let a = generate::random_uniform(m, n, seed);
         for kind in [OrderingKind::NewRing, OrderingKind::FatTree, OrderingKind::Hybrid] {
-            let solver = |overlap: bool| {
-                crate::HestenesSvd::new(
-                    SvdOptions::default().with_ordering(kind).with_overlap(overlap),
-                )
-            };
-            let oracle = solver(true).compute(&a).unwrap();
-            let overlapped = solver(true).compute_distributed(&a).unwrap();
-            let plain = solver(false).compute_distributed(&a).unwrap();
-            for (label, run) in [("overlap", &overlapped), ("no-overlap", &plain)] {
-                prop_assert_eq!(
-                    run.sweeps, oracle.sweeps,
-                    "{}: sweep count diverged ({} n={} m={} seed={})",
-                    label, kind, n, m, seed
-                );
-                prop_assert_eq!(
-                    &run.svd.sigma, &oracle.svd.sigma,
-                    "{}: sigma not bitwise-identical ({} n={} m={} seed={})",
-                    label, kind, n, m, seed
-                );
-                prop_assert_eq!(
-                    &run.svd.u, &oracle.svd.u,
-                    "{}: U not bitwise-identical ({} n={} m={} seed={})",
-                    label, kind, n, m, seed
-                );
-                prop_assert_eq!(
-                    &run.svd.v, &oracle.svd.v,
-                    "{}: V not bitwise-identical ({} n={} m={} seed={})",
-                    label, kind, n, m, seed
-                );
+            if kind == OrderingKind::Hybrid && n < 8 {
+                continue; // the hybrid ordering needs at least two groups of 4
             }
+            let solver = crate::HestenesSvd::new(SvdOptions::default().with_ordering(kind));
+            let oracle = solver.compute(&a).unwrap();
+            let run = solver.compute_distributed(&a).unwrap();
+            prop_assert_eq!(
+                run.sweeps, oracle.sweeps,
+                "sweep count diverged ({} n={} m={} seed={})", kind, n, m, seed
+            );
+            prop_assert_eq!(
+                &run.svd.sigma, &oracle.svd.sigma,
+                "sigma not bitwise-identical ({} n={} m={} seed={})", kind, n, m, seed
+            );
+            prop_assert_eq!(
+                &run.svd.u, &oracle.svd.u,
+                "U not bitwise-identical ({} n={} m={} seed={})", kind, n, m, seed
+            );
+            prop_assert_eq!(
+                &run.svd.v, &oracle.svd.v,
+                "V not bitwise-identical ({} n={} m={} seed={})", kind, n, m, seed
+            );
         }
     }
 

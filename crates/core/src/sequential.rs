@@ -8,6 +8,7 @@
 
 use crate::options::SvdError;
 use crate::result::{complete_orthonormal, Svd};
+use crate::screen::screened;
 use treesvd_matrix::rotation::orthogonalize_pair;
 use treesvd_matrix::Matrix;
 
@@ -26,14 +27,19 @@ pub struct SequentialRun {
 /// one-sided Jacobi with sorted (descending) singular values.
 ///
 /// # Errors
-/// [`SvdError::EmptyMatrix`] or [`SvdError::NoConvergence`].
+/// [`SvdError::EmptyMatrix`], [`SvdError::NonFinite`] or
+/// [`SvdError::NoConvergence`].
 pub fn sequential_svd(a: &Matrix, max_sweeps: usize) -> Result<SequentialRun, SvdError> {
+    screened(a, |a| sweep_to_convergence(a, max_sweeps), |run| &mut run.svd)
+}
+
+fn sweep_to_convergence(a: &Matrix, max_sweeps: usize) -> Result<SequentialRun, SvdError> {
     if a.rows() == 0 || a.cols() == 0 {
         return Err(SvdError::EmptyMatrix);
     }
     if a.rows() < a.cols() {
         let at = a.transpose();
-        let mut run = sequential_svd(&at, max_sweeps)?;
+        let mut run = sweep_to_convergence(&at, max_sweeps)?;
         std::mem::swap(&mut run.svd.u, &mut run.svd.v);
         return Ok(run);
     }

@@ -13,7 +13,9 @@
 //! * [`generate`] — reproducible test-matrix generators (random dense,
 //!   prescribed singular spectrum, graded, rank-deficient, …);
 //! * [`checks`] — residual and orthogonality measures used by the test
-//!   suite and the experiment harness.
+//!   suite and the experiment harness;
+//! * [`scaling`] — exact power-of-two rescaling of inputs whose entries
+//!   would overflow or underflow when squared.
 //!
 //! The crate is deliberately free of external linear-algebra dependencies:
 //! every kernel needed by the paper (dot products, norms, Householder
@@ -46,6 +48,7 @@ mod proptests;
 pub mod qr;
 pub mod rng;
 pub mod rotation;
+pub mod scaling;
 pub mod soa;
 
 pub use error::MatrixError;

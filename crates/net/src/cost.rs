@@ -28,18 +28,13 @@ pub struct CostModel {
     /// hardware these run closer to peak than streaming rotations, which
     /// is why the Gram meeting beats pairwise despite similar flop counts.
     pub gamma_panel: f64,
-    /// Per-step bookkeeping overhead of the overlapped (split-rotation)
-    /// distributed schedule: posting early receives, harvesting
-    /// `try_recv`, and scheduling the A/V halves separately. Overlap only
-    /// pays when the serialization it hides exceeds this.
-    pub nu: f64,
 }
 
 impl Default for CostModel {
     /// A ratio set loosely inspired by CM-5-class machines: startup ≫ per
     /// word ≫ per flop, with panel flops cheaper than streaming flops.
     fn default() -> Self {
-        CostModel { alpha: 100.0, beta: 1.0, hop: 5.0, gamma: 0.05, gamma_panel: 0.02, nu: 40.0 }
+        CostModel { alpha: 100.0, beta: 1.0, hop: 5.0, gamma: 0.05, gamma_panel: 0.02 }
     }
 }
 
@@ -120,21 +115,6 @@ impl CostModel {
         let g_panel = if in_cache { self.gamma_panel } else { self.gamma };
         g_panel * panel_flops + self.gamma * incache_flops
     }
-
-    /// Time for one full schedule step that moves `phase` and computes
-    /// `compute` time of work per processor. Without overlap the step is
-    /// strictly serial: communicate, then compute. With the overlapped
-    /// schedule the serialization drains behind the compute (only the
-    /// larger of the two is paid, after the unhideable latency), but the
-    /// step is charged the per-step overlap bookkeeping `nu`.
-    pub fn step_cost(&self, topo: &Topology, phase: &Phase, compute: f64, overlap: bool) -> f64 {
-        let pc = self.phase_cost(topo, phase);
-        if overlap {
-            pc.latency + compute.max(pc.serialization) + self.nu
-        } else {
-            pc.time + compute
-        }
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +124,7 @@ mod tests {
     use crate::traffic::Message;
 
     fn model() -> CostModel {
-        CostModel { alpha: 10.0, beta: 1.0, hop: 2.0, gamma: 0.1, gamma_panel: 0.04, nu: 4.0 }
+        CostModel { alpha: 10.0, beta: 1.0, hop: 2.0, gamma: 0.1, gamma_panel: 0.04 }
     }
 
     /// One far exchange phase on a `p`-leaf fat-tree: leaf `i` swaps
@@ -218,7 +198,6 @@ mod tests {
         assert!(d.alpha > d.beta);
         assert!(d.beta > d.gamma);
         assert!(d.gamma_panel < d.gamma, "panel flops must be cheaper than streaming flops");
-        assert!(d.nu < d.alpha);
     }
 
     /// PhaseCost is monotone in the column length m (message words).
@@ -279,28 +258,5 @@ mod tests {
         assert!(hot < cold);
         let pw = mdl.pairwise_meeting_cost(8, 4096, 4096);
         assert!(hot < pw, "in-cache gram must beat pairwise: {hot} vs {pw}");
-    }
-
-    /// Overlap pays only when the serialization it hides exceeds the
-    /// per-step bookkeeping `nu` — exactly the small-P regression the
-    /// tuner exists to fix.
-    #[test]
-    fn overlap_step_cost_crossover() {
-        let mdl = model();
-        // Fat messages: serialization dominates, overlap hides it.
-        let (topo, fat) = far_exchange(8, 4096);
-        let compute = mdl.rotation_cost(4096);
-        assert!(
-            mdl.step_cost(&topo, &fat, compute, true) < mdl.step_cost(&topo, &fat, compute, false),
-            "overlap must win when the hidden serialization exceeds nu"
-        );
-        // Thin messages (zero-copy-like): nothing to hide, nu makes
-        // overlap a strict loss.
-        let (topo, thin) = far_exchange(8, 1);
-        assert!(
-            mdl.step_cost(&topo, &thin, compute, true)
-                > mdl.step_cost(&topo, &thin, compute, false),
-            "overlap must lose when there is no serialization to hide"
-        );
     }
 }

@@ -19,19 +19,11 @@
 //! from the rank-local [`BufferPool`](treesvd_comm::BufferPool), which is
 //! warm after the first sweep).
 //!
-//! [`DistConfig::overlap`] enables communication/computation overlap:
-//! §4's movement permutations fix every next destination statically, so a
-//! rank ships a departing data column immediately after the A-phase
-//! rotation — while its own vector update, the V-phase messages, and the
-//! *receiver's* current step are still in flight — and defers each arrival
-//! to its point of use one step later (post at the top of step `s`,
-//! complete at step `s+1`). The split is bitwise-invisible because a
-//! Jacobi pair factors exactly into `rotate_pair_a` (Gram + data columns)
-//! then `rotate_pair_v` (vector columns). Before enabling the overlap the
-//! executor asks `treesvd-analyze` to prove the overlapped plan
-//! deadlock-free under both buffered and rendezvous semantics
-//! ([`verify_overlap_freedom`]); if the proof fails for an exotic
-//! ordering, the run silently falls back to the non-overlapped schedule.
+//! Every step is the paper's rotation-then-exchange: a rank rotates its
+//! resident pair, ships each departing column as a data message then a
+//! vector message, and blocks on its arrivals in the same order — the
+//! operation sequence `treesvd_analyze::CommPlan::from_program` models
+//! message for message.
 //!
 //! # Fault tolerance
 //!
@@ -44,14 +36,13 @@
 //! 1. **Retry + redelivery** — receives are bounded and retried with
 //!    exponential backoff; each retry first asks the retransmission store
 //!    for the lost payload (proved deadlock-free by
-//!    `treesvd_analyze::verify_recovery_freedom`, which also gates the
-//!    overlap when recovery is armed).
+//!    `treesvd_analyze::verify_recovery_freedom`).
 //! 2. **Checkpoint restart** — ranks deposit their columns at sweep
 //!    boundaries; a crash restarts the world from the last sweep *all*
 //!    ranks completed.
 //! 3. **Degradation ladder** — when restarts are exhausted the executor
-//!    descends overlapped → zero-copy → single-rank sequential (no
-//!    network at all, so even a fully poisoned link is absorbed).
+//!    descends zero-copy → single-rank sequential (no network at all, so
+//!    even a fully poisoned link is absorbed).
 //!
 //! Absorbable faults leave the result **bitwise identical** to the
 //! fault-free run — the store redelivers the exact payload, checkpoints
@@ -60,16 +51,11 @@
 //! [`DistError::Unrecoverable`]; the executor never hangs. What recovery
 //! actually ran is reported in [`DistributedOutcome::health`].
 
-use crate::exec::{
-    execute_program, rotate_pair, rotate_pair_a, rotate_pair_v, ColumnStore, ExecConfig, SlotData,
-};
+use crate::exec::{execute_program, rotate_pair, ColumnStore, ExecConfig, SlotData};
 use crate::machine::Machine;
 use crate::recovery::{CheckpointStore, DistError, FaultPolicy, HealthReport, RankCkpt};
 use std::sync::Arc;
-use treesvd_analyze::{
-    overlap_tag_a, overlap_tag_v, verify_overlap_freedom, verify_pool_safety,
-    verify_recovery_freedom,
-};
+use treesvd_analyze::{tag_a, tag_v};
 use treesvd_comm::{
     allreduce_sum_in_place, Communicator, FaultInjector, FaultPlan, MsgBuf, RecvError, RetryPolicy,
     StallKind, ThreadWorld, WorldConfig,
@@ -84,10 +70,6 @@ pub struct DistConfig {
     pub exec: ExecConfig,
     /// Sweep cap.
     pub max_sweeps: usize,
-    /// Communication/computation overlap (send-ahead + deferred receives).
-    /// Only effective after the analyzer proves the overlapped plan
-    /// deadlock-free for the ordering.
-    pub overlap: bool,
     /// Recovery knobs: receive windows, retries, checkpoints, restarts,
     /// and the degradation ladder. The default policy reproduces the
     /// pre-recovery executor (5 s windows, fail on first timeout).
@@ -102,7 +84,6 @@ impl Default for DistConfig {
         Self {
             exec: ExecConfig::default(),
             max_sweeps: 64,
-            overlap: true,
             policy: FaultPolicy::default(),
             fault: None,
         }
@@ -123,10 +104,6 @@ pub struct DistributedOutcome {
     pub converged: bool,
     /// Total rotations across all ranks and sweeps.
     pub total_rotations: usize,
-    /// Whether the overlapped (send-ahead) schedule actually ran — i.e.
-    /// it was requested *and* the analyzer proved it safe *and* no ladder
-    /// descent abandoned it.
-    pub overlap: bool,
     /// Payload allocation events during the warm-up sweep, summed over all
     /// ranks' buffer pools.
     pub warm_payload_allocs: u64,
@@ -143,7 +120,6 @@ pub struct DistributedOutcome {
 /// One rung of the degradation ladder, ordered fastest-first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rung {
-    Overlapped,
     ZeroCopy,
     Sequential,
 }
@@ -151,23 +127,9 @@ enum Rung {
 impl Rung {
     fn label(self) -> &'static str {
         match self {
-            Self::Overlapped => "overlapped",
             Self::ZeroCopy => "zero-copy",
             Self::Sequential => "sequential",
         }
-    }
-}
-
-/// The rungs a run may use, fastest first: entry at the overlapped rung
-/// when its proof went through, descent only when the policy allows
-/// degradation.
-fn build_ladder(overlap_ok: bool, degrade: bool) -> Vec<Rung> {
-    const FULL: [Rung; 3] = [Rung::Overlapped, Rung::ZeroCopy, Rung::Sequential];
-    let start = if overlap_ok { 0 } else { 1 };
-    if degrade {
-        FULL[start..].to_vec()
-    } else {
-        vec![FULL[start]]
     }
 }
 
@@ -179,7 +141,6 @@ struct WorkerTask<'a> {
     left: SlotData,
     right: SlotData,
     config: ExecConfig,
-    overlap: bool,
     vectors: bool,
     /// First sweep to execute (0 on a fresh start, the checkpointed sweep
     /// count on a restart).
@@ -247,20 +208,11 @@ fn maybe_checkpoint(
     }
 }
 
-/// Per-rank worker: executes its two slots across all sweeps.
+/// Per-rank worker: executes its two slots across all sweeps. The full
+/// pair rotation runs, then departing columns leave as two detached
+/// messages (A phase: the data column; V phase: the vector column) whose
+/// storage the receiver adopts, and the step blocks on its arrivals.
 fn worker(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<WorkerOut, DistError> {
-    if task.overlap {
-        worker_overlapped(comm, task)
-    } else {
-        worker_zero_copy(comm, task)
-    }
-}
-
-/// Zero-copy transport without overlap: the full pair rotation runs, then
-/// departing columns leave as two detached messages (A phase: the data
-/// column; V phase: the vector column) whose storage the receiver adopts,
-/// and the step blocks on its arrivals.
-fn worker_zero_copy(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<WorkerOut, DistError> {
     let WorkerTask {
         programs,
         mut left,
@@ -272,7 +224,6 @@ fn worker_zero_copy(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<Wor
         base_rotations,
         checkpoints,
         checkpoint_every,
-        ..
     } = task;
     let rank = comm.rank();
     let my_slots = [2 * rank, 2 * rank + 1];
@@ -303,10 +254,10 @@ fn worker_zero_copy(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<Wor
                 if d / 2 != rank {
                     let slot = if i == 0 { &mut left } else { &mut right };
                     let a = std::mem::take(&mut slot.a);
-                    comm.send_buf(d / 2, overlap_tag_a(global_step, d), MsgBuf::detached(a));
+                    comm.send_buf(d / 2, tag_a(global_step, d), MsgBuf::detached(a));
                     if vectors {
                         let v = std::mem::take(&mut slot.v);
-                        comm.send_buf(d / 2, overlap_tag_v(global_step, d), MsgBuf::detached(v));
+                        comm.send_buf(d / 2, tag_v(global_step, d), MsgBuf::detached(v));
                     }
                 }
             }
@@ -321,11 +272,11 @@ fn worker_zero_copy(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<Wor
                 if src_slot / 2 != rank {
                     let slot = if local == 0 { &mut left } else { &mut right };
                     slot.a = comm
-                        .recv(src_slot / 2, overlap_tag_a(global_step, dest_slot))
+                        .recv(src_slot / 2, tag_a(global_step, dest_slot))
                         .map_err(recv_fail(rank, sweep_no, global_step as u64))?;
                     if vectors {
                         slot.v = comm
-                            .recv(src_slot / 2, overlap_tag_v(global_step, dest_slot))
+                            .recv(src_slot / 2, tag_v(global_step, dest_slot))
                             .map_err(recv_fail(rank, sweep_no, global_step as u64))?;
                     }
                 }
@@ -371,221 +322,6 @@ fn worker_zero_copy(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<Wor
     })
 }
 
-/// An arrival deferred to its point of use: the column headed for local
-/// slot `local`, sent by `src` during movement `step`. `v_done` marks a
-/// vector payload that was opportunistically completed at the top of the
-/// step (it had already been delivered), skipping the deferred blocking
-/// receive.
-#[derive(Clone, Copy)]
-struct PendingArrival {
-    local: usize,
-    src: usize,
-    step: usize,
-    v_done: bool,
-}
-
-/// Zero-copy transport with communication/computation overlap, mirroring
-/// the analyzer's overlapped `CommPlan` op for op. Per step `s`: post the
-/// movement-`s` arrival set (the double buffer — computable ahead of time
-/// because next destinations are static), complete the movement-`s−1` A
-/// arrivals at their point of use, rotate the data columns, ship the
-/// departing A phase, then do the same for the V phase, and finally
-/// shuffle locally. Arrivals of the last movement drain after the loop —
-/// or early at a checkpoint boundary, so the deposited state is the full
-/// post-sweep state (completing an arrival is pure data adoption, so the
-/// early completion is bitwise-invisible).
-fn worker_overlapped(
-    comm: &mut Communicator,
-    task: WorkerTask<'_>,
-) -> Result<WorkerOut, DistError> {
-    let WorkerTask {
-        programs,
-        mut left,
-        mut right,
-        config,
-        vectors,
-        start_sweep,
-        start_step,
-        base_rotations,
-        checkpoints,
-        checkpoint_every,
-        ..
-    } = task;
-    let rank = comm.rank();
-    let my_slots = [2 * rank, 2 * rank + 1];
-    let mut total_rotations = base_rotations;
-    let mut sweeps = start_sweep;
-    let mut converged = false;
-    let mut global_step = start_step;
-    let mut warm_allocs = 0u64;
-    let mut pending: Vec<PendingArrival> = Vec::with_capacity(2);
-    let mut posted: Vec<PendingArrival> = Vec::with_capacity(2);
-
-    'sweeps: for (sweep_no, program) in programs.iter().enumerate().skip(start_sweep) {
-        check_stall(comm, rank, sweep_no)?;
-        let layouts = program.layouts();
-        let mut rotations = 0usize;
-        let mut swaps = 0usize;
-        for (step_no, step) in program.steps.iter().enumerate() {
-            let perm = &step.move_after;
-            let inv = perm.inverse();
-
-            // 1. prefetch post: register this movement's arrivals before
-            //    any compute (the PostRecv ops of the overlapped plan)
-            posted.clear();
-            for (local, &dest_slot) in my_slots.iter().enumerate() {
-                let src_slot = inv.dest_of(dest_slot);
-                if src_slot / 2 != rank {
-                    posted.push(PendingArrival {
-                        local,
-                        src: src_slot / 2,
-                        step: global_step,
-                        v_done: false,
-                    });
-                }
-            }
-
-            // 2. complete the previous movement's A arrivals at their
-            //    point of use, adopting the sender's storage; piggyback
-            //    any vector payload that is already in (one parking point
-            //    per step instead of two when the sender runs ahead)
-            for p in &mut pending {
-                let slot = if p.local == 0 { &mut left } else { &mut right };
-                slot.a = comm
-                    .recv(p.src, overlap_tag_a(p.step, my_slots[p.local]))
-                    .map_err(recv_fail(rank, sweep_no, p.step as u64))?;
-                if vectors {
-                    if let Some(v) = comm.try_recv(p.src, overlap_tag_v(p.step, my_slots[p.local]))
-                    {
-                        slot.v = v;
-                        p.v_done = true;
-                    }
-                }
-            }
-
-            // 3. A-phase rotation (Gram + data columns)
-            let layout = &layouts[step_no];
-            let small_on_left = layout[my_slots[0]] < layout[my_slots[1]];
-            let (rot, report) =
-                rotate_pair_a(&mut left, &mut right, config.threshold, config.sort, small_on_left);
-            rotations += report.rotated as usize;
-            swaps += report.swapped as usize;
-
-            // 4. ship departing data columns immediately — the receiver is
-            //    still mid-step; its vector work and ours overlap the wire
-            for (i, &s) in my_slots.iter().enumerate() {
-                let d = perm.dest_of(s);
-                if d / 2 != rank {
-                    let slot = if i == 0 { &mut left } else { &mut right };
-                    let a = std::mem::take(&mut slot.a);
-                    comm.send_buf(d / 2, overlap_tag_a(global_step, d), MsgBuf::detached(a));
-                }
-            }
-
-            if vectors {
-                // 5. complete the previous movement's V arrivals (unless
-                //    already piggybacked at the top of the step)
-                for p in &pending {
-                    if p.v_done {
-                        continue;
-                    }
-                    let slot = if p.local == 0 { &mut left } else { &mut right };
-                    slot.v = comm
-                        .recv(p.src, overlap_tag_v(p.step, my_slots[p.local]))
-                        .map_err(recv_fail(rank, sweep_no, p.step as u64))?;
-                }
-                // 6. V-phase rotation
-                rotate_pair_v(rot, &report, &mut left, &mut right);
-                // 7. ship departing vector columns
-                for (i, &s) in my_slots.iter().enumerate() {
-                    let d = perm.dest_of(s);
-                    if d / 2 != rank {
-                        let slot = if i == 0 { &mut left } else { &mut right };
-                        let v = std::mem::take(&mut slot.v);
-                        comm.send_buf(d / 2, overlap_tag_v(global_step, d), MsgBuf::detached(v));
-                    }
-                }
-            }
-
-            // 8. local shuffle; the posted arrivals become pending
-            if crosses_locally(perm, rank) {
-                std::mem::swap(&mut left, &mut right);
-            }
-            std::mem::swap(&mut pending, &mut posted);
-            global_step += 1;
-        }
-
-        let mut sums = [rotations as f64, swaps as f64];
-        allreduce_sum_in_place(comm, sweep_no as u64, &mut sums).map_err(recv_fail(
-            rank,
-            sweep_no,
-            global_step as u64,
-        ))?;
-        total_rotations += rotations;
-        sweeps = sweep_no + 1;
-        if sweep_no == start_sweep {
-            warm_allocs = comm.payload_allocations();
-        }
-        // a due checkpoint first materializes the deferred arrivals, so
-        // the deposit is the true post-sweep state
-        if checkpoint_every > 0 && checkpoints.is_some() && sweeps % checkpoint_every == 0 {
-            for p in &pending {
-                let slot = if p.local == 0 { &mut left } else { &mut right };
-                slot.a = comm
-                    .recv(p.src, overlap_tag_a(p.step, my_slots[p.local]))
-                    .map_err(recv_fail(rank, sweep_no, p.step as u64))?;
-                if vectors && !p.v_done {
-                    slot.v = comm
-                        .recv(p.src, overlap_tag_v(p.step, my_slots[p.local]))
-                        .map_err(recv_fail(rank, sweep_no, p.step as u64))?;
-                }
-            }
-            pending.clear();
-            maybe_checkpoint(
-                &checkpoints,
-                checkpoint_every,
-                sweeps,
-                rank,
-                &left,
-                &right,
-                total_rotations,
-            );
-        }
-        if sums[0] == 0.0 && sums[1] == 0.0 {
-            converged = true;
-            break 'sweeps;
-        }
-    }
-
-    // drain: the final movement's arrivals complete after the sweep loop
-    // (already empty if the last sweep ended on a checkpoint boundary)
-    for p in &pending {
-        let slot = if p.local == 0 { &mut left } else { &mut right };
-        slot.a = comm.recv(p.src, overlap_tag_a(p.step, my_slots[p.local])).map_err(recv_fail(
-            rank,
-            sweeps,
-            p.step as u64,
-        ))?;
-        if vectors && !p.v_done {
-            slot.v = comm
-                .recv(p.src, overlap_tag_v(p.step, my_slots[p.local]))
-                .map_err(recv_fail(rank, sweeps, p.step as u64))?;
-        }
-    }
-
-    let steady_allocs = comm.payload_allocations() - warm_allocs;
-    Ok(WorkerOut {
-        left,
-        right,
-        sweeps,
-        rotations: total_rotations,
-        converged,
-        warm_allocs,
-        steady_allocs,
-        retries: comm.retries(),
-    })
-}
-
 /// Whether this step's movement keeps a column on `rank` but moves it to
 /// the other local slot — the only intra-rank shuffle two slots allow.
 fn crosses_locally(perm: &treesvd_orderings::schedule::Permutation, rank: usize) -> bool {
@@ -607,7 +343,6 @@ struct AttemptOut {
     warm: u64,
     steady: u64,
     retries: u64,
-    overlap: bool,
 }
 
 /// Where a (re)start resumes: the newest complete checkpoint, or the
@@ -632,13 +367,12 @@ fn resume_point(
     (0, initial.to_vec(), vec![0; procs])
 }
 
-/// One threaded-world attempt on a network rung. Spawns a thread per
+/// One threaded-world attempt on the zero-copy rung. Spawns a thread per
 /// rank, joins them all (a failed rank makes its peers time out, so every
 /// thread terminates), and reports the first failure — a crash wins over
 /// the receive errors it caused on other ranks.
 #[allow(clippy::too_many_arguments)]
 fn run_attempt(
-    rung: Rung,
     programs: &Arc<Vec<Program>>,
     start_sweep: usize,
     mut slot_data: Vec<SlotData>,
@@ -650,11 +384,6 @@ fn run_attempt(
     checkpoints: &Option<Arc<CheckpointStore>>,
 ) -> Result<AttemptOut, DistError> {
     let procs = slot_data.len() / 2;
-    let overlap = match rung {
-        Rung::Overlapped => true,
-        Rung::ZeroCopy => false,
-        Rung::Sequential => unreachable!("the sequential rung runs outside the world"),
-    };
     let world = ThreadWorld::with_config(
         procs,
         WorldConfig {
@@ -682,7 +411,6 @@ fn run_attempt(
                     left,
                     right,
                     config: exec,
-                    overlap,
                     vectors,
                     start_sweep,
                     start_step,
@@ -730,16 +458,7 @@ fn run_attempt(
     if let Some(e) = first_err {
         return Err(e);
     }
-    Ok(AttemptOut {
-        slots,
-        sweeps,
-        converged,
-        total_rotations,
-        warm,
-        steady,
-        retries,
-        overlap: rung == Rung::Overlapped,
-    })
+    Ok(AttemptOut { slots, sweeps, converged, total_rotations, warm, steady, retries })
 }
 
 /// The bottom of the ladder: the synchronous single-process executor,
@@ -781,13 +500,11 @@ fn run_sequential(
         warm: 0,
         steady: 0,
         retries: 0,
-        overlap: false,
     }
 }
 
 /// Run the ordering to convergence with one thread per processor, using
-/// the default [`DistConfig`] (zero-copy transport with overlap, no
-/// recovery armed).
+/// the default [`DistConfig`] (no recovery armed).
 ///
 /// `columns[j]` is column `j`; `accumulate_v` attaches identity `V`
 /// columns. Returns the final slots, layout, and counters.
@@ -809,8 +526,8 @@ pub fn distributed_svd(
     distributed_svd_with(ordering, columns, accumulate_v, &cfg)
 }
 
-/// [`distributed_svd`] with full control over overlap, fault injection,
-/// and recovery.
+/// [`distributed_svd`] with full control over fault injection and
+/// recovery.
 ///
 /// The supervisor walks the degradation ladder: on each rung it runs up
 /// to `1 + policy.max_restarts` whole-world attempts (each resuming from
@@ -844,29 +561,14 @@ pub fn distributed_svd_with(
     let policy = cfg.policy;
     let injector: Option<Arc<FaultInjector>> =
         cfg.fault.as_ref().map(|plan| Arc::new(FaultInjector::new(plan.clone())));
-    let recovery = injector.is_some() || policy.is_armed();
-
-    // overlap only runs once the analyzer has proved the send-ahead plan
-    // deadlock-free under both buffered and rendezvous semantics; with
-    // recovery armed the stricter proofs (send-ahead *plus* the
-    // deposit/ack retransmission protocol, plus the pool-lease discipline
-    // on every recovery path) gate it instead. One restore period covers
-    // every distinct per-sweep program the ordering generates.
-    let period = ordering.restore_period().max(1).min(programs.len());
-    let overlap_ok = cfg.overlap
-        && programs[..period].iter().all(|p| {
-            if recovery {
-                verify_recovery_freedom(p, accumulate_v).is_ok()
-                    && verify_pool_safety(p, accumulate_v).is_ok()
-            } else {
-                verify_overlap_freedom(p, accumulate_v).is_ok()
-            }
-        });
 
     let store = ColumnStore::from_columns(columns, accumulate_v);
     let initial: Vec<SlotData> = store.slots;
 
-    let ladder = build_ladder(overlap_ok, policy.degrade);
+    // the rungs this run may use, fastest first; descent only when the
+    // policy allows degradation
+    let ladder: &[Rung] =
+        if policy.degrade { &[Rung::ZeroCopy, Rung::Sequential] } else { &[Rung::ZeroCopy] };
     let checkpoints = (policy.checkpoint_every > 0).then(|| Arc::new(CheckpointStore::new(procs)));
 
     let mut restarts_used = 0u32;
@@ -889,7 +591,6 @@ pub fn distributed_svd_with(
                 Ok(run_sequential(&programs, start_sweep, slots, &bases, cfg.exec))
             } else {
                 run_attempt(
-                    rung,
                     &programs,
                     start_sweep,
                     slots,
@@ -944,7 +645,6 @@ pub fn distributed_svd_with(
         sweeps: out.sweeps,
         converged: out.converged,
         total_rotations: out.total_rotations,
-        overlap: out.overlap,
         warm_payload_allocs: out.warm,
         steady_payload_allocs: out.steady,
         health,
@@ -1032,48 +732,16 @@ mod tests {
     }
 
     #[test]
-    fn transports_and_overlap_are_bitwise_identical() {
-        for kind in [OrderingKind::NewRing, OrderingKind::FatTree, OrderingKind::Hybrid] {
-            let n = 8;
-            let a = generate::random_uniform(12, n, 11);
-            let ord = kind.build(n).unwrap();
-            let mut runs = Vec::new();
-            for overlap in [false, true] {
-                let cfg = DistConfig { overlap, ..DistConfig::default() };
-                let run = distributed_svd_with(ord.as_ref(), a.clone().into_columns(), true, &cfg)
-                    .unwrap();
-                assert_eq!(run.overlap, overlap, "{kind}: overlap gate disagreed");
-                runs.push(run);
-            }
-            let base = &runs[0];
-            for run in &runs[1..] {
-                assert_eq!(run.sweeps, base.sweeps, "{kind}");
-                assert_eq!(run.total_rotations, base.total_rotations, "{kind}");
-                assert_eq!(run.layout, base.layout, "{kind}");
-                for (s, (d, r)) in run.slots.iter().zip(base.slots.iter()).enumerate() {
-                    assert_eq!(d.a, r.a, "{kind}: slot {s} data differs");
-                    assert_eq!(d.v, r.v, "{kind}: slot {s} vectors differ");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn zero_copy_steady_state_makes_no_payload_allocations() {
-        for overlap in [false, true] {
-            let n = 16;
-            let a = generate::random_uniform(24, n, 13);
-            let ord = OrderingKind::NewRing.build(n).unwrap();
-            let cfg = DistConfig { overlap, ..DistConfig::default() };
-            let run = distributed_svd_with(ord.as_ref(), a.into_columns(), true, &cfg).unwrap();
-            assert!(run.converged);
-            assert!(run.sweeps > 2, "need a steady state to measure");
-            assert!(run.warm_payload_allocs > 0, "warm-up must populate the pools");
-            assert_eq!(
-                run.steady_payload_allocs, 0,
-                "overlap={overlap}: steady state allocated payload buffers"
-            );
-        }
+        let n = 16;
+        let a = generate::random_uniform(24, n, 13);
+        let ord = OrderingKind::NewRing.build(n).unwrap();
+        let run = distributed_svd(ord.as_ref(), a.into_columns(), true, ExecConfig::default(), 64)
+            .unwrap();
+        assert!(run.converged);
+        assert!(run.sweeps > 2, "need a steady state to measure");
+        assert!(run.warm_payload_allocs > 0, "warm-up must populate the pools");
+        assert_eq!(run.steady_payload_allocs, 0, "steady state allocated payload buffers");
     }
 
     #[test]
@@ -1218,12 +886,7 @@ mod tests {
         let ord = OrderingKind::NewRing.build(n).unwrap();
         let run = distributed_svd_with(ord.as_ref(), a.clone().into_columns(), true, &cfg).unwrap();
         assert!(run.converged);
-        assert_eq!(
-            run.health.fallbacks,
-            vec!["overlapped", "zero-copy"],
-            "every network rung must fail on a dead edge"
-        );
-        assert!(!run.overlap);
+        assert_eq!(run.health.fallbacks, vec!["zero-copy"], "the network rung must fail");
         assert_bitwise(&run, &base, "sequential fallback");
     }
 

@@ -379,51 +379,10 @@ fn rotate_pairs(
     }
 }
 
-/// The A phase of [`rotate_pair`]: Gram accumulation, rotation decision,
-/// and the fused data-column update. The returned rotation feeds
-/// [`rotate_pair_v`]; splitting the two lets the distributed executor ship
-/// the data columns while the vector update (and its messages) are still
-/// pending — without perturbing a single bit of the arithmetic.
-pub(crate) fn rotate_pair_a(
-    left: &mut SlotData,
-    right: &mut SlotData,
-    threshold: f64,
-    sort: SortMode,
-    small_label_on_left: bool,
-) -> (treesvd_matrix::rotation::Rotation, PairReport) {
-    let (alpha, beta, gamma) = ops::gram3(&left.a, &right.a);
-    let coupling =
-        if alpha > 0.0 && beta > 0.0 { gamma.abs() / (alpha.sqrt() * beta.sqrt()) } else { 0.0 };
-    let rot = compute_rotation(alpha, beta, gamma, threshold);
-    let need_swap = need_swap(rot, alpha, beta, gamma, sort, small_label_on_left);
-    if rot.skipped && !need_swap {
-        return (rot, PairReport { rotated: false, swapped: false, coupling });
-    }
-    let _ = rotate_pair_fused(rot, &mut left.a, &mut right.a, need_swap);
-    (rot, PairReport { rotated: !rot.skipped, swapped: need_swap, coupling })
-}
-
-/// The V phase of [`rotate_pair`]: apply the A phase's rotation to the
-/// accumulated right-singular-vector columns (no-op when the pair was
-/// skipped unswapped, or when no vectors are carried).
-pub(crate) fn rotate_pair_v(
-    rot: treesvd_matrix::rotation::Rotation,
-    report: &PairReport,
-    left: &mut SlotData,
-    right: &mut SlotData,
-) {
-    if (report.rotated || report.swapped) && !left.v.is_empty() {
-        if report.swapped {
-            apply_rotation_swapped(rot, &mut left.v, &mut right.v);
-        } else {
-            apply_rotation(rot, &mut left.v, &mut right.v);
-        }
-    }
-}
-
 /// Orthogonalize one resident pair, honouring the sorting rule, with the
 /// fused rotate-and-measure kernel (one pass instead of rotate + two norm
-/// re-measurements).
+/// re-measurements), then apply the same rotation to the accumulated
+/// right-singular-vector columns when vectors are carried.
 pub(crate) fn rotate_pair(
     left: &mut SlotData,
     right: &mut SlotData,
@@ -431,9 +390,23 @@ pub(crate) fn rotate_pair(
     sort: SortMode,
     small_label_on_left: bool,
 ) -> PairReport {
-    let (rot, report) = rotate_pair_a(left, right, threshold, sort, small_label_on_left);
-    rotate_pair_v(rot, &report, left, right);
-    report
+    let (alpha, beta, gamma) = ops::gram3(&left.a, &right.a);
+    let coupling =
+        if alpha > 0.0 && beta > 0.0 { gamma.abs() / (alpha.sqrt() * beta.sqrt()) } else { 0.0 };
+    let rot = compute_rotation(alpha, beta, gamma, threshold);
+    let need_swap = need_swap(rot, alpha, beta, gamma, sort, small_label_on_left);
+    if rot.skipped && !need_swap {
+        return PairReport { rotated: false, swapped: false, coupling };
+    }
+    let _ = rotate_pair_fused(rot, &mut left.a, &mut right.a, need_swap);
+    if !left.v.is_empty() {
+        if need_swap {
+            apply_rotation_swapped(rot, &mut left.v, &mut right.v);
+        } else {
+            apply_rotation(rot, &mut left.v, &mut right.v);
+        }
+    }
+    PairReport { rotated: !rot.skipped, swapped: need_swap, coupling }
 }
 
 /// Decide whether the swapped update (equation (3)) is required: under

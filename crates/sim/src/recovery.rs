@@ -14,10 +14,10 @@
 //!   sweeps each rank deposits its two columns into a shared
 //!   [`CheckpointStore`]; after a crash the whole world restarts from the
 //!   last sweep *all* ranks completed.
-//! * **A degradation ladder** — if restarts are exhausted on one rung the
-//!   executor descends: overlapped → synchronous zero-copy → a single-rank
-//!   sequential fallback that needs no network at all and therefore
-//!   absorbs even a fully poisoned link.
+//! * **A degradation ladder** — if restarts are exhausted on the zero-copy
+//!   rung the executor descends to a single-rank sequential fallback that
+//!   needs no network at all and therefore absorbs even a fully poisoned
+//!   link.
 //!
 //! What the run actually needed is reported in a [`HealthReport`]; what it
 //! could not absorb becomes a [`DistError::Unrecoverable`] carrying the
@@ -53,8 +53,8 @@ pub struct FaultPolicy {
     pub checkpoint_every: usize,
     /// Whole-world restarts allowed per ladder rung before descending.
     pub max_restarts: u32,
-    /// Whether to descend the ladder (overlapped → zero-copy → sequential)
-    /// once restarts are exhausted. `false` turns the last restart failure
+    /// Whether to descend the ladder (zero-copy → sequential) once
+    /// restarts are exhausted. `false` turns the last restart failure
     /// into [`DistError::Unrecoverable`] directly.
     pub degrade: bool,
     /// Screen every received payload for NaN/Inf at the communicator seam.
@@ -91,16 +91,6 @@ impl FaultPolicy {
             degrade: true,
             check_finite: true,
         }
-    }
-
-    /// Whether any recovery mechanism is armed (used to pick the stricter
-    /// analyzer proof for the overlap gate).
-    pub fn is_armed(&self) -> bool {
-        self.max_retries > 0
-            || self.checkpoint_every > 0
-            || self.max_restarts > 0
-            || self.degrade
-            || self.check_finite
     }
 }
 
@@ -257,8 +247,7 @@ mod tests {
         assert_eq!(p.recv_timeout, Duration::from_secs(5));
         assert_eq!(p.max_retries, 0);
         assert!(!p.degrade && !p.check_finite && p.checkpoint_every == 0);
-        assert!(!p.is_armed());
-        assert!(FaultPolicy::chaos().is_armed());
+        assert_eq!(p.max_restarts, 0);
     }
 
     #[test]
@@ -288,11 +277,11 @@ mod tests {
         let err = DistError::Unrecoverable {
             last: Box::new(last),
             restarts: 3,
-            rungs: vec!["overlapped", "zero-copy"],
+            rungs: vec!["zero-copy", "sequential"],
         };
         let s = err.to_string();
         assert!(s.contains("3 restart(s)"), "{s}");
-        assert!(s.contains("overlapped → zero-copy"), "{s}");
+        assert!(s.contains("zero-copy → sequential"), "{s}");
         assert!(s.contains("rank 2 crashed at the start of sweep 4"), "{s}");
         assert!(std::error::Error::source(&err).is_some());
     }

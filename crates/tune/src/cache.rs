@@ -178,7 +178,6 @@ mod tests {
             kernel: KernelSel::Gram,
             block_cols: 1,
             threads: 4,
-            overlap: false,
             qr_frontend: true,
             qr_crossover: 8.0,
             hier_cols: 0,

@@ -4,9 +4,7 @@
 //!
 //! 1. **Builtin** — compiled-in constants: the values `bench_distributed`
 //!    recorded on an AVX-512 x86-64 host (the `"calibration"` block of
-//!    `BENCH_distributed.json`). This is the only source for
-//!    `overlap_step_ns`, which needs a full executor run to measure and
-//!    cannot be microprobed.
+//!    `BENCH_distributed.json`).
 //! 2. **Probed** — cheap one-shot online microprobes run on *this* host:
 //!    a timed [`dot`](treesvd_matrix::ops::dot) burst (streaming flop
 //!    rate), a timed [`gram_block`](treesvd_matrix::ops::gram_block)
@@ -50,11 +48,6 @@ pub struct Calibration {
     /// Fixed per-message cost: one pool lease + channel round-trip (the
     /// zero-copy transport's whole price).
     pub msg_ns: f64,
-    /// Per-step bookkeeping of the overlapped distributed schedule
-    /// (posted early receives, `try_recv` harvest, split A/V rotation).
-    /// Measured by `bench_distributed` from the overlap-vs-zero-copy
-    /// delta; not microprobable.
-    pub overlap_step_ns: f64,
     /// L2 cache size in bytes (sysfs probe / `TREESVD_L2` / fallback).
     pub l2_bytes: usize,
     /// Provenance of the constants.
@@ -64,9 +57,8 @@ pub struct Calibration {
 impl Calibration {
     /// Compiled-in constants, as `bench_distributed` recorded them on an
     /// AVX-512 x86-64 host: ~5 GF/s streaming, ~28 GF/s panel, ~0.2 ns
-    /// per copied word, ~0.15 µs per message, ~8 µs of overlap
-    /// bookkeeping per step, 2 MiB of L2. [`Calibration::probed`]
-    /// re-measures every constant but `overlap_step_ns`.
+    /// per copied word, ~0.15 µs per message, 2 MiB of L2.
+    /// [`Calibration::probed`] re-measures every constant.
     #[must_use]
     pub fn builtin() -> Self {
         Self {
@@ -74,7 +66,6 @@ impl Calibration {
             panel_flop_ns: 0.035919,
             word_ns: 0.206261,
             msg_ns: 149.2,
-            overlap_step_ns: 7968.2,
             l2_bytes: 2 * 1024 * 1024,
             source: CalibSource::Builtin,
         }
@@ -96,8 +87,8 @@ impl Calibration {
 
     /// The [`CostModel`] these constants induce, in nanoseconds: `alpha` =
     /// per-message cost, `beta` = per-word link cost, `gamma`/`gamma_panel`
-    /// = the two flop rates, `nu` = the overlap bookkeeping. The per-hop
-    /// term is a share of the message cost (in-process "hops" are queue
+    /// = the two flop rates. The per-hop term is a share of the message
+    /// cost (in-process "hops" are queue
     /// handoffs, not switches).
     #[must_use]
     pub fn cost_model(&self) -> CostModel {
@@ -107,7 +98,6 @@ impl Calibration {
             hop: self.msg_ns / 8.0,
             gamma: self.flop_ns,
             gamma_panel: self.panel_flop_ns,
-            nu: self.overlap_step_ns,
         }
     }
 }
@@ -229,13 +219,12 @@ mod tests {
         let c = Calibration::builtin();
         assert!(c.panel_flop_ns < c.flop_ns, "panel flops must be cheaper");
         assert!(c.msg_ns > c.word_ns);
-        assert!(c.overlap_step_ns > c.msg_ns);
     }
 
     #[test]
     fn probes_produce_positive_finite_rates() {
         let c = Calibration::probed();
-        for v in [c.flop_ns, c.panel_flop_ns, c.word_ns, c.msg_ns, c.overlap_step_ns] {
+        for v in [c.flop_ns, c.panel_flop_ns, c.word_ns, c.msg_ns] {
             assert!(v.is_finite() && v > 0.0, "bad calibration constant: {v}");
         }
         assert!(c.l2_bytes >= 4096);
@@ -257,6 +246,5 @@ mod tests {
         let m = Calibration::builtin().cost_model();
         assert!(m.gamma_panel < m.gamma);
         assert!(m.alpha > m.beta);
-        assert!(m.nu > 0.0);
     }
 }

@@ -3,8 +3,8 @@
 //! Given a problem statement `(m, n, vectors, P, topology)` — plus the
 //! compile-time architecture — select the full execution config: driver
 //! (simulated / blocked / distributed), Jacobi ordering, block kernel,
-//! block width `c`, thread count, comm/compute overlap, QR front-end
-//! crossover, and hierarchical-blocking width. Selection minimizes the
+//! block width `c`, thread count, QR front-end crossover, and
+//! hierarchical-blocking width. Selection minimizes the
 //! calibrated [`treesvd_net::CostModel`] extended with per-phase compute
 //! terms; see [`model`] for the procedure and [`calib`] for where the
 //! constants come from (compiled-in constants refined by one-shot
@@ -17,12 +17,9 @@
 //! re-runs a probe ([`calib::probe_runs`] stays put).
 //!
 //! This crate sits *below* `treesvd-core`: core's `SvdOptions::auto()`
-//! maps a [`TunePlan`] onto its options, and the distributed driver
-//! consults [`advise_overlap`] when the caller did not pin overlap.
-//! Plans are *requests*, not bypasses — every choice still flows through
-//! the analyzer gates (overlap engages only when
-//! `verify_overlap_freedom` proves the plan deadlock-free, and schedules
-//! still verify).
+//! maps a [`TunePlan`] onto its options. Plans are *requests*, not
+//! bypasses — every choice still flows through the drivers' own gates
+//! (schedules still verify when asked to).
 
 pub mod cache;
 pub mod calib;
@@ -33,8 +30,6 @@ pub use cache::{ShapeClass, TuneCache, TuneKey};
 pub use calib::{CalibSource, Calibration};
 pub use model::compute_plan;
 pub use plan::{DriverSel, KernelSel, TunePlan, TuneProblem};
-
-use treesvd_net::TopologyKind;
 
 /// Plan the execution of `problem`, consulting (and filling) the
 /// process-wide decision cache. First call per shape-class runs the
@@ -50,19 +45,6 @@ pub fn plan_for(problem: &TuneProblem) -> TunePlan {
     let plan = model::compute_plan(problem, &cal);
     cache::global().insert(key, plan);
     plan
-}
-
-/// Should a distributed run over the zero-copy transport use the
-/// overlapped schedule? The calibrated model's answer for columns of
-/// length `m` at padded width `n_pad` — `false` at the recorded small-P
-/// points, where zero-copy leaves overlap nothing to hide. This is what
-/// the distributed driver consults when no explicit `with_overlap` was
-/// set; the executor still gates the overlapped schedule behind the
-/// analyzer's deadlock-freedom proof.
-#[must_use]
-pub fn advise_overlap(m: usize, n_pad: usize, vectors: bool, _topology: TopologyKind) -> bool {
-    let cm = calib::global().cost_model();
-    model::overlap_decision(&cm, m, n_pad, vectors)
 }
 
 #[cfg(test)]
@@ -87,13 +69,5 @@ mod tests {
         let a = plan_for(&TuneProblem::new(1025, 40).with_processors(5));
         let b = plan_for(&TuneProblem::new(1999, 60).with_processors(5));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn advise_overlap_matches_the_recorded_regression() {
-        // BENCH_distributed: new-ring P=8 (n=16) and P=16 (n=32) at
-        // m=4096 — zero-copy beat overlap at every point
-        assert!(!advise_overlap(4096, 16, true, TopologyKind::PerfectFatTree));
-        assert!(!advise_overlap(4096, 32, true, TopologyKind::PerfectFatTree));
     }
 }

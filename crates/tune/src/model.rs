@@ -9,9 +9,8 @@
 //!   [`CostModel::gram_meeting_cost`]/[`pairwise_meeting_cost`]
 //!   (per-phase compute terms), plus a fixed pool fork/join handshake.
 //! * **distributed** — one rank per column pair; each step is one
-//!   rotation plus the transport's fixed message cost, with the
-//!   overlapped variant priced by [`CostModel::step_cost`] semantics
-//!   (latency + max(compute, serialization) + ν).
+//!   rotation plus the transport's fixed message cost (the zero-copy
+//!   payload moves by pointer, so no per-word term).
 //! * **simulated** — the central-router executor: the same rotations,
 //!   chunked over the pool lanes with a per-step barrier and a routing
 //!   term that grows with the padded width.
@@ -65,7 +64,6 @@ struct DriverScore {
     kernel: KernelSel,
     block_cols: u16,
     threads: u16,
-    overlap: bool,
     total_ns: f64,
 }
 
@@ -105,7 +103,6 @@ fn score_blocked(
         kernel,
         block_cols: c.min(u16::MAX as usize) as u16,
         threads: p.min(u16::MAX as usize) as u16,
-        overlap: false,
         total_ns: est_sweeps(ne) * steps * step,
     }
 }
@@ -122,19 +119,13 @@ fn score_distributed(
     let q = ranks.div_ceil(p.max(1)) as f64;
     let comp =
         pair_compute_ns(cm, me, ne_pad, vectors) * q * if q > 1.0 { OVERSUB_PENALTY } else { 1.0 };
-    let overlap = overlap_decision(cm, me, ne_pad, vectors);
-    let step = if overlap {
-        cm.alpha + comp.max(zero_copy_serialization_ns(cm)) + cm.nu
-    } else {
-        comp + 2.0 * cm.alpha
-    };
+    let step = comp + 2.0 * cm.alpha;
     let steps = (ne_pad - 1).max(1) as f64;
     DriverScore {
         driver: DriverSel::Distributed,
         kernel: KernelSel::Pairwise,
         block_cols: 1,
         threads: ranks.min(u16::MAX as usize) as u16,
-        overlap,
         total_ns: est_sweeps(ne_pad) * steps * step + SPAWN_NS * ranks as f64,
     }
 }
@@ -159,26 +150,8 @@ fn score_simulated(
         kernel: KernelSel::Pairwise,
         block_cols: 1,
         threads: lanes.min(u16::MAX as usize) as u16,
-        overlap: false,
         total_ns: est_sweeps(ne_pad) * steps * step,
     }
-}
-
-/// What one zero-copy message serializes onto the link: a pointer-sized
-/// header, not the payload.
-fn zero_copy_serialization_ns(cm: &CostModel) -> f64 {
-    8.0 * cm.beta
-}
-
-/// Should the distributed executor run the overlapped schedule? Overlap
-/// hides `min(compute, serialization)` per step and costs ν of
-/// bookkeeping — it pays only when the hidden serialization beats ν.
-/// Zero-copy messages serialize almost nothing (the payload moves by
-/// pointer), which is exactly why overlap *loses* at the recorded small-P
-/// points.
-pub(crate) fn overlap_decision(cm: &CostModel, me: usize, ne_pad: usize, vectors: bool) -> bool {
-    let comp = pair_compute_ns(cm, me, ne_pad, vectors);
-    comp.min(zero_copy_serialization_ns(cm)) > cm.nu
 }
 
 /// Choose the ordering for a sweep unit of `n_eff` columns by replaying
@@ -332,7 +305,6 @@ pub fn compute_plan(problem: &TuneProblem, cal: &Calibration) -> TunePlan {
         kernel: best.kernel,
         block_cols: best.block_cols,
         threads: best.threads.min(host).max(1),
-        overlap: best.overlap,
         qr_frontend: true,
         qr_crossover: crossover,
         hier_cols: 0,
@@ -353,15 +325,6 @@ mod tests {
         assert!(est_sweeps(16) <= est_sweeps(64));
         assert!(est_sweeps(2) >= 4.0);
         assert!(est_sweeps(1 << 20) <= 12.0);
-    }
-
-    #[test]
-    fn zero_copy_overlap_is_off_at_small_p() {
-        // the recorded regression: new-ring P=8, m=4096 — overlap lost to
-        // plain zero-copy, so the calibrated model must turn it off
-        let cm = cal().cost_model();
-        assert!(!overlap_decision(&cm, 4096, 16, true));
-        assert!(!overlap_decision(&cm, 4096, 32, true));
     }
 
     #[test]

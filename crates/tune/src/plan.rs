@@ -125,10 +125,6 @@ pub struct TunePlan {
     pub block_cols: u16,
     /// Worker-thread budget the plan prices.
     pub threads: u16,
-    /// Comm/compute overlap in the distributed executor. Only a *request*:
-    /// the executor still engages it solely when the analyzer proves the
-    /// overlapped plan deadlock-free (`verify_overlap_freedom`).
-    pub overlap: bool,
     /// Always enable the QR front-end gate; engagement is per-shape via
     /// `qr_crossover`.
     pub qr_frontend: bool,

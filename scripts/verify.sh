@@ -21,7 +21,7 @@ cargo run --release -p treesvd-bench --bin bench_kernels -- --smoke
 echo "== bench smoke: Gram vs pairwise blocked meeting (512x128, c=16) =="
 cargo run --release -p treesvd-bench --bin bench_blocked -- --smoke
 
-echo "== bench smoke: overlapped zero-copy distributed executor engages allocation-free (4096x16) =="
+echo "== bench smoke: zero-copy distributed executor stays allocation-free (4096x16) =="
 cargo run --release -p treesvd-bench --bin bench_distributed -- --smoke
 
 echo "== bench smoke: batched SoA engine vs per-problem sequential loop (8x8 x 100k) =="
@@ -32,8 +32,7 @@ cargo run --release -p treesvd-bench --bin bench_tall -- --smoke
 
 echo "== bench smoke: auto-tuner vs fixed configs + warm-path zero-alloc gate =="
 # auto within 5% of the best fixed config at each probe point, strictly
-# beating the untuned default somewhere (incl. the small-P distributed
-# point with overlap correctly disabled), and the second plan_for on a
+# beating the untuned default somewhere, and the second plan_for on a
 # cached key makes zero heap allocations and re-runs no probe
 cargo run --release -p treesvd-bench --bin bench_auto -- --smoke
 

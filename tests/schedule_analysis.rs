@@ -5,8 +5,9 @@
 
 use treesvd_analyze::{
     analyze_ordering, verify_contention, verify_coverage, verify_deadlock_freedom,
-    verify_ordering_schedule, verify_permutation_safety, verify_plan, verify_restore,
-    AnalysisOptions, CommModel, CommPlan, Violation,
+    verify_ordering_schedule, verify_permutation_safety, verify_plan, verify_pool_safety,
+    verify_recovery_freedom, verify_restore, AnalysisOptions, CommModel, CommOp, CommPlan,
+    Violation,
 };
 use treesvd_net::{Topology, TopologyKind};
 use treesvd_orderings::four_block::{module_a_movements, module_b_movements};
@@ -118,15 +119,15 @@ fn basic_modules_are_safe_and_deadlock_free() {
     for base in [0usize, 4] {
         let a = program_from_movements(8, module_a_movements(8, base).to_vec());
         assert!(verify_permutation_safety(&a).is_ok());
-        assert!(verify_deadlock_freedom(&a).is_ok());
+        assert!(verify_deadlock_freedom(&a, true).is_ok());
         let b = program_from_movements(8, module_b_movements(8, base).to_vec());
         assert!(verify_permutation_safety(&b).is_ok());
-        assert!(verify_deadlock_freedom(&b).is_ok());
+        assert!(verify_deadlock_freedom(&b, true).is_ok());
     }
     for rot in [RotatingSide::Even, RotatingSide::Odd] {
         let prog = program_from_movements(16, two_block_movements(16, 0, 8, rot));
         assert!(verify_permutation_safety(&prog).is_ok());
-        assert!(verify_deadlock_freedom(&prog).is_ok());
+        assert!(verify_deadlock_freedom(&prog, true).is_ok());
     }
 }
 
@@ -231,19 +232,29 @@ fn misrouted_schedule_fails_contention_check() {
 #[test]
 fn mutilated_comm_plan_fails_deadlock_check() {
     let prog = valid_sweep(16);
-    let intact = CommPlan::from_program(&prog);
+    let intact = CommPlan::from_program(&prog, true);
     assert!(verify_plan(&intact, CommModel::Buffered).is_ok());
 
-    // dropping one send starves its receiver
-    let mut no_send = intact.clone();
-    let pos = no_send.ops[3]
-        .iter()
-        .position(|(_, op)| matches!(op, treesvd_analyze::CommOp::Send { .. }))
-        .expect("rank 3 sends in a fat-tree sweep");
-    no_send.ops[3].remove(pos);
-    match verify_plan(&no_send, CommModel::Buffered) {
-        Err(Violation::UnmatchedRecv { op }) => assert!(!op.is_send),
-        other => panic!("expected UnmatchedRecv, got {other:?}"),
+    // dropping one send starves its receiver — a data column (A phase) or
+    // the vector column that follows it (V phase) alike
+    for (phase, parity) in [("A", 0), ("V", 1)] {
+        let mut no_send = intact.clone();
+        let (pos, tag) = no_send.ops[3]
+            .iter()
+            .enumerate()
+            .find_map(|(i, (_, op))| match *op {
+                CommOp::Send { tag, .. } if tag & 1 == parity => Some((i, tag)),
+                _ => None,
+            })
+            .expect("rank 3 sends both phases in a fat-tree sweep");
+        no_send.ops[3].remove(pos);
+        match verify_plan(&no_send, CommModel::Buffered) {
+            Err(Violation::UnmatchedRecv { op }) => {
+                assert!(!op.is_send, "{phase}");
+                assert_eq!((op.peer, op.tag), (3, tag), "{phase}: the starving receive");
+            }
+            other => panic!("{phase}: expected UnmatchedRecv, got {other:?}"),
+        }
     }
 
     // under rendezvous semantics the pairwise exchange idiom itself is a
@@ -258,59 +269,22 @@ fn mutilated_comm_plan_fails_deadlock_check() {
 }
 
 #[test]
-fn overlapped_plans_verify_and_legacy_plans_cycle_under_rendezvous() {
-    // the overlapped (send-ahead) plan the distributed executor runs must
-    // hold under BOTH message models — including rendezvous, where the
-    // blocking plan deadlocks (previous test) — for every built-in
-    // ordering
+fn executor_plans_pass_the_deadlock_recovery_and_pool_proofs() {
+    // the plan of the messages the distributed executor sends, for every
+    // built-in ordering, with and without the V-phase messages
     for n in [8usize, 16] {
         for ord in orderings_for(n) {
             for prog in ord.programs(ord.restore_period().max(1)) {
-                for vectors in [true, false] {
-                    treesvd_analyze::verify_overlap_freedom(&prog, vectors).unwrap_or_else(|v| {
-                        panic!("{} n = {n} vectors = {vectors}: {v}", ord.name())
-                    });
+                for vectors in [false, true] {
+                    let ctx = format!("{} n = {n} vectors = {vectors}", ord.name());
+                    verify_deadlock_freedom(&prog, vectors)
+                        .unwrap_or_else(|v| panic!("{ctx}: {v}"));
+                    verify_recovery_freedom(&prog, vectors)
+                        .unwrap_or_else(|v| panic!("{ctx}: {v}"));
+                    verify_pool_safety(&prog, vectors).unwrap_or_else(|v| panic!("{ctx}: {v}"));
                 }
             }
         }
-    }
-}
-
-#[test]
-fn corrupted_overlap_plan_fails_with_step_precise_error() {
-    let prog = valid_sweep(16);
-    let intact = CommPlan::from_program_overlapped(&prog, true);
-    assert!(verify_plan(&intact, CommModel::Buffered).is_ok());
-    assert!(verify_plan(&intact, CommModel::Rendezvous).is_ok());
-
-    // corrupt one prefetch: rank 5's first PostRecv now names the wrong
-    // source rank, as if the executor prefetched from the wrong neighbour
-    let mut wrong_dest = intact.clone();
-    let ranks = wrong_dest.ops.len();
-    let (pos, true_source) = wrong_dest.ops[5]
-        .iter()
-        .enumerate()
-        .find_map(|(i, (_, op))| match op {
-            treesvd_analyze::CommOp::PostRecv { from, .. } => Some((i, *from)),
-            _ => None,
-        })
-        .expect("rank 5 prefetches in a fat-tree sweep");
-    if let (_, treesvd_analyze::CommOp::PostRecv { from, .. }) = &mut wrong_dest.ops[5][pos] {
-        *from = (true_source + 1) % ranks;
-    }
-
-    // the completion that expected the true source now has no posted
-    // prefetch — and the diagnostic names the exact rank, step, and peer
-    match verify_plan(&wrong_dest, CommModel::Buffered) {
-        Err(Violation::PrefetchMissing { op }) => {
-            assert_eq!(op.rank, 5, "diagnostic must name the corrupted rank");
-            assert_eq!(op.peer, true_source, "diagnostic must name the expected source");
-            assert!(op.step < prog.steps.len() + 1, "step must be in range");
-            assert!(!op.is_send);
-            let msg = format!("{}", Violation::PrefetchMissing { op });
-            assert!(msg.contains("never posted"), "human-readable diagnostic: {msg}");
-        }
-        other => panic!("expected PrefetchMissing, got {other:?}"),
     }
 }
 

@@ -3,7 +3,8 @@
 //! known spectra.
 
 use treesvd_core::{
-    sequential::sequential_svd, HestenesSvd, OrderingKind, SortMode, SvdOptions, TopologyKind,
+    auto_svd, blocked_svd, sequential::sequential_svd, BlockKernel, BlockedOptions, HestenesSvd,
+    OrderingKind, SortMode, Svd, SvdError, SvdOptions, TopologyKind,
 };
 use treesvd_matrix::{checks, generate, Matrix};
 
@@ -103,6 +104,80 @@ fn scaled_matrices_extreme_magnitudes() {
         let expect = [4.0 * scale, 2.0 * scale, scale];
         for (c, e) in run.svd.sigma.iter().zip(expect.iter()) {
             assert!((c - e).abs() < 1e-10 * e, "scale {scale}: {c} vs {e}");
+        }
+    }
+}
+
+#[test]
+fn every_entry_point_screens_extreme_and_non_finite_input() {
+    // 24×8 with σ = 8..1, scaled by 2^±600 and 2^±900: every path is
+    // swept at one power-of-two scale, so after exact unscaling σ, U and V
+    // agree bitwise across the four scales; a NaN is named, not swept
+    let sigma: Vec<f64> = (1..=8).rev().map(f64::from).collect();
+    let base = generate::with_singular_values(24, &sigma, 61);
+    let blocked = |kernel: BlockKernel, frontend: bool| BlockedOptions {
+        processors: 2,
+        svd: SvdOptions::default()
+            .with_block_kernel(kernel)
+            .with_qr_frontend(frontend)
+            .with_qr_crossover(2.0),
+    };
+    type Solve = Box<dyn Fn(&Matrix) -> Result<Svd, SvdError>>;
+    let paths: [(&str, Solve); 7] = [
+        (
+            "simulated",
+            Box::new(|a| HestenesSvd::new(SvdOptions::default()).compute(a).map(|r| r.svd)),
+        ),
+        (
+            "distributed",
+            Box::new(|a| {
+                HestenesSvd::new(SvdOptions::default()).compute_distributed(a).map(|r| r.svd)
+            }),
+        ),
+        (
+            "blocked gram",
+            Box::new(move |a| blocked_svd(a, &blocked(BlockKernel::Gram, false)).map(|r| r.svd)),
+        ),
+        (
+            "blocked pairwise",
+            Box::new(move |a| {
+                blocked_svd(a, &blocked(BlockKernel::Pairwise, false)).map(|r| r.svd)
+            }),
+        ),
+        (
+            "blocked + qr front-end",
+            Box::new(move |a| blocked_svd(a, &blocked(BlockKernel::Gram, true)).map(|r| r.svd)),
+        ),
+        ("sequential", Box::new(|a| sequential_svd(a, 60).map(|r| r.svd))),
+        ("auto", Box::new(|a| auto_svd(a).map(|r| r.svd))),
+    ];
+    for (name, solve) in &paths {
+        let mut first: Option<(i32, Svd)> = None;
+        for k in [-900, -600, 600, 900] {
+            let scale = 2.0_f64.powi(k);
+            let mut a = base.clone();
+            a.scale(scale);
+            let mut svd = solve(&a).unwrap_or_else(|e| panic!("{name} at 2^{k}: {e}"));
+            for s in &mut svd.sigma {
+                *s /= scale;
+            }
+            for (c, e) in svd.sigma.iter().zip(&sigma) {
+                assert!((c - e).abs() < 1e-12 * e, "{name} at 2^{k}: σ {c} vs {e}");
+            }
+            match &first {
+                None => first = Some((k, svd)),
+                Some((k0, r)) => {
+                    assert_eq!(svd.sigma, r.sigma, "{name}: σ at 2^{k} vs 2^{k0}");
+                    assert_eq!(svd.u, r.u, "{name}: U at 2^{k} vs 2^{k0}");
+                    assert_eq!(svd.v, r.v, "{name}: V at 2^{k} vs 2^{k0}");
+                }
+            }
+        }
+        let mut a = base.clone();
+        a.set(5, 3, f64::NAN);
+        match solve(&a) {
+            Err(SvdError::NonFinite { row: 5, col: 3 }) => {}
+            other => panic!("{name}: expected NonFinite at (5, 3), got {other:?}"),
         }
     }
 }
