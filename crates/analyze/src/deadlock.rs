@@ -54,35 +54,6 @@ pub enum CommOp {
         /// Message tag.
         tag: u64,
     },
-    /// Nonblocking deposit of a retransmission copy into the reliable
-    /// store, issued immediately before the matching [`CommOp::Send`]. A
-    /// purely local mutex write: it participates only in program order,
-    /// never in cross-rank matching — which is exactly why the recovery
-    /// protocol stays acyclic (see [`CommPlan::with_recovery`]).
-    Deposit {
-        /// Destination rank of the guarded send.
-        to: usize,
-        /// Tag of the guarded send.
-        tag: u64,
-    },
-    /// Nonblocking acknowledgement: on successful receipt the receiver
-    /// removes `(peer → self, tag)` from the retransmission store. Like
-    /// [`CommOp::Deposit`], a local store write with no cross-rank edge —
-    /// the receiver never sends an ack *message* (the design that does is
-    /// [`CommPlan::with_blocking_acks`], which the verifier rejects).
-    Ack {
-        /// Original sender whose deposit is being released.
-        to: usize,
-        /// Tag of the received message.
-        tag: u64,
-    },
-    /// The supervisor wipes the whole retransmission store — the epoch
-    /// boundary between two whole-world attempts (checkpoint restart or a
-    /// degradation-ladder descent). A local store write like
-    /// [`CommOp::Deposit`]; it matters only to the pool-lease analysis
-    /// ([`crate::pool::verify_pool_discipline`]), which forgives deposits
-    /// stranded by an aborted attempt *only* across this boundary.
-    ClearStore,
 }
 
 /// Tag of the A-phase message (the data column) for an arrival into
@@ -148,66 +119,6 @@ impl CommPlan {
         Self { ranks, ops }
     }
 
-    /// Augment the plan with the fault layer's recovery protocol, exactly
-    /// as `treesvd-comm` implements it: a [`CommOp::Deposit`] to the
-    /// retransmission store immediately before every send, a
-    /// [`CommOp::Ack`] immediately after every receive completion. Both
-    /// are local store writes — nonblocking nodes with only program-order
-    /// edges — so retransmission can never introduce a new wait cycle;
-    /// [`verify_recovery_freedom`] proves it per program.
-    pub fn with_recovery(&self) -> Self {
-        let mut ops: Vec<Vec<(usize, CommOp)>> = vec![Vec::new(); self.ranks];
-        for (rank, rank_ops) in self.ops.iter().enumerate() {
-            for &(step, op) in rank_ops {
-                match op {
-                    CommOp::Send { to, tag } => {
-                        ops[rank].push((step, CommOp::Deposit { to, tag }));
-                        ops[rank].push((step, op));
-                    }
-                    CommOp::Recv { from, tag } => {
-                        ops[rank].push((step, op));
-                        ops[rank].push((step, CommOp::Ack { to: from, tag }));
-                    }
-                    _ => ops[rank].push((step, op)),
-                }
-            }
-        }
-        Self { ranks: self.ranks, ops }
-    }
-
-    /// Tag bit reserved for modelled acknowledgement *messages* (only used
-    /// by [`CommPlan::with_blocking_acks`]; the real protocol sends no ack
-    /// messages at all).
-    pub const ACK_TAG: u64 = 1 << 61;
-
-    /// The rejected alternative recovery design, kept as the verifier's
-    /// negative exhibit: acknowledge by *message* and have every sender
-    /// block on its ack before proceeding. On any pairwise-exchange
-    /// schedule this deadlocks even under buffered sends — each rank sits
-    /// waiting for an ack its partner can only send after a receive that
-    /// sits behind the partner's own ack wait — and
-    /// [`verify_plan`] exhibits the cycle. This is the formal reason the
-    /// shipped protocol acknowledges through the shared store instead.
-    pub fn with_blocking_acks(&self) -> Self {
-        let mut ops: Vec<Vec<(usize, CommOp)>> = vec![Vec::new(); self.ranks];
-        for (rank, rank_ops) in self.ops.iter().enumerate() {
-            for &(step, op) in rank_ops {
-                match op {
-                    CommOp::Send { to, tag } => {
-                        ops[rank].push((step, op));
-                        ops[rank].push((step, CommOp::Recv { from: to, tag: tag | Self::ACK_TAG }));
-                    }
-                    CommOp::Recv { from, tag } => {
-                        ops[rank].push((step, op));
-                        ops[rank].push((step, CommOp::Send { to: from, tag: tag | Self::ACK_TAG }));
-                    }
-                    _ => ops[rank].push((step, op)),
-                }
-            }
-        }
-        Self { ranks: self.ranks, ops }
-    }
-
     /// Total operation count across all ranks.
     pub fn op_count(&self) -> usize {
         self.ops.iter().map(Vec::len).sum()
@@ -216,13 +127,8 @@ impl CommPlan {
     pub(crate) fn op_ref(&self, rank: usize, pos: usize) -> OpRef {
         let (step, op) = self.ops[rank][pos];
         match op {
-            CommOp::Send { to, tag } | CommOp::Deposit { to, tag } => {
-                OpRef { rank, step, is_send: true, peer: to, tag }
-            }
-            CommOp::Recv { from, tag } | CommOp::Ack { to: from, tag } => {
-                OpRef { rank, step, is_send: false, peer: from, tag }
-            }
-            CommOp::ClearStore => OpRef { rank, step, is_send: false, peer: rank, tag: 0 },
+            CommOp::Send { to, tag } => OpRef { rank, step, is_send: true, peer: to, tag },
+            CommOp::Recv { from, tag } => OpRef { rank, step, is_send: false, peer: from, tag },
         }
     }
 }
@@ -396,18 +302,6 @@ pub fn verify_deadlock_freedom(prog: &Program, vectors: bool) -> Result<(), Viol
     verify_plan(&CommPlan::from_program(prog, vectors), CommModel::Buffered)
 }
 
-/// Verify that one sweep program stays deadlock-free with the fault
-/// layer's retry/ack recovery protocol armed ([`CommPlan::with_recovery`])
-/// under buffered semantics. Deposits and acks are nonblocking store
-/// writes, so a plan that was clean without them must stay clean; this
-/// proves it rather than assuming it.
-///
-/// # Errors
-/// As [`verify_plan`].
-pub fn verify_recovery_freedom(prog: &Program, vectors: bool) -> Result<(), Violation> {
-    verify_plan(&CommPlan::from_program(prog, vectors).with_recovery(), CommModel::Buffered)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,69 +408,5 @@ mod tests {
             assert_eq!(recvs, sends, "one receive per message");
             assert_eq!(v_sends, (factor - 1) * prog.total_messages(), "one V-phase send per move");
         }
-    }
-
-    #[test]
-    fn recovery_protocol_deadlock_free_for_all_builtins() {
-        use treesvd_orderings::{HybridOrdering, ModifiedRingOrdering, RingOrdering};
-        let orderings: Vec<Box<dyn JacobiOrdering>> = vec![
-            Box::new(NewRingOrdering::new(10).unwrap()),
-            Box::new(RingOrdering::new(8).unwrap()),
-            Box::new(ModifiedRingOrdering::new(8).unwrap()),
-            Box::new(RoundRobinOrdering::new(12).unwrap()),
-            Box::new(FatTreeOrdering::new(16).unwrap()),
-            Box::new(HybridOrdering::with_default_groups(16).unwrap()),
-        ];
-        for ord in &orderings {
-            for vectors in [false, true] {
-                for prog in ord.programs(ord.restore_period().max(1)) {
-                    verify_recovery_freedom(&prog, vectors).unwrap_or_else(|v| {
-                        panic!("{} (vectors={vectors}): {v}", ord.name());
-                    });
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn recovery_adds_one_deposit_per_send_and_one_ack_per_recv() {
-        let prog = sweep(&FatTreeOrdering::new(16).unwrap());
-        let plan = CommPlan::from_program(&prog, true).with_recovery();
-        let count = |pred: fn(&CommOp) -> bool| {
-            plan.ops.iter().flatten().filter(|(_, op)| pred(op)).count()
-        };
-        let sends = count(|op| matches!(op, CommOp::Send { .. }));
-        assert_eq!(sends, 2 * prog.total_messages());
-        assert_eq!(count(|op| matches!(op, CommOp::Deposit { .. })), sends);
-        assert_eq!(count(|op| matches!(op, CommOp::Ack { .. })), sends);
-        // each deposit immediately precedes its send, sharing (peer, tag)
-        for rank_ops in &plan.ops {
-            for w in rank_ops.windows(2) {
-                if let (_, CommOp::Deposit { to, tag }) = w[0] {
-                    assert_eq!(w[1].1, CommOp::Send { to, tag }, "deposit must guard its send");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blocking_ack_design_is_rejected_with_a_cycle() {
-        // the negative exhibit: ack-by-message with the sender blocking on
-        // its ack deadlocks on a pairwise exchange even with buffered
-        // sends — the verifier must produce the cycle, not hang or pass
-        let prog = sweep(&RoundRobinOrdering::new(8).unwrap());
-        let plan = CommPlan::from_program(&prog, true).with_blocking_acks();
-        match verify_plan(&plan, CommModel::Buffered) {
-            Err(Violation::WaitCycle { cycle }) => {
-                assert!(cycle.len() >= 4, "cycle too short: {cycle:?}");
-                assert!(
-                    cycle.iter().any(|op| op.tag & CommPlan::ACK_TAG != 0),
-                    "the cycle must pass through an ack edge: {cycle:?}"
-                );
-            }
-            other => panic!("expected WaitCycle, got {other:?}"),
-        }
-        // ... and the shipped store-based protocol on the same schedule is clean
-        assert!(verify_recovery_freedom(&prog, true).is_ok());
     }
 }

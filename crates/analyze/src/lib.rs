@@ -2,7 +2,7 @@
 //!
 //! `treesvd-analyze` takes any [`JacobiOrdering`] (or a raw
 //! [`Program`](treesvd_orderings::Program)) and proves — or refutes with a
-//! step-precise diagnostic — the five properties the rest of the workspace
+//! step-precise diagnostic — the four properties the rest of the workspace
 //! silently assumes:
 //!
 //! 1. **Permutation safety** ([`verify_permutation_safety`]): every column
@@ -20,12 +20,8 @@
 //!    dependency graph the distributed executor would realize is complete
 //!    (every receive matched, every send consumed, tags unambiguous) and
 //!    acyclic.
-//! 5. **Pool-lease discipline** ([`verify_pool_safety`]): every pooled
-//!    buffer the recovery protocol deposits for retransmission is
-//!    acknowledged (returned to its pool) exactly once on every path —
-//!    including duplicate delivery and checkpoint restarts.
 //!
-//! [`analyze_ordering`] bundles all five into an [`AnalysisReport`];
+//! [`analyze_ordering`] bundles all four into an [`AnalysisReport`];
 //! [`verify_ordering_schedule`] is the cheap topology-free subset the SVD
 //! driver runs when `SvdOptions::verify_schedule` is enabled.
 //!
@@ -51,17 +47,14 @@ pub mod contention;
 pub mod coverage;
 pub mod deadlock;
 pub mod permutation;
-pub mod pool;
 pub mod report;
 
 pub use contention::{verify_contention, ContentionProof};
 pub use coverage::{assert_valid_sweep, check_restores_after, verify_coverage, verify_restore};
 pub use deadlock::{
-    tag_a, tag_v, verify_deadlock_freedom, verify_plan, verify_recovery_freedom, CommModel, CommOp,
-    CommPlan,
+    tag_a, tag_v, verify_deadlock_freedom, verify_plan, CommModel, CommOp, CommPlan,
 };
 pub use permutation::verify_permutation_safety;
-pub use pool::{restart_splice, verify_pool_discipline, verify_pool_safety, Lease, PoolProof};
 pub use report::{AnalysisReport, Check, CheckOutcome, OpRef, Violation};
 
 use treesvd_net::Topology;
@@ -71,7 +64,7 @@ use treesvd_orderings::JacobiOrdering;
 /// plan constructor changes semantics: the tuner keys its decision cache
 /// on it, so a plan chosen under one generation of schedule proofs never
 /// survives into the next.
-pub const ANALYZER_VERSION: u32 = 2;
+pub const ANALYZER_VERSION: u32 = 3;
 
 /// Knobs for [`analyze_ordering`].
 #[derive(Debug, Clone, Default)]
@@ -90,7 +83,7 @@ impl AnalysisOptions {
     }
 }
 
-/// Run all five checks over every sweep of the ordering's restore period
+/// Run all four checks over every sweep of the ordering's restore period
 /// and collect the verdicts into a single report.
 pub fn analyze_ordering(ord: &dyn JacobiOrdering, opts: &AnalysisOptions) -> AnalysisReport {
     let period = ord.restore_period().max(1);
@@ -140,29 +133,11 @@ pub fn analyze_ordering(ord: &dyn JacobiOrdering, opts: &AnalysisOptions) -> Ana
         .try_for_each(|prog| {
             for vectors in [false, true] {
                 verify_deadlock_freedom(prog, vectors)?;
-                verify_recovery_freedom(prog, vectors)?;
             }
             Ok(())
         })
-        .map(|()| {
-            "wait-for graph acyclic; all sends matched (buffered model), \
-             with and without the recovery protocol"
-                .to_string()
-        });
+        .map(|()| "wait-for graph acyclic; all sends matched (buffered model)".to_string());
     outcomes.push((Check::Deadlock, deadlock));
-
-    let pool = programs
-        .iter()
-        .try_for_each(|prog| {
-            verify_pool_safety(prog, true)?;
-            verify_pool_safety(prog, false).map(|_| ())
-        })
-        .map(|()| {
-            "every leased buffer returned exactly once on all recovery paths \
-             (incl. duplicate delivery and checkpoint restarts)"
-                .to_string()
-        });
-    outcomes.push((Check::Pool, pool));
 
     AnalysisReport {
         ordering: ord.name(),

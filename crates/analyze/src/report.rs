@@ -9,7 +9,7 @@ use std::fmt;
 use treesvd_net::routing::Channel;
 use treesvd_orderings::{ColIndex, Slot};
 
-/// The five static checks of the schedule verifier.
+/// The four static checks of the schedule verifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Check {
     /// Each column index is owned by exactly one processor at every step
@@ -24,15 +24,12 @@ pub enum Check {
     /// The send/recv dependency graph implied by the schedule is acyclic
     /// and every receive has a matching send.
     Deadlock,
-    /// Every `MsgBuf` leased from the retransmission store (a `Deposit`)
-    /// is returned exactly once (an `Ack`) on every recovery path.
-    Pool,
 }
 
 impl Check {
     /// All checks, in report order.
-    pub const ALL: [Check; 5] =
-        [Check::Permutation, Check::Coverage, Check::Contention, Check::Deadlock, Check::Pool];
+    pub const ALL: [Check; 4] =
+        [Check::Permutation, Check::Coverage, Check::Contention, Check::Deadlock];
 
     /// Short display name.
     pub fn name(self) -> &'static str {
@@ -41,7 +38,6 @@ impl Check {
             Check::Coverage => "coverage/restore",
             Check::Contention => "contention",
             Check::Deadlock => "deadlock-freedom",
-            Check::Pool => "pool-lease",
         }
     }
 }
@@ -189,26 +185,6 @@ pub enum Violation {
         /// The operations forming the cycle, in wait order.
         cycle: Vec<OpRef>,
     },
-    /// A deposited buffer lease (`Deposit`) is never returned (`Ack`)
-    /// before the store epoch ends: the pooled `MsgBuf` copy leaks.
-    BufferLeak {
-        /// The dangling deposit.
-        op: OpRef,
-    },
-    /// A lease is returned twice within one store epoch: the second ack
-    /// would release a buffer the pool no longer owns.
-    DoubleReturn {
-        /// The second (offending) return.
-        op: OpRef,
-        /// The first return of the same lease.
-        first: OpRef,
-    },
-    /// A return (`Ack`) with no matching deposit in the current store
-    /// epoch: the pool would be handed a buffer it never leased.
-    ReturnWithoutLease {
-        /// The unmatched return.
-        op: OpRef,
-    },
 }
 
 impl Violation {
@@ -228,9 +204,6 @@ impl Violation {
             | Violation::UnconsumedSend { .. }
             | Violation::AmbiguousTag { .. }
             | Violation::WaitCycle { .. } => Check::Deadlock,
-            Violation::BufferLeak { .. }
-            | Violation::DoubleReturn { .. }
-            | Violation::ReturnWithoutLease { .. } => Check::Pool,
         }
     }
 }
@@ -298,15 +271,6 @@ impl fmt::Display for Violation {
                     write!(f, "[{op}]")?;
                 }
                 Ok(())
-            }
-            Violation::BufferLeak { op } => {
-                write!(f, "{op} deposits a retransmission copy that is never acknowledged: the pooled buffer leaks")
-            }
-            Violation::DoubleReturn { op, first } => {
-                write!(f, "{op} returns a lease already released by [{first}]: double return to the pool")
-            }
-            Violation::ReturnWithoutLease { op } => {
-                write!(f, "{op} acknowledges a deposit that was never made in this store epoch")
             }
         }
     }

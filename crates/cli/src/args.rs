@@ -15,7 +15,6 @@ usage:
               [--distributed] [--processors P]
               [--block-kernel NAME] [--threads N]
               [--qr-frontend] [--qr-crossover X] [--hier-block auto|off|W]
-              [--chaos SEED] [--recv-timeout MS] [--max-retries N]
               [--sigma-out FILE] [--u-out FILE] [--v-out FILE]
   treesvd analyze [--ordering NAME] [--n N] [--topology NAME]
                   [--groups M] [--words W]
@@ -47,11 +46,6 @@ block kernels (with --processors): pairwise | gram   (default: gram)
             driver's meetings: auto (default) probes L2 (TREESVD_L2
             override honored), off is flat, W splits unions wider than
             W columns
---chaos SEED arms the seeded fault-injection plan on the distributed
-            executor (requires --distributed); recovery must reproduce
-            the fault-free run bitwise or fail with a diagnostic
---recv-timeout MS / --max-retries N tune the receive watchdog and
-            retransmission budget of the recovery layer (distributed)
 batch:      synthetic throughput run of the batched small-SVD engine —
             K random M×N problems (M defaults to N, N ≤ 64 is the
             intended regime) solved in SoA lanes; --lanes picks the
@@ -111,6 +105,16 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
     }
 }
 
+/// Name the first flag-like argument (`-…`) left after a command took its
+/// own flags: a mistyped or unsupported flag is reported as such, never
+/// mistaken for a file or a missing operand.
+fn reject_unknown(cmd: &str, args: &[String]) -> Result<(), String> {
+    match args.iter().find(|a| a.starts_with('-')) {
+        Some(a) => Err(format!("{cmd}: unexpected argument {a:?}")),
+        None => Ok(()),
+    }
+}
+
 /// Pull a boolean `--flag` out of a mutable arg list.
 fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     if let Some(pos) = args.iter().position(|a| a == flag) {
@@ -152,15 +156,6 @@ fn cmd_svd(rest: &[String]) -> Result<String, String> {
     if threads == Some(0) {
         return Err("--threads must be at least 1".to_string());
     }
-    let chaos = take_flag(&mut args, "--chaos")?
-        .map(|s| s.parse::<u64>().map_err(|e| format!("--chaos: {e}")))
-        .transpose()?;
-    let recv_timeout = take_flag(&mut args, "--recv-timeout")?
-        .map(|t| t.parse::<u64>().map_err(|e| format!("--recv-timeout: {e}")))
-        .transpose()?;
-    let max_retries = take_flag(&mut args, "--max-retries")?
-        .map(|r| r.parse::<u32>().map_err(|e| format!("--max-retries: {e}")))
-        .transpose()?;
     let qr_frontend = take_switch(&mut args, "--qr-frontend");
     let qr_crossover = take_flag(&mut args, "--qr-crossover")?
         .map(|x| x.parse::<f64>().map_err(|e| format!("--qr-crossover: {e}")))
@@ -179,6 +174,7 @@ fn cmd_svd(rest: &[String]) -> Result<String, String> {
     };
     let no_vectors = take_switch(&mut args, "--no-vectors");
     let distributed = take_switch(&mut args, "--distributed");
+    reject_unknown("svd", &args)?;
     if auto {
         // --auto delegates the whole execution config to the tuner; only
         // the problem statement (matrix, --topology, --processors budget,
@@ -191,9 +187,6 @@ fn cmd_svd(rest: &[String]) -> Result<String, String> {
             ("--qr-crossover", qr_crossover.is_some()),
             ("--hier-block", hier_flag.is_some()),
             ("--distributed", distributed),
-            ("--chaos", chaos.is_some()),
-            ("--recv-timeout", recv_timeout.is_some()),
-            ("--max-retries", max_retries.is_some()),
         ];
         if let Some((flag, _)) = pinned.iter().find(|(_, set)| *set) {
             return Err(format!(
@@ -201,11 +194,6 @@ fn cmd_svd(rest: &[String]) -> Result<String, String> {
                  drop {flag} to let the tuner decide, or drop --auto to keep your explicit config"
             ));
         }
-    }
-    if !distributed && (chaos.is_some() || recv_timeout.is_some() || max_retries.is_some()) {
-        return Err(
-            "--chaos / --recv-timeout / --max-retries only apply with --distributed".to_string()
-        );
     }
     let [path] = args.as_slice() else {
         return Err("svd needs exactly one matrix file".to_string());
@@ -222,15 +210,6 @@ fn cmd_svd(rest: &[String]) -> Result<String, String> {
         .with_hier_blocking(hier);
     if let Some(x) = qr_crossover {
         opts = opts.with_qr_crossover(x);
-    }
-    if let Some(seed) = chaos {
-        opts = opts.with_chaos(seed);
-    }
-    if let Some(ms) = recv_timeout {
-        opts = opts.with_recv_timeout(std::time::Duration::from_millis(ms));
-    }
-    if let Some(r) = max_retries {
-        opts = opts.with_max_retries(r);
     }
 
     let mut out = String::new();
@@ -267,28 +246,7 @@ fn cmd_svd(rest: &[String]) -> Result<String, String> {
         )
     } else if distributed {
         let run = HestenesSvd::new(opts).compute_distributed(&a).map_err(|e| e.to_string())?;
-        let mut extra = format!("distributed executor{}", fe_tag(run.qr_frontend));
-        if let Some(health) = &run.health {
-            let f = health.faults;
-            extra.push_str(&format!(
-                "\n# health: {} faults injected ({} drops, {} delays, {} dups, \
-                 {} corruptions, {} stalls), {} redeliveries, {} retries, {} restarts",
-                f.injected(),
-                f.drops,
-                f.delays,
-                f.duplicates,
-                f.corruptions,
-                f.stalls,
-                f.redeliveries,
-                health.retries,
-                health.restarts
-            ));
-            if health.fallbacks.is_empty() {
-                extra.push_str(", no fallbacks");
-            } else {
-                extra.push_str(&format!(", fell back past [{}]", health.fallbacks.join(" → ")));
-            }
-        }
+        let extra = format!("distributed executor{}", fe_tag(run.qr_frontend));
         (run.svd, run.sweeps, ordering.name(), extra)
     } else {
         let run = HestenesSvd::new(opts).compute(&a).map_err(|e| e.to_string())?;
@@ -444,6 +402,7 @@ fn cmd_lstsq(rest: &[String]) -> Result<String, String> {
     let rcond = take_flag(&mut args, "--rcond")?
         .map(|x| x.parse::<f64>().map_err(|e| format!("--rcond: {e}")))
         .transpose()?;
+    reject_unknown("lstsq", &args)?;
     let [a_path, b_path] = args.as_slice() else {
         return Err("lstsq needs a matrix file and a rhs file".to_string());
     };
@@ -466,6 +425,7 @@ fn cmd_lstsq(rest: &[String]) -> Result<String, String> {
 }
 
 fn cmd_cond(rest: &[String]) -> Result<String, String> {
+    reject_unknown("cond", rest)?;
     let [path] = rest else {
         return Err("cond needs exactly one matrix file".to_string());
     };
@@ -547,7 +507,6 @@ mod tests {
             &["--qr-frontend"],
             &["--hier-block", "off"],
             &["--distributed"],
-            &["--distributed", "--chaos", "7"],
         ] {
             let mut a = argv(&["svd", p.to_str().unwrap(), "--auto"]);
             a.extend(flags.iter().map(|s| s.to_string()));
@@ -742,52 +701,23 @@ mod tests {
     }
 
     #[test]
-    fn chaos_run_matches_the_fault_free_spectrum_and_reports_health() {
-        let p = write_temp("chaos.txt", "2 0 0 0\n0 3 0 0\n0 0 1 0\n0 0 0 4\n1 1 1 1\n");
-        let clean = run(&argv(&["svd", p.to_str().unwrap(), "--distributed"])).unwrap();
-        let chaotic = run(&argv(&[
-            "svd",
-            p.to_str().unwrap(),
-            "--distributed",
-            "--chaos",
-            "11",
-            "--recv-timeout",
-            "20",
-            "--max-retries",
-            "6",
-        ]))
-        .unwrap();
-        assert!(chaotic.contains("# health:"), "{chaotic}");
-        assert!(chaotic.contains("faults injected"), "{chaotic}");
-        let sigmas = |s: &str| -> Vec<String> {
-            s.lines()
-                .filter(|l| !l.starts_with('#'))
-                .filter(|l| !l.trim().is_empty())
-                .map(str::to_string)
-                .collect()
-        };
-        assert_eq!(sigmas(&clean), sigmas(&chaotic), "recovery must be bitwise-invisible");
-    }
-
-    #[test]
-    fn fault_flags_require_distributed_and_validate() {
-        let p = write_temp("chaos2.txt", "1 0\n0 2\n");
-        for flags in [&["--chaos", "1"][..], &["--recv-timeout", "50"], &["--max-retries", "3"]] {
-            let mut a = argv(&["svd", p.to_str().unwrap()]);
-            a.extend(flags.iter().map(|s| s.to_string()));
-            let err = run(&a).unwrap_err();
-            assert!(err.contains("--distributed"), "{err}");
+    fn unknown_arguments_are_named() {
+        let m = write_temp("unknown_m.txt", "1 0\n0 2\n");
+        let b = write_temp("unknown_b.txt", "1\n2\n");
+        let (m, b) = (m.to_str().unwrap(), b.to_str().unwrap());
+        for (args, flag) in [
+            (&["svd", m, "--chaos", "3"][..], "--chaos"),
+            (&["svd", m, "--distributed", "--chaos", "3"], "--chaos"),
+            (&["svd", m, "--recv-timeout", "50"], "--recv-timeout"),
+            (&["svd", m, "--max-retries", "3"], "--max-retries"),
+            (&["svd", m, "--bogus", "1"], "--bogus"),
+            (&["cond", m, "--bogus"], "--bogus"),
+            (&["lstsq", m, b, "--bogus"], "--bogus"),
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            let cmd = args[0];
+            assert_eq!(err, format!("{cmd}: unexpected argument {flag:?}"), "{args:?}");
         }
-        assert!(run(&argv(&[
-            "svd",
-            p.to_str().unwrap(),
-            "--distributed",
-            "--chaos",
-            "not-a-seed"
-        ]))
-        .is_err());
-        assert!(run(&argv(&["svd", p.to_str().unwrap(), "--distributed", "--recv-timeout", "-4"]))
-            .is_err());
     }
 
     #[test]

@@ -140,11 +140,8 @@ pub fn allreduce_sum(
 
 #[cfg(test)]
 mod tests {
-    use crate::fault::{FaultInjector, FaultPlan, RetryPolicy};
-    use crate::world::{ThreadWorld, WorldConfig};
-    use std::sync::Arc;
+    use crate::world::ThreadWorld;
     use std::thread;
-    use std::time::Duration;
 
     #[test]
     fn barrier_all_ranks_pass() {
@@ -233,86 +230,6 @@ mod tests {
                 assert_eq!(acc, [expect, p as f64]);
                 assert_eq!(steady, warm, "P={p}: allreduce allocated after warm-up");
             }
-        }
-    }
-
-    /// Build a `p`-rank world with an armed fault injector and enough
-    /// retry budget to absorb what the plan injects.
-    fn chaos_world(p: usize, plan: FaultPlan) -> Vec<crate::Communicator> {
-        // generous retry budget (~2.5 s worst case): windows only elapse
-        // when a message is actually missing, but a loaded test host can
-        // deschedule a sender past several 10 ms windows
-        let config = WorldConfig {
-            recv_timeout: Duration::from_millis(10),
-            retry: RetryPolicy { max_retries: 7, backoff: 2.0 },
-            check_finite: true,
-            fault: Some(Arc::new(FaultInjector::new(plan))),
-        };
-        ThreadWorld::with_config(p, config).into_communicators()
-    }
-
-    #[test]
-    fn barrier_survives_total_message_loss() {
-        // every data-plane message dropped: the barrier completes purely
-        // on store redeliveries
-        for p in [2usize, 4] {
-            let comms = chaos_world(p, FaultPlan { drop: 1.0, ..FaultPlan::default() });
-            let inj = comms[0].fault().unwrap().clone();
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|mut c| {
-                    thread::spawn(move || {
-                        for epoch in 0..3 {
-                            super::barrier(&mut c, epoch).unwrap();
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            let s = inj.snapshot();
-            assert!(s.drops > 0 && s.redeliveries == s.drops, "P={p}: {s:?}");
-        }
-    }
-
-    #[test]
-    fn allreduce_under_seeded_chaos_is_exact() {
-        // a realistic mixed plan: drops, delays, duplicates, corruption —
-        // sums must still be exact, at every rank, every epoch
-        for p in [2usize, 4, 8] {
-            let plan = FaultPlan {
-                seed: 41,
-                drop: 0.2,
-                delay: 0.2,
-                max_delay: Duration::from_millis(3),
-                duplicate: 0.2,
-                corrupt: 0.1,
-                ..FaultPlan::default()
-            };
-            let comms = chaos_world(p, plan);
-            let inj = comms[0].fault().unwrap().clone();
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|mut c| {
-                    thread::spawn(move || {
-                        let mut out = Vec::new();
-                        for epoch in 0..6u64 {
-                            let rank = c.rank() as f64;
-                            let v = super::allreduce_sum(&mut c, epoch, vec![rank, 1.0]).unwrap();
-                            out.push(v);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            let expect: f64 = (0..p).map(|r| r as f64).sum();
-            for h in handles {
-                for v in h.join().unwrap() {
-                    assert_eq!(v, vec![expect, p as f64]);
-                }
-            }
-            assert!(inj.snapshot().injected() > 0, "P={p}: the plan must actually fire");
         }
     }
 

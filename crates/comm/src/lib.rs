@@ -12,11 +12,12 @@
 //! * [`ThreadWorld`] — a real multi-threaded implementation over
 //!   std channels (one mailbox per rank, tag-matched receives);
 //! * barrier and allreduce collectives built on the point-to-point layer,
-//!   as a real message-passing library would;
-//! * a deterministic, seeded fault-injection and recovery layer (the
-//!   `fault` module: replayable drop/delay/duplicate/corrupt plans, rank
-//!   stall/crash events, a retransmission store with ack-on-receive, and
-//!   bounded-timeout retries with exponential backoff at the recv seam).
+//!   as a real message-passing library would.
+//!
+//! Like the paper's data network, the transport is lossless: a message is
+//! never dropped, duplicated or corrupted. Each receive still waits at
+//! most one bounded window, so an executor bug that never sends a message
+//! surfaces as [`RecvError::Timeout`] rather than a hang.
 //!
 //! Messages are [`MsgBuf`] payloads with a `u64` tag; receives match on
 //! `(source, tag)` exactly, so the deterministic schedules of
@@ -42,17 +43,13 @@
 #![deny(missing_docs)]
 
 pub mod collectives;
-pub mod fault;
 #[cfg(feature = "hb-tracker")]
 pub mod hb;
 pub mod pool;
 pub mod world;
 
 pub use collectives::{allreduce_sum, allreduce_sum_in_place, barrier};
-pub use fault::{
-    FaultInjector, FaultPlan, FaultSnapshot, RetryPolicy, SendFate, StallEvent, StallKind,
-};
 #[cfg(feature = "hb-tracker")]
 pub use hb::RaceViolation;
 pub use pool::{loopback_channel, BufferPool, MsgBuf};
-pub use world::{Communicator, RecvError, ThreadWorld, WorldConfig};
+pub use world::{Communicator, RecvError, ThreadWorld};

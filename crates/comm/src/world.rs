@@ -1,11 +1,14 @@
 //! The communicator and its threaded implementation.
 
-use crate::fault::{FaultInjector, RetryPolicy, SendFate};
 use crate::pool::{BufferPool, MsgBuf};
-use std::collections::HashSet;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The receive window of [`ThreadWorld::new`]. The transport is lossless,
+/// so a receive only waits this long when the schedule never sends the
+/// message — an executor bug, which the window turns into a
+/// [`RecvError::Timeout`] instead of a hang.
+const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A point-to-point message: payload plus matching metadata.
 #[derive(Debug)]
@@ -13,27 +16,16 @@ struct Envelope {
     source: usize,
     tag: u64,
     payload: MsgBuf,
-    /// Injected delay: the message exists but is not receivable before
-    /// this instant. `None` for the (default) undelayed case.
-    not_before: Option<Instant>,
     /// Sender's vector clock at the send — the happens-before piggyback.
     #[cfg(feature = "hb-tracker")]
     clock: Vec<u64>,
 }
 
-impl Envelope {
-    /// Whether the message is receivable at `now`.
-    fn due(&self, now: Instant) -> bool {
-        self.not_before.is_none_or(|t| t <= now)
-    }
-}
-
 /// Errors from a blocking receive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecvError {
-    /// The matching message did not arrive within the (possibly retried)
-    /// timeout budget — a schedule bug, or an unabsorbable fault such as
-    /// a dead link or crashed peer.
+    /// The matching message did not arrive within the receive window — a
+    /// schedule bug, since the transport never loses a message.
     Timeout {
         /// Rank that was waiting.
         rank: usize,
@@ -41,20 +33,8 @@ pub enum RecvError {
         source: usize,
         /// Expected tag.
         tag: u64,
-        /// Total time spent blocked on this edge across all attempts.
+        /// Time spent blocked on this edge.
         waited: Duration,
-    },
-    /// The received payload contained a non-finite value and no clean
-    /// redelivery was available — the poison guard at the recv seam.
-    Poisoned {
-        /// Rank that received the poison.
-        rank: usize,
-        /// Source rank of the poisoned message.
-        source: usize,
-        /// Tag of the poisoned message.
-        tag: u64,
-        /// Index of the first non-finite element.
-        index: usize,
     },
     /// The world has been torn down (a peer hung up).
     Disconnected,
@@ -70,13 +50,6 @@ impl std::fmt::Display for RecvError {
                      after {waited:?}"
                 )
             }
-            RecvError::Poisoned { rank, source, tag, index } => {
-                write!(
-                    f,
-                    "rank {rank}: non-finite value at element {index} of message \
-                     (source {source}, tag {tag})"
-                )
-            }
             RecvError::Disconnected => write!(f, "communicator torn down"),
         }
     }
@@ -84,51 +57,11 @@ impl std::fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// Internal outcome of one bounded receive attempt.
-enum AttemptError {
-    Timeout,
-    Disconnected,
-}
-
-/// Construction-time knobs of a [`ThreadWorld`]: the base receive
-/// window, the retry discipline, the poison guard, and (optionally) an
-/// armed fault injector shared by every rank.
-#[derive(Debug, Clone)]
-pub struct WorldConfig {
-    /// Base bounded-receive window (the first attempt's timeout; retries
-    /// grow it by [`RetryPolicy::backoff`]).
-    pub recv_timeout: Duration,
-    /// Receiver-side retry discipline.
-    pub retry: RetryPolicy,
-    /// Reject non-finite payload elements at the recv seam.
-    pub check_finite: bool,
-    /// Armed fault layer (injection + retransmission store), shared by
-    /// all ranks. `None` runs the plain lossless transport.
-    pub fault: Option<Arc<FaultInjector>>,
-}
-
-impl Default for WorldConfig {
-    fn default() -> Self {
-        Self {
-            recv_timeout: Duration::from_secs(5),
-            retry: RetryPolicy::default(),
-            check_finite: false,
-            fault: None,
-        }
-    }
-}
-
 /// One rank's endpoint: send to any rank, receive tag-matched messages.
 ///
 /// Receives match on `(source, tag)`; out-of-order arrivals are parked in a
 /// local pending buffer, so any send/recv interleaving consistent with the
-/// schedule is accepted. When the world was built with a fault layer
-/// ([`WorldConfig::fault`]), sends pass through the injector (deposit to
-/// the retransmission store, then drop/delay/duplicate/corrupt per plan)
-/// and receives recover: bounded attempts with exponential backoff, store
-/// redelivery on timeout, duplicate suppression keyed on `(source, tag)`
-/// (tags are unique per directed edge within a run, which is what makes
-/// redelivery idempotent), and an optional non-finite poison guard.
+/// schedule is accepted.
 pub struct Communicator {
     rank: usize,
     size: usize,
@@ -136,14 +69,6 @@ pub struct Communicator {
     peers: Vec<Sender<Envelope>>,
     pending: Vec<Envelope>,
     recv_timeout: Duration,
-    retry: RetryPolicy,
-    check_finite: bool,
-    fault: Option<Arc<FaultInjector>>,
-    /// `(source, tag)` keys already consumed — the duplicate filter.
-    /// Only populated when the fault layer is armed.
-    delivered: HashSet<(usize, u64)>,
-    /// Receive attempts beyond the first, across all edges.
-    retries: u64,
     pool: BufferPool,
     #[cfg(feature = "hb-tracker")]
     hb: crate::hb::RankState,
@@ -175,75 +100,28 @@ impl Communicator {
         self.pool.allocations()
     }
 
-    /// Receive attempts beyond the first (timeouts that were retried),
-    /// across all edges of this rank.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// The armed fault layer, if any.
-    pub fn fault(&self) -> Option<&Arc<FaultInjector>> {
-        self.fault.as_ref()
-    }
-
     /// Asynchronous (buffered) send of `payload` to `dest` with `tag`.
     ///
     /// The buffer travels by reference-move, never by copy: a pooled
     /// buffer comes back to this rank's pool when the receiver drops its
     /// lease; a [detached](MsgBuf::detached) one transfers ownership of
-    /// the allocation outright. With a fault layer armed the message
-    /// first deposits its retransmission copy, then suffers whatever the
-    /// plan decides (an injected drop releases the buffer back to the
-    /// pool exactly as a delivered-and-dropped lease would).
+    /// the allocation outright.
     ///
     /// # Panics
-    /// Panics if `dest` is out of range, or — on the plain lossless
-    /// transport only — if the destination endpoint is gone. With the
-    /// fault layer armed a dead peer counts as a drop instead (crashed
-    /// ranks are a modelled fault, not a programming error).
-    pub fn send_buf(&self, dest: usize, tag: u64, mut payload: MsgBuf) {
+    /// Panics if `dest` is out of range or the destination endpoint is
+    /// gone.
+    pub fn send_buf(&self, dest: usize, tag: u64, payload: MsgBuf) {
         assert!(dest < self.size, "rank {dest} out of range");
-        let fate = match &self.fault {
-            Some(f) if dest != self.rank => {
-                f.deposit(self.rank, dest, tag, &payload);
-                f.decide_send(self.rank, dest, tag, payload.len())
-            }
-            _ => SendFate { deliveries: 1, delay: None, corrupt_index: None },
-        };
-        #[cfg(feature = "hb-tracker")]
-        let clock = self.hb.tick_send();
-        if fate.deliveries == 0 {
-            // injected drop: the buffer goes home to the pool right here
-            return;
-        }
-        if let Some(i) = fate.corrupt_index {
-            payload[i] = f64::NAN;
-        }
-        let not_before = fate.delay.map(|d| Instant::now() + d);
-        if fate.deliveries > 1 {
-            let f = self.fault.as_ref().expect("duplicates only come from the injector");
-            f.charge_allocation();
-            let _ = self.peers[dest].send(Envelope {
+        // unbounded channel: cannot block, cannot deadlock
+        self.peers[dest]
+            .send(Envelope {
                 source: self.rank,
                 tag,
-                payload: MsgBuf::detached(payload.to_vec()),
-                not_before,
+                payload,
                 #[cfg(feature = "hb-tracker")]
-                clock: clock.clone(),
-            });
-        }
-        // unbounded channel: cannot block, cannot deadlock
-        let delivered = self.peers[dest].send(Envelope {
-            source: self.rank,
-            tag,
-            payload,
-            not_before,
-            #[cfg(feature = "hb-tracker")]
-            clock,
-        });
-        if delivered.is_err() && self.fault.is_none() {
-            panic!("world torn down during send");
-        }
+                clock: self.hb.tick_send(),
+            })
+            .expect("world torn down during send");
     }
 
     /// Asynchronous (buffered) send of an owned `payload` — the
@@ -256,152 +134,36 @@ impl Communicator {
         self.send_buf(dest, tag, MsgBuf::detached(payload));
     }
 
-    /// Park an arrival, unless the duplicate filter already consumed its
-    /// `(source, tag)` key.
-    fn intake(&mut self, env: Envelope) {
-        if self.fault.is_some() && self.delivered.contains(&(env.source, env.tag)) {
-            return; // duplicate (or late original after redelivery): discard
-        }
-        self.pending.push(env);
-    }
-
-    /// Index of the first non-finite payload element, when the poison
-    /// guard is on.
-    fn screen(&self, payload: &[f64]) -> Option<usize> {
-        if !self.check_finite {
-            return None;
-        }
-        payload.iter().position(|x| !x.is_finite())
-    }
-
-    /// Mark `(source, tag)` consumed: arm the duplicate filter, purge any
-    /// parked copies, and acknowledge the retransmission store.
-    fn complete(&mut self, source: usize, tag: u64) {
-        if let Some(f) = &self.fault {
-            f.acknowledge(source, self.rank, tag);
-            self.delivered.insert((source, tag));
-            self.pending.retain(|e| !(e.source == source && e.tag == tag));
-        }
-    }
-
-    /// One bounded receive attempt: wait up to `window` for a *due*
-    /// `(source, tag)` message, honouring injected delays (a parked
-    /// not-yet-due match shortens the sleep to its due time, never past
-    /// the window's deadline).
-    fn recv_attempt(
-        &mut self,
-        source: usize,
-        tag: u64,
-        window: Duration,
-    ) -> Result<MsgBuf, AttemptError> {
-        let deadline = Instant::now() + window;
-        loop {
-            let now = Instant::now();
-            if let Some(idx) =
-                self.pending.iter().position(|e| e.source == source && e.tag == tag && e.due(now))
-            {
-                let env = self.pending.swap_remove(idx);
-                #[cfg(feature = "hb-tracker")]
-                self.hb.join(&env.clock);
-                return Ok(env.payload);
-            }
-            // earliest matching parked-but-delayed arrival, if any
-            let next_due = self
-                .pending
-                .iter()
-                .filter(|e| e.source == source && e.tag == tag)
-                .filter_map(|e| e.not_before)
-                .min();
-            let limit = next_due.map_or(deadline, |t| t.min(deadline));
-            let now = Instant::now();
-            if limit <= now {
-                if next_due.is_none_or(|t| t > now) {
-                    return Err(AttemptError::Timeout);
-                }
-                continue; // a delayed match just became due
-            }
-            match self.inbox.recv_timeout(limit - now) {
-                Ok(env) => self.intake(env),
-                Err(RecvTimeoutError::Timeout) => {} // loop re-evaluates deadline/due
-                Err(RecvTimeoutError::Disconnected) => match next_due {
-                    // all senders are gone but a delayed match is already
-                    // parked: sleep it due, then take it
-                    Some(t) => {
-                        let now = Instant::now();
-                        if t > now {
-                            std::thread::sleep(t - now);
-                        }
-                    }
-                    None => return Err(AttemptError::Disconnected),
-                },
-            }
-        }
-    }
-
     /// Blocking receive of the message with exactly `(source, tag)`,
     /// returning the payload as a lease. Dropping the lease recycles the
     /// storage into the *sender's* pool; [`MsgBuf::detach`] adopts it.
     ///
-    /// With a fault layer armed this is the recovery seam: each timed-out
-    /// attempt first asks the retransmission store for a redelivery, then
-    /// retries with an exponentially grown window, up to
-    /// [`RetryPolicy::max_retries`]. A payload failing the poison guard
-    /// is discarded and recovered the same way (the store holds the
-    /// pre-corruption copy).
+    /// A parked arrival matches first; otherwise the inbox is drained,
+    /// parking every non-matching arrival, for at most one receive window.
     ///
     /// # Errors
     /// [`RecvError::Timeout`] if nothing matching arrives within the
-    /// whole retry budget (carrying the total time blocked),
-    /// [`RecvError::Poisoned`] if only non-finite payloads were seen, or
-    /// [`RecvError::Disconnected`] if the world died.
+    /// window, or [`RecvError::Disconnected`] if the world died.
     pub fn recv_buf(&mut self, source: usize, tag: u64) -> Result<MsgBuf, RecvError> {
         let start = Instant::now();
-        let mut window = self.recv_timeout;
-        let mut poisoned: Option<usize> = None;
-        let mut attempt: u32 = 0;
-        loop {
-            match self.recv_attempt(source, tag, window) {
-                Ok(buf) => match self.screen(&buf) {
-                    None => {
-                        self.complete(source, tag);
-                        return Ok(buf);
+        let env = match self.pending.iter().position(|e| e.source == source && e.tag == tag) {
+            Some(idx) => self.pending.swap_remove(idx),
+            None => loop {
+                let left = self.recv_timeout.saturating_sub(start.elapsed());
+                match self.inbox.recv_timeout(left) {
+                    Ok(env) if env.source == source && env.tag == tag => break env,
+                    Ok(env) => self.pending.push(env),
+                    Err(RecvTimeoutError::Timeout) => {
+                        let waited = start.elapsed();
+                        return Err(RecvError::Timeout { rank: self.rank, source, tag, waited });
                     }
-                    Some(index) => {
-                        poisoned = Some(index);
-                        drop(buf); // poisoned copy: discard, try to recover
-                    }
-                },
-                Err(AttemptError::Disconnected) => return Err(RecvError::Disconnected),
-                Err(AttemptError::Timeout) => {}
-            }
-            // recovery: the reliable store may hold the clean copy
-            if let Some(f) = &self.fault {
-                if let Some(data) = f.redeliver(source, self.rank, tag) {
-                    let buf = MsgBuf::detached(data);
-                    if let Some(index) = self.screen(&buf) {
-                        // even the deposited copy is poisoned: the sender
-                        // itself produced non-finite data — unrecoverable
-                        return Err(RecvError::Poisoned { rank: self.rank, source, tag, index });
-                    }
-                    self.complete(source, tag);
-                    return Ok(buf);
+                    Err(RecvTimeoutError::Disconnected) => return Err(RecvError::Disconnected),
                 }
-            }
-            attempt += 1;
-            if attempt > self.retry.max_retries {
-                return match poisoned {
-                    Some(index) => Err(RecvError::Poisoned { rank: self.rank, source, tag, index }),
-                    None => Err(RecvError::Timeout {
-                        rank: self.rank,
-                        source,
-                        tag,
-                        waited: start.elapsed(),
-                    }),
-                };
-            }
-            self.retries += 1;
-            window = window.mul_f64(self.retry.backoff);
-        }
+            },
+        };
+        #[cfg(feature = "hb-tracker")]
+        self.hb.join(&env.clock);
+        Ok(env.payload)
     }
 
     /// Blocking receive returning an owned `Vec<f64>` — the compatibility
@@ -456,29 +218,20 @@ pub struct ThreadWorld {
 
 impl ThreadWorld {
     /// Create a world of `size` ranks with the default 5-second receive
-    /// timeout.
+    /// window.
     ///
     /// # Panics
     /// Panics if `size == 0`.
     pub fn new(size: usize) -> Self {
-        Self::with_config(size, WorldConfig::default())
+        Self::with_timeout(size, DEFAULT_RECV_TIMEOUT)
     }
 
-    /// Create a world with an explicit receive timeout (tests use short
+    /// Create a world with an explicit receive window (tests use short
     /// ones to exercise the failure path).
     ///
     /// # Panics
     /// Panics if `size == 0`.
     pub fn with_timeout(size: usize, recv_timeout: Duration) -> Self {
-        Self::with_config(size, WorldConfig { recv_timeout, ..WorldConfig::default() })
-    }
-
-    /// Create a world with the full knob set: receive window, retry
-    /// discipline, poison guard, and (optionally) an armed fault layer.
-    ///
-    /// # Panics
-    /// Panics if `size == 0`.
-    pub fn with_config(size: usize, config: WorldConfig) -> Self {
         assert!(size > 0, "world needs at least one rank");
         let mut senders = Vec::with_capacity(size);
         let mut receivers = Vec::with_capacity(size);
@@ -498,12 +251,7 @@ impl ThreadWorld {
                 inbox,
                 peers: senders.clone(),
                 pending: Vec::new(),
-                recv_timeout: config.recv_timeout,
-                retry: config.retry,
-                check_finite: config.check_finite,
-                fault: config.fault.clone(),
-                delivered: HashSet::new(),
-                retries: 0,
+                recv_timeout,
                 pool: BufferPool::new(),
                 #[cfg(feature = "hb-tracker")]
                 hb: crate::hb::RankState::new(rank, size, registry.clone()),
@@ -527,7 +275,6 @@ impl ThreadWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
     use std::thread;
 
     #[test]
@@ -705,141 +452,5 @@ mod tests {
         for (rank, v) in results.iter().enumerate() {
             assert_eq!(*v, rank as f64);
         }
-    }
-
-    /// A two-rank chaos world with the given plan and retry knobs.
-    fn chaos_pair(
-        plan: FaultPlan,
-        retry: RetryPolicy,
-        check_finite: bool,
-    ) -> (Communicator, Communicator, Arc<FaultInjector>) {
-        let injector = Arc::new(FaultInjector::new(plan));
-        let world = ThreadWorld::with_config(
-            2,
-            WorldConfig {
-                recv_timeout: Duration::from_millis(10),
-                retry,
-                check_finite,
-                fault: Some(injector.clone()),
-            },
-        );
-        let mut comms = world.into_communicators();
-        let c1 = comms.pop().unwrap();
-        let c0 = comms.pop().unwrap();
-        (c0, c1, injector)
-    }
-
-    #[test]
-    fn dropped_messages_are_redelivered_from_the_store() {
-        let plan = FaultPlan { drop: 1.0, ..FaultPlan::default() };
-        let (c0, mut c1, inj) =
-            chaos_pair(plan, RetryPolicy { max_retries: 3, backoff: 2.0 }, false);
-        for tag in 0..5u64 {
-            c0.send(1, tag, vec![tag as f64, -1.0]);
-        }
-        for tag in 0..5u64 {
-            assert_eq!(c1.recv(0, tag).unwrap(), vec![tag as f64, -1.0]);
-        }
-        let s = inj.snapshot();
-        assert_eq!(s.drops, 5);
-        assert_eq!(s.redeliveries, 5, "every drop recovered from the store");
-    }
-
-    #[test]
-    fn duplicated_messages_are_deduplicated() {
-        let plan = FaultPlan { duplicate: 1.0, ..FaultPlan::default() };
-        let (c0, mut c1, inj) = chaos_pair(plan, RetryPolicy::default(), false);
-        c0.send(1, 7, vec![3.5]);
-        c0.send(1, 8, vec![4.5]);
-        assert_eq!(c1.recv(0, 7).unwrap(), vec![3.5]);
-        assert_eq!(c1.recv(0, 8).unwrap(), vec![4.5]);
-        // the duplicate copies were discarded at intake or purge time:
-        // nothing is left parked once the inbox is drained
-        while let Ok(env) = c1.inbox.try_recv() {
-            c1.intake(env);
-        }
-        assert!(c1.pending.is_empty(), "a duplicate copy survived");
-        assert_eq!(inj.snapshot().duplicates, 2);
-    }
-
-    #[test]
-    fn delayed_messages_arrive_once_due() {
-        let plan =
-            FaultPlan { delay: 1.0, max_delay: Duration::from_millis(30), ..FaultPlan::default() };
-        let (c0, mut c1, inj) =
-            chaos_pair(plan, RetryPolicy { max_retries: 4, backoff: 2.0 }, false);
-        c0.send(1, 3, vec![1.0, 2.0]);
-        assert_eq!(c1.recv(0, 3).unwrap(), vec![1.0, 2.0]);
-        assert_eq!(inj.snapshot().delays, 1);
-    }
-
-    #[test]
-    fn corrupted_payloads_recover_clean_via_redelivery() {
-        let plan = FaultPlan { corrupt: 1.0, ..FaultPlan::default() };
-        let (c0, mut c1, inj) =
-            chaos_pair(plan, RetryPolicy { max_retries: 2, backoff: 2.0 }, true);
-        c0.send(1, 11, vec![1.0, 2.0, 3.0]);
-        // the wire copy is poisoned; the store copy is clean
-        assert_eq!(c1.recv(0, 11).unwrap(), vec![1.0, 2.0, 3.0]);
-        let s = inj.snapshot();
-        assert_eq!(s.corruptions, 1);
-        assert_eq!(s.redeliveries, 1);
-    }
-
-    #[test]
-    fn genuinely_poisoned_data_reports_the_element() {
-        // no injected corruption: the sender's own data is non-finite, so
-        // even the store copy is poisoned — must fail with the index
-        let (c0, mut c1, _inj) = chaos_pair(FaultPlan::default(), RetryPolicy::default(), true);
-        c0.send(1, 5, vec![1.0, f64::NAN, 3.0]);
-        match c1.recv(0, 5).unwrap_err() {
-            RecvError::Poisoned { rank, source, tag, index } => {
-                assert_eq!((rank, source, tag, index), (1, 0, 5, 1));
-            }
-            other => panic!("expected poison error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn poisoned_link_times_out_with_waited_context() {
-        let plan = FaultPlan::default().with_poisoned_link(0, 1);
-        let (c0, mut c1, _inj) =
-            chaos_pair(plan, RetryPolicy { max_retries: 1, backoff: 2.0 }, false);
-        c0.send(1, 0, vec![9.0]);
-        match c1.recv(0, 0).unwrap_err() {
-            RecvError::Timeout { rank, source, tag, waited } => {
-                assert_eq!((rank, source, tag), (1, 0, 0));
-                // base window 10ms + one retried 20ms window
-                assert!(waited >= Duration::from_millis(30), "waited = {waited:?}");
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        // the reverse edge still works
-        c1.send(0, 1, vec![2.0]);
-        let mut c0 = c0;
-        assert_eq!(c0.recv(1, 1).unwrap(), vec![2.0]);
-    }
-
-    #[test]
-    fn armed_inert_plan_changes_nothing_and_stays_pooled() {
-        let (mut c0, mut c1, inj) =
-            chaos_pair(FaultPlan::default(), RetryPolicy { max_retries: 2, backoff: 2.0 }, true);
-        let h = thread::spawn(move || {
-            for step in 0..4u64 {
-                let lease = c1.recv_buf(0, step).unwrap();
-                assert_eq!(&lease[..], &[step as f64]);
-                drop(lease);
-                c1.send(0, 100 + step, Vec::new());
-            }
-        });
-        for step in 0..4u64 {
-            let mut buf = c0.buf(1);
-            buf.load(&[step as f64]);
-            c0.send_buf(1, step, buf);
-            c0.recv(1, 100 + step).unwrap();
-        }
-        h.join().unwrap();
-        assert_eq!(c0.payload_allocations(), 1, "pool discipline intact under an armed layer");
-        assert_eq!(inj.snapshot().injected(), 0);
     }
 }

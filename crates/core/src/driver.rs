@@ -55,9 +55,6 @@ pub struct SvdRun {
     /// sweep (empty unless `track_off` was set), of the matrix as swept:
     /// an input rescaled at entry is measured at that scale.
     pub off_history: Vec<f64>,
-    /// Recovery summary of a distributed run (injected faults, retries,
-    /// restarts, ladder descents). `None` on the simulated path.
-    pub health: Option<treesvd_sim::HealthReport>,
     /// Whether the tall-skinny QR front-end engaged: the sweeps ran on
     /// the `n×n` factor `R` and `U` was back-transformed through `Q`
     /// (see [`SvdOptions::qr_frontend`]).
@@ -247,7 +244,6 @@ impl HestenesSvd {
             transposed,
             padded_n: n_pad,
             off_history,
-            health: None,
             qr_frontend: false,
         })
     }
@@ -260,15 +256,9 @@ impl HestenesSvd {
     /// bitwise-equivalent); no simulated timing is produced, so
     /// `simulated_time` is 0 and `sweep_stats` is empty.
     ///
-    /// With [`SvdOptions::chaos`] and/or [`SvdOptions::fault_policy`] set,
-    /// the executor runs under seeded fault injection with the recovery
-    /// layer armed (retry + redelivery, checkpoint restarts, degradation
-    /// ladder); every absorbed fault leaves the result bitwise unchanged,
-    /// and what recovery did is reported in [`SvdRun::health`].
-    ///
     /// # Errors
-    /// As [`HestenesSvd::compute`], plus [`SvdError::Unrecoverable`] when
-    /// the executor fails past its recovery budget — carrying the failing
+    /// As [`HestenesSvd::compute`], plus [`SvdError::Distributed`] when a
+    /// bounded receive times out (an executor bug) — carrying the failing
     /// rank, sweep, step, and message context.
     pub fn compute_distributed(&self, a: &Matrix) -> Result<SvdRun, SvdError> {
         screened(a, |a| self.compute_distributed_inner(a, true), |run| &mut run.svd)
@@ -304,17 +294,12 @@ impl HestenesSvd {
             serial_cutoff: self.options.serial_cutoff,
             threads: self.options.threads.unwrap_or(0),
         };
-        let dist_cfg = treesvd_sim::DistConfig {
-            exec: config,
-            max_sweeps: self.options.max_sweeps,
-            policy: self.options.effective_policy(),
-            fault: self.options.chaos.clone(),
-        };
-        let outcome = treesvd_sim::distributed_svd_with(
+        let outcome = treesvd_sim::distributed_svd(
             ordering.as_ref(),
             columns,
             self.options.vectors,
-            &dist_cfg,
+            config,
+            self.options.max_sweeps,
         )?;
         if !outcome.converged {
             return Err(SvdError::NoConvergence {
@@ -333,7 +318,6 @@ impl HestenesSvd {
             transposed: false,
             padded_n: n_pad,
             off_history: Vec::new(),
-            health: Some(outcome.health),
             qr_frontend: false,
         })
     }
@@ -622,21 +606,6 @@ mod distributed_tests {
         let recon =
             checks::reconstruction_residual(&a.transpose(), &run.svd.v, &run.svd.sigma, &run.svd.u);
         assert!(recon < 1e-11);
-    }
-
-    #[test]
-    fn chaos_run_is_bitwise_identical_and_reports_health() {
-        let a = generate::random_uniform(16, 8, 35);
-        let clean = HestenesSvd::new(SvdOptions::default()).compute_distributed(&a).unwrap();
-        let health = clean.health.as_ref().expect("distributed runs report health");
-        assert!(!health.degraded(), "clean run must need no recovery");
-        let chaotic =
-            HestenesSvd::new(SvdOptions::default().with_chaos(13)).compute_distributed(&a).unwrap();
-        assert_eq!(clean.svd.sigma, chaotic.svd.sigma, "absorbed faults must be bitwise-invisible");
-        assert_eq!(clean.svd.u, chaotic.svd.u);
-        assert_eq!(clean.svd.v, chaotic.svd.v);
-        let health = chaotic.health.expect("chaos run reports health");
-        assert!(health.faults.injected() > 0, "the seeded plan must actually fire");
     }
 }
 

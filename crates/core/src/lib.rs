@@ -61,7 +61,5 @@ pub use treesvd_matrix::Matrix;
 pub use treesvd_net::{CostModel, TopologyKind};
 pub use treesvd_orderings::OrderingKind;
 pub use treesvd_sim::SortMode;
-pub use treesvd_sim::{
-    DistError, FaultPlan, FaultPolicy, FaultSnapshot, HealthReport, StallEvent, StallKind,
-};
+pub use treesvd_sim::{DistError, RecvError};
 pub use treesvd_tune::{DriverSel, KernelSel, TunePlan, TuneProblem};

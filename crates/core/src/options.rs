@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 use treesvd_net::{CostModel, TopologyKind};
 use treesvd_orderings::{JacobiOrdering, OrderingError, OrderingKind};
-use treesvd_sim::{DistError, FaultPlan, FaultPolicy, SortMode};
+use treesvd_sim::{DistError, SortMode};
 
 /// A caller-supplied ordering factory: given the padded column count,
 /// produce the ordering. Shared, so cloning a choice clones the handle.
@@ -145,17 +145,6 @@ pub struct SvdOptions {
     /// [`par::num_threads`](treesvd_sim::par::num_threads) (which honors
     /// the `TREESVD_THREADS` environment variable).
     pub threads: Option<usize>,
-    /// Recovery policy for the distributed executor: receive windows,
-    /// retries with backoff, sweep-boundary checkpoints, whole-world
-    /// restarts, and the degradation ladder. `None` uses
-    /// [`FaultPolicy::default`] (pre-recovery behavior: a 5 s window and
-    /// fail-fast on the first timeout), unless [`SvdOptions::chaos`] is
-    /// armed, in which case [`FaultPolicy::chaos`] is the baseline.
-    pub fault_policy: Option<FaultPolicy>,
-    /// Seeded deterministic fault plan for the distributed executor
-    /// (chaos testing). Replayable: the same seed injects the identical
-    /// fault sequence. Ignored by the simulated/sequential paths.
-    pub chaos: Option<FaultPlan>,
     /// Tall-skinny QR front-end: when the aspect ratio `m/n` reaches
     /// [`SvdOptions::qr_crossover`], factor `A = QR` with the TSQR tree
     /// ([`treesvd_matrix::qr`]), run the Jacobi driver on the `n×n`
@@ -190,8 +179,6 @@ impl Default for SvdOptions {
             verify_schedule: false,
             block_kernel: BlockKernel::default(),
             threads: None,
-            fault_policy: None,
-            chaos: None,
             qr_frontend: false,
             qr_crossover: 8.0,
             qr_panel: 32,
@@ -263,38 +250,6 @@ impl SvdOptions {
         self
     }
 
-    /// Set the distributed executor's recovery policy.
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.fault_policy = Some(policy);
-        self
-    }
-
-    /// Set the initial receive window of the distributed executor's
-    /// blocking receives (layered onto the effective policy).
-    pub fn with_recv_timeout(mut self, timeout: std::time::Duration) -> Self {
-        let mut policy = self.effective_policy();
-        policy.recv_timeout = timeout;
-        self.fault_policy = Some(policy);
-        self
-    }
-
-    /// Set the receive retry budget (attempts beyond the first, each with
-    /// exponential backoff and a redelivery request).
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        let mut policy = self.effective_policy();
-        policy.max_retries = max_retries;
-        self.fault_policy = Some(policy);
-        self
-    }
-
-    /// Arm the canonical seeded chaos plan ([`FaultPlan::chaos`]) and, if
-    /// no explicit policy was chosen, the matching recovery profile
-    /// ([`FaultPolicy::chaos`]).
-    pub fn with_chaos(mut self, seed: u64) -> Self {
-        self.chaos = Some(FaultPlan::chaos(seed));
-        self
-    }
-
     /// Enable (or disable) the tall-skinny QR front-end.
     pub fn with_qr_frontend(mut self, enabled: bool) -> Self {
         self.qr_frontend = enabled;
@@ -318,17 +273,6 @@ impl SvdOptions {
     pub fn with_hier_blocking(mut self, hier: HierBlocking) -> Self {
         self.hier = hier;
         self
-    }
-
-    /// The recovery policy a distributed run will actually use: the
-    /// explicit one, else the chaos profile when a chaos plan is armed,
-    /// else the fail-fast default.
-    pub fn effective_policy(&self) -> FaultPolicy {
-        match (&self.fault_policy, &self.chaos) {
-            (Some(p), _) => *p,
-            (None, Some(_)) => FaultPolicy::chaos(),
-            (None, None) => FaultPolicy::default(),
-        }
     }
 }
 
@@ -359,11 +303,11 @@ pub enum SvdError {
         /// Last sweep's maximum normalized coupling.
         last_coupling: f64,
     },
-    /// The distributed executor exhausted its recovery budget (retries,
-    /// restarts, and — if permitted — the whole degradation ladder). The
-    /// inner [`DistError`] pinpoints the final failure: rank, sweep,
-    /// global step, and the offending message's source/tag.
-    Unrecoverable(DistError),
+    /// A bounded receive of the distributed executor timed out, which
+    /// means an executor bug: the network is lossless. The inner
+    /// [`DistError`] names the rank, sweep, global step, and the missing
+    /// message's source and tag.
+    Distributed(DistError),
 }
 
 impl fmt::Display for SvdError {
@@ -380,7 +324,7 @@ impl fmt::Display for SvdError {
                 f,
                 "no convergence after {sweeps} sweeps (last max coupling {last_coupling:.3e})"
             ),
-            SvdError::Unrecoverable(e) => write!(f, "distributed run unrecoverable: {e}"),
+            SvdError::Distributed(e) => write!(f, "distributed run failed: {e}"),
         }
     }
 }
@@ -388,7 +332,7 @@ impl fmt::Display for SvdError {
 impl std::error::Error for SvdError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SvdError::Unrecoverable(e) => Some(e),
+            SvdError::Distributed(e) => Some(e),
             _ => None,
         }
     }
@@ -396,7 +340,7 @@ impl std::error::Error for SvdError {
 
 impl From<DistError> for SvdError {
     fn from(e: DistError) -> Self {
-        SvdError::Unrecoverable(e)
+        SvdError::Distributed(e)
     }
 }
 
@@ -415,6 +359,8 @@ impl From<treesvd_analyze::Violation> for SvdError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+    use treesvd_sim::RecvError;
 
     #[test]
     fn default_options_are_the_papers() {
@@ -485,38 +431,23 @@ mod tests {
         assert!(SvdError::NoProcessors.to_string().contains("processor"));
         let e: SvdError = OrderingError::OddSize(7).into();
         assert!(e.to_string().contains('7'));
+        let err = RecvError::Disconnected;
+        let e = SvdError::Distributed(DistError { rank: 1, sweep: 0, step: 4, err });
+        assert!(e.to_string().starts_with("distributed run failed: rank 1"), "{e}");
     }
 
     #[test]
-    fn fault_builders_layer_onto_the_effective_policy() {
-        use std::time::Duration;
-        // no knobs: fail-fast default
-        assert_eq!(SvdOptions::default().effective_policy(), FaultPolicy::default());
-        // chaos alone: the chaos profile
-        let o = SvdOptions::default().with_chaos(11);
-        assert_eq!(o.effective_policy(), FaultPolicy::chaos());
-        assert_eq!(o.chaos.as_ref().unwrap().seed, 11);
-        // per-knob builders refine the baseline in effect
-        let o = SvdOptions::default()
-            .with_chaos(11)
-            .with_recv_timeout(Duration::from_millis(7))
-            .with_max_retries(9);
-        let p = o.effective_policy();
-        assert_eq!(p.recv_timeout, Duration::from_millis(7));
-        assert_eq!(p.max_retries, 9);
-        assert!(p.degrade, "chaos baseline survives the refinement");
-        // an explicit policy wins outright
-        let o = SvdOptions::default().with_fault_policy(FaultPolicy::default()).with_chaos(5);
-        assert_eq!(o.effective_policy(), FaultPolicy::default());
-    }
-
-    #[test]
-    fn unrecoverable_error_keeps_the_distributed_context() {
-        let inner = DistError::Crashed { rank: 3, sweep: 2 };
-        let e: SvdError = inner.into();
+    fn distributed_error_names_the_missing_message() {
+        let err =
+            RecvError::Timeout { rank: 3, source: 5, tag: 42, waited: Duration::from_secs(5) };
+        let e: SvdError = DistError { rank: 3, sweep: 2, step: 17, err: err.clone() }.into();
         let msg = e.to_string();
-        assert!(msg.contains("rank 3") && msg.contains("sweep 2"), "{msg}");
-        assert!(std::error::Error::source(&e).is_some());
+        for part in ["rank 3", "sweep 2", "step 17", "source 5", "tag 42"] {
+            assert!(msg.contains(part), "{msg:?} does not name {part:?}");
+        }
+        let dist = std::error::Error::source(&e).expect("the DistError");
+        let recv = dist.source().expect("the RecvError");
+        assert_eq!(recv.downcast_ref::<RecvError>(), Some(&err));
     }
 
     #[test]

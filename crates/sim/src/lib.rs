@@ -42,18 +42,15 @@ pub mod distributed;
 pub mod exec;
 pub mod machine;
 pub mod par;
-pub mod recovery;
 pub mod timeline;
 
 pub use analyze::{analyze_program, CommReport};
-pub use distributed::{distributed_svd, distributed_svd_with, DistConfig, DistributedOutcome};
-pub use recovery::{DistError, FaultPolicy, HealthReport};
-// the fault-injection vocabulary, re-exported so downstream crates (core,
-// cli, bench) can arm chaos without a direct treesvd-comm dependency
+pub use distributed::{distributed_svd, DistError, DistributedOutcome};
 pub use exec::{
     execute_program, execute_program_with_scratch, off_measure, off_measure_limited, ColumnStore,
     ExecConfig, ExecScratch, SortMode, SweepStats,
 };
 pub use machine::Machine;
 pub use timeline::{StepTiming, Timeline};
-pub use treesvd_comm::{FaultPlan, FaultSnapshot, StallEvent, StallKind};
+// the error a distributed receive returns, named by `DistError::err`
+pub use treesvd_comm::RecvError;

@@ -157,7 +157,7 @@ fn pool() -> &'static Pool {
 /// This is the one sanctioned long-lived thread seam in the workspace
 /// besides `treesvd-comm` itself (the `treesvd-lint` source audit
 /// enforces it): the distributed executor's rank workers live for a whole
-/// attempt and block on receives, so they must never occupy pool workers
+/// run and block on receives, so they must never occupy pool workers
 /// — a pool worker parked in a receive would deadlock the fork/join
 /// traffic of the ranks still computing.
 ///

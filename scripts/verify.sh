@@ -36,9 +36,4 @@ echo "== bench smoke: auto-tuner vs fixed configs + warm-path zero-alloc gate ==
 # cached key makes zero heap allocations and re-runs no probe
 cargo run --release -p treesvd-bench --bin bench_auto -- --smoke
 
-echo "== chaos soak: seeded fault plans must recover bitwise (96x16, P=8) =="
-# fixed seeds, bounded wall time; also gates zero steady-state payload
-# allocations with an armed-but-inert plan (see DESIGN.md §12)
-cargo run --release -p treesvd-bench --bin chaos_soak
-
 echo "verify.sh: all gates passed"

@@ -5,9 +5,8 @@
 
 use treesvd_analyze::{
     analyze_ordering, verify_contention, verify_coverage, verify_deadlock_freedom,
-    verify_ordering_schedule, verify_permutation_safety, verify_plan, verify_pool_safety,
-    verify_recovery_freedom, verify_restore, AnalysisOptions, CommModel, CommOp, CommPlan,
-    Violation,
+    verify_ordering_schedule, verify_permutation_safety, verify_plan, verify_restore,
+    AnalysisOptions, CommModel, CommOp, CommPlan, Violation,
 };
 use treesvd_net::{Topology, TopologyKind};
 use treesvd_orderings::four_block::{module_a_movements, module_b_movements};
@@ -269,7 +268,7 @@ fn mutilated_comm_plan_fails_deadlock_check() {
 }
 
 #[test]
-fn executor_plans_pass_the_deadlock_recovery_and_pool_proofs() {
+fn executor_plans_pass_the_deadlock_proof() {
     // the plan of the messages the distributed executor sends, for every
     // built-in ordering, with and without the V-phase messages
     for n in [8usize, 16] {
@@ -279,9 +278,6 @@ fn executor_plans_pass_the_deadlock_recovery_and_pool_proofs() {
                     let ctx = format!("{} n = {n} vectors = {vectors}", ord.name());
                     verify_deadlock_freedom(&prog, vectors)
                         .unwrap_or_else(|v| panic!("{ctx}: {v}"));
-                    verify_recovery_freedom(&prog, vectors)
-                        .unwrap_or_else(|v| panic!("{ctx}: {v}"));
-                    verify_pool_safety(&prog, vectors).unwrap_or_else(|v| panic!("{ctx}: {v}"));
                 }
             }
         }
