@@ -11,6 +11,7 @@
 //! `load/capacity` ratios.
 
 use crate::report::Violation;
+use treesvd_net::routing::Channel;
 use treesvd_net::{Message, Phase, Topology};
 use treesvd_orderings::Program;
 
@@ -33,7 +34,8 @@ pub struct ContentionProof {
 ///
 /// # Errors
 /// [`Violation::ChannelOverload`] naming the first step whose phase loads
-/// an interior channel beyond the busiest endpoint channel.
+/// an interior channel beyond the busiest endpoint channel, and the worst
+/// such channel (the smallest in [`Channel`]'s order among ties).
 ///
 /// # Panics
 /// Panics if the topology has fewer than `n/2` leaves.
@@ -52,22 +54,21 @@ pub fn verify_contention(
             .map(|(f, t)| Message { src: f / 2, dst: t / 2, words: words_per_column })
             .collect();
         proof.messages += messages.len();
-        let phase = Phase::new(topo, messages);
-        let factor = phase.contention(topo);
+        let loads = Phase::new(topo, messages).channel_loads();
+        let factor = loads.contention(topo);
         if factor > proof.max_contention {
             proof.max_contention = factor;
             proof.worst_step = step;
         }
         if factor > 1.0 {
-            let loads = phase.channel_loads();
-            // the witness: the interior channel with the worst load ratio
+            // the witness: the interior channel with the worst load ratio,
+            // the smallest such channel when several tie
+            let ratio = |c: &Channel, w: u64| w as f64 / topo.capacity(c.level) as f64;
             let (channel, load) = loads
                 .iter()
                 .filter(|(c, _)| c.level >= 2)
                 .max_by(|(c1, w1), (c2, w2)| {
-                    let r1 = *w1 as f64 / topo.capacity(c1.level) as f64;
-                    let r2 = *w2 as f64 / topo.capacity(c2.level) as f64;
-                    r1.total_cmp(&r2)
+                    ratio(c1, *w1).total_cmp(&ratio(c2, *w2)).then_with(|| c2.cmp(c1))
                 })
                 .expect("contention > 1 implies a loaded interior channel");
             return Err(Violation::ChannelOverload {
@@ -118,6 +119,24 @@ mod tests {
                 assert!(step < n - 1);
             }
             other => panic!("expected ChannelOverload, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overload_witness_is_the_smallest_tied_channel() {
+        // symmetric traffic ties many interior channels at the worst
+        // ratio; the witness must not depend on iteration order
+        let prog = sweep(&FatTreeOrdering::new(32).unwrap());
+        let topo = Topology::new(TopologyKind::BinaryTree, 16);
+        let witness = || verify_contention(&prog, &topo, 1).unwrap_err().to_string();
+        let first = witness();
+        assert_eq!(
+            first,
+            "step 4: down channel at level 2 above node 0 carries 2 words over capacity 1 \
+             (contention factor 2.00)"
+        );
+        for _ in 0..20 {
+            assert_eq!(witness(), first);
         }
     }
 

@@ -121,17 +121,23 @@ struct PointResult {
 type Config<'a> = (&'static str, Box<dyn FnMut() + 'a>);
 
 /// Median wall-clock seconds per configuration, with the samples
-/// interleaved round-robin across the configs (and one warm-up pass
-/// first): sequential per-config blocks let scheduler/thermal drift pull
-/// two *identical* code paths several percent apart, which a 5% gate
-/// cannot tolerate.
+/// interleaved round-robin across the configs: sequential per-config
+/// blocks let scheduler/thermal drift pull two *identical* code paths
+/// several percent apart, which a 5% gate cannot tolerate.
+///
+/// Each timed run directly follows an untimed run of the same config, so
+/// it sees the heap its own previous call left, as a caller repeating it
+/// would. Timed straight after another config, a run inherits that
+/// config's allocator state: at `tall 2048x12` the same QR front-end
+/// solve took about 8% longer after a front-end solve than after a
+/// direct one (glibc trims the freed buffers off the heap, and the next
+/// solve faults them back in), so the config in the first slot was
+/// charged for the one in the last.
 fn time_round_robin(configs: &mut [Config<'_>], samples: usize) -> Vec<f64> {
-    for (_, f) in configs.iter_mut() {
-        f();
-    }
     let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(samples); configs.len()];
     for _ in 0..samples {
         for (i, (_, f)) in configs.iter_mut().enumerate() {
+            f();
             let t = Instant::now();
             f();
             times[i].push(t.elapsed().as_secs_f64());

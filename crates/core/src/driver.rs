@@ -14,7 +14,8 @@ use treesvd_matrix::Matrix;
 use treesvd_net::Topology;
 use treesvd_orderings::{JacobiOrdering, OrderingError, OrderingKind};
 use treesvd_sim::{
-    execute_program_with_scratch, ColumnStore, ExecConfig, ExecScratch, Machine, SweepStats,
+    analyze_program, execute_program_with_scratch, ColumnStore, ExecConfig, ExecScratch, Machine,
+    SweepStats,
 };
 
 /// Build the configured ordering for `n` (padded) columns and, when
@@ -194,9 +195,14 @@ impl HestenesSvd {
         };
 
         // the layout cycle repeats with the ordering's restore period, so
-        // the sweep programs can be generated once and reused
+        // the sweep programs can be generated once and reused; their
+        // network cost depends only on the program and the column length,
+        // so each is priced once too
         let period = ordering.restore_period().max(1);
         let cached_programs = ordering.programs(period);
+        let words = store.column_words() as u64;
+        let cached_reports: Vec<_> =
+            cached_programs.iter().map(|prog| analyze_program(&machine, prog, words)).collect();
 
         let mut sweep_stats: Vec<SweepStats> = Vec::new();
         let mut off_history: Vec<f64> = Vec::new();
@@ -205,14 +211,20 @@ impl HestenesSvd {
                 .push(treesvd_sim::off_measure_limited(&store, self.options.threads.unwrap_or(0)));
         }
         let mut converged = false;
-        // one scratch for the whole run: after the first step of the first
-        // sweep the executor allocates nothing per step
+        // one scratch for the whole run: once the first sweep has sized it,
+        // a sweep allocates only the two vectors of its SweepStats
         let mut scratch = ExecScratch::new();
         for k in 0..self.options.max_sweeps {
-            let prog = &cached_programs[k % period];
+            let (prog, priced) = (&cached_programs[k % period], &cached_reports[k % period]);
             debug_assert_eq!(store.layout, prog.initial_layout, "layout cycle broken");
-            let stats =
-                execute_program_with_scratch(&machine, prog, &mut store, &config, &mut scratch);
+            let stats = execute_program_with_scratch(
+                &machine,
+                prog,
+                priced,
+                &mut store,
+                &config,
+                &mut scratch,
+            );
             if self.options.track_off {
                 off_history.push(treesvd_sim::off_measure_limited(
                     &store,

@@ -47,7 +47,8 @@ pub struct PhaseCost {
     pub serialization: f64,
     /// The latency component (startup + hops).
     pub latency: f64,
-    /// Contention factor of the phase (see [`Phase::contention`]).
+    /// Contention factor of the phase (see
+    /// [`ChannelLoads::contention`](crate::traffic::ChannelLoads::contention)).
     pub contention: f64,
     /// Highest communication level used.
     pub max_level: usize,
@@ -66,16 +67,15 @@ impl CostModel {
             };
         }
         let loads = phase.channel_loads();
-        let serialization = loads
-            .iter()
-            .map(|(c, w)| w as f64 / topo.capacity(c.level) as f64 * self.beta)
+        let serialization = (1..=topo.levels())
+            .map(|k| loads.level_max(k) as f64 / topo.capacity(k) as f64 * self.beta)
             .fold(0.0, f64::max);
         let latency = self.alpha + self.hop * (2 * phase.max_level()) as f64;
         PhaseCost {
             time: serialization + latency,
             serialization,
             latency,
-            contention: phase.contention(topo),
+            contention: loads.contention(topo),
             max_level: phase.max_level(),
         }
     }

@@ -2,10 +2,11 @@
 
 #![cfg(test)]
 
-use crate::routing::{comm_level, route};
+use crate::routing::{comm_level, route, Channel};
 use crate::topology::{Topology, TopologyKind};
 use crate::traffic::{Message, Phase};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -109,5 +110,57 @@ proptest! {
             .map(|m| 2 * comm_level(m.src, m.dst) as u64 * m.words)
             .sum();
         prop_assert_eq!(total, expect);
+    }
+
+    #[test]
+    fn dense_channel_loads_match_summed_routes(
+        e in 1u32..7,
+        kind in 0usize..4,
+        cut in 1u32..5,
+        raw in proptest::collection::vec((0usize..64, 0usize..64, 1u64..100), 0..24),
+    ) {
+        let leaves = 1usize << e;
+        let kind = [
+            TopologyKind::PerfectFatTree,
+            TopologyKind::BinaryTree,
+            TopologyKind::Cm5,
+            TopologyKind::SkinnyAbove(cut),
+        ][kind];
+        let topo = Topology::new(kind, leaves);
+        // every third message stays on its leaf
+        let msgs: Vec<Message> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, d, words))| {
+                let src = s % leaves;
+                let dst = if i % 3 == 0 { src } else { d % leaves };
+                Message { src, dst, words }
+            })
+            .collect();
+        // the spec: sum each message's words over its route's channels
+        let mut expect: BTreeMap<Channel, u64> = BTreeMap::new();
+        for m in &msgs {
+            for c in route(m.src, m.dst).channels {
+                *expect.entry(c).or_insert(0) += m.words;
+            }
+        }
+        let loads = Phase::new(&topo, msgs).channel_loads();
+        // same channels, same words, in Channel order
+        let got: Vec<(Channel, u64)> = loads.iter().collect();
+        let want: Vec<(Channel, u64)> = expect.iter().map(|(&c, &w)| (c, w)).collect();
+        prop_assert_eq!(got, want);
+        for (&c, &w) in &expect {
+            prop_assert_eq!(loads.load(c), w);
+        }
+        prop_assert_eq!(loads.max_load(), expect.values().copied().max().unwrap_or(0));
+        for level in 1..=topo.levels() {
+            let words: u64 = expect.iter().filter(|(c, _)| c.level == level).map(|(_, &w)| w).sum();
+            prop_assert_eq!(loads.level_words(level), words);
+        }
+        let ratio = |(c, w): (&Channel, &u64)| *w as f64 / topo.capacity(c.level) as f64;
+        let endpoint = expect.iter().filter(|(c, _)| c.level == 1).map(ratio).fold(0.0, f64::max);
+        let interior = expect.iter().filter(|(c, _)| c.level >= 2).map(ratio).fold(0.0, f64::max);
+        let contention = if endpoint == 0.0 { 0.0 } else { interior / endpoint };
+        prop_assert_eq!(loads.contention(&topo), contention);
     }
 }

@@ -1,8 +1,7 @@
 //! Per-phase traffic accounting: channel loads and contention.
 
-use crate::routing::{route, Channel};
+use crate::routing::{comm_level, Channel};
 use crate::topology::Topology;
-use std::collections::HashMap;
 
 /// One message: a column (or block) moving between leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,97 +16,94 @@ pub struct Message {
 
 /// Accumulated per-channel loads for one communication phase (all the
 /// messages between two computation steps, injected simultaneously).
-#[derive(Debug, Clone, Default)]
+///
+/// One counter per directed channel of the tree, laid out in
+/// [`Channel`]'s order: direction (down before up), then level, then
+/// node. Level `k` holds [`Topology::channels_at`]`(k) = leaves >> (k−1)`
+/// counters per direction.
+#[derive(Debug, Clone)]
 pub struct ChannelLoads {
-    loads: HashMap<Channel, u64>,
+    leaves: usize,
+    words: Vec<u64>,
 }
 
 impl ChannelLoads {
-    /// Words crossing `channel` this phase.
-    pub fn load(&self, channel: Channel) -> u64 {
-        self.loads.get(&channel).copied().unwrap_or(0)
+    /// Empty loads for a tree with `leaves` leaves.
+    fn new(leaves: usize) -> Self {
+        Self { leaves, words: vec![0; 2 * Self::per_direction(leaves)] }
     }
 
-    /// All loaded channels with their word counts.
+    /// Channels per direction over all levels: `leaves + leaves/2 + … + 2`.
+    fn per_direction(leaves: usize) -> usize {
+        2 * leaves - 2
+    }
+
+    fn levels(&self) -> usize {
+        self.leaves.trailing_zeros() as usize
+    }
+
+    /// Index of the first level-`level` counter within one direction
+    /// (`levels + 1` gives the direction's length).
+    fn level_start(&self, level: usize) -> usize {
+        2 * self.leaves - ((2 * self.leaves) >> (level - 1))
+    }
+
+    /// Counter index of the up (or down) channel above `node` at `level`.
+    fn index(&self, up: bool, level: usize, node: usize) -> usize {
+        usize::from(up) * Self::per_direction(self.leaves) + self.level_start(level) + node
+    }
+
+    /// Add `words` to every channel of the up-over-down route from `src`
+    /// to `dst` (the channels of [`route`](crate::routing::route)).
+    fn add_route(&mut self, src: usize, dst: usize, words: u64) {
+        for k in 1..=comm_level(src, dst) {
+            let up = self.index(true, k, src >> (k - 1));
+            self.words[up] += words;
+            let down = self.index(false, k, dst >> (k - 1));
+            self.words[down] += words;
+        }
+    }
+
+    /// Words crossing `channel` this phase.
+    pub fn load(&self, channel: Channel) -> u64 {
+        let Channel { up, level, node } = channel;
+        if level == 0 || level > self.levels() || node >= self.leaves >> (level - 1) {
+            return 0;
+        }
+        self.words[self.index(up, level, node)]
+    }
+
+    /// All loaded channels with their word counts, in [`Channel`] order.
     pub fn iter(&self) -> impl Iterator<Item = (Channel, u64)> + '_ {
-        self.loads.iter().map(|(&c, &w)| (c, w))
+        let (leaves, levels) = (self.leaves, self.levels());
+        [false, true]
+            .into_iter()
+            .flat_map(move |up| {
+                (1..=levels).flat_map(move |level| {
+                    (0..leaves >> (level - 1)).map(move |node| Channel { up, level, node })
+                })
+            })
+            .zip(self.words.iter().copied())
+            .filter(|&(_, w)| w > 0)
     }
 
     /// Total words crossing channels at `level` (both directions).
     pub fn level_words(&self, level: usize) -> u64 {
-        self.loads.iter().filter(|(c, _)| c.level == level).map(|(_, &w)| w).sum()
+        self.iter().filter(|(c, _)| c.level == level).map(|(_, w)| w).sum()
     }
 
     /// The busiest channel's load in words, or 0 if the phase is empty.
     pub fn max_load(&self) -> u64 {
-        self.loads.values().copied().max().unwrap_or(0)
-    }
-}
-
-/// One communication phase: a set of simultaneous messages on a topology.
-#[derive(Debug, Clone)]
-pub struct Phase {
-    messages: Vec<Message>,
-    max_level: usize,
-}
-
-impl Phase {
-    /// Build a phase from messages, validating leaves against `topo`.
-    ///
-    /// # Panics
-    /// Panics if a message references a leaf outside the topology.
-    pub fn new(topo: &Topology, messages: Vec<Message>) -> Self {
-        let mut max_level = 0;
-        for m in &messages {
-            assert!(m.src < topo.leaves() && m.dst < topo.leaves(), "leaf out of range");
-            max_level = max_level.max(crate::routing::comm_level(m.src, m.dst));
-        }
-        Self { messages, max_level }
+        self.words.iter().copied().max().unwrap_or(0)
     }
 
-    /// The messages in this phase.
-    pub fn messages(&self) -> &[Message] {
-        &self.messages
-    }
-
-    /// The highest communication level any message reaches — the paper's
-    /// level-r of the phase.
-    pub fn max_level(&self) -> usize {
-        self.max_level
-    }
-
-    /// Recover the message buffer, so callers that build phases in a loop
-    /// can recycle its allocation.
-    #[must_use]
-    pub fn into_messages(self) -> Vec<Message> {
-        self.messages
-    }
-
-    /// Total message count (excluding src == dst no-ops).
-    pub fn message_count(&self) -> usize {
-        self.messages.iter().filter(|m| m.src != m.dst).count()
-    }
-
-    /// Total words moved, weighted by hops (a words×hops volume metric).
-    pub fn word_hops(&self) -> u64 {
-        self.messages
-            .iter()
-            .map(|m| 2 * crate::routing::comm_level(m.src, m.dst) as u64 * m.words)
-            .sum()
-    }
-
-    /// Accumulate per-channel loads.
-    pub fn channel_loads(&self) -> ChannelLoads {
-        let mut loads = ChannelLoads::default();
-        for m in &self.messages {
-            if m.src == m.dst {
-                continue;
-            }
-            for c in route(m.src, m.dst).channels {
-                *loads.loads.entry(c).or_insert(0) += m.words;
-            }
-        }
-        loads
+    /// The busiest level-`level` channel's load in words, either direction.
+    /// Capacity is per level, so this channel also has the level's worst
+    /// `load/capacity`.
+    pub(crate) fn level_max(&self, level: usize) -> u64 {
+        let (start, end) = (self.level_start(level), self.level_start(level + 1));
+        let (down, up) = self.words.split_at(Self::per_direction(self.leaves));
+        down[start..end].iter().chain(&up[start..end]).copied().max().unwrap_or(0)
     }
 
     /// The **contention factor** on `topo`: how much slower the tree's
@@ -131,22 +127,73 @@ impl Phase {
     /// longer than any endpoint. Returns 0 for an empty phase or one that
     /// never leaves level 1.
     pub fn contention(&self, topo: &Topology) -> f64 {
-        let loads = self.channel_loads();
-        let endpoint = loads
-            .iter()
-            .filter(|(c, _)| c.level == 1)
-            .map(|(_, w)| w as f64 / topo.capacity(1) as f64)
-            .fold(0.0, f64::max);
-        let interior = loads
-            .iter()
-            .filter(|(c, _)| c.level >= 2)
-            .map(|(c, w)| w as f64 / topo.capacity(c.level) as f64)
-            .fold(0.0, f64::max);
+        let ratio = |level| self.level_max(level) as f64 / topo.capacity(level) as f64;
+        let endpoint = ratio(1);
+        let interior = (2..=self.levels()).map(ratio).fold(0.0, f64::max);
         if endpoint == 0.0 {
             0.0
         } else {
             interior / endpoint
         }
+    }
+}
+
+/// One communication phase: a set of simultaneous messages on a topology.
+#[derive(Debug, Clone)]
+pub struct Phase {
+    messages: Vec<Message>,
+    max_level: usize,
+    leaves: usize,
+}
+
+impl Phase {
+    /// Build a phase from messages, validating leaves against `topo`.
+    ///
+    /// # Panics
+    /// Panics if a message references a leaf outside the topology.
+    pub fn new(topo: &Topology, messages: Vec<Message>) -> Self {
+        let mut max_level = 0;
+        for m in &messages {
+            assert!(m.src < topo.leaves() && m.dst < topo.leaves(), "leaf out of range");
+            max_level = max_level.max(comm_level(m.src, m.dst));
+        }
+        Self { messages, max_level, leaves: topo.leaves() }
+    }
+
+    /// The messages in this phase.
+    pub fn messages(&self) -> &[Message] {
+        &self.messages
+    }
+
+    /// The highest communication level any message reaches — the paper's
+    /// level-r of the phase.
+    pub fn max_level(&self) -> usize {
+        self.max_level
+    }
+
+    /// Total message count (excluding src == dst no-ops).
+    pub fn message_count(&self) -> usize {
+        self.messages.iter().filter(|m| m.src != m.dst).count()
+    }
+
+    /// Total words moved, weighted by hops (a words×hops volume metric).
+    pub fn word_hops(&self) -> u64 {
+        self.messages.iter().map(|m| 2 * comm_level(m.src, m.dst) as u64 * m.words).sum()
+    }
+
+    /// Accumulate per-channel loads.
+    pub fn channel_loads(&self) -> ChannelLoads {
+        let mut loads = ChannelLoads::new(self.leaves);
+        for m in &self.messages {
+            loads.add_route(m.src, m.dst, m.words);
+        }
+        loads
+    }
+
+    /// The contention factor of this phase on `topo`: the
+    /// [`ChannelLoads::contention`] of its [`channel_loads`](Self::channel_loads).
+    pub fn contention(&self, topo: &Topology) -> f64 {
+        self.channel_loads().contention(topo)
     }
 
     /// Histogram of message counts by communication level; `hist[r]` counts
@@ -154,7 +201,7 @@ impl Phase {
     pub fn level_histogram(&self, topo: &Topology) -> Vec<usize> {
         let mut hist = vec![0usize; topo.levels() + 1];
         for m in &self.messages {
-            hist[crate::routing::comm_level(m.src, m.dst)] += 1;
+            hist[comm_level(m.src, m.dst)] += 1;
         }
         hist
     }

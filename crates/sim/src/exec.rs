@@ -1,20 +1,23 @@
 //! Executing a sweep program on real column data.
 //!
-//! The hot path is allocation-free after warm-up: all per-step buffers
-//! (permuted slots/layout, pair reports, phase messages) live in a
-//! reusable [`ExecScratch`], and the rotation kernel is the fused
-//! rotate-and-measure pass from `treesvd-matrix`. Steps whose work is
-//! below [`ExecConfig::serial_cutoff`] run serially; larger steps fork
-//! across host cores with [`crate::par::join`].
+//! The executor only rotates and moves columns. The sweep's network cost
+//! depends on the program and the column length, not on the data, so it
+//! is priced beforehand by [`analyze_program`] and copied into the
+//! sweep's [`SweepStats`]. The per-step buffers (permuted slots and
+//! layout, pair reports) live in a reusable [`ExecScratch`], and the
+//! rotation kernel is the fused rotate-and-measure pass from
+//! `treesvd-matrix`. Steps whose work is below
+//! [`ExecConfig::serial_cutoff`] run serially; larger steps fork across
+//! host cores with [`crate::par::join`].
 
+use crate::analyze::{analyze_program, CommReport};
 use crate::machine::Machine;
 use crate::par;
 use treesvd_matrix::ops;
 use treesvd_matrix::rotation::{
     apply_rotation, apply_rotation_swapped, compute_rotation, orthogonalize_pair, rotate_pair_fused,
 };
-use treesvd_net::routing::comm_level;
-use treesvd_net::{Message, Phase, PhaseCost};
+use treesvd_net::PhaseCost;
 use treesvd_orderings::{ColIndex, Program};
 
 /// Whether (and how) the executor keeps singular values ordered.
@@ -125,6 +128,12 @@ impl ColumnStore {
         self.slots.first().map_or(0, |s| s.a.len())
     }
 
+    /// Words one column move carries: `m`, plus `n` when `V` is carried.
+    pub fn column_words(&self) -> usize {
+        let accumulate_v = self.slots.first().is_some_and(|s| !s.v.is_empty());
+        self.m() + if accumulate_v { self.n() } else { 0 }
+    }
+
     /// Extract the columns in *index* order (undoing the slot layout):
     /// `result[i]` is the column labelled `i`.
     pub fn columns_in_index_order(&self) -> Vec<&SlotData> {
@@ -187,19 +196,20 @@ pub(crate) struct PairReport {
 
 /// Reusable per-sweep working memory for [`execute_program_with_scratch`].
 ///
-/// The executor permutes columns, collects pair reports and builds
-/// communication phases on every step; doing that with
-/// fresh `Vec`s is pure allocator churn. A scratch owns all of those
-/// buffers and hands them back after each step, so after the first step of
-/// the first sweep (the warm-up) the executor performs **zero heap
-/// allocations per step** — asserted by [`alloc_events`](Self::alloc_events),
-/// which counts every time a scratch buffer had to grow.
+/// The executor permutes columns and collects pair reports on every step;
+/// doing that with fresh `Vec`s is pure allocator churn. A scratch owns
+/// those buffers and hands them back after each step, so once a first
+/// sweep has sized them (the warm-up) a serial sweep makes **no heap
+/// allocation per step**: its only allocations are the two vectors of the
+/// [`SweepStats`] it returns, whatever the size. A counting global
+/// allocator asserts that (`tests/executor_alloc.rs`);
+/// [`alloc_events`](Self::alloc_events) counts every time a scratch buffer
+/// had to grow.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     new_slots: Vec<SlotData>,
     new_layout: Vec<ColIndex>,
     reports: Vec<PairReport>,
-    messages: Vec<Message>,
     alloc_events: u64,
 }
 
@@ -233,9 +243,10 @@ impl ExecScratch {
 
 /// Execute one sweep program against the column store.
 ///
-/// Convenience wrapper around [`execute_program_with_scratch`] that pays
-/// for a fresh [`ExecScratch`] every call; drivers executing many sweeps
-/// should hold a scratch and call the explicit variant.
+/// Convenience wrapper that prices the program with [`analyze_program`]
+/// and pays for a fresh [`ExecScratch`] every call; drivers executing many
+/// sweeps should price each distinct program once, hold a scratch, and
+/// call [`execute_program_with_scratch`].
 ///
 /// # Panics
 /// Panics if the program's size disagrees with the store or machine.
@@ -245,8 +256,9 @@ pub fn execute_program(
     store: &mut ColumnStore,
     config: &ExecConfig,
 ) -> SweepStats {
+    let priced = analyze_program(machine, program, store.column_words() as u64);
     let mut scratch = ExecScratch::new();
-    execute_program_with_scratch(machine, program, store, config, &mut scratch)
+    execute_program_with_scratch(machine, program, &priced, store, config, &mut scratch)
 }
 
 /// Execute one sweep program against the column store, reusing `scratch`
@@ -256,13 +268,19 @@ pub fn execute_program(
 /// pair occupies two adjacent slots, so a recursive split at even offsets
 /// gives data-race-free disjoint access); steps below
 /// [`ExecConfig::serial_cutoff`] run serially. Movement is applied between
-/// steps and costed on the machine's topology.
+/// steps. The sweep's communication cost is copied from `priced`, which
+/// must be this program's own [`analyze_program`] report for columns of
+/// [`ColumnStore::column_words`] words. Its step count and column length
+/// are checked; the report of another program with as many steps (the
+/// other half of a period-2 ordering) is not detected.
 ///
 /// # Panics
-/// Panics if the program's size disagrees with the store or machine.
+/// Panics if the program's size disagrees with the store, machine or
+/// `priced`, or if `priced` was priced for another column length.
 pub fn execute_program_with_scratch(
     machine: &Machine,
     program: &Program,
+    priced: &CommReport,
     store: &mut ColumnStore,
     config: &ExecConfig,
     scratch: &mut ExecScratch,
@@ -271,11 +289,16 @@ pub fn execute_program_with_scratch(
     assert_eq!(store.n(), n, "store/program size mismatch");
     assert!(machine.slots() >= n, "machine too small for the program");
     assert_eq!(store.layout, program.initial_layout, "layout disagrees with program");
+    assert_eq!(priced.phases.len(), program.steps.len(), "priced report/program mismatch");
 
-    let m = store.m();
-    let accumulate_v = !store.slots[0].v.is_empty();
-    let column_words = m + if accumulate_v { n } else { 0 };
-    let words_per_column = column_words as u64;
+    let column_words = store.column_words();
+    // analyze_program stores rotation_cost(words) · steps, so this catches
+    // a report priced with V on for a store without V, or the reverse
+    assert_eq!(
+        priced.compute_time.to_bits(),
+        (machine.cost().rotation_cost(column_words) * program.steps.len() as f64).to_bits(),
+        "priced report is for another column length"
+    );
 
     let mut stats = SweepStats {
         rotations: 0,
@@ -283,9 +306,9 @@ pub fn execute_program_with_scratch(
         swaps: 0,
         max_coupling: 0.0,
         compute_time: 0.0,
-        comm_time: 0.0,
-        phases: Vec::with_capacity(program.steps.len()),
-        level_histogram: vec![0; machine.topology().levels() + 1],
+        comm_time: priced.comm_time,
+        phases: priced.phases.clone(),
+        level_histogram: priced.level_histogram.clone(),
     };
 
     scratch.ensure(n);
@@ -312,29 +335,11 @@ pub fn execute_program_with_scratch(
             }
             stats.max_coupling = stats.max_coupling.max(r.coupling);
         }
+        // summed step by step, not taken from `priced`: analyze_program
+        // multiplies, which rounds differently
         stats.compute_time += machine.cost().rotation_cost(column_words);
 
-        // --- communication phase: apply move_after ---
-        let cap_before = scratch.messages.capacity();
-        scratch.messages.clear();
-        for (s, &d) in step.move_after.as_dest_slice().iter().enumerate() {
-            if s / 2 != d / 2 {
-                scratch.messages.push(Message { src: s / 2, dst: d / 2, words: words_per_column });
-            }
-        }
-        if scratch.messages.capacity() > cap_before {
-            scratch.alloc_events += 1;
-        }
-        for msg in &scratch.messages {
-            stats.level_histogram[comm_level(msg.src, msg.dst)] += 1;
-        }
-        let phase = Phase::new(machine.topology(), std::mem::take(&mut scratch.messages));
-        let cost = machine.cost().phase_cost(machine.topology(), &phase);
-        stats.comm_time += cost.time;
-        stats.phases.push(cost);
-        scratch.messages = phase.into_messages();
-
-        // physically move the columns (and the layout labels)
+        // --- communication phase: move the columns (and the layout labels)
         apply_movement(store, &step.move_after, scratch);
     }
     stats
@@ -628,17 +633,42 @@ mod tests {
         let cfg = ExecConfig::default();
         let mut scratch = ExecScratch::new();
         let mut layout = ord.initial_layout();
+        let words = store.column_words() as u64;
         let prog = ord.sweep_program(0, &layout);
-        execute_program_with_scratch(&mac, &prog, &mut store, &cfg, &mut scratch);
+        let priced = analyze_program(&mac, &prog, words);
+        execute_program_with_scratch(&mac, &prog, &priced, &mut store, &cfg, &mut scratch);
         layout = prog.final_layout();
         let warm = scratch.alloc_events();
         assert!(warm > 0, "warm-up should have populated the scratch");
         for k in 1..4 {
             let prog = ord.sweep_program(k, &layout);
-            execute_program_with_scratch(&mac, &prog, &mut store, &cfg, &mut scratch);
+            let priced = analyze_program(&mac, &prog, words);
+            execute_program_with_scratch(&mac, &prog, &priced, &mut store, &cfg, &mut scratch);
             layout = prog.final_layout();
         }
         assert_eq!(scratch.alloc_events(), warm, "scratch reallocated after warm-up");
+    }
+
+    #[test]
+    #[should_panic(expected = "priced report is for another column length")]
+    fn a_report_priced_for_another_column_length_is_rejected() {
+        // V carried: a move is 12 + 8 words, so a report priced for the
+        // 12-word A column alone must be refused
+        let n = 8;
+        let ord = RoundRobinOrdering::new(n).unwrap();
+        let mut store = store_from(12, n, 23, true);
+        let mac = machine(n);
+        let prog = ord.sweep_program(0, &ord.initial_layout());
+        let priced = analyze_program(&mac, &prog, store.m() as u64);
+        let mut scratch = ExecScratch::new();
+        execute_program_with_scratch(
+            &mac,
+            &prog,
+            &priced,
+            &mut store,
+            &ExecConfig::default(),
+            &mut scratch,
+        );
     }
 
     #[test]

@@ -11,14 +11,19 @@
 //!    machine, not a trace replayer); the per-step rotations run on real
 //!    host cores via a persistent worker pool ([`par`]), since pairs touch
 //!    disjoint columns — with an adaptive serial cutoff for small steps;
-//! 2. the step's `move_after` permutation becomes a communication phase:
-//!    inter-leaf column movements are routed through the tree and costed
-//!    by the [`CostModel`](treesvd_net::CostModel).
+//! 2. the step's `move_after` permutation moves the columns between
+//!    slots. Its traffic is priced per *program*, not per step: the
+//!    inter-leaf movements of every step are routed through the tree and
+//!    costed by the [`CostModel`](treesvd_net::CostModel) once, by
+//!    [`analyze::analyze_program`], because the cost depends on the
+//!    schedule and the column length but not on the data. The driver
+//!    prices each program of the ordering's restore period once and hands
+//!    the report to every sweep that runs it.
 //!
 //! [`exec::execute_program`] returns both the numerical outcome (rotation
 //! counts, convergence measures) and the simulated time breakdown;
-//! [`analyze::analyze_program`] is the data-free variant used by the
-//! communication benchmarks.
+//! [`analyze::analyze_program`] is the data-free pricing it copies from,
+//! also used by the communication benchmarks.
 //!
 //! ```
 //! use treesvd_sim::{analyze_program, Machine};

@@ -5,15 +5,23 @@
 //! shape (after deciding the QR front-end), in nanoseconds:
 //!
 //! * **blocked** — `2p` block columns of width `c`; each step runs `p`
-//!   concurrent meetings priced by
+//!   meetings priced by
 //!   [`CostModel::gram_meeting_cost`]/[`pairwise_meeting_cost`]
-//!   (per-phase compute terms), plus a fixed pool fork/join handshake.
-//! * **distributed** — one rank per column pair; each step is one
-//!   rotation plus the transport's fixed message cost (the zero-copy
-//!   payload moves by pointer, so no per-word term).
-//! * **simulated** — the central-router executor: the same rotations,
-//!   chunked over the pool lanes with a per-step barrier and a routing
-//!   term that grows with the padded width.
+//!   (per-phase compute terms), plus a fixed per-step handshake.
+//! * **distributed** — one rank thread per column pair; each step is one
+//!   rotation per rank plus the transport's fixed message cost (the
+//!   zero-copy payload moves by pointer, so no per-word term) and the
+//!   cross-thread hand-off that wakes the ranks.
+//! * **simulated** — the sweep-program executor: one rotation per column
+//!   pair per step plus the same fixed per-step handshake. Its traffic is
+//!   priced once per program, outside the sweep loop, so no routing term
+//!   is charged.
+//!
+//! The blocked and simulated drivers run a step on the calling thread
+//! while it touches fewer than [`ExecConfig::DEFAULT_SERIAL_CUTOFF`]
+//! words (the cutoff a plan's options keep), and fork it over the pool
+//! lanes above that. So a serial step costs the sum of its meetings or
+//! rotations, and a forked step one lane's share.
 //!
 //! Ordering selection reuses the data-free
 //! [`analyze_program`](treesvd_sim::analyze_program) comm analysis (link
@@ -23,7 +31,7 @@
 
 use treesvd_net::{CostModel, Topology, TopologyKind};
 use treesvd_orderings::OrderingKind;
-use treesvd_sim::{analyze_program, Machine};
+use treesvd_sim::{analyze_program, ExecConfig, Machine};
 
 use crate::calib::Calibration;
 use crate::plan::{DriverSel, KernelSel, TunePlan, TuneProblem};
@@ -31,6 +39,13 @@ use crate::plan::{DriverSel, KernelSel, TunePlan, TuneProblem};
 /// Thread-spawn cost charged per distributed rank (the executor spawns
 /// fresh rank threads per run; the blocked/simulated pool is persistent).
 const SPAWN_NS: f64 = 25_000.0;
+
+/// Cross-thread hand-off charged per distributed step: each step parks
+/// and wakes the rank threads on their neighbours' messages, which the
+/// same-thread `msg_ns` probe does not see. Measured on a 2-vCPU x86-64
+/// host: a 2-rank solve (4×4, one rank per core) spent about 15 µs a
+/// step beyond its rotations and thread spawns.
+const RANK_HANDOFF_NS: f64 = 15_000.0;
 
 /// Mild penalty on oversubscribed distributed ranks (context switching).
 const OVERSUB_PENALTY: f64 = 1.25;
@@ -55,6 +70,18 @@ fn est_sweeps(n: usize) -> f64 {
 /// update when vectors are accumulated.
 fn pair_compute_ns(cm: &CostModel, me: usize, ne: usize, vectors: bool) -> f64 {
     cm.rotation_cost(me) + if vectors { cm.gamma * (8 * ne) as f64 } else { 0.0 }
+}
+
+/// How many of a step's `tasks` (meetings or pair rotations) one lane
+/// runs: all of them when the step touches fewer than the default serial
+/// cutoff's words (both in-process drivers then stay on the calling
+/// thread), otherwise an even share over up to `lanes` lanes.
+fn tasks_per_lane(words: usize, lanes: usize, tasks: usize) -> usize {
+    if words < ExecConfig::DEFAULT_SERIAL_CUTOFF {
+        tasks
+    } else {
+        tasks.div_ceil(lanes.max(1))
+    }
 }
 
 /// One scored driver candidate.
@@ -95,9 +122,11 @@ fn score_blocked(
         // hier strip cycling: extra pass over the union per strip level
         meeting *= 1.15;
     }
-    // p meetings run concurrently on p pool lanes (candidates keep
-    // p ≤ P), plus one fork/join handshake per step.
-    let step = meeting + 2.0 * cm.alpha;
+    // the step's p meetings, on one lane below the serial cutoff or over
+    // p pool lanes above it (candidates keep p ≤ P), plus one handshake
+    let n_pad = n_super * c;
+    let step_words = n_pad * (me + if vectors { n_pad } else { 0 });
+    let step = tasks_per_lane(step_words, p, p) as f64 * meeting + 2.0 * cm.alpha;
     DriverScore {
         driver: DriverSel::Blocked { processors: p.min(u16::MAX as usize) as u16 },
         kernel,
@@ -119,7 +148,7 @@ fn score_distributed(
     let q = ranks.div_ceil(p.max(1)) as f64;
     let comp =
         pair_compute_ns(cm, me, ne_pad, vectors) * q * if q > 1.0 { OVERSUB_PENALTY } else { 1.0 };
-    let step = comp + 2.0 * cm.alpha;
+    let step = comp + 2.0 * cm.alpha + RANK_HANDOFF_NS;
     let steps = (ne_pad - 1).max(1) as f64;
     DriverScore {
         driver: DriverSel::Distributed,
@@ -130,7 +159,7 @@ fn score_distributed(
     }
 }
 
-/// Score the central-router simulated executor.
+/// Score the simulated sweep-program executor.
 fn score_simulated(
     cm: &CostModel,
     me: usize,
@@ -140,10 +169,11 @@ fn score_simulated(
 ) -> DriverScore {
     let pairs = (ne_pad / 2).max(1);
     let lanes = p.clamp(1, pairs);
-    let chunks = pairs.div_ceil(lanes) as f64;
     let comp = pair_compute_ns(cm, me, ne_pad, vectors);
-    // per-step: chunked rotations + pool fork/join + routing bookkeeping
-    let step = chunks * comp + 2.0 * cm.alpha + 0.05 * cm.alpha * ne_pad as f64;
+    // the step's rotations, on one lane below the serial cutoff or over
+    // the pool lanes above it, plus one handshake
+    let step_words = ne_pad * (me + if vectors { ne_pad } else { 0 });
+    let step = tasks_per_lane(step_words, lanes, pairs) as f64 * comp + 2.0 * cm.alpha;
     let steps = (ne_pad - 1).max(1) as f64;
     DriverScore {
         driver: DriverSel::Simulated,
@@ -334,6 +364,43 @@ mod tests {
         assert_eq!(plan.kernel, KernelSel::Gram);
         assert!(plan.block_cols >= 2);
         assert!(plan.predicted_ns > 0.0);
+    }
+
+    #[test]
+    fn small_steps_are_priced_serially() {
+        // below the serial cutoff a step's meetings (or rotations) run
+        // one after another, so they add up; no routing term is charged
+        let cm = cal().cost_model();
+        let blocked = score_blocked(&cm, &cal(), 12, 12, true, 2);
+        let meeting = cm.gram_meeting_cost(3, 12, 12, true);
+        assert_eq!(blocked.total_ns, est_sweeps(12) * 3.0 * (2.0 * meeting + 2.0 * cm.alpha));
+        let simulated = score_simulated(&cm, 12, 12, true, 4);
+        let rotation = pair_compute_ns(&cm, 12, 12, true);
+        assert_eq!(simulated.total_ns, est_sweeps(12) * 11.0 * (6.0 * rotation + 2.0 * cm.alpha));
+        // a step at the cutoff forks: one lane's share of the rotations
+        let simulated = score_simulated(&cm, 4096, 64, false, 4);
+        let rotation = pair_compute_ns(&cm, 4096, 64, false);
+        assert_eq!(simulated.total_ns, est_sweeps(64) * 63.0 * (8.0 * rotation + 2.0 * cm.alpha));
+    }
+
+    #[test]
+    fn block_pair_counts_at_the_recorded_auto_points() {
+        // The sweep on a tiny R is serial, where one block pair (one
+        // meeting a sweep) beats two: measured 2048x12 P=4 0.58 vs
+        // 0.62 ms and 4096x16 P=4 1.89 vs 1.93 ms, interleaved. The
+        // blocked points keep P block pairs, and the distributed
+        // executor's per-step hand-off keeps it from the P=8 points.
+        for (m, n, p, want) in [
+            (256, 64, 4, 4),
+            (512, 48, 4, 4),
+            (1024, 64, 8, 8),
+            (512, 96, 8, 8),
+            (4096, 16, 4, 1),
+            (2048, 12, 4, 1),
+        ] {
+            let plan = compute_plan(&TuneProblem::new(m, n).with_processors(p), &cal());
+            assert_eq!(plan.driver, DriverSel::Blocked { processors: want }, "{m}x{n} P={p}");
+        }
     }
 
     #[test]

@@ -2,37 +2,93 @@
 //! schedule-faithful, costs are topology-faithful, and the two never
 //! interfere.
 
+use treesvd_core::{HestenesSvd, SvdOptions};
 use treesvd_matrix::generate;
-use treesvd_net::{CostModel, Topology, TopologyKind};
-use treesvd_orderings::OrderingKind;
+use treesvd_net::routing::comm_level;
+use treesvd_net::{CostModel, Message, Phase, PhaseCost, Topology, TopologyKind};
+use treesvd_orderings::{OrderingKind, Program};
 use treesvd_sim::{analyze_program, execute_program, ColumnStore, ExecConfig, Machine, SortMode};
 
 fn machine(kind: TopologyKind, n: usize) -> Machine {
     Machine::new(Topology::new(kind, (n / 2).next_power_of_two()), CostModel::default())
 }
 
+/// One sweep's communication accounting priced step by step from the
+/// public `Phase` and `CostModel`, the way the executor once did it:
+/// per-step phase costs, their running sum, and the level histogram.
+fn price_per_step(
+    machine: &Machine,
+    prog: &Program,
+    words: u64,
+) -> (Vec<PhaseCost>, f64, Vec<usize>) {
+    let topo = machine.topology();
+    let mut phases = Vec::with_capacity(prog.steps.len());
+    let mut comm_time = 0.0;
+    let mut histogram = vec![0; topo.levels() + 1];
+    for step in &prog.steps {
+        let messages: Vec<Message> = step
+            .move_after
+            .as_dest_slice()
+            .iter()
+            .enumerate()
+            .filter(|&(s, &d)| s / 2 != d / 2)
+            .map(|(s, &d)| Message { src: s / 2, dst: d / 2, words })
+            .collect();
+        for msg in &messages {
+            histogram[comm_level(msg.src, msg.dst)] += 1;
+        }
+        let cost = machine.cost().phase_cost(topo, &Phase::new(topo, messages));
+        comm_time += cost.time;
+        phases.push(cost);
+    }
+    (phases, comm_time, histogram)
+}
+
 #[test]
 fn executed_stats_match_dry_run_analysis() {
-    // the data-free analyzer and the real executor must agree on the
-    // communication accounting
-    let n = 16;
-    let m_rows = 8;
-    let ord = OrderingKind::FatTree.build(n).unwrap();
-    let prog = ord.sweep_program(0, &ord.initial_layout());
-    let mac = machine(TopologyKind::PerfectFatTree, n);
-
-    let a = generate::random_uniform(m_rows, n, 1);
-    let mut store = ColumnStore::from_columns(a.into_columns(), false);
-    let stats = execute_program(&mac, &prog, &mut store, &ExecConfig::default());
-    let rep = analyze_program(&mac, &prog, m_rows as u64);
-
-    assert_eq!(stats.phases.len(), rep.phases.len());
-    for (s, r) in stats.phases.iter().zip(rep.phases.iter()) {
-        assert_eq!(s.max_level, r.max_level);
-        assert!((s.time - r.time).abs() < 1e-9);
+    // the driver prices each program of the restore period once; every
+    // sweep's accounting must equal a step-by-step pricing exactly, for
+    // every ordering, topology and payload, on a padded column count
+    let (m, n) = (15, 13);
+    let a = generate::random_uniform(m, n, 1);
+    let topologies = [
+        TopologyKind::PerfectFatTree,
+        TopologyKind::BinaryTree,
+        TopologyKind::Cm5,
+        TopologyKind::SkinnyAbove(2),
+    ];
+    for kind in OrderingKind::ALL {
+        for topology in topologies {
+            for vectors in [false, true] {
+                let ctx = format!("{kind} on {topology}, vectors {vectors}");
+                let options = SvdOptions::default()
+                    .with_ordering(kind)
+                    .with_topology(topology)
+                    .with_vectors(vectors);
+                let run = HestenesSvd::new(options).compute(&a).unwrap();
+                let n_pad = run.padded_n;
+                assert!(n_pad > n, "{ctx}: not padded");
+                let programs = kind.build(n_pad).unwrap().programs(run.sweeps);
+                let mac = machine(topology, n_pad);
+                let words = m + if vectors { n_pad } else { 0 };
+                let step_compute = mac.cost().rotation_cost(words);
+                for (k, (stats, prog)) in run.sweep_stats.iter().zip(&programs).enumerate() {
+                    let (phases, comm_time, histogram) = price_per_step(&mac, prog, words as u64);
+                    assert_eq!(stats.phases, phases, "{ctx}, sweep {k}");
+                    assert_eq!(stats.comm_time.to_bits(), comm_time.to_bits(), "{ctx}, sweep {k}");
+                    assert_eq!(stats.level_histogram, histogram, "{ctx}, sweep {k}");
+                    let compute_time = prog.steps.iter().fold(0.0, |t, _| t + step_compute);
+                    assert_eq!(
+                        stats.compute_time.to_bits(),
+                        compute_time.to_bits(),
+                        "{ctx}, sweep {k}"
+                    );
+                }
+                let total: f64 = run.sweep_stats.iter().map(|s| s.total_time()).sum();
+                assert_eq!(run.simulated_time.to_bits(), total.to_bits(), "{ctx}");
+            }
+        }
     }
-    assert_eq!(stats.level_histogram, rep.level_histogram);
-    assert!((stats.comm_time - rep.comm_time).abs() < 1e-9);
 }
 
 #[test]
