@@ -15,15 +15,22 @@
 //! with the sweep count. Median wall-clock seconds and the derived
 //! speedups go to `BENCH_tall.json` at the repository root.
 //!
+//! The full run also records the QR layer on its own (the `qr` block):
+//! `TsqrQr::factor` and `apply_q` on one thread, best of [`QR_REPS`], at
+//! panels 16, 32 and 64 on four shapes, in ms and GF/s.
+//!
 //! The smoke run is the regression gate wired into `scripts/verify.sh`:
 //! at `m/n = 128` the front-end must beat direct Jacobi outright, the
 //! whole pipeline (TSQR + sweeps + back-transform) must be
-//! allocation-free after warm-up, and both paths must agree on the
-//! spectrum.
+//! allocation-free after warm-up, the factorization alone must be
+//! allocation-free after warm-up at every panel width, and both paths
+//! must agree on the spectrum.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 use treesvd_core::{blocked_svd, BlockKernel, BlockedOptions, BlockedRun, SvdOptions};
+use treesvd_matrix::qr::{QrOptions, SerialJoin, TsqrQr};
 use treesvd_matrix::{generate, Matrix};
 
 /// Processors for the blocked driver (`2P` block slots, `n = 8c`).
@@ -86,7 +93,86 @@ fn run_shape(m: usize, n: usize, samples: usize, seed: u64) -> Record {
     }
 }
 
+/// Panel widths of the QR-layer table.
+const QR_PANELS: [usize; 3] = [16, 32, 64];
+
+/// Shapes of the QR-layer table: the `tall` workload's 8192×64, then a
+/// short, a tall and a wide-panel shape.
+const QR_SHAPES: [(usize, usize); 4] = [(8192, 64), (512, 128), (16384, 128), (2048, 256)];
+
+/// Timed repetitions per QR-layer entry; the best one is recorded.
+const QR_REPS: usize = 15;
+
+struct QrRecord {
+    m: usize,
+    n: usize,
+    panel: usize,
+    factor_ms: f64,
+    apply_ms: f64,
+    steady_alloc_events: u64,
+}
+
+impl QrRecord {
+    /// Householder QR flops, `2mn² − 2n³/3`.
+    fn factor_gflops(&self) -> f64 {
+        let (m, n) = (self.m as f64, self.n as f64);
+        (2.0 * m * n * n - 2.0 / 3.0 * n * n * n) / (self.factor_ms * 1e6)
+    }
+
+    /// Flops of applying `n` reflectors of length `m` to `n` columns,
+    /// `4mn² − 2n³`.
+    fn apply_gflops(&self) -> f64 {
+        let (m, n) = (self.m as f64, self.n as f64);
+        (4.0 * m * n * n - 2.0 * n * n * n) / (self.apply_ms * 1e6)
+    }
+}
+
+/// Best wall-clock milliseconds of `reps` calls.
+fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
+
+/// `TsqrQr::factor` and `apply_q` (on an `m×n` block) on one thread.
+fn time_qr(m: usize, n: usize, panel: usize, reps: usize, seed: u64) -> QrRecord {
+    let a = generate::random_uniform(m, n, seed);
+    let opts = QrOptions { panel, leaf_rows: 0, lanes: 1 };
+    let factor = || TsqrQr::factor(&a, &opts, &SerialJoin).expect("m >= n");
+    let factor_ms = best_ms(reps, || {
+        black_box(factor());
+    });
+    let qr = factor();
+    let mut x = generate::random_uniform(m, n, seed + 1);
+    let apply_ms = best_ms(reps, || qr.apply_q(black_box(&mut x), 1, &SerialJoin));
+    let steady_alloc_events = qr.stats().steady_alloc_events;
+    QrRecord { m, n, panel, factor_ms, apply_ms, steady_alloc_events }
+}
+
 fn full_run(seed: u64) {
+    // the QR layer first, while the heap is fresh: after the 262144×256
+    // solves below, the same factorizations timed up to 2× slower
+    let mut qr_records = Vec::new();
+    for &(m, n) in &QR_SHAPES {
+        for &panel in &QR_PANELS {
+            let q = time_qr(m, n, panel, QR_REPS, seed);
+            eprintln!(
+                "qr {m:5}x{n:<3} panel {panel:2}: factor {:7.3} ms ({:5.1} GF/s), \
+                 apply_q {:7.3} ms ({:5.1} GF/s)",
+                q.factor_ms,
+                q.factor_gflops(),
+                q.apply_ms,
+                q.apply_gflops()
+            );
+            assert_eq!(q.steady_alloc_events, 0, "QR factor allocated in steady state");
+            qr_records.push(q);
+        }
+    }
+
     // (rows, cols, timed samples): one sample at the largest shape, where a
     // single direct run is already minutes of wall-clock.
     let shapes = [(16384usize, 128usize, 3usize), (65536, 256, 1), (262144, 256, 1)];
@@ -139,6 +225,30 @@ fn full_run(seed: u64) {
         let comma = if i + 1 < records.len() { "," } else { "" };
         let _ = writeln!(json, "    \"{}x{}\": {:.2}{comma}", r.m, r.n, r.direct_s / r.frontend_s);
     }
+    json.push_str("  },\n");
+    json.push_str("  \"qr\": {\n");
+    let _ = writeln!(
+        json,
+        "    \"unit\": \"ms (best of {QR_REPS}, one thread): TsqrQr::factor, and apply_q on an \
+         m x n block; GF/s from 2mn^2 - 2n^3/3 and 4mn^2 - 2n^3 flops\","
+    );
+    json.push_str("    \"results\": [\n");
+    for (i, q) in qr_records.iter().enumerate() {
+        let comma = if i + 1 < qr_records.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "      {{\"m\": {}, \"n\": {}, \"panel\": {}, \"factor_ms\": {:.3}, \
+             \"factor_gflops\": {:.1}, \"apply_q_ms\": {:.3}, \"apply_q_gflops\": {:.1}}}{comma}",
+            q.m,
+            q.n,
+            q.panel,
+            q.factor_ms,
+            q.factor_gflops(),
+            q.apply_ms,
+            q.apply_gflops()
+        );
+    }
+    json.push_str("    ]\n");
     json.push_str("  }\n");
     json.push_str("}\n");
 
@@ -152,11 +262,21 @@ fn full_run(seed: u64) {
 }
 
 /// Quick gate at `m/n = 128`: the QR front-end must beat direct Jacobi
-/// outright, stay allocation-free in steady state, and agree with the
+/// outright, stay allocation-free in steady state (the whole pipeline, and
+/// the factorization alone at every panel width), and agree with the
 /// direct spectrum to near machine precision.
 fn smoke_run(seed: u64) -> bool {
     const M: usize = 8192;
     const N: usize = 64; // c = 8 at P = 4
+    let mut alloc_free = true;
+    for &panel in &QR_PANELS {
+        let q = time_qr(M, N, panel, 1, seed);
+        println!(
+            "smoke qr {M}x{N} panel {panel}: {} steady-state scratch allocation(s)",
+            q.steady_alloc_events
+        );
+        alloc_free &= q.steady_alloc_events == 0;
+    }
     let r = run_shape(M, N, 1, seed);
 
     let fast_enough = r.frontend_s < r.direct_s;
@@ -169,9 +289,9 @@ fn smoke_run(seed: u64) -> bool {
         r.direct_s * 1e3,
         r.direct_s / r.frontend_s,
         r.sigma_gap,
-        if fast_enough && accurate { "PASS" } else { "FAIL" }
+        if fast_enough && accurate && alloc_free { "PASS" } else { "FAIL" }
     );
-    fast_enough && accurate
+    fast_enough && accurate && alloc_free
 }
 
 fn main() {

@@ -148,11 +148,26 @@ pub fn norm2_sq(x: &[f64]) -> f64 {
 }
 
 /// Euclidean norm with scaling to avoid overflow/underflow on extreme data.
+///
+/// The scale (the largest magnitude; NaN entries are skipped, as
+/// [`f64::max`] does) is found in [`UNROLL`] independent lanes: a maximum
+/// is exact in any order, so the lanes give the strict left-to-right fold's
+/// value bit for bit, without its serial chain of compares.
 #[inline]
 pub fn norm2(x: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; UNROLL];
+    let xc = x.chunks_exact(UNROLL);
     let mut scale = 0.0_f64;
-    for &v in x {
+    for &v in xc.remainder() {
         scale = scale.max(v.abs());
+    }
+    for cx in xc {
+        for k in 0..UNROLL {
+            lanes[k] = lanes[k].max(cx[k].abs());
+        }
+    }
+    for l in lanes {
+        scale = scale.max(l);
     }
     if scale == 0.0 || !scale.is_finite() {
         return scale;
@@ -1063,21 +1078,69 @@ pub fn panel_update(x: &mut [f64], y: &mut [f64], m: usize, w: &[f64], tile: &mu
     }
 }
 
+/// Side of the [`gemm_tn`] register tile: up to `TN_TILE × TN_TILE`
+/// outputs accumulate in registers over one pass down the rows, so every
+/// column load feeds `TN_TILE` fused multiply-adds.
+const TN_TILE: usize = 4;
+
+/// Reduction lanes of one [`gemm_tn`] output: lane `l` sums the products
+/// of the rows `≡ l (mod TN_LANES)`, and the lanes are added by a pairwise
+/// tree. Eight on the AVX-512 and portable lanes, four on AVX2.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f"))))]
+const TN_LANES: usize = UNROLL;
+#[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
+const TN_LANES: usize = 4;
+
 /// `out (ka×kb, column-major) = AᵀB` for two strided column-major
 /// panels: column `j` of `A` is `a[j·lda .. j·lda + rows]` and likewise
 /// for `B`. The panels may be sub-views of larger matrices (`lda`,
 /// `ldb` ≥ `rows`), which is how the tall-skinny QR applies a block
 /// reflector to a row-band of the trailing matrix without copying it.
 ///
-/// Computed in 2×2 register blocks by the same [`dot4`] micro-kernel as
-/// [`gram_block`] (four reductions per pass, every column load shared by
-/// two of them), with single-[`dot`] edges for odd `ka`/`kb`.
+/// Computed in register tiles of up to 4×4 outputs: each step down the
+/// rows loads four `A` and four `B` vectors and issues sixteen fused
+/// multiply-adds, two per load. Edge tiles (`ka` or `kb` not a multiple
+/// of 4) run the same kernel at a narrower shape, and a row count that is
+/// not a multiple of 8 ends in one masked step. The AVX-512 and portable
+/// lanes sum each output in the same order and agree bitwise; the AVX2
+/// lane sums in four chains instead of eight.
 ///
 /// # Panics
 /// Panics if a panel is too short for its `(rows, ld, k)` view, if a
 /// leading dimension is smaller than `rows`, or if `out.len() != ka·kb`.
 #[allow(clippy::too_many_arguments)] // a strided-view GEMM is inherently (ptr, ld, k) × 3
 pub fn gemm_tn(
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    ka: usize,
+    b: &[f64],
+    ldb: usize,
+    kb: usize,
+    out: &mut [f64],
+) {
+    gemm_tn_into::<false>(rows, a, lda, ka, b, ldb, kb, out);
+}
+
+/// `out += AᵀB`: [`gemm_tn`] adding each finished dot product to `out`
+/// instead of overwriting it, with the same views and panics.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_tn_acc(
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    ka: usize,
+    b: &[f64],
+    ldb: usize,
+    kb: usize,
+    out: &mut [f64],
+) {
+    gemm_tn_into::<true>(rows, a, lda, ka, b, ldb, kb, out);
+}
+
+/// [`gemm_tn`] (`ACC = false`) or [`gemm_tn_acc`] (`ACC = true`).
+#[allow(clippy::too_many_arguments)]
+fn gemm_tn_into<const ACC: bool>(
     rows: usize,
     a: &[f64],
     lda: usize,
@@ -1094,40 +1157,279 @@ pub fn gemm_tn(
     }
     assert!(a.len() >= (ka - 1) * lda + rows, "gemm_tn: a too short");
     assert!(b.len() >= (kb - 1) * ldb + rows, "gemm_tn: b too short");
-    let col_a = |i: usize| &a[i * lda..i * lda + rows];
-    let col_b = |j: usize| &b[j * ldb..j * ldb + rows];
-    let (kae, kbe) = (ka & !1, kb & !1);
-    for j in (0..kbe).step_by(2) {
-        let (bj0, bj1) = (col_b(j), col_b(j + 1));
-        for i in (0..kae).step_by(2) {
-            let d = dot4(col_a(i), col_a(i + 1), bj0, bj1);
-            out[i + ka * j] = d[0];
-            out[i + 1 + ka * j] = d[1];
-            out[i + ka * (j + 1)] = d[2];
-            out[i + 1 + ka * (j + 1)] = d[3];
+    let mut j = 0;
+    while j < kb {
+        let nb = (kb - j).min(TN_TILE);
+        let bj = &b[j * ldb..];
+        let mut i = 0;
+        while i < ka {
+            let na = (ka - i).min(TN_TILE);
+            let (ai, o) = (&a[i * lda..], &mut out[i + ka * j..]);
+            match nb {
+                4 => tn_store::<4, ACC>(na, rows, ai, lda, bj, ldb, o, ka),
+                3 => tn_store::<3, ACC>(na, rows, ai, lda, bj, ldb, o, ka),
+                2 => tn_store::<2, ACC>(na, rows, ai, lda, bj, ldb, o, ka),
+                _ => tn_store::<1, ACC>(na, rows, ai, lda, bj, ldb, o, ka),
+            }
+            i += na;
         }
-        if ka != kae {
-            out[ka - 1 + ka * j] = dot(col_a(ka - 1), bj0);
-            out[ka - 1 + ka * (j + 1)] = dot(col_a(ka - 1), bj1);
-        }
-    }
-    if kb != kbe {
-        let bj = col_b(kb - 1);
-        for i in 0..ka {
-            out[i + ka * (kb - 1)] = dot(col_a(i), bj);
-        }
+        j += nb;
     }
 }
+
+/// One `na × MB` tile of [`gemm_tn`], written (or with `ACC` added)
+/// column-major at stride `ld` into `out`.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn tn_store<const MB: usize, const ACC: bool>(
+    na: usize,
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    out: &mut [f64],
+    ld: usize,
+) {
+    fn put<const MA: usize, const MB: usize, const ACC: bool>(
+        sums: [[f64; MA]; MB],
+        out: &mut [f64],
+        ld: usize,
+    ) {
+        for (y, col) in sums.iter().enumerate() {
+            let o = &mut out[y * ld..y * ld + MA];
+            if ACC {
+                o.iter_mut().zip(col).for_each(|(o, s)| *o += s);
+            } else {
+                o.copy_from_slice(col);
+            }
+        }
+    }
+    match na {
+        4 => put::<4, MB, ACC>(tn_tile::<4, MB>(rows, a, lda, b, ldb), out, ld),
+        3 => put::<3, MB, ACC>(tn_tile::<3, MB>(rows, a, lda, b, ldb), out, ld),
+        2 => put::<2, MB, ACC>(tn_tile::<2, MB>(rows, a, lda, b, ldb), out, ld),
+        _ => put::<1, MB, ACC>(tn_tile::<1, MB>(rows, a, lda, b, ldb), out, ld),
+    }
+}
+
+/// The `MA × MB` dot products of columns `0..MA` of `a` with columns
+/// `0..MB` of `b` over `rows` rows: `sums[y][x] = a_xᵀ·b_y`, each held as
+/// [`TN_LANES`] fused-multiply-add chains until the final pairwise sum.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[inline]
+fn tn_tile<const MA: usize, const MB: usize>(
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+) -> [[f64; MA]; MB] {
+    use core::arch::x86_64::*;
+    assert!(
+        a.len() >= (MA - 1) * lda + rows && b.len() >= (MB - 1) * ldb + rows,
+        "tn_tile: view out of bounds"
+    );
+    let mut lanes = [[[0.0f64; TN_LANES]; MA]; MB];
+    // SAFETY: column x of the A tile starts at `a[x·lda]` and column y of
+    // the B tile at `b[y·ldb]`, both inside the slices by the assert above
+    // (at most one past the end when `rows == 0`). Full steps read the 8
+    // rows `r..r + 8 ≤ rows` of each column; the last partial step masks
+    // its loads to the `rows − r` rows left, and masked-off lanes are not
+    // accessed. Stores go to the local lane arrays. AVX-512F is a
+    // compile-time target feature.
+    unsafe {
+        let pa: [*const f64; MA] = core::array::from_fn(|x| a.as_ptr().add(x * lda));
+        let pb: [*const f64; MB] = core::array::from_fn(|y| b.as_ptr().add(y * ldb));
+        let mut acc = [[_mm512_setzero_pd(); MA]; MB];
+        let mut r = 0;
+        while r + TN_LANES <= rows {
+            let va: [__m512d; MA] = core::array::from_fn(|x| _mm512_loadu_pd(pa[x].add(r)));
+            for y in 0..MB {
+                let vb = _mm512_loadu_pd(pb[y].add(r));
+                for x in 0..MA {
+                    acc[y][x] = _mm512_fmadd_pd(va[x], vb, acc[y][x]);
+                }
+            }
+            r += TN_LANES;
+        }
+        if r < rows {
+            let k = lane_mask(rows - r);
+            let va: [__m512d; MA] =
+                core::array::from_fn(|x| _mm512_maskz_loadu_pd(k, pa[x].add(r)));
+            for y in 0..MB {
+                let vb = _mm512_maskz_loadu_pd(k, pb[y].add(r));
+                for x in 0..MA {
+                    // lanes past the last row keep their sums untouched
+                    acc[y][x] = _mm512_mask3_fmadd_pd(va[x], vb, acc[y][x], k);
+                }
+            }
+        }
+        for y in 0..MB {
+            for x in 0..MA {
+                _mm512_storeu_pd(lanes[y][x].as_mut_ptr(), acc[y][x]);
+            }
+        }
+    }
+    lanes.map(|col| col.map(sum_unrolled))
+}
+
+/// AVX2+FMA lane: sixteen 256-bit registers do not hold a 4×4 tile of
+/// accumulators plus its loads, so the tile runs as 4×2 (or 4×1)
+/// sub-tiles, and each output sums in four 4-row chains (lane `l`: rows
+/// `≡ l (mod 4)`). It agrees with the other lanes to rounding, not
+/// bitwise.
+#[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
+#[inline]
+fn tn_tile<const MA: usize, const MB: usize>(
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+) -> [[f64; MA]; MB] {
+    let mut sums = [[0.0f64; MA]; MB];
+    let mut y = 0;
+    while y < MB {
+        let by = &b[y * ldb..];
+        if MB - y >= 2 {
+            let [s0, s1] = tn_avx2::<MA, 2>(rows, a, lda, by, ldb);
+            (sums[y], sums[y + 1]) = (s0, s1);
+            y += 2;
+        } else {
+            let [s0] = tn_avx2::<MA, 1>(rows, a, lda, by, ldb);
+            sums[y] = s0;
+            y += 1;
+        }
+    }
+    sums
+}
+
+/// One AVX2 sub-tile of [`tn_tile`]: `MA × MB` dot products over `rows`.
+#[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
+#[inline]
+fn tn_avx2<const MA: usize, const MB: usize>(
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+) -> [[f64; MA]; MB] {
+    use core::arch::x86_64::*;
+    assert!(
+        a.len() >= (MA - 1) * lda + rows && b.len() >= (MB - 1) * ldb + rows,
+        "tn_avx2: view out of bounds"
+    );
+    let mut lanes = [[[0.0f64; TN_LANES]; MA]; MB];
+    let mut r = 0;
+    // SAFETY: column x of the A tile starts at `a[x·lda]` and column y of
+    // the B tile at `b[y·ldb]`, both inside the slices by the assert above
+    // (at most one past the end when `rows == 0`); each step reads the 4
+    // rows `r..r + 4 ≤ rows` of each column. Stores go to the local lane
+    // arrays. FMA (and with it AVX2) is a compile-time target feature.
+    unsafe {
+        let pa: [*const f64; MA] = core::array::from_fn(|x| a.as_ptr().add(x * lda));
+        let pb: [*const f64; MB] = core::array::from_fn(|y| b.as_ptr().add(y * ldb));
+        let mut acc = [[_mm256_setzero_pd(); MA]; MB];
+        while r + TN_LANES <= rows {
+            let va: [__m256d; MA] = core::array::from_fn(|x| _mm256_loadu_pd(pa[x].add(r)));
+            for y in 0..MB {
+                let vb = _mm256_loadu_pd(pb[y].add(r));
+                for x in 0..MA {
+                    acc[y][x] = _mm256_fmadd_pd(va[x], vb, acc[y][x]);
+                }
+            }
+            r += TN_LANES;
+        }
+        for y in 0..MB {
+            for x in 0..MA {
+                _mm256_storeu_pd(lanes[y][x].as_mut_ptr(), acc[y][x]);
+            }
+        }
+    }
+    // the last `rows mod TN_LANES` rows continue their lanes' chains
+    for (y, lanes_y) in lanes.iter_mut().enumerate() {
+        for (x, lane) in lanes_y.iter_mut().enumerate() {
+            for (l, i) in (r..rows).enumerate() {
+                lane[l] = a[x * lda + i].mul_add(b[y * ldb + i], lane[l]);
+            }
+        }
+    }
+    lanes.map(|col| col.map(|l| (l[0] + l[1]) + (l[2] + l[3])))
+}
+
+/// Portable fallback: the AVX-512 lane assignment with scalar fused
+/// multiply-adds, so it agrees with that path bitwise.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "fma")))]
+#[inline]
+fn tn_tile<const MA: usize, const MB: usize>(
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+) -> [[f64; MA]; MB] {
+    assert!(
+        a.len() >= (MA - 1) * lda + rows && b.len() >= (MB - 1) * ldb + rows,
+        "tn_tile: view out of bounds"
+    );
+    let mut lanes = [[[0.0f64; TN_LANES]; MA]; MB];
+    let mut r = 0;
+    while r < rows {
+        let n = (rows - r).min(TN_LANES);
+        for (y, acc_y) in lanes.iter_mut().enumerate() {
+            let cb = &b[y * ldb + r..y * ldb + r + n];
+            for (x, acc) in acc_y.iter_mut().enumerate() {
+                let ca = &a[x * lda + r..x * lda + r + n];
+                for l in 0..n {
+                    acc[l] = ca[l].mul_add(cb[l], acc[l]);
+                }
+            }
+        }
+        r += TN_LANES;
+    }
+    lanes.map(|col| col.map(sum_unrolled))
+}
+
+/// The AVX-512 mask of the first `n` lanes (`1 ≤ n ≤ 8`).
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[inline]
+fn lane_mask(n: usize) -> u8 {
+    debug_assert!((1..=8).contains(&n));
+    u8::MAX >> (8 - n)
+}
+
+/// Rows of a [`gemm_acc`] register tile: two vectors, 8-lane on AVX-512
+/// (and in the portable lane, which mirrors it) and 4-lane on AVX2.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f"))))]
+const ACC_ROWS: usize = 16;
+#[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
+const ACC_ROWS: usize = 8;
+
+/// Columns of a [`gemm_acc`] register tile. With [`ACC_ROWS`] rows that is
+/// sixteen vector accumulators, each fed one fused multiply-add per source.
+const ACC_COLS: usize = 8;
+
+/// Sources per [`gemm_acc`] block. Their scaled weights are staged on the
+/// stack (4 KiB), and every `C` tile is loaded and stored once per block —
+/// once per call whenever `p ≤ 64`.
+const ACC_DEPTH: usize = 64;
 
 /// Rank-`p` accumulation `C ← C + α·A·W` for a strided column-major
 /// output: `A` is `rows×p` (column stride `lda`), `W` is a dense `p×q`
 /// column-major coefficient block, and column `j` of `C` is
 /// `c[j·ldc .. j·ldc + rows]`. This is the second half of a compact-WY
-/// block-reflector application (`C ← C − V·(TᵀVᵀC)`), expressed on the
-/// same [`wsum4`]/[`wsum4x2`] micro-kernels as [`panel_update`]:
-/// row-tiled by [`PANEL_TILE`] so the `A` tile stays cache-resident
-/// across all `q` output columns, two outputs per pass when possible so
-/// every source load is shared.
+/// block-reflector application (`C ← C − V·(TᵀVᵀC)`).
+///
+/// Computed as outer products on register tiles of 16 rows × 8 columns of
+/// `C`: the tile is loaded once, every source contributes two `A` vector
+/// loads and sixteen fused multiply-adds with the broadcast weights
+/// `α·W[i, j]`, and the tile is stored once. Narrower column edges run the
+/// same kernel with fewer columns, and row counts that are not a multiple
+/// of 16 end in masked lanes. Each element of `C` receives its sources in
+/// order `i = 0, 1, …` as exactly rounded fused multiply-adds, so every
+/// lane path agrees bitwise, and an exact zero weight on a finite source
+/// adds an exact zero.
 ///
 /// # Panics
 /// Panics if a panel is too short for its view, a leading dimension is
@@ -1151,104 +1453,244 @@ pub fn gemm_acc(
     }
     assert!(a.len() >= (p - 1) * lda + rows, "gemm_acc: a too short");
     assert!(c.len() >= (q - 1) * ldc + rows, "gemm_acc: c too short");
-    let mut r0 = 0;
-    while r0 < rows {
-        let tb = (rows - r0).min(PANEL_TILE);
-        let src_of = |i: usize| &a[i * lda + r0..i * lda + r0 + tb];
-        let mut j = 0;
-        // pairs of output columns share every source load
-        while j + 1 < q {
-            let (wj, wj1) = (&w[p * j..p * (j + 1)], &w[p * (j + 1)..p * (j + 2)]);
-            let (head, tail) = c.split_at_mut((j + 1) * ldc);
-            let out_a = &mut head[j * ldc + r0..j * ldc + r0 + tb];
-            let out_b = &mut tail[r0..r0 + tb];
-            let mut wsa = [0.0f64; 4];
-            let mut wsb = [0.0f64; 4];
-            let mut idx = [0usize; 4];
-            let mut fill = 0usize;
-            for i in 0..p {
-                let (wa, wb) = (alpha * wj[i], alpha * wj1[i]);
-                if wa == 0.0 && wb == 0.0 {
-                    continue;
-                }
-                wsa[fill] = wa;
-                wsb[fill] = wb;
-                idx[fill] = i;
-                fill += 1;
-                if fill == 4 {
-                    wsum4x2::<false>(
-                        wsa,
-                        wsb,
-                        src_of(idx[0]),
-                        src_of(idx[1]),
-                        src_of(idx[2]),
-                        src_of(idx[3]),
-                        out_a,
-                        out_b,
-                    );
-                    fill = 0;
+    let mut ws = [[0.0f64; ACC_COLS]; ACC_DEPTH];
+    let mut j = 0;
+    while j < q {
+        let nc = (q - j).min(ACC_COLS);
+        let mut i0 = 0;
+        while i0 < p {
+            let depth = (p - i0).min(ACC_DEPTH);
+            for (i, row) in ws[..depth].iter_mut().enumerate() {
+                for (y, wy) in row[..nc].iter_mut().enumerate() {
+                    *wy = alpha * w[i0 + i + p * (j + y)];
                 }
             }
-            if fill > 0 {
-                for slot in fill..4 {
-                    wsa[slot] = 0.0;
-                    wsb[slot] = 0.0;
-                    idx[slot] = idx[0];
-                }
-                wsum4x2::<false>(
-                    wsa,
-                    wsb,
-                    src_of(idx[0]),
-                    src_of(idx[1]),
-                    src_of(idx[2]),
-                    src_of(idx[3]),
-                    out_a,
-                    out_b,
-                );
+            let (ai, cj, ws) = (&a[i0 * lda..], &mut c[j * ldc..], &ws[..depth]);
+            match nc {
+                8 => acc_block::<8>(rows, ai, lda, ws, cj, ldc),
+                7 => acc_block::<7>(rows, ai, lda, ws, cj, ldc),
+                6 => acc_block::<6>(rows, ai, lda, ws, cj, ldc),
+                5 => acc_block::<5>(rows, ai, lda, ws, cj, ldc),
+                4 => acc_block::<4>(rows, ai, lda, ws, cj, ldc),
+                3 => acc_block::<3>(rows, ai, lda, ws, cj, ldc),
+                2 => acc_block::<2>(rows, ai, lda, ws, cj, ldc),
+                _ => acc_block::<1>(rows, ai, lda, ws, cj, ldc),
             }
-            j += 2;
+            i0 += depth;
         }
-        if j < q {
-            let wj = &w[p * j..p * (j + 1)];
-            let out = &mut c[j * ldc + r0..j * ldc + r0 + tb];
-            let mut ws = [0.0f64; 4];
-            let mut idx = [0usize; 4];
-            let mut fill = 0usize;
-            for (i, &wij) in wj.iter().enumerate() {
-                if wij == 0.0 {
-                    continue;
-                }
-                ws[fill] = alpha * wij;
-                idx[fill] = i;
-                fill += 1;
-                if fill == 4 {
-                    wsum4::<false>(
-                        ws,
-                        src_of(idx[0]),
-                        src_of(idx[1]),
-                        src_of(idx[2]),
-                        src_of(idx[3]),
-                        out,
-                    );
-                    fill = 0;
-                }
-            }
-            if fill > 0 {
-                for slot in fill..4 {
-                    ws[slot] = 0.0;
-                    idx[slot] = idx[0];
-                }
-                wsum4::<false>(
-                    ws,
-                    src_of(idx[0]),
-                    src_of(idx[1]),
-                    src_of(idx[2]),
-                    src_of(idx[3]),
-                    out,
-                );
+        j += nc;
+    }
+}
+
+/// `C[:, 0..NC] += Σᵢ A[:, i]·ws[i][0..NC]` over the `ws.len()` sources,
+/// one register tile of [`ACC_ROWS`] rows at a time.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[inline]
+fn acc_block<const NC: usize>(
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    ws: &[[f64; ACC_COLS]],
+    c: &mut [f64],
+    ldc: usize,
+) {
+    let depth = ws.len();
+    assert!(
+        depth > 0 && a.len() >= (depth - 1) * lda + rows && c.len() >= (NC - 1) * ldc + rows,
+        "acc_block: view out of bounds"
+    );
+    let mut r = 0;
+    while r < rows {
+        let n = (rows - r).min(ACC_ROWS);
+        // SAFETY: by the assert above, rows `r..r + n ≤ rows` of source
+        // column `i < depth` lie inside `a` at `i·lda + r`, and those of
+        // output column `y < NC` inside `c` at `y·ldc + r`; the masks enable
+        // exactly those `n` rows (the second vector only when `n > 8`).
+        unsafe {
+            let (pa, pc) = (a.as_ptr().add(r), c.as_mut_ptr().add(r));
+            if n > 8 {
+                acc_tile::<2, NC>(pa, lda, ws, pc, ldc, [u8::MAX, lane_mask(n - 8)]);
+            } else {
+                acc_tile::<1, NC>(pa, lda, ws, pc, ldc, [lane_mask(n)]);
             }
         }
-        r0 += tb;
+        r += n;
+    }
+}
+
+/// One register tile of [`acc_block`]: `NR` 8-row vectors × `NC` columns
+/// of `C`, loaded once, updated by every source, stored once.
+///
+/// # Safety
+/// For every source `i < ws.len()`, vector `v < NR` and lane `l` enabled
+/// in `masks[v]`, the element `pa + i·lda + 8v + l` must be readable and
+/// `pc + y·ldc + 8v + l` readable and writable for every column `y < NC`;
+/// the first lane of every vector must be enabled.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[inline(always)]
+unsafe fn acc_tile<const NR: usize, const NC: usize>(
+    pa: *const f64,
+    lda: usize,
+    ws: &[[f64; ACC_COLS]],
+    pc: *mut f64,
+    ldc: usize,
+    masks: [u8; NR],
+) {
+    use core::arch::x86_64::*;
+    // SAFETY: every offset below addresses the first lane of a vector the
+    // caller guarantees in bounds, and the masked loads and stores touch
+    // only the lanes the caller guarantees accessible. AVX-512F is a
+    // compile-time target feature.
+    unsafe {
+        let mut acc: [[__m512d; NR]; NC] = core::array::from_fn(|y| {
+            core::array::from_fn(|v| _mm512_maskz_loadu_pd(masks[v], pc.add(y * ldc + 8 * v)))
+        });
+        for (i, wi) in ws.iter().enumerate() {
+            let src = pa.add(i * lda);
+            let va: [__m512d; NR] =
+                core::array::from_fn(|v| _mm512_maskz_loadu_pd(masks[v], src.add(8 * v)));
+            for y in 0..NC {
+                let wv = _mm512_set1_pd(wi[y]);
+                for v in 0..NR {
+                    acc[y][v] = _mm512_fmadd_pd(wv, va[v], acc[y][v]);
+                }
+            }
+        }
+        for (y, acc_y) in acc.iter().enumerate() {
+            for (v, &acc_yv) in acc_y.iter().enumerate() {
+                _mm512_mask_storeu_pd(pc.add(y * ldc + 8 * v), masks[v], acc_yv);
+            }
+        }
+    }
+}
+
+/// AVX2+FMA lane: 8-row tiles (two 256-bit vectors) split into column
+/// quads, so eight accumulators plus the loads fit the sixteen registers;
+/// the last `rows mod 8` rows run as scalar fused multiply-adds. The
+/// per-element chains are the AVX-512 lane's, so the two agree bitwise.
+#[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
+#[inline]
+fn acc_block<const NC: usize>(
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    ws: &[[f64; ACC_COLS]],
+    c: &mut [f64],
+    ldc: usize,
+) {
+    let depth = ws.len();
+    assert!(
+        depth > 0 && a.len() >= (depth - 1) * lda + rows && c.len() >= (NC - 1) * ldc + rows,
+        "acc_block: view out of bounds"
+    );
+    let full = rows - rows % ACC_ROWS;
+    for r in (0..full).step_by(ACC_ROWS) {
+        let mut y0 = 0;
+        while y0 < NC {
+            let nq = (NC - y0).min(4);
+            // SAFETY: by the assert above, rows `r..r + 8 ≤ rows` of source
+            // column `i < depth` lie inside `a` at `i·lda + r`, and those of
+            // output column `y0 + y < NC` inside `c` at `(y0 + y)·ldc + r`.
+            unsafe {
+                let (pa, pc) = (a.as_ptr().add(r), c.as_mut_ptr().add(y0 * ldc + r));
+                match nq {
+                    4 => acc_avx2::<4>(pa, lda, ws, y0, pc, ldc),
+                    3 => acc_avx2::<3>(pa, lda, ws, y0, pc, ldc),
+                    2 => acc_avx2::<2>(pa, lda, ws, y0, pc, ldc),
+                    _ => acc_avx2::<1>(pa, lda, ws, y0, pc, ldc),
+                }
+            }
+            y0 += nq;
+        }
+    }
+    for y in 0..NC {
+        for r in full..rows {
+            let mut acc = c[y * ldc + r];
+            for (i, wi) in ws.iter().enumerate() {
+                acc = wi[y].mul_add(a[i * lda + r], acc);
+            }
+            c[y * ldc + r] = acc;
+        }
+    }
+}
+
+/// One AVX2 tile of [`acc_block`]: 8 rows × `NQ` columns of `C` (weights
+/// `ws[i][y0..y0 + NQ]`), loaded once, updated by every source, stored
+/// once.
+///
+/// # Safety
+/// For every source `i < ws.len()`, `pa + i·lda .. + 8` must be readable,
+/// and for every column `y < NQ`, `pc + y·ldc .. + 8` readable and
+/// writable; `y0 + NQ ≤ ACC_COLS`.
+#[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
+#[inline(always)]
+unsafe fn acc_avx2<const NQ: usize>(
+    pa: *const f64,
+    lda: usize,
+    ws: &[[f64; ACC_COLS]],
+    y0: usize,
+    pc: *mut f64,
+    ldc: usize,
+) {
+    use core::arch::x86_64::*;
+    // SAFETY: every access stays in the 8-row runs the caller guarantees;
+    // FMA (and with it AVX2) is a compile-time target feature.
+    unsafe {
+        let mut acc: [[__m256d; 2]; NQ] = core::array::from_fn(|y| {
+            core::array::from_fn(|v| _mm256_loadu_pd(pc.add(y * ldc + 4 * v)))
+        });
+        for (i, wi) in ws.iter().enumerate() {
+            let src = pa.add(i * lda);
+            let va = [_mm256_loadu_pd(src), _mm256_loadu_pd(src.add(4))];
+            for y in 0..NQ {
+                let wv = _mm256_set1_pd(wi[y0 + y]);
+                acc[y][0] = _mm256_fmadd_pd(wv, va[0], acc[y][0]);
+                acc[y][1] = _mm256_fmadd_pd(wv, va[1], acc[y][1]);
+            }
+        }
+        for (y, [lo, hi]) in acc.into_iter().enumerate() {
+            _mm256_storeu_pd(pc.add(y * ldc), lo);
+            _mm256_storeu_pd(pc.add(y * ldc + 4), hi);
+        }
+    }
+}
+
+/// Portable fallback: the same tiles and source order with scalar fused
+/// multiply-adds, so it agrees with the vector lanes bitwise.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "fma")))]
+#[inline]
+fn acc_block<const NC: usize>(
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    ws: &[[f64; ACC_COLS]],
+    c: &mut [f64],
+    ldc: usize,
+) {
+    let depth = ws.len();
+    assert!(
+        depth > 0 && a.len() >= (depth - 1) * lda + rows && c.len() >= (NC - 1) * ldc + rows,
+        "acc_block: view out of bounds"
+    );
+    let mut r = 0;
+    while r < rows {
+        let n = (rows - r).min(ACC_ROWS);
+        let mut acc = [[0.0f64; ACC_ROWS]; NC];
+        for (y, t) in acc.iter_mut().enumerate() {
+            t[..n].copy_from_slice(&c[y * ldc + r..y * ldc + r + n]);
+        }
+        for (i, wi) in ws.iter().enumerate() {
+            let src = &a[i * lda + r..i * lda + r + n];
+            for (t, &wy) in acc.iter_mut().zip(wi.iter()) {
+                for l in 0..n {
+                    t[l] = wy.mul_add(src[l], t[l]);
+                }
+            }
+        }
+        for (y, t) in acc.iter().enumerate() {
+            c[y * ldc + r..y * ldc + r + n].copy_from_slice(&t[..n]);
+        }
+        r += n;
     }
 }
 
@@ -1296,6 +1738,41 @@ mod tests {
         let x = [3.0, 4.0];
         assert!((norm2(&x) - 5.0).abs() < 1e-15);
         assert_eq!(norm2(&[0.0, 0.0]), 0.0);
+    }
+
+    #[test]
+    fn norm2_lane_max_is_the_strict_fold() {
+        // the scale is a maximum, exact in any order: the lanes must give
+        // the strict left-to-right fold's norm bit for bit, NaN entries
+        // skipped in the scale as f64::max skips them
+        fn strict_fold_norm2(x: &[f64]) -> f64 {
+            let scale = x.iter().fold(0.0f64, |s, v| s.max(v.abs()));
+            if scale == 0.0 || !scale.is_finite() {
+                return scale;
+            }
+            let inv = 1.0 / scale;
+            let mut acc = [0.0f64; UNROLL];
+            let xc = x.chunks_exact(UNROLL);
+            let tail: f64 = xc.remainder().iter().map(|v| (v * inv) * (v * inv)).sum();
+            for cx in xc {
+                for k in 0..UNROLL {
+                    acc[k] += (cx[k] * inv) * (cx[k] * inv);
+                }
+            }
+            scale * (sum_unrolled(acc) + tail).sqrt()
+        }
+        for len in [1usize, 7, 8, 9, 31, 64, 100] {
+            let mut x: Vec<f64> = (0..len).map(|i| ((i * 37 + 11) % 23) as f64 - 11.0).collect();
+            x[len / 2] = -1e-300;
+            x[len - 1] *= 3e250;
+            for poison in [None, Some(f64::NAN), Some(f64::INFINITY), Some(-0.0)] {
+                if let Some(p) = poison {
+                    x[len / 3] = p;
+                }
+                let (got, want) = (norm2(&x), strict_fold_norm2(&x));
+                assert_eq!(got.to_bits(), want.to_bits(), "len {len} {poison:?}: {got} vs {want}");
+            }
+        }
     }
 
     #[test]

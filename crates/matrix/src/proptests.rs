@@ -3,11 +3,13 @@
 //! These pin down the *algebraic* invariants the SVD's correctness rests
 //! on: rotations are orthogonal maps (norms and dot products transform
 //! exactly as the 2×2 algebra says), the Gram kernel agrees with the naive
-//! definitions, and the generators honour their advertised spectra.
+//! definitions, the GEMM tiles agree with naive dot products on every
+//! remainder shape, and the generators honour their advertised spectra.
 
 #![cfg(test)]
 
 use crate::ops::{self, axpy, dot, gram3, norm2, norm2_sq, rotate_fused, rotate_fused_swapped};
+use crate::rng::Rng;
 use crate::rotation::{
     apply_rotation, apply_rotation_swapped, compute_rotation, orthogonalize_pair,
 };
@@ -30,6 +32,14 @@ fn vec_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
 /// |Σreordered − Σstrict| ≤ 2(n−1)·ε·Σ|tᵢ|, with slack).
 fn sum_order_tol(n: usize, abs_scale: f64) -> f64 {
     4.0 * (n as f64 + 1.0) * f64::EPSILON * abs_scale.max(1.0)
+}
+
+/// A column-major panel of `k` columns at leading dimension `ld`: entries
+/// in (−100, 100) on rows `0..rows` and NaN on the padding rows below, so
+/// a kernel that reads past its view poisons its output.
+fn padded_panel(rows: usize, ld: usize, k: usize, seed: u64) -> Vec<f64> {
+    let mut rng = Rng::seed_from_u64(seed);
+    (0..ld * k).map(|e| if e % ld < rows { rng.uniform(-100.0, 100.0) } else { f64::NAN }).collect()
 }
 
 proptest! {
@@ -223,5 +233,72 @@ proptest! {
         let n1 = norm2(&v) * scale;
         let n2 = norm2(&scaled);
         prop_assert!((n1 - n2).abs() <= 1e-9 * n1.max(1e-30));
+    }
+}
+
+// The GEMM tiles: rows 0..=67 hit every remainder of the 8-row vectors and
+// the 16-row `gemm_acc` tiles; widths 1..=13 every remainder of the 4-wide
+// `gemm_tn` tiles and the 8-wide `gemm_acc` tiles.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn gemm_tn_matches_naive_dots(
+        (rows, ka, kb) in (0usize..68, 1usize..14, 1usize..14),
+        (pad_a, pad_b, seed) in (0usize..4, 0usize..4, 0u64..1 << 20),
+    ) {
+        let (lda, ldb) = (rows + pad_a, rows + pad_b);
+        let a = padded_panel(rows, lda, ka, seed);
+        let b = padded_panel(rows, ldb, kb, seed + 1);
+        let mut out = vec![0.0; ka * kb];
+        ops::gemm_tn(rows, &a, lda, ka, &b, ldb, kb, &mut out);
+        for j in 0..kb {
+            let bj = &b[j * ldb..j * ldb + rows];
+            for i in 0..ka {
+                let ai = &a[i * lda..i * lda + rows];
+                let want = ops::naive::dot(ai, bj);
+                let scale: f64 = ai.iter().zip(bj).map(|(x, y)| (x * y).abs()).sum();
+                let got = out[i + ka * j];
+                prop_assert!((got - want).abs() <= sum_order_tol(rows, scale),
+                    "gemm_tn {rows}x({ka},{kb}) ld ({lda},{ldb}) entry ({i},{j}): {got} vs {want}");
+            }
+        }
+        // the accumulating form adds the same sums: out + out, exactly
+        let mut twice = out.clone();
+        ops::gemm_tn_acc(rows, &a, lda, ka, &b, ldb, kb, &mut twice);
+        for (t, o) in twice.iter().zip(&out) {
+            prop_assert_eq!(t.to_bits(), (2.0 * o).to_bits(), "gemm_tn_acc {rows}x({ka},{kb})");
+        }
+    }
+
+    #[test]
+    fn gemm_acc_matches_naive_dots(
+        (rows, p, q) in (0usize..68, 1usize..14, 1usize..14),
+        (pad_a, pad_c, half, seed) in (0usize..4, 0usize..4, 0usize..2, 0u64..1 << 20),
+    ) {
+        let alpha = if half == 1 { 0.5 } else { -1.0 };
+        let (lda, ldc) = (rows + pad_a, rows + pad_c);
+        let a = padded_panel(rows, lda, p, seed);
+        let w = padded_panel(p, p, q, seed + 1);
+        let c0 = padded_panel(rows, ldc, q, seed + 2);
+        let mut c = c0.clone();
+        ops::gemm_acc(rows, &a, lda, p, &w, q, alpha, &mut c, ldc);
+        for j in 0..q {
+            let wj = &w[j * p..(j + 1) * p];
+            for r in 0..ldc {
+                let (got, was) = (c[j * ldc + r], c0[j * ldc + r]);
+                if r >= rows {
+                    prop_assert_eq!(got.to_bits(), was.to_bits(),
+                        "gemm_acc {rows}x({p},{q}): row {r} past the view changed in col {j}");
+                    continue;
+                }
+                let arow: Vec<f64> = (0..p).map(|i| a[i * lda + r]).collect();
+                let want = was + alpha * ops::naive::dot(&arow, wj);
+                let scale = was.abs()
+                    + arow.iter().zip(wj).map(|(x, y)| (alpha * x * y).abs()).sum::<f64>();
+                prop_assert!((got - want).abs() <= sum_order_tol(p + 1, scale),
+                    "gemm_acc {rows}x({p},{q}) alpha {alpha} col {j} row {r}: {got} vs {want}");
+            }
+        }
     }
 }

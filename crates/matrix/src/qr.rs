@@ -1,5 +1,5 @@
-//! Tall-skinny QR: tiled Householder panels with compact-WY blocking and
-//! a TSQR tree reduction over row tiles.
+//! Tall-skinny QR: recursive Householder panels in compact-WY form and a
+//! TSQR tree reduction over row tiles.
 //!
 //! For `m ≫ n` the one-sided Jacobi sweeps rotate full `m`-length columns
 //! every meeting — nearly all memory bandwidth moves data that a QR
@@ -10,28 +10,37 @@
 //! * **Panel factorization** proceeds left to right in panels of
 //!   [`QrOptions::panel`] columns. Each panel's rows are split into *row
 //!   tiles* sized to the L2 cache ([`crate::cache::l2_bytes`]); every
-//!   tile is reduced by an in-cache Householder QR, and the per-tile `R`
-//!   factors are merged pairwise up a binary tree (the TSQR reduction of
-//!   Faverge–Langou–Robert–Dongarra, arXiv 1611.06892) — the same tree
-//!   shape the paper's orderings sweep on. Tiles are independent, so the
-//!   leaf factorizations fan out over the caller's fork–join hook
-//!   ([`Joiner`]).
-//! * **Compact-WY blocking**: every tree node stores its reflectors as an
-//!   explicit unit-lower-trapezoidal `V` plus the upper-triangular `T` of
-//!   `Q_node = I − V·T·Vᵀ`, so applying a node to `k` columns is two
-//!   tall-skinny GEMMs ([`ops::gemm_tn`], [`ops::gemm_acc`]) around a
-//!   small triangular multiply — BLAS-3-shaped work on the same
-//!   `dot4`/`wsum4` micro-kernels as the blocked Jacobi panel update.
+//!   tile is factored in place in the working matrix, and the per-tile
+//!   `R` factors are merged pairwise up a binary tree (the TSQR reduction
+//!   of Faverge–Langou–Robert–Dongarra, arXiv 1611.06892) — the same tree
+//!   shape the paper's orderings sweep on.
+//! * **Recursive tiles** (Elmroth–Gustavson, IBM J. Res. Dev. 44(4),
+//!   2000; the shape of LAPACK `DGEQRT3`): a tile `w` columns wide is
+//!   split in two; the left half is factored, its block reflector is
+//!   applied to the right half, the right half is factored below it, and
+//!   the two triangular factors are joined by `T₁₂ = −T₁·(V₁ᵀV₂)·T₂`. A
+//!   one-column tile is one Householder reflector. So `V` and `T` come
+//!   out together, and nearly every flop runs in the register-blocked
+//!   [`ops::gemm_tn`] / [`ops::gemm_acc`] tiles.
+//! * **Compact-WY storage**: every tree node is `Q_node = I − V·T·Vᵀ`
+//!   with `V` unit lower trapezoidal and `T` upper triangular. A leaf's
+//!   `V` stays in the working matrix below the panel's diagonal, with its
+//!   unit head implicit; a combine keeps a small `2bw×bw` `V` of its own.
+//!   Applying a node to `k` columns multiplies its tail, and its `bw×bw`
+//!   unit head written out as a dense triangle, with the two GEMMs.
 //! * **Trailing update / apply-Q** parallelize over *column chunks*: each
 //!   lane owns a contiguous group of columns and applies the whole tree
 //!   to it (leaves, then combines for `Qᵀ`; the reverse for `Q`), so no
-//!   barrier is needed between tree levels.
+//!   barrier is needed between tree levels. The leaves of a panel share
+//!   its columns of the working matrix, so they are factored one after
+//!   another.
 //!
 //! The factorization's steady state (the per-panel loop) is
 //! allocation-free after the first panel warms the per-lane scratch
 //! arenas; [`QrStats::steady_alloc_events`] counts violations (zero in
-//! every test and bench). The factor storage itself — one `V`/`T` pair
-//! per tree node — is the output, allocated once per node.
+//! every test and bench). The factor storage itself — the working matrix,
+//! one `T` per tree node and one `V` per combine — is the output,
+//! allocated once per node.
 
 use crate::error::MatrixError;
 use crate::matrix::Matrix;
@@ -70,8 +79,8 @@ pub struct QrOptions {
     /// probe so one leaf tile (`leaf_rows × panel` doubles) fills about
     /// half the cache.
     pub leaf_rows: usize,
-    /// Fork lanes for the leaf factorizations and the column-chunk
-    /// applies; `1` runs serially regardless of the [`Joiner`].
+    /// Fork lanes for the column-chunk trailing updates and applies; `1`
+    /// runs serially regardless of the [`Joiner`].
     pub lanes: usize,
 }
 
@@ -83,13 +92,14 @@ impl Default for QrOptions {
 
 impl QrOptions {
     /// The effective leaf height for a panel of width `bw`: the explicit
-    /// override, else `L2/2` worth of tile rows, floored at two panels'
-    /// worth so the tree does not degenerate on tiny caches.
+    /// override, else `L2/2` worth of tile rows capped at 16384, then
+    /// floored at two panels' worth so the tree does not degenerate on
+    /// tiny caches (the floor wins for panels wider than 8192 columns).
     fn leaf_height(&self, bw: usize) -> usize {
         if self.leaf_rows > 0 {
             self.leaf_rows.max(bw)
         } else {
-            (crate::cache::l2_bytes() / (16 * bw.max(1))).clamp(2 * bw, 16384)
+            (crate::cache::l2_bytes() / (16 * bw.max(1))).min(16384).max(2 * bw)
         }
     }
 }
@@ -109,15 +119,15 @@ pub struct QrStats {
     pub steady_alloc_events: u64,
 }
 
-/// One TSQR leaf: the compact-WY factor of one row tile of a panel.
+/// One TSQR leaf: the compact-WY factor of one row tile of a panel. Its
+/// `V` lies in the working matrix, in rows `row0..row0 + rows` of the
+/// panel's columns below the diagonal of the top `bw×bw` block.
 #[derive(Debug)]
 struct Leaf {
     /// First (global) row of the tile.
     row0: usize,
     /// Tile height.
     rows: usize,
-    /// Explicit unit-lower-trapezoidal `V`, `rows × bw`.
-    v: Vec<f64>,
     /// Upper-triangular `T`, `bw × bw`.
     t: Vec<f64>,
 }
@@ -131,7 +141,8 @@ struct Combine {
     left: usize,
     /// Absorbed child: leaf index whose top rows hold the right `R`.
     right: usize,
-    /// Explicit `V`, `2bw × bw`.
+    /// `V`, `2bw × bw`: rows `0..bw` (unit head implicit) meet the left
+    /// child's top rows, rows `bw..2bw` the right child's.
     v: Vec<f64>,
     /// Upper-triangular `T`, `bw × bw`.
     t: Vec<f64>,
@@ -141,6 +152,9 @@ struct Combine {
 /// reduction order.
 #[derive(Debug)]
 struct PanelFactor {
+    /// First column of the panel; its leaves' `V` live in columns
+    /// `col0..col0 + bw` of the working matrix.
+    col0: usize,
     /// Panel width.
     bw: usize,
     leaves: Vec<Leaf>,
@@ -151,14 +165,12 @@ struct PanelFactor {
 /// growth after warm-up is counted.
 #[derive(Debug, Default)]
 struct QrScratch {
-    /// Householder scalars of the node being factored.
-    tau: Vec<f64>,
-    /// `VᵀV` while building `T`, and the stacked-`R` buffer of combines.
+    /// The recursive tile factorization's `W` (at most `⌊bw/2⌋·⌈bw/2⌉`
+    /// values) followed by an explicit unit head (at most `⌈bw/2⌉²`).
     s: Vec<f64>,
-    /// `W = VᵀC` of a block-reflector application.
+    /// A block-reflector application's `W = VᵀC` (`bw·k` values for `k`
+    /// columns) followed by the node's explicit unit head (`bw²`).
     w: Vec<f64>,
-    /// Gather buffer for combine applications (two `bw`-row strips).
-    stack: Vec<f64>,
     alloc_events: u64,
 }
 
@@ -171,13 +183,12 @@ impl QrScratch {
     }
 
     fn ensure_factor(&mut self, bw: usize) {
-        Self::grow(&mut self.tau, bw, &mut self.alloc_events);
-        Self::grow(&mut self.s, (2 * bw) * bw, &mut self.alloc_events);
+        let (w1, w2) = (bw / 2, bw - bw / 2);
+        Self::grow(&mut self.s, w1 * w2 + w2 * w2, &mut self.alloc_events);
     }
 
     fn ensure_apply(&mut self, bw: usize, k: usize) {
-        Self::grow(&mut self.w, bw * k, &mut self.alloc_events);
-        Self::grow(&mut self.stack, 2 * bw * k, &mut self.alloc_events);
+        Self::grow(&mut self.w, bw * k + bw * bw, &mut self.alloc_events);
     }
 }
 
@@ -188,97 +199,134 @@ impl QrScratch {
 pub struct TsqrQr {
     m: usize,
     n: usize,
+    /// The reduced working matrix (`m × n`, column-major): below each
+    /// panel's diagonal it holds the reflectors of the panel's leaves.
+    work: Vec<f64>,
     panels: Vec<PanelFactor>,
     r: Matrix,
     stats: QrStats,
 }
 
-/// In-place Householder QR of a dense `h × bw` column-major tile
-/// (`h ≥ bw`): on return the upper triangle holds `R`, the strict lower
-/// trapezoid the reflector tails (scaled so the implicit diagonal is 1),
-/// and `tau` the reflector scalars (`tau[j] = 0` means `H_j = I`).
-fn house_qr(buf: &mut [f64], h: usize, bw: usize, tau: &mut [f64]) {
-    debug_assert!(h >= bw && buf.len() == h * bw);
-    for j in 0..bw {
-        let (head, tail) = buf.split_at_mut((j + 1) * h);
-        let colj = &mut head[j * h..];
-        let alpha = colj[j];
-        let xnorm = ops::norm2(&colj[j + 1..]);
-        if xnorm == 0.0 {
-            tau[j] = 0.0; // H_j = I; the diagonal entry is already R's
-            continue;
-        }
-        let beta = -alpha.signum() * f64::hypot(alpha, xnorm);
-        tau[j] = (beta - alpha) / beta;
-        ops::scal(1.0 / (alpha - beta), &mut colj[j + 1..]);
-        colj[j] = beta;
-        // apply H_j to the remaining columns of the tile
-        for coll in tail.chunks_exact_mut(h) {
-            let w = coll[j] + ops::dot(&colj[j + 1..], &coll[j + 1..]);
-            let tw = tau[j] * w;
-            coll[j] -= tw;
-            ops::axpy(-tw, &colj[j + 1..], &mut coll[j + 1..]);
-        }
+/// One Householder reflector `H = I − τ·v·vᵀ` (`v[0] = 1`) that maps
+/// `col` onto a multiple of `e₁`: on return `col[0]` holds `β = ±‖col‖`
+/// and `col[1..]` the tail of `v`. Returns `τ`, which is `0` (`H = I`)
+/// when the tail is already zero. The norm is scaled, so entries near the
+/// overflow and underflow thresholds are safe.
+fn house_col(col: &mut [f64]) -> f64 {
+    let alpha = col[0];
+    let xnorm = ops::norm2(&col[1..]);
+    if xnorm == 0.0 {
+        return 0.0; // H = I; the diagonal entry is already R's
     }
+    let beta = -alpha.signum() * f64::hypot(alpha, xnorm);
+    let tau = (beta - alpha) / beta;
+    ops::scal(1.0 / (alpha - beta), &mut col[1..]);
+    col[0] = beta;
+    tau
 }
 
-/// Split a factored tile into `(R, explicit V)`: copy the upper triangle
-/// into `r` (dense `bw×bw`, zeros below), then overwrite the tile with
-/// the explicit unit-lower-trapezoidal `V` (ones on the diagonal, zeros
-/// above) so block applications are plain GEMMs.
-fn split_r_v(buf: &mut [f64], h: usize, bw: usize, r: &mut [f64]) {
-    debug_assert!(r.len() >= bw * bw);
-    for j in 0..bw {
-        let col = &mut buf[j * h..(j + 1) * h];
-        for i in 0..bw {
-            r[i + bw * j] = if i <= j { col[i] } else { 0.0 };
-        }
-        col[..j].fill(0.0);
-        col[j] = 1.0;
+/// Recursive in-place QR of the `h × w` block whose column `j` is
+/// `a[j·ld..][..h]` (`h ≥ w ≥ 1`). On return the block's upper triangle
+/// holds `R`, its strict lower trapezoid the reflector tails `V` (unit
+/// diagonal implicit), and the upper triangle of `t` (stride `ldt`) the
+/// `T` with `H₀·H₁⋯H_{w−1} = I − V·T·Vᵀ`. `s` is scratch of at least
+/// `⌊w/2⌋·⌈w/2⌉ + ⌈w/2⌉²` values.
+fn qr_tile(a: &mut [f64], ld: usize, h: usize, w: usize, t: &mut [f64], ldt: usize, s: &mut [f64]) {
+    debug_assert!(h >= w && w >= 1);
+    if w == 1 {
+        t[0] = house_col(&mut a[..h]);
+        return;
     }
-}
-
-/// Build the compact-WY `T` (upper triangular, forward accumulation) from
-/// an explicit `V` and its `tau`s: `T[j,j] = τ_j`,
-/// `T(0..j, j) = −τ_j · T(0..j,0..j) · (Vᵀ v_j)`.
-fn build_t(v: &[f64], h: usize, bw: usize, tau: &[f64], s: &mut [f64], t: &mut [f64]) {
-    debug_assert!(s.len() >= bw * bw && t.len() == bw * bw);
-    ops::gemm_tn(h, v, h, bw, v, h, bw, &mut s[..bw * bw]);
-    t.fill(0.0);
-    for j in 0..bw {
-        t[j + bw * j] = tau[j];
-        for i in (0..j).rev() {
+    let (w1, w2) = (w / 2, w - w / 2);
+    qr_tile(a, ld, h, w1, t, ldt, s);
+    // A₂ ← Q₁ᵀ·A₂ = A₂ − V₁·T₁ᵀ·(V₁ᵀA₂)
+    let (v1, a2) = a.split_at_mut(w1 * ld);
+    let (ws, vh) = s.split_at_mut(w1 * w2);
+    apply_wy(v1, ld, h, w1, t, ldt, true, a2, ld, (0, w1), w2, ws, vh);
+    qr_tile(&mut a[w1 * ld + w1..], ld, h - w1, w2, &mut t[w1 * ldt + w1..], ldt, s);
+    // T₁₂ = −T₁·(V₁ᵀV₂)·T₂. V₂ starts at row w1, so only rows w1..h of V₁
+    // meet it: x = V₂ᵀ·V₁(w1..h, :) is (V₁ᵀV₂)ᵀ, w2 × w1.
+    let (x, vh) = s.split_at_mut(w2 * w1);
+    vt_c(&a[w1 * ld + w1..], ld, h - w1, w2, a, ld, (w1, w), w1, x, vh);
+    for c in 0..w2 {
+        let t2c = w1 + ldt * (w1 + c); // T₂(0.., c)
+        for i in 0..w1 {
+            // (V₁ᵀV₂·T₂)(i, c): T₂ is upper triangular
+            let xt2 = ops::dot(&x[w2 * i..w2 * i + c + 1], &t[t2c..t2c + c + 1]);
+            t[i + ldt * (w1 + c)] = xt2;
+        }
+        // −T₁· from the left, in place: row i needs rows ≥ i, so ascend
+        for i in 0..w1 {
             let mut acc = 0.0;
-            for l in i..j {
-                acc += t[i + bw * l] * s[l + bw * j];
+            for l in i..w1 {
+                acc += t[i + ldt * l] * t[l + ldt * (w1 + c)];
             }
-            t[i + bw * j] = -tau[j] * acc;
+            t[i + ldt * (w1 + c)] = -acc;
         }
     }
 }
 
-/// Apply the block reflector `(I − V·op(T)·Vᵀ)` of one tree node to `k`
-/// columns of a strided column-major view: column `j` of `C` is
-/// `c[base + j·ldc ..][..h]`. `trans` selects `op(T) = Tᵀ` (the `Qᵀ`
-/// direction) over `T`.
+/// `W = VᵀC` for `k` columns (`W` is `bw × k`, column-major). `V` is
+/// `h × bw` at stride `ldv` with an implicit unit head — rows `0..bw`,
+/// of which only the strict lower part is read — and a dense tail, rows
+/// `bw..h`. Column `j` of `C` meets the head at `c[head + j·ldc..][..bw]`
+/// and the tail at `c[tail + j·ldc..][..h − bw]`, where
+/// `(head, tail) = rows`. The head is written out as a dense unit lower
+/// triangle into `vh` (`bw²` values, left there for the caller), so both
+/// parts run as [`ops::gemm_tn`] tiles.
+#[allow(clippy::too_many_arguments)]
+fn vt_c(
+    v: &[f64],
+    ldv: usize,
+    h: usize,
+    bw: usize,
+    c: &[f64],
+    ldc: usize,
+    rows: (usize, usize),
+    k: usize,
+    w: &mut [f64],
+    vh: &mut [f64],
+) {
+    let (head, tail) = rows;
+    let vh = &mut vh[..bw * bw];
+    for (i, col) in vh.chunks_exact_mut(bw).enumerate() {
+        col[..i].fill(0.0);
+        col[i] = 1.0;
+        col[i + 1..].copy_from_slice(&v[i * ldv + i + 1..i * ldv + bw]);
+    }
+    ops::gemm_tn(h - bw, &v[bw..], ldv, bw, &c[tail..], ldc, k, w);
+    ops::gemm_tn_acc(bw, vh, bw, bw, &c[head..], ldc, k, w);
+}
+
+/// Apply the block reflector `I − V·op(T)·Vᵀ` of one tree node to `k`
+/// columns of `C` (stride `ldc`), with `V` and `rows` laid out as in
+/// [`vt_c`] and the upper-triangular `T` at stride `ldt`. `trans`
+/// selects `op(T) = Tᵀ` (the `Qᵀ` direction) over `T`. The unit head
+/// (made dense in `vh`, `bw²` values) and the tail are multiplied by
+/// [`ops::gemm_tn`] and [`ops::gemm_acc`] tiles; `w` is scratch of at
+/// least `bw·k` values.
 #[allow(clippy::too_many_arguments)]
 fn apply_wy(
     v: &[f64],
+    ldv: usize,
     h: usize,
     bw: usize,
     t: &[f64],
+    ldt: usize,
     trans: bool,
     c: &mut [f64],
-    base: usize,
     ldc: usize,
+    rows: (usize, usize),
     k: usize,
     w: &mut [f64],
+    vh: &mut [f64],
 ) {
     if k == 0 {
         return;
     }
+    let (head, tail) = rows;
     let w = &mut w[..bw * k];
-    ops::gemm_tn(h, v, h, bw, &c[base..], ldc, k, w);
+    vt_c(v, ldv, h, bw, c, ldc, rows, k, w, vh);
     // triangular multiply in place, one column of W at a time
     for col in w.chunks_exact_mut(bw) {
         if trans {
@@ -286,7 +334,7 @@ fn apply_wy(
             for i in (0..bw).rev() {
                 let mut acc = 0.0;
                 for l in 0..=i {
-                    acc += t[l + bw * i] * col[l];
+                    acc += t[l + ldt * i] * col[l];
                 }
                 col[i] = acc;
             }
@@ -295,49 +343,45 @@ fn apply_wy(
             for i in 0..bw {
                 let mut acc = 0.0;
                 for l in i..bw {
-                    acc += t[i + bw * l] * col[l];
+                    acc += t[i + ldt * l] * col[l];
                 }
                 col[i] = acc;
             }
         }
     }
-    ops::gemm_acc(h, v, h, bw, w, k, -1.0, &mut c[base..], ldc);
+    ops::gemm_acc(h - bw, &v[bw..], ldv, bw, w, k, -1.0, &mut c[tail..], ldc);
+    ops::gemm_acc(bw, &vh[..bw * bw], bw, bw, w, k, -1.0, &mut c[head..], ldc);
 }
 
 /// Apply one panel's whole reflector tree to a contiguous column chunk
-/// (`k` columns of length `ldc`, panel rows addressed globally inside
-/// each column). `trans = true` is the `Qᵀ` direction (leaves, then
-/// combines in reduction order); `trans = false` is `Q` (combines in
-/// reverse, then leaves).
+/// (`k` columns of length `ld`, panel rows addressed globally inside
+/// each column). The leaves' `V` are read from `vs`, the working matrix,
+/// whose columns have the same length `ld`. `trans = true` is the `Qᵀ`
+/// direction (leaves, then combines in reduction order); `trans = false`
+/// is `Q` (combines in reverse, then leaves).
 fn apply_panel(
     p: &PanelFactor,
+    vs: &[f64],
     trans: bool,
     c: &mut [f64],
-    ldc: usize,
+    ld: usize,
     k: usize,
     s: &mut QrScratch,
 ) {
-    s.ensure_apply(p.bw, k);
+    let bw = p.bw;
+    s.ensure_apply(bw, k);
     let leaves = |c: &mut [f64], s: &mut QrScratch| {
+        let (w, vh) = s.w.split_at_mut(bw * k);
         for leaf in &p.leaves {
-            apply_wy(&leaf.v, leaf.rows, p.bw, &leaf.t, trans, c, leaf.row0, ldc, k, &mut s.w);
+            let v = &vs[p.col0 * ld + leaf.row0..];
+            let rows = (leaf.row0, leaf.row0 + bw);
+            apply_wy(v, ld, leaf.rows, bw, &leaf.t, bw, trans, c, ld, rows, k, w, vh);
         }
     };
     let combine = |cb: &Combine, c: &mut [f64], s: &mut QrScratch| {
-        let (r0, r1) = (p.leaves[cb.left].row0, p.leaves[cb.right].row0);
-        let h = 2 * p.bw;
-        // gather the two bw-row strips of every column, apply, scatter
-        for j in 0..k {
-            let col = &c[j * ldc..];
-            s.stack[j * h..j * h + p.bw].copy_from_slice(&col[r0..r0 + p.bw]);
-            s.stack[j * h + p.bw..(j + 1) * h].copy_from_slice(&col[r1..r1 + p.bw]);
-        }
-        apply_wy(&cb.v, h, p.bw, &cb.t, trans, &mut s.stack, 0, h, k, &mut s.w);
-        for j in 0..k {
-            let col = &mut c[j * ldc..];
-            col[r0..r0 + p.bw].copy_from_slice(&s.stack[j * h..j * h + p.bw]);
-            col[r1..r1 + p.bw].copy_from_slice(&s.stack[j * h + p.bw..(j + 1) * h]);
-        }
+        let (w, vh) = s.w.split_at_mut(bw * k);
+        let rows = (p.leaves[cb.left].row0, p.leaves[cb.right].row0);
+        apply_wy(&cb.v, 2 * bw, 2 * bw, bw, &cb.t, bw, trans, c, ld, rows, k, w, vh);
     };
     if trans {
         leaves(c, s);
@@ -352,22 +396,21 @@ fn apply_panel(
     }
 }
 
-/// Recursively fan `f(index, item, scratch)` over items, splitting lanes
-/// (and the scratch arenas with them) across the joiner.
+/// Recursively fan `f(item, scratch)` over items, splitting lanes (and
+/// the scratch arenas with them) across the joiner.
 fn fan_out<T: Send, F>(
     items: &mut [T],
-    base: usize,
     scratches: &mut [QrScratch],
     lanes: usize,
     join: &dyn Joiner,
     f: &F,
 ) where
-    F: Fn(usize, &mut T, &mut QrScratch) + Sync,
+    F: Fn(&mut T, &mut QrScratch) + Sync,
 {
     if lanes <= 1 || items.len() <= 1 || scratches.len() <= 1 {
         let s = &mut scratches[0];
-        for (i, item) in items.iter_mut().enumerate() {
-            f(base + i, item, s);
+        for item in items.iter_mut() {
+            f(item, s);
         }
         return;
     }
@@ -375,8 +418,8 @@ fn fan_out<T: Send, F>(
     let (il, ir) = items.split_at_mut(mid);
     let left_lanes = (lanes / 2).max(1);
     let (sl, sr) = scratches.split_at_mut(left_lanes.min(scratches.len() - 1).max(1));
-    let mut a = || fan_out(il, base, sl, left_lanes, join, f);
-    let mut b = || fan_out(ir, base + mid, sr, lanes - left_lanes, join, f);
+    let mut a = || fan_out(il, sl, left_lanes, join, f);
+    let mut b = || fan_out(ir, sr, lanes - left_lanes, join, f);
     join.fork(&mut a, &mut b);
 }
 
@@ -430,34 +473,18 @@ impl TsqrQr {
             let leaf_h = opts.leaf_height(bw);
             let nl = (prows / leaf_h).clamp(1, (prows / bw).max(1));
             let (hbase, hrem) = (prows / nl, prows % nl);
+            let s0 = &mut scratches[0];
+            s0.ensure_factor(bw);
 
-            // ---- leaf factorizations (parallel over tiles) ----
-            let mut leaves: Vec<(Leaf, Vec<f64>)> = Vec::with_capacity(nl);
+            // ---- leaf factorizations, in place in the working matrix ----
+            let mut leaves: Vec<Leaf> = Vec::with_capacity(nl);
             let mut row0 = col0;
             for i in 0..nl {
                 let rows = hbase + usize::from(i < hrem);
-                leaves.push((
-                    Leaf { row0, rows, v: vec![0.0; rows * bw], t: vec![0.0; bw * bw] },
-                    vec![0.0; bw * bw],
-                ));
+                let mut t = vec![0.0; bw * bw];
+                qr_tile(&mut work[col0 * m + row0..], m, rows, bw, &mut t, bw, &mut s0.s);
+                leaves.push(Leaf { row0, rows, t });
                 row0 += rows;
-            }
-            let work_ref: &[f64] = &work;
-            fan_out(&mut leaves, 0, &mut scratches, lanes, join, &|_, (leaf, r), s| {
-                s.ensure_factor(bw);
-                for j in 0..bw {
-                    let src = &work_ref[(col0 + j) * m + leaf.row0..][..leaf.rows];
-                    leaf.v[j * leaf.rows..(j + 1) * leaf.rows].copy_from_slice(src);
-                }
-                house_qr(&mut leaf.v, leaf.rows, bw, &mut s.tau);
-                split_r_v(&mut leaf.v, leaf.rows, bw, r);
-                build_t(&leaf.v, leaf.rows, bw, &s.tau, &mut s.s, &mut leaf.t);
-            });
-            let mut rs: Vec<Vec<f64>> = Vec::with_capacity(nl);
-            let mut leaf_nodes: Vec<Leaf> = Vec::with_capacity(nl);
-            for (leaf, r) in leaves {
-                leaf_nodes.push(leaf);
-                rs.push(r);
             }
 
             // ---- combine tree (serial; O(bw³) per node) ----
@@ -473,44 +500,40 @@ impl TsqrQr {
                         continue;
                     }
                     let (left, right) = (pair[0], pair[1]);
+                    let (rl, rr) = (leaves[left].row0, leaves[right].row0);
                     let h = 2 * bw;
-                    let s0 = &mut scratches[0];
-                    s0.ensure_factor(bw);
+                    // stack the two upper-triangular R factors
                     let mut v = vec![0.0; h * bw];
-                    let mut t = vec![0.0; bw * bw];
                     for j in 0..bw {
-                        v[j * h..j * h + bw].copy_from_slice(&rs[left][j * bw..(j + 1) * bw]);
-                        v[j * h + bw..(j + 1) * h]
-                            .copy_from_slice(&rs[right][j * bw..(j + 1) * bw]);
+                        let col = &work[(col0 + j) * m..];
+                        v[j * h..j * h + j + 1].copy_from_slice(&col[rl..rl + j + 1]);
+                        v[j * h + bw..j * h + bw + j + 1].copy_from_slice(&col[rr..rr + j + 1]);
                     }
-                    house_qr(&mut v, h, bw, &mut s0.tau);
-                    // the merged R overwrites the left child's
-                    let (rl, s) = (&mut rs[left], &mut s0.s);
-                    split_r_v(&mut v, h, bw, rl);
-                    build_t(&v, h, bw, &s0.tau, s, &mut t);
+                    let mut t = vec![0.0; bw * bw];
+                    qr_tile(&mut v, h, h, bw, &mut t, bw, &mut s0.s);
+                    // the merged R overwrites the left child's; the V head
+                    // below its diagonal stays
+                    for j in 0..bw {
+                        work[(col0 + j) * m + rl..][..j + 1]
+                            .copy_from_slice(&v[j * h..j * h + j + 1]);
+                    }
                     combines.push(Combine { left, right, v, t });
                     next.push(left);
                 }
                 survivors = next;
             }
+            // the root R now sits in leaf 0's top rows: the diagonal block
 
-            // root R → the working matrix's diagonal block
-            let root = survivors[0];
-            for j in 0..bw {
-                work[(col0 + j) * m + col0..][..bw]
-                    .copy_from_slice(&rs[root][j * bw..(j + 1) * bw]);
-            }
-
-            let panel = PanelFactor { bw, leaves: leaf_nodes, combines };
+            let panel = PanelFactor { col0, bw, leaves, combines };
 
             // ---- trailing update: Qᵀ_panel on columns right of the panel
             //      (parallel over column chunks) ----
-            let trailing = &mut work[(col0 + bw) * m..n * m];
+            let (done, trailing) = work.split_at_mut((col0 + bw) * m);
             if !trailing.is_empty() {
                 let mut chunks = chunk_columns(trailing, m, lanes);
-                let pref = &panel;
-                fan_out(&mut chunks, 0, &mut scratches, lanes, join, &|_, chunk, s| {
-                    apply_panel(pref, true, chunk.cols, m, chunk.k, s);
+                let (pref, vs) = (&panel, &*done);
+                fan_out(&mut chunks, &mut scratches, lanes, join, &|chunk, s| {
+                    apply_panel(pref, vs, true, chunk.cols, m, chunk.k, s);
                 });
             }
 
@@ -529,10 +552,9 @@ impl TsqrQr {
         // R = the upper triangle of the reduced working matrix
         let mut r = Matrix::zeros(n, n)?;
         for j in 0..n {
-            let src = &work[j * m..j * m + (j + 1).min(n)];
-            r.col_mut(j)[..src.len()].copy_from_slice(src);
+            r.col_mut(j)[..=j].copy_from_slice(&work[j * m..j * m + j + 1]);
         }
-        Ok(TsqrQr { m, n, panels, r, stats })
+        Ok(TsqrQr { m, n, work, panels, r, stats })
     }
 
     /// Row count of the factored matrix.
@@ -562,15 +584,15 @@ impl TsqrQr {
         let m = self.m;
         let mut scratches: Vec<QrScratch> = (0..lanes).map(|_| QrScratch::default()).collect();
         let mut chunks = chunk_columns(x.as_mut_slice(), m, lanes.min(k));
-        let panels = &self.panels;
-        fan_out(&mut chunks, 0, &mut scratches, lanes, join, &|_, chunk, s| {
+        let (panels, vs) = (&self.panels, &self.work[..]);
+        fan_out(&mut chunks, &mut scratches, lanes, join, &|chunk, s| {
             if trans {
                 for p in panels.iter() {
-                    apply_panel(p, true, chunk.cols, m, chunk.k, s);
+                    apply_panel(p, vs, true, chunk.cols, m, chunk.k, s);
                 }
             } else {
                 for p in panels.iter().rev() {
-                    apply_panel(p, false, chunk.cols, m, chunk.k, s);
+                    apply_panel(p, vs, false, chunk.cols, m, chunk.k, s);
                 }
             }
         });
@@ -660,6 +682,16 @@ mod tests {
             let qr = TsqrQr::factor(&a, &factor_opts(panel, 0), &SerialJoin).unwrap();
             assert_qr(&a, &qr, 1e-12);
         }
+        // the recursion splits w into ⌊w/2⌋ + ⌈w/2⌉, so these widths put odd
+        // splits at every depth; the small leaves add combines of each width
+        for panel in [1, 2, 3, 5, 17, 32, 64] {
+            for (m, n, leaf_rows) in [(70, 70, 0), (131, 67, 0), (131, 67, 2 * panel), (70, 33, 0)]
+            {
+                let a = generate::random_uniform(m, n, (m * n + panel) as u64);
+                let qr = TsqrQr::factor(&a, &factor_opts(panel, leaf_rows), &SerialJoin).unwrap();
+                assert_qr(&a, &qr, 1e-12);
+            }
+        }
     }
 
     #[test]
@@ -670,6 +702,38 @@ mod tests {
         }
         let qr = TsqrQr::factor(&a, &factor_opts(4, 16), &SerialJoin).unwrap();
         assert_qr(&a, &qr, 1e-12);
+
+        // a panel of 32 splits into halves 0..16 and 16..32: zero columns in
+        // both, and one column each scaled by 2^−500 and 2^+500
+        let mut a = generate::random_uniform(160, 40, 10);
+        for j in [3usize, 21] {
+            a.col_mut(j).fill(0.0);
+        }
+        ops::scal(2f64.powi(-500), a.col_mut(9));
+        ops::scal(2f64.powi(500), a.col_mut(27));
+        for leaf_rows in [0, 64] {
+            let qr = TsqrQr::factor(&a, &factor_opts(32, leaf_rows), &SerialJoin).unwrap();
+            let q = qr.thin_q(&SerialJoin);
+            assert!(checks::orthogonality_residual(&q) < 1e-12, "QᵀQ ≠ I");
+            // Q is orthogonal, so every column of R has its column's norm,
+            // and Q·R rebuilds each column to its own relative accuracy
+            for j in 0..40 {
+                let (aj, rj) = (ops::norm2(a.col(j)), ops::norm2(qr.r().col(j)));
+                let mut back = vec![0.0; 160];
+                for (l, &rlj) in qr.r().col(j).iter().enumerate() {
+                    ops::axpy(rlj, q.col(l), &mut back);
+                }
+                ops::axpy(-1.0, a.col(j), &mut back);
+                if aj == 0.0 {
+                    assert_eq!(rj, 0.0, "zero column {j} left R({j}) nonzero");
+                    assert_eq!(ops::norm2(&back), 0.0, "zero column {j} rebuilt nonzero");
+                } else {
+                    assert!((rj - aj).abs() <= 1e-13 * aj, "‖R(:,{j})‖ {rj:e} vs ‖a_j‖ {aj:e}");
+                    let err = ops::norm2(&back) / aj;
+                    assert!(err <= 1e-13, "column {j} rebuilt to rel {err:.2e}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -716,5 +780,25 @@ mod tests {
         let qr = TsqrQr::factor(&a, &factor_opts(8, 50), &SerialJoin).unwrap();
         assert!(qr.stats().panels >= 6);
         assert_eq!(qr.stats().steady_alloc_events, 0);
+        // the recursion's scratch grows with the panel width: a panel of 32
+        // with a narrower last panel, a multi-leaf tree, and two lanes
+        let a = generate::random_uniform(600, 80, 15);
+        for lanes in [1, 2] {
+            let opts = QrOptions { panel: 32, leaf_rows: 96, lanes };
+            let qr = TsqrQr::factor(&a, &opts, &SerialJoin).unwrap();
+            assert_eq!(qr.stats().panels, 3);
+            assert!(qr.stats().leaves >= 4, "leaves {}", qr.stats().leaves);
+            assert_eq!(qr.stats().steady_alloc_events, 0);
+        }
+    }
+
+    #[test]
+    fn leaf_height_caps_before_it_floors() {
+        // wider than 8192 columns, two panels' worth exceeds the 16384 cap:
+        // the floor wins instead of a min > max clamp panic
+        assert_eq!(QrOptions::default().leaf_height(9000), 18000);
+        let h = QrOptions::default().leaf_height(32);
+        assert!((64..=16384).contains(&h), "leaf height {h}");
+        assert_eq!(QrOptions { leaf_rows: 10, ..QrOptions::default() }.leaf_height(32), 32);
     }
 }

@@ -15,6 +15,18 @@ cargo build --release --workspace
 echo "== tier-1: cargo test -q =="
 cargo test -q --workspace
 
+echo "== SIMD lanes: treesvd-matrix tests at the portable and AVX2+FMA tiers =="
+# .cargo/config.toml builds for the host CPU, so on an AVX-512 host the
+# narrower lanes of the kernels in treesvd-matrix are never compiled.
+# RUSTFLAGS replaces build.rustflags; each tier gets its own target dir.
+if [ "$(uname -m)" = x86_64 ]; then
+    for cpu in x86-64 haswell; do
+        echo "-- target-cpu=$cpu"
+        RUSTFLAGS="-C target-cpu=$cpu" CARGO_TARGET_DIR="target/lanes-$cpu" \
+            cargo test -q --offline --release -p treesvd-matrix
+    done
+fi
+
 echo "== bench smoke: fused vs unfused rotation (512x64) =="
 cargo run --release -p treesvd-bench --bin bench_kernels -- --smoke
 
