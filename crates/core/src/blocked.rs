@@ -23,11 +23,13 @@
 //! columns through [`orthogonalize_pair`] O(c²) times, while the default
 //! **Gram** kernel is block one-sided Jacobi (Bečka–Okša–Vajteršic): it
 //! forms the `2c×2c` Gram matrix `G = [X Y]ᵀ[X Y]` once
-//! ([`ops::gram_block`]), runs the same cyclic pass with sorted storage on
-//! `G` *in cache* — identical rotation and interchange decisions, since
-//! `compute_rotation` only ever consumes the Gram entries — while
-//! accumulating the `2c×2c` orthogonal update `W`, and finally applies
-//! `[X Y] ← [X Y]·W` (and the `V` panel) as one blocked panel multiply
+//! ([`ops::gram_block`], a symmetric product on the register tiles of
+//! [`ops::gemm_tn`]), runs the same cyclic pass with sorted storage on
+//! `G`'s lower triangle *in cache* — identical rotation and interchange
+//! decisions, since `compute_rotation` only ever consumes the Gram
+//! entries — while accumulating the `2c×2c` orthogonal update `W`, and
+//! finally applies `[X Y] ← [X Y]·W` (and the `V` panel) as one blocked
+//! panel multiply on the register tiles of [`ops::gemm_acc`]
 //! ([`ops::panel_update`]). The panel is read O(1) times per meeting
 //! instead of O(c), which is what turns the dominant cost into
 //! BLAS-3-shaped work. Convergence is preserved because the meeting still
@@ -545,12 +547,12 @@ fn hierarchical_meeting(
 /// One flat Gram meeting over the union `[X Y]` given as raw column
 /// panels (`xa`/`ya` the `A` columns, `xv`/`yv` the matching `V` columns,
 /// empty when vectors are off): build `G = [X Y]ᵀ[X Y]`, run the cyclic
-/// sorted pass on `G` in cache while accumulating the orthogonal update
-/// `W`, then apply `[X Y] ← [X Y]·W` (and the `V` panel) as one blocked
-/// panel multiply. The rotation and interchange decisions are computed
-/// from exactly the Gram quantities the pairwise path measures, so both
-/// kernels agree on what a meeting does (up to rounding in how the
-/// updates are realized). Returns (rotations, interchanges).
+/// sorted pass on `G` in cache ([`gram_pass`]) while accumulating the
+/// orthogonal update `W`, then apply `[X Y] ← [X Y]·W` (and the `V` panel)
+/// as one blocked panel multiply. The rotation and interchange decisions
+/// are computed from exactly the Gram quantities the pairwise path
+/// measures, so both kernels agree on what a meeting does (up to rounding
+/// in how the updates are realized). Returns (rotations, interchanges).
 fn gram_union(
     xa: &mut [f64],
     ya: &mut [f64],
@@ -563,19 +565,43 @@ fn gram_union(
     scratch.ensure(k);
     let MeetingScratch { g, w, tile, .. } = scratch;
     ops::gram_block(xa, ya, ctx.m, g);
+    let (rotations, swaps) = gram_pass(g, w, k, ctx.threshold, ctx.sort);
+    if rotations > 0 || swaps > 0 {
+        ops::panel_update(xa, ya, ctx.m, w, tile);
+        if ctx.v_len > 0 {
+            ops::panel_update(xv, yv, ctx.v_len, w, tile);
+        }
+    }
+    (rotations, swaps)
+}
+
+/// The in-cache cyclic pass of a Gram meeting: every pair `i < j` of the
+/// `k×k` Gram matrix `g` in row-cyclic order, with the sorted-storage
+/// rule, applying each rotation `J` as `G ← Jᵀ·G·J` and accumulating
+/// `W ← W·J` into `w` (reset to the identity first). Returns (rotations,
+/// interchanges).
+///
+/// Only `G`'s lower triangle is read or written; `gram_block` leaves it
+/// equal to the upper one bit for bit. At pivot `i` only rows and columns
+/// `≥ i` are ever read again, so the pair `(i, j)` updates columns `i` and
+/// `j` from row `i + 1` down: column `j`'s entries above row `j` sit in
+/// row `j`, and the `2×2` diagonal block is rotated on both sides in
+/// registers. Every stored value is the expression the full symmetric
+/// update computes for that entry, on the same operands, so `W` and every
+/// decision are the same bits as with both triangles kept.
+fn gram_pass(g: &mut [f64], w: &mut [f64], k: usize, threshold: f64, sort: bool) -> (usize, usize) {
     w.fill(0.0);
     for d in 0..k {
         w[d + k * d] = 1.0;
     }
-
     let mut rotations = 0usize;
     let mut swaps = 0usize;
     for i in 0..k {
         for j in (i + 1)..k {
             let alpha = g[i + k * i];
             let beta = g[j + k * j];
-            let gamma = g[i + k * j];
-            let rot = compute_rotation(alpha, beta, gamma, ctx.threshold);
+            let gamma = g[j + k * i];
+            let rot = compute_rotation(alpha, beta, gamma, threshold);
             // predicted post-rotation norms, exactly as orthogonalize_pair
             // decides the interchange
             let (alpha_pred, beta_pred) = if rot.skipped {
@@ -587,52 +613,36 @@ fn gram_union(
                     rs * rs * alpha + 2.0 * rc * rs * gamma + rc * rc * beta,
                 )
             };
-            let want_swap = ctx.sort && beta_pred > alpha_pred;
+            let want_swap = sort && beta_pred > alpha_pred;
             if rot.skipped && !want_swap {
                 continue;
             }
-            // two-sided update G ← Jᵀ(G·J): columns i,j then rows i,j.
-            // Rows above the pivot are dead for the rest of the sweep
-            // (only entries in rows ≥ i are ever read again — see the
-            // copy-back note below), so the column rotation starts at
-            // row i.
-            let (gi, gj) = two_cols(g, k, i, j);
-            if want_swap {
-                apply_rotation_swapped(rot, &mut gi[i..], &mut gj[i..]);
-            } else {
-                apply_rotation(rot, &mut gi[i..], &mut gj[i..]);
-            }
-            // rows i and j: G is kept bitwise symmetric, so for l ∉ {i, j}
-            // the row entries are exactly the transposes of the columns
-            // just updated — copy them instead of recomputing (the copied
-            // values equal the arithmetic update bitwise, same expression
-            // on identical inputs). Columns left of the pivot row are
-            // dead: every remaining read of this sweep — γ, the
-            // diagonals, and the rotation operands — touches only
-            // columns ≥ i, and G is rebuilt from scratch at the next
-            // meeting, so the copy starts at i + 1.
-            for l in (i + 1)..k {
-                if l != j {
-                    g[i + k * l] = g[l + k * i];
-                    g[j + k * l] = g[l + k * j];
-                }
-            }
-            // the 2×2 diagonal block still needs the row-side arithmetic;
-            // afterwards re-symmetrize its off-diagonal entry so the
-            // invariant survives the rounding-order difference
+            // J applied to one row of the column pair (i, j): the
+            // expressions of apply_rotation / apply_rotation_swapped
             let (rc, rs) = (rot.c, rot.s);
-            for l in [i, j] {
-                let x = g[i + k * l];
-                let y = g[j + k * l];
+            let turn = |x: f64, y: f64| {
                 if want_swap {
-                    g[i + k * l] = rs * x + rc * y;
-                    g[j + k * l] = rc * x - rs * y;
+                    (rs * x + rc * y, rc * x - rs * y)
                 } else {
-                    g[i + k * l] = rc * x - rs * y;
-                    g[j + k * l] = rs * x + rc * y;
+                    (rc * x - rs * y, rs * x + rc * y)
                 }
+            };
+            // G ← G·J below the diagonal block; between rows i and j,
+            // column j's entries are stored in row j
+            for l in (i + 1)..j {
+                (g[l + k * i], g[j + k * l]) = turn(g[l + k * i], g[j + k * l]);
             }
-            g[j + k * i] = g[i + k * j];
+            let (gi, gj) = two_cols(g, k, i, j);
+            for (a, b) in gi[j + 1..].iter_mut().zip(&mut gj[j + 1..]) {
+                (*a, *b) = turn(*a, *b);
+            }
+            // the 2×2 diagonal block: rows i and j of G·J, then Jᵀ on the
+            // left; (i, j) is stored in its mirror slot (j, i)
+            let (gii, gji, gjj) = (g[i + k * i], g[j + k * i], g[j + k * j]);
+            let (ii, ij) = turn(gii, gji);
+            let (ji, jj) = turn(gji, gjj);
+            g[i + k * i] = turn(ii, ji).0;
+            (g[j + k * i], g[j + k * j]) = turn(ij, jj);
             // accumulate the panel update W ← W·J
             let (wi, wj) = two_cols(w, k, i, j);
             if want_swap {
@@ -646,13 +656,6 @@ fn gram_union(
             if want_swap {
                 swaps += 1;
             }
-        }
-    }
-
-    if rotations > 0 || swaps > 0 {
-        ops::panel_update(xa, ya, ctx.m, w, tile);
-        if ctx.v_len > 0 {
-            ops::panel_update(xv, yv, ctx.v_len, w, tile);
         }
     }
     (rotations, swaps)
@@ -902,5 +905,133 @@ mod tests {
         // meetings are data-disjoint, so lane count cannot change results
         assert_eq!(base.svd.sigma, capped.svd.sigma);
         assert_eq!(base.sweeps, capped.sweeps);
+    }
+
+    /// The in-cache pass with both triangles of `G` kept bitwise symmetric:
+    /// the reference the one-triangle [`gram_pass`] must reproduce.
+    fn full_symmetric_pass(
+        g: &mut [f64],
+        w: &mut [f64],
+        k: usize,
+        threshold: f64,
+        sort: bool,
+    ) -> (usize, usize) {
+        w.fill(0.0);
+        for d in 0..k {
+            w[d + k * d] = 1.0;
+        }
+        let mut rotations = 0usize;
+        let mut swaps = 0usize;
+        for i in 0..k {
+            for j in (i + 1)..k {
+                let alpha = g[i + k * i];
+                let beta = g[j + k * j];
+                let gamma = g[i + k * j];
+                let rot = compute_rotation(alpha, beta, gamma, threshold);
+                let (alpha_pred, beta_pred) = if rot.skipped {
+                    (alpha, beta)
+                } else {
+                    let (rc, rs) = (rot.c, rot.s);
+                    (
+                        rc * rc * alpha - 2.0 * rc * rs * gamma + rs * rs * beta,
+                        rs * rs * alpha + 2.0 * rc * rs * gamma + rc * rc * beta,
+                    )
+                };
+                let want_swap = sort && beta_pred > alpha_pred;
+                if rot.skipped && !want_swap {
+                    continue;
+                }
+                // columns i, j from row i; then rows i, j: a copy of the
+                // columns off the diagonal block, arithmetic on it
+                let (gi, gj) = two_cols(g, k, i, j);
+                if want_swap {
+                    apply_rotation_swapped(rot, &mut gi[i..], &mut gj[i..]);
+                } else {
+                    apply_rotation(rot, &mut gi[i..], &mut gj[i..]);
+                }
+                for l in (i + 1)..k {
+                    if l != j {
+                        g[i + k * l] = g[l + k * i];
+                        g[j + k * l] = g[l + k * j];
+                    }
+                }
+                let (rc, rs) = (rot.c, rot.s);
+                for l in [i, j] {
+                    let x = g[i + k * l];
+                    let y = g[j + k * l];
+                    if want_swap {
+                        g[i + k * l] = rs * x + rc * y;
+                        g[j + k * l] = rc * x - rs * y;
+                    } else {
+                        g[i + k * l] = rc * x - rs * y;
+                        g[j + k * l] = rs * x + rc * y;
+                    }
+                }
+                g[j + k * i] = g[i + k * j];
+                let (wi, wj) = two_cols(w, k, i, j);
+                if want_swap {
+                    apply_rotation_swapped(rot, wi, wj);
+                } else {
+                    apply_rotation(rot, wi, wj);
+                }
+                if !rot.skipped {
+                    rotations += 1;
+                }
+                if want_swap {
+                    swaps += 1;
+                }
+            }
+        }
+        (rotations, swaps)
+    }
+
+    #[test]
+    fn one_triangle_pass_matches_full_symmetric_reference() {
+        // Gram matrices of random, rank-deficient, graded and
+        // repeated-column unions, sort on and off, at flat, odd and the
+        // unequal sub-union widths of hierarchical meetings; three
+        // successive meetings each, so late, near-diagonal passes run too
+        let (m, threshold) = (40, 32.0 * f64::EPSILON);
+        for (cx, cy) in [(8, 8), (3, 2), (2, 3), (3, 3), (4, 3), (5, 0), (1, 1)] {
+            let k = cx + cy;
+            let mut tile = vec![0.0; k * ops::PANEL_TILE];
+            for kind in 0..4u64 {
+                let seed = 100 + kind * 10 + k as u64;
+                let mut a = if kind == 1 {
+                    generate::rank_deficient(m, k, k.div_ceil(2), seed)
+                } else {
+                    generate::random_uniform(m, k, seed)
+                };
+                for j in 0..k {
+                    if kind == 2 {
+                        // graded: column norms falling by 10³ per column
+                        a.col_mut(j).iter_mut().for_each(|v| *v *= 10f64.powi(-3 * j as i32));
+                    } else if kind == 3 && j >= 2 {
+                        // repeats of columns 0 and 1: equal diagonals, |γ| = α
+                        let src = a.col(j % 2).to_vec();
+                        a.col_mut(j).copy_from_slice(&src);
+                    }
+                }
+                for sort in [true, false] {
+                    let mut panel = a.as_slice().to_vec();
+                    for round in 0..3 {
+                        let what = format!("cx={cx} cy={cy} kind={kind} sort={sort} round {round}");
+                        let (x, y) = panel.split_at_mut(cx * m);
+                        let mut g = vec![0.0; k * k];
+                        ops::gram_block(x, y, m, &mut g);
+                        let mut g_ref = g.clone();
+                        let (mut w, mut w_ref) = (vec![0.0; k * k], vec![0.0; k * k]);
+                        let got = gram_pass(&mut g, &mut w, k, threshold, sort);
+                        let want = full_symmetric_pass(&mut g_ref, &mut w_ref, k, threshold, sort);
+                        assert_eq!(got, want, "{what}: counts");
+                        for (p, q) in w.iter().zip(&w_ref) {
+                            assert_eq!(p.to_bits(), q.to_bits(), "{what}: W");
+                        }
+                        // the next meeting starts from the updated union
+                        ops::panel_update(x, y, m, &w, &mut tile);
+                    }
+                }
+            }
+        }
     }
 }

@@ -92,6 +92,36 @@ pub mod naive {
         }
         (norm2_sq(a), norm2_sq(b))
     }
+
+    /// Panel update `[X Y] ← [X Y]·W` (see [`super::panel_update`]) one
+    /// element at a time: a column whose `W` column is exactly `e_j` is left
+    /// as it is, and every other output element is the fused-multiply-add
+    /// chain over its column's nonzero weights in ascending source order,
+    /// starting from `+0.0`.
+    ///
+    /// # Panics
+    /// Panics if a panel length is not a multiple of `m` or `w.len() != k²`.
+    pub fn panel_update(x: &mut [f64], y: &mut [f64], m: usize, w: &[f64]) {
+        let k = (x.len() + y.len()).checked_div(m).unwrap_or(0);
+        let whole = x.len().is_multiple_of(m.max(1)) && y.len().is_multiple_of(m.max(1));
+        assert!(whole && w.len() == k * k, "panel_update: shape mismatch");
+        let src: Vec<f64> = x.iter().chain(y.iter()).copied().collect();
+        let cx = x.len().checked_div(m).unwrap_or(0);
+        for j in 0..k {
+            let wj = &w[k * j..k * (j + 1)];
+            if (0..k).all(|i| wj[i] == if i == j { 1.0 } else { 0.0 }) {
+                continue;
+            }
+            let out = if j < cx { &mut x[j * m..] } else { &mut y[(j - cx) * m..] };
+            for (r, o) in out[..m].iter_mut().enumerate() {
+                *o = wj
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0.0)
+                    .fold(0.0, |acc, (i, &v)| v.mul_add(src[i * m + r], acc));
+            }
+        }
+    }
 }
 
 #[inline]
@@ -441,185 +471,43 @@ pub fn rotate_fused_swapped(c: f64, s: f64, a: &mut [f64], b: &mut [f64]) -> (f6
     rotate_fused_impl::<true>(c, s, a, b)
 }
 
-/// Row-tile length (in elements) of the blocked panel kernels
-/// [`gram_block`] / [`panel_update`]. With a `2c = 64` column union the
-/// input tile is `64 · 128 · 8 B = 64 KiB` — resident in L2 while each
-/// output column streams over it.
+/// Row-band height (in elements) of [`panel_update`]: each band of the
+/// input union is snapshotted into caller scratch before its output rows
+/// are overwritten. With a `2c = 64` column union the snapshot is
+/// `64 · 128 · 8 B = 64 KiB`, resident in L2 while [`gemm_acc`]'s register
+/// tiles stream the band's outputs over it.
 pub const PANEL_TILE: usize = 128;
 
-/// Column `i` of the union panel `[X Y]` (both column-major with `m` rows).
+/// Columns `i..` of the union panel `[X Y]` (both column-major with `m`
+/// rows), up to the end of the panel that holds column `i`.
 #[inline]
-fn union_col<'a>(x: &'a [f64], y: &'a [f64], m: usize, i: usize) -> &'a [f64] {
+fn union_from<'a>(x: &'a [f64], y: &'a [f64], m: usize, i: usize) -> &'a [f64] {
     let off = i * m;
     if off < x.len() {
-        &x[off..off + m]
+        &x[off..]
     } else {
-        &y[off - x.len()..off - x.len() + m]
+        &y[off - x.len()..]
     }
 }
 
-/// Adjacent columns `j` and `j + 1` of the union panel `[X Y]`, mutably —
-/// both inside `x`, both inside `y`, or straddling the panel boundary.
+/// Column `i` of the union panel `[X Y]`.
 #[inline]
-fn union_col_pair_mut<'a>(
-    x: &'a mut [f64],
-    y: &'a mut [f64],
-    m: usize,
-    j: usize,
-) -> (&'a mut [f64], &'a mut [f64]) {
-    let xs = x.len();
-    let off = j * m;
-    if off + 2 * m <= xs {
-        x[off..off + 2 * m].split_at_mut(m)
-    } else if off >= xs {
-        y[off - xs..off - xs + 2 * m].split_at_mut(m)
-    } else {
-        (&mut x[off..off + m], &mut y[0..m])
-    }
-}
-
-/// Unroll width of the 2×2 blocked Gram kernel [`dot4`]: two 4-lane
-/// vectors in flight per dot product (8 independent fma chains total).
-const DOT4_UNROLL: usize = 8;
-
-/// Accumulator lanes of the four simultaneous dot products
-/// `(a0·b0, a1·b0, a0·b1, a1·b1)` over a length-multiple-of-
-/// [`DOT4_UNROLL`] prefix: lane `l` of each dot holds the partial sums
-/// over elements `j·DOT4_UNROLL + l`.
-///
-/// This is the register-blocked heart of [`gram_block`]: four reductions
-/// share every load (2 flops per load versus 1 for four separate
-/// [`dot`]s), and the eight independent fma chains hide the fma latency.
-/// Both paths accumulate with fused multiply-adds (`_mm256_fmadd_pd` /
-/// [`f64::mul_add`]), which are exactly rounded and therefore bitwise
-/// identical between the intrinsic version and the scalar fallback.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-#[inline]
-fn dot4_main(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64]) -> [[f64; DOT4_UNROLL]; 4] {
-    use core::arch::x86_64::*;
-    debug_assert_eq!(a0.len() % DOT4_UNROLL, 0);
-    let mut out = [[0.0f64; DOT4_UNROLL]; 4];
-    // SAFETY: loads stay within the four equal-length slices (length a
-    // multiple of DOT4_UNROLL = 8, one 8-lane vector per step) and stores
-    // within the 8-lane accumulator rows; AVX-512F is a compile-time
-    // target feature. The per-lane sums are identical to the 256-bit and
-    // scalar paths — one 8-wide register simply holds what those track as
-    // two halves or eight scalars.
-    unsafe {
-        let mut acc = [_mm512_setzero_pd(); 4];
-        let (p0, p1, q0, q1) = (a0.as_ptr(), a1.as_ptr(), b0.as_ptr(), b1.as_ptr());
-        let mut i = 0;
-        while i < a0.len() {
-            let va0 = _mm512_loadu_pd(p0.add(i));
-            let va1 = _mm512_loadu_pd(p1.add(i));
-            let vb0 = _mm512_loadu_pd(q0.add(i));
-            let vb1 = _mm512_loadu_pd(q1.add(i));
-            acc[0] = _mm512_fmadd_pd(va0, vb0, acc[0]);
-            acc[1] = _mm512_fmadd_pd(va1, vb0, acc[1]);
-            acc[2] = _mm512_fmadd_pd(va0, vb1, acc[2]);
-            acc[3] = _mm512_fmadd_pd(va1, vb1, acc[3]);
-            i += DOT4_UNROLL;
-        }
-        for d in 0..4 {
-            _mm512_storeu_pd(out[d].as_mut_ptr(), acc[d]);
-        }
-    }
-    out
-}
-
-#[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
-#[inline]
-#[allow(clippy::many_single_char_names)]
-fn dot4_main(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64]) -> [[f64; DOT4_UNROLL]; 4] {
-    use core::arch::x86_64::*;
-    debug_assert_eq!(a0.len() % DOT4_UNROLL, 0);
-    let mut out = [[0.0f64; DOT4_UNROLL]; 4];
-    // SAFETY: loads stay within the four equal-length slices (length a
-    // multiple of DOT4_UNROLL = 8, read in 4-lane halves) and stores
-    // within the 8-lane accumulator rows; FMA is a compile-time target
-    // feature.
-    unsafe {
-        let mut acc = [_mm256_setzero_pd(); 8];
-        let (p0, p1, q0, q1) = (a0.as_ptr(), a1.as_ptr(), b0.as_ptr(), b1.as_ptr());
-        let mut i = 0;
-        while i < a0.len() {
-            let a0l = _mm256_loadu_pd(p0.add(i));
-            let a0h = _mm256_loadu_pd(p0.add(i + 4));
-            let a1l = _mm256_loadu_pd(p1.add(i));
-            let a1h = _mm256_loadu_pd(p1.add(i + 4));
-            let b0l = _mm256_loadu_pd(q0.add(i));
-            let b0h = _mm256_loadu_pd(q0.add(i + 4));
-            let b1l = _mm256_loadu_pd(q1.add(i));
-            let b1h = _mm256_loadu_pd(q1.add(i + 4));
-            acc[0] = _mm256_fmadd_pd(a0l, b0l, acc[0]);
-            acc[1] = _mm256_fmadd_pd(a0h, b0h, acc[1]);
-            acc[2] = _mm256_fmadd_pd(a1l, b0l, acc[2]);
-            acc[3] = _mm256_fmadd_pd(a1h, b0h, acc[3]);
-            acc[4] = _mm256_fmadd_pd(a0l, b1l, acc[4]);
-            acc[5] = _mm256_fmadd_pd(a0h, b1h, acc[5]);
-            acc[6] = _mm256_fmadd_pd(a1l, b1l, acc[6]);
-            acc[7] = _mm256_fmadd_pd(a1h, b1h, acc[7]);
-            i += DOT4_UNROLL;
-        }
-        for d in 0..4 {
-            _mm256_storeu_pd(out[d].as_mut_ptr(), acc[2 * d]);
-            _mm256_storeu_pd(out[d].as_mut_ptr().add(4), acc[2 * d + 1]);
-        }
-    }
-    out
-}
-
-/// Portable fallback: the same lane assignment with scalar fused
-/// multiply-adds.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "fma")))]
-#[inline]
-fn dot4_main(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64]) -> [[f64; DOT4_UNROLL]; 4] {
-    debug_assert_eq!(a0.len() % DOT4_UNROLL, 0);
-    let mut out = [[0.0f64; DOT4_UNROLL]; 4];
-    let mut j = 0;
-    while j < a0.len() {
-        for l in 0..DOT4_UNROLL {
-            let (x0, x1, y0, y1) = (a0[j + l], a1[j + l], b0[j + l], b1[j + l]);
-            out[0][l] = x0.mul_add(y0, out[0][l]);
-            out[1][l] = x1.mul_add(y0, out[1][l]);
-            out[2][l] = x0.mul_add(y1, out[2][l]);
-            out[3][l] = x1.mul_add(y1, out[3][l]);
-        }
-        j += DOT4_UNROLL;
-    }
-    out
-}
-
-/// The four dot products `(a0·b0, a1·b0, a0·b1, a1·b1)` in one fused pass.
-#[inline]
-fn dot4(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64]) -> [f64; 4] {
-    let n = a0.len();
-    debug_assert!(a1.len() == n && b0.len() == n && b1.len() == n);
-    let split = n - n % DOT4_UNROLL;
-    let lanes = dot4_main(&a0[..split], &a1[..split], &b0[..split], &b1[..split]);
-    let mut out = [0.0f64; 4];
-    for (d, acc) in lanes.iter().enumerate() {
-        out[d] = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    }
-    for i in split..n {
-        out[0] = a0[i].mul_add(b0[i], out[0]);
-        out[1] = a1[i].mul_add(b0[i], out[1]);
-        out[2] = a0[i].mul_add(b1[i], out[2]);
-        out[3] = a1[i].mul_add(b1[i], out[3]);
-    }
-    out
+fn union_col<'a>(x: &'a [f64], y: &'a [f64], m: usize, i: usize) -> &'a [f64] {
+    &union_from(x, y, m, i)[..m]
 }
 
 /// `G = [X Y]ᵀ[X Y]`: the `k×k` Gram matrix of the column union of two
 /// column-major panels (`k = (x.len() + y.len()) / m`), written
 /// column-major into `g` (both triangles).
 ///
-/// The upper triangle is computed in 2×2 register blocks by [`dot4`]
-/// (four reductions per pass, every load shared by two of them) with the
-/// `2×2` diagonal blocks falling out of one fused [`gram3`] each; the
-/// lower triangle is mirrored. Columns are walked at full length — the
-/// union panels this serves are L2-resident, and each column is read
-/// `k/2` times instead of the `k` times of unblocked dots.
+/// A symmetric product on [`gemm_tn`]'s register tiles. The union's
+/// columns are cut into tiles of up to four, restarting at the `X`/`Y`
+/// boundary so that every tile is a view of one panel, and only the tiles
+/// on or above the diagonal are computed: sixteen dot products per pass
+/// down the rows, two fused multiply-adds per load. The lower triangle is
+/// then mirrored, so `g` is bitwise symmetric. Every entry sums in
+/// [`gemm_tn`]'s lanes, so the AVX2 tier rounds differently from the
+/// AVX-512 and portable tiers, as there.
 ///
 /// # Panics
 /// Panics if a panel length is not a multiple of `m`, or if `g.len() != k²`.
@@ -628,34 +516,19 @@ pub fn gram_block(x: &[f64], y: &[f64], m: usize, g: &mut [f64]) {
     assert_eq!(y.len() % m.max(1), 0, "gram_block: y is not whole columns");
     let k = (x.len() + y.len()).checked_div(m).unwrap_or(0);
     assert_eq!(g.len(), k * k, "gram_block: output must be k×k");
-    if k == 0 {
-        return;
-    }
-    let ke = k & !1;
-    for jb in (0..ke).step_by(2) {
-        let cj0 = union_col(x, y, m, jb);
-        let cj1 = union_col(x, y, m, jb + 1);
-        let (aa, bb, ab) = gram3(cj0, cj1);
-        g[jb + k * jb] = aa;
-        g[jb + 1 + k * (jb + 1)] = bb;
-        g[jb + k * (jb + 1)] = ab;
-        for ib in (0..jb).step_by(2) {
-            let ci0 = union_col(x, y, m, ib);
-            let ci1 = union_col(x, y, m, ib + 1);
-            let d = dot4(ci0, ci1, cj0, cj1);
-            g[ib + k * jb] = d[0];
-            g[ib + 1 + k * jb] = d[1];
-            g[ib + k * (jb + 1)] = d[2];
-            g[ib + 1 + k * (jb + 1)] = d[3];
+    let cx = x.len().checked_div(m).unwrap_or(0);
+    let tile_end = |i: usize| (i + TN_TILE).min(if i < cx { cx } else { k });
+    let mut j = 0;
+    while j < k {
+        let j1 = tile_end(j);
+        let mut i = 0;
+        while i < j1 {
+            let i1 = tile_end(i);
+            let (a, b) = (union_from(x, y, m, i), union_from(x, y, m, j));
+            tn_block::<false>(i1 - i, j1 - j, m, a, m, b, m, &mut g[i + k * j..], k);
+            i = i1;
         }
-    }
-    if k != ke {
-        let j = k - 1;
-        let cj = union_col(x, y, m, j);
-        for i in 0..j {
-            g[i + k * j] = dot(union_col(x, y, m, i), cj);
-        }
-        g[j + k * j] = norm2_sq(cj);
+        j = j1;
     }
     for j in 0..k {
         for i in 0..j {
@@ -664,286 +537,24 @@ pub fn gram_block(x: &[f64], y: &[f64], m: usize, g: &mut [f64]) {
     }
 }
 
-/// `y = alpha · x` (the initializing form of [`axpy`]).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn scaled_copy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "scaled_copy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi = alpha * xi;
-    }
-}
-
-/// Four-source weighted accumulation, the GEMM micro-kernel of
-/// [`panel_update`]: elementwise
-/// `out[i] = w3·s3[i] + (w2·s2[i] + (w1·s1[i] + (w0·s0[i] + base)))`
-/// where `base` is `0` when `INIT` or the previous `out[i]` otherwise,
-/// every product folded in with a fused multiply-add.
-///
-/// Gathering four inputs per pass quarters the load/store traffic on
-/// `out` that made a chain of [`axpy`]s memory-bound, and the element
-/// updates are independent so the four-deep fma chains pipeline across
-/// the unrolled vectors. The operation is elementwise with exactly
-/// rounded fmas, so the intrinsic path and the scalar fallback are
-/// bitwise identical.
-#[cfg(all(target_arch = "x86_64", target_feature = "fma"))]
-#[inline]
-fn wsum4<const INIT: bool>(
-    w: [f64; 4],
-    s0: &[f64],
-    s1: &[f64],
-    s2: &[f64],
-    s3: &[f64],
-    out: &mut [f64],
-) {
-    use core::arch::x86_64::*;
-    let n = out.len();
-    debug_assert!(s0.len() == n && s1.len() == n && s2.len() == n && s3.len() == n);
-    // SAFETY: all loads/stores stay within the five equal-length slices;
-    // the vector loop covers whole 4-lane chunks and the scalar tail the
-    // rest; FMA is a compile-time target feature.
-    unsafe {
-        let (vw0, vw1) = (_mm256_set1_pd(w[0]), _mm256_set1_pd(w[1]));
-        let (vw2, vw3) = (_mm256_set1_pd(w[2]), _mm256_set1_pd(w[3]));
-        let (p0, p1, p2, p3) = (s0.as_ptr(), s1.as_ptr(), s2.as_ptr(), s3.as_ptr());
-        let po = out.as_mut_ptr();
-        let mut i = 0;
-        // two vectors in flight: each output element is a serial chain of
-        // four fmas, so independent chunks are needed to hide the latency
-        while i + 8 <= n {
-            let mut va = if INIT { _mm256_setzero_pd() } else { _mm256_loadu_pd(po.add(i)) };
-            let mut vb = if INIT { _mm256_setzero_pd() } else { _mm256_loadu_pd(po.add(i + 4)) };
-            va = _mm256_fmadd_pd(vw0, _mm256_loadu_pd(p0.add(i)), va);
-            vb = _mm256_fmadd_pd(vw0, _mm256_loadu_pd(p0.add(i + 4)), vb);
-            va = _mm256_fmadd_pd(vw1, _mm256_loadu_pd(p1.add(i)), va);
-            vb = _mm256_fmadd_pd(vw1, _mm256_loadu_pd(p1.add(i + 4)), vb);
-            va = _mm256_fmadd_pd(vw2, _mm256_loadu_pd(p2.add(i)), va);
-            vb = _mm256_fmadd_pd(vw2, _mm256_loadu_pd(p2.add(i + 4)), vb);
-            va = _mm256_fmadd_pd(vw3, _mm256_loadu_pd(p3.add(i)), va);
-            vb = _mm256_fmadd_pd(vw3, _mm256_loadu_pd(p3.add(i + 4)), vb);
-            _mm256_storeu_pd(po.add(i), va);
-            _mm256_storeu_pd(po.add(i + 4), vb);
-            i += 8;
-        }
-        while i + 4 <= n {
-            let mut va = if INIT { _mm256_setzero_pd() } else { _mm256_loadu_pd(po.add(i)) };
-            va = _mm256_fmadd_pd(vw0, _mm256_loadu_pd(p0.add(i)), va);
-            va = _mm256_fmadd_pd(vw1, _mm256_loadu_pd(p1.add(i)), va);
-            va = _mm256_fmadd_pd(vw2, _mm256_loadu_pd(p2.add(i)), va);
-            va = _mm256_fmadd_pd(vw3, _mm256_loadu_pd(p3.add(i)), va);
-            _mm256_storeu_pd(po.add(i), va);
-            i += 4;
-        }
-        while i < n {
-            let base = if INIT { 0.0 } else { *po.add(i) };
-            let acc = w[0].mul_add(*p0.add(i), base);
-            let acc = w[1].mul_add(*p1.add(i), acc);
-            let acc = w[2].mul_add(*p2.add(i), acc);
-            *po.add(i) = w[3].mul_add(*p3.add(i), acc);
-            i += 1;
-        }
-    }
-}
-
-/// Portable fallback: the same elementwise fused-multiply-add chain.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "fma")))]
-#[inline]
-fn wsum4<const INIT: bool>(
-    w: [f64; 4],
-    s0: &[f64],
-    s1: &[f64],
-    s2: &[f64],
-    s3: &[f64],
-    out: &mut [f64],
-) {
-    for (i, o) in out.iter_mut().enumerate() {
-        let base = if INIT { 0.0 } else { *o };
-        let acc = w[0].mul_add(s0[i], base);
-        let acc = w[1].mul_add(s1[i], acc);
-        let acc = w[2].mul_add(s2[i], acc);
-        *o = w[3].mul_add(s3[i], acc);
-    }
-}
-
-/// Two-output variant of [`wsum4`]: the same four sources accumulated
-/// into two output columns with independent weight quadruples. Sharing
-/// the source loads between the outputs doubles the flops per load,
-/// which is what lifts the panel multiply from memory-bound to
-/// near-arithmetic-bound. Same exactly-rounded fma semantics as
-/// [`wsum4`], so the intrinsic and fallback paths agree bitwise.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn wsum4x2<const INIT: bool>(
-    wa: [f64; 4],
-    wb: [f64; 4],
-    s0: &[f64],
-    s1: &[f64],
-    s2: &[f64],
-    s3: &[f64],
-    out_a: &mut [f64],
-    out_b: &mut [f64],
-) {
-    use core::arch::x86_64::*;
-    let n = out_a.len();
-    debug_assert!(out_b.len() == n);
-    debug_assert!(s0.len() == n && s1.len() == n && s2.len() == n && s3.len() == n);
-    // SAFETY: all loads/stores stay within the six equal-length slices;
-    // the vector loop covers whole 8-lane chunks and the scalar tail the
-    // rest; AVX-512F is a compile-time target feature. Elementwise
-    // exactly-rounded fma chains — bitwise identical to the narrower
-    // paths.
-    unsafe {
-        let (va0, va1) = (_mm512_set1_pd(wa[0]), _mm512_set1_pd(wa[1]));
-        let (va2, va3) = (_mm512_set1_pd(wa[2]), _mm512_set1_pd(wa[3]));
-        let (vb0, vb1) = (_mm512_set1_pd(wb[0]), _mm512_set1_pd(wb[1]));
-        let (vb2, vb3) = (_mm512_set1_pd(wb[2]), _mm512_set1_pd(wb[3]));
-        let (p0, p1, p2, p3) = (s0.as_ptr(), s1.as_ptr(), s2.as_ptr(), s3.as_ptr());
-        let (pa, pb) = (out_a.as_mut_ptr(), out_b.as_mut_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let x0 = _mm512_loadu_pd(p0.add(i));
-            let x1 = _mm512_loadu_pd(p1.add(i));
-            let x2 = _mm512_loadu_pd(p2.add(i));
-            let x3 = _mm512_loadu_pd(p3.add(i));
-            let mut aa = if INIT { _mm512_setzero_pd() } else { _mm512_loadu_pd(pa.add(i)) };
-            let mut ab = if INIT { _mm512_setzero_pd() } else { _mm512_loadu_pd(pb.add(i)) };
-            aa = _mm512_fmadd_pd(va0, x0, aa);
-            ab = _mm512_fmadd_pd(vb0, x0, ab);
-            aa = _mm512_fmadd_pd(va1, x1, aa);
-            ab = _mm512_fmadd_pd(vb1, x1, ab);
-            aa = _mm512_fmadd_pd(va2, x2, aa);
-            ab = _mm512_fmadd_pd(vb2, x2, ab);
-            aa = _mm512_fmadd_pd(va3, x3, aa);
-            ab = _mm512_fmadd_pd(vb3, x3, ab);
-            _mm512_storeu_pd(pa.add(i), aa);
-            _mm512_storeu_pd(pb.add(i), ab);
-            i += 8;
-        }
-        while i < n {
-            let (x0, x1, x2, x3) = (*p0.add(i), *p1.add(i), *p2.add(i), *p3.add(i));
-            let base_a = if INIT { 0.0 } else { *pa.add(i) };
-            let acc = wa[0].mul_add(x0, base_a);
-            let acc = wa[1].mul_add(x1, acc);
-            let acc = wa[2].mul_add(x2, acc);
-            *pa.add(i) = wa[3].mul_add(x3, acc);
-            let base_b = if INIT { 0.0 } else { *pb.add(i) };
-            let acc = wb[0].mul_add(x0, base_b);
-            let acc = wb[1].mul_add(x1, acc);
-            let acc = wb[2].mul_add(x2, acc);
-            *pb.add(i) = wb[3].mul_add(x3, acc);
-            i += 1;
-        }
-    }
-}
-
-#[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn wsum4x2<const INIT: bool>(
-    wa: [f64; 4],
-    wb: [f64; 4],
-    s0: &[f64],
-    s1: &[f64],
-    s2: &[f64],
-    s3: &[f64],
-    out_a: &mut [f64],
-    out_b: &mut [f64],
-) {
-    use core::arch::x86_64::*;
-    let n = out_a.len();
-    debug_assert!(out_b.len() == n);
-    debug_assert!(s0.len() == n && s1.len() == n && s2.len() == n && s3.len() == n);
-    // SAFETY: all loads/stores stay within the six equal-length slices;
-    // the vector loop covers whole 4-lane chunks and the scalar tail the
-    // rest; FMA is a compile-time target feature.
-    unsafe {
-        let (va0, va1) = (_mm256_set1_pd(wa[0]), _mm256_set1_pd(wa[1]));
-        let (va2, va3) = (_mm256_set1_pd(wa[2]), _mm256_set1_pd(wa[3]));
-        let (vb0, vb1) = (_mm256_set1_pd(wb[0]), _mm256_set1_pd(wb[1]));
-        let (vb2, vb3) = (_mm256_set1_pd(wb[2]), _mm256_set1_pd(wb[3]));
-        let (p0, p1, p2, p3) = (s0.as_ptr(), s1.as_ptr(), s2.as_ptr(), s3.as_ptr());
-        let (pa, pb) = (out_a.as_mut_ptr(), out_b.as_mut_ptr());
-        let mut i = 0;
-        while i + 4 <= n {
-            let x0 = _mm256_loadu_pd(p0.add(i));
-            let x1 = _mm256_loadu_pd(p1.add(i));
-            let x2 = _mm256_loadu_pd(p2.add(i));
-            let x3 = _mm256_loadu_pd(p3.add(i));
-            let mut aa = if INIT { _mm256_setzero_pd() } else { _mm256_loadu_pd(pa.add(i)) };
-            let mut ab = if INIT { _mm256_setzero_pd() } else { _mm256_loadu_pd(pb.add(i)) };
-            aa = _mm256_fmadd_pd(va0, x0, aa);
-            ab = _mm256_fmadd_pd(vb0, x0, ab);
-            aa = _mm256_fmadd_pd(va1, x1, aa);
-            ab = _mm256_fmadd_pd(vb1, x1, ab);
-            aa = _mm256_fmadd_pd(va2, x2, aa);
-            ab = _mm256_fmadd_pd(vb2, x2, ab);
-            aa = _mm256_fmadd_pd(va3, x3, aa);
-            ab = _mm256_fmadd_pd(vb3, x3, ab);
-            _mm256_storeu_pd(pa.add(i), aa);
-            _mm256_storeu_pd(pb.add(i), ab);
-            i += 4;
-        }
-        while i < n {
-            let (x0, x1, x2, x3) = (*p0.add(i), *p1.add(i), *p2.add(i), *p3.add(i));
-            let base_a = if INIT { 0.0 } else { *pa.add(i) };
-            let acc = wa[0].mul_add(x0, base_a);
-            let acc = wa[1].mul_add(x1, acc);
-            let acc = wa[2].mul_add(x2, acc);
-            *pa.add(i) = wa[3].mul_add(x3, acc);
-            let base_b = if INIT { 0.0 } else { *pb.add(i) };
-            let acc = wb[0].mul_add(x0, base_b);
-            let acc = wb[1].mul_add(x1, acc);
-            let acc = wb[2].mul_add(x2, acc);
-            *pb.add(i) = wb[3].mul_add(x3, acc);
-            i += 1;
-        }
-    }
-}
-
-/// Portable fallback: the same elementwise fused-multiply-add chains.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "fma")))]
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn wsum4x2<const INIT: bool>(
-    wa: [f64; 4],
-    wb: [f64; 4],
-    s0: &[f64],
-    s1: &[f64],
-    s2: &[f64],
-    s3: &[f64],
-    out_a: &mut [f64],
-    out_b: &mut [f64],
-) {
-    for (i, (oa, ob)) in out_a.iter_mut().zip(out_b.iter_mut()).enumerate() {
-        let (x0, x1, x2, x3) = (s0[i], s1[i], s2[i], s3[i]);
-        let base_a = if INIT { 0.0 } else { *oa };
-        let acc = wa[0].mul_add(x0, base_a);
-        let acc = wa[1].mul_add(x1, acc);
-        let acc = wa[2].mul_add(x2, acc);
-        *oa = wa[3].mul_add(x3, acc);
-        let base_b = if INIT { 0.0 } else { *ob };
-        let acc = wb[0].mul_add(x0, base_b);
-        let acc = wb[1].mul_add(x1, acc);
-        let acc = wb[2].mul_add(x2, acc);
-        *ob = wb[3].mul_add(x3, acc);
-    }
-}
-
 /// Blocked panel update `[X Y] ← [X Y] · W` where `W` is the `k×k`
 /// column-major orthogonal update accumulated by a block meeting
 /// (`k = (x.len() + y.len()) / m`).
 ///
-/// Row-tiled by [`PANEL_TILE`]: each tile of the input union is
+/// Row-banded by [`PANEL_TILE`]: each band of the input union is
 /// snapshotted into `tile` (caller scratch, length ≥ `k · PANEL_TILE`),
-/// then every output column is accumulated over the cache-resident
-/// snapshot four sources at a time by the [`wsum4`] micro-kernel — one
-/// read plus one write of the panel total, against the O(k²·m) column
-/// traffic of applying rotations one pair at a time. Exact zeros in `W`
-/// are skipped, so a near-identity `W` (late sweeps) degenerates to
-/// cheap column copies.
+/// then the band's outputs are zeroed and accumulated from the snapshot by
+/// [`gemm_acc`]'s register tiles, one run of adjacent output columns of
+/// one panel at a time: one read plus one write of the panel in total,
+/// against the O(k²·m) column traffic of applying rotations one pair at a
+/// time. A column whose `W` column is exactly `e_j` is left as it is, so a
+/// near-identity `W` (late sweeps) rewrites only the columns it moves.
+///
+/// Every rewritten element is the fused-multiply-add chain over its
+/// column's weights in ascending source order, starting from `+0.0`. A
+/// zero weight adds an exact zero, so on finite input the result is
+/// [`naive::panel_update`]'s bit for bit; the two can differ only in the
+/// sign of a zero, when a partial sum underflows to `−0.0`.
 ///
 /// # Panics
 /// Panics if a panel length is not a multiple of `m`, `w.len() != k²`, or
@@ -957,6 +568,12 @@ pub fn panel_update(x: &mut [f64], y: &mut [f64], m: usize, w: &[f64], tile: &mu
         return;
     }
     assert!(tile.len() >= k * PANEL_TILE, "panel_update: tile scratch too short");
+    let cx = x.len() / m;
+    // whether W[:, j] differs from e_j, i.e. output column j is rewritten
+    let moved = |j: usize| {
+        let wj = &w[k * j..k * (j + 1)];
+        wj[j] != 1.0 || wj.iter().enumerate().any(|(i, &v)| i != j && v != 0.0)
+    };
     let mut r0 = 0;
     while r0 < m {
         let tb = (m - r0).min(PANEL_TILE);
@@ -964,115 +581,25 @@ pub fn panel_update(x: &mut [f64], y: &mut [f64], m: usize, w: &[f64], tile: &mu
             let src = &union_col(x, y, m, i)[r0..r0 + tb];
             tile[i * PANEL_TILE..i * PANEL_TILE + tb].copy_from_slice(src);
         }
-        let nnz_of = |wj: &[f64]| wj.iter().filter(|&&v| v != 0.0).count();
-        let mut j = 0;
-        while j < k {
-            let wj = &w[k * j..k * j + k];
-            // two outputs at a time whenever both columns mix several
-            // sources: the paired kernel shares every source load
-            if j + 1 < k && nnz_of(wj) >= 2 && nnz_of(&w[k * (j + 1)..k * (j + 1) + k]) >= 2 {
-                let wjb = &w[k * (j + 1)..k * (j + 1) + k];
-                let (col_a, col_b) = union_col_pair_mut(x, y, m, j);
-                let out_a = &mut col_a[r0..r0 + tb];
-                let out_b = &mut col_b[r0..r0 + tb];
-                let src_of = |i: usize| &tile[i * PANEL_TILE..i * PANEL_TILE + tb];
-                let mut wsa = [0.0f64; 4];
-                let mut wsb = [0.0f64; 4];
-                let mut idx = [0usize; 4];
-                let (mut fill, mut first) = (0usize, true);
-                let mut flush = |wsa: [f64; 4], wsb: [f64; 4], idx: [usize; 4], first: bool| {
-                    let (s0, s1, s2, s3) =
-                        (src_of(idx[0]), src_of(idx[1]), src_of(idx[2]), src_of(idx[3]));
-                    if first {
-                        wsum4x2::<true>(wsa, wsb, s0, s1, s2, s3, out_a, out_b);
-                    } else {
-                        wsum4x2::<false>(wsa, wsb, s0, s1, s2, s3, out_a, out_b);
-                    }
-                };
-                for i in 0..k {
-                    let (wa, wb) = (wj[i], wjb[i]);
-                    if wa == 0.0 && wb == 0.0 {
-                        continue;
-                    }
-                    wsa[fill] = wa;
-                    wsb[fill] = wb;
-                    idx[fill] = i;
-                    fill += 1;
-                    if fill == 4 {
-                        flush(wsa, wsb, idx, first);
-                        first = false;
-                        fill = 0;
-                    }
+        for (panel, c0) in [(&mut *x, 0), (&mut *y, cx)] {
+            let cols = panel.len() / m;
+            let mut j = 0;
+            while j < cols {
+                if !moved(c0 + j) {
+                    j += 1;
+                    continue;
                 }
-                if fill > 0 {
-                    for slot in fill..4 {
-                        wsa[slot] = 0.0;
-                        wsb[slot] = 0.0;
-                        idx[slot] = idx[0];
-                    }
-                    flush(wsa, wsb, idx, first);
+                let mut j1 = j + 1;
+                while j1 < cols && moved(c0 + j1) {
+                    j1 += 1;
                 }
-                j += 2;
-                continue;
+                for col in panel[j * m..j1 * m].chunks_exact_mut(m) {
+                    col[r0..r0 + tb].fill(0.0);
+                }
+                let wr = &w[k * (c0 + j)..k * (c0 + j1)];
+                gemm_acc(tb, tile, PANEL_TILE, k, wr, j1 - j, 1.0, &mut panel[j * m + r0..], m);
+                j = j1;
             }
-            let out = {
-                let off = j * m;
-                let col = if off < x.len() {
-                    &mut x[off..off + m]
-                } else {
-                    let off = off - x.len();
-                    &mut y[off..off + m]
-                };
-                &mut col[r0..r0 + tb]
-            };
-            let src_of = |i: usize| &tile[i * PANEL_TILE..i * PANEL_TILE + tb];
-            match nnz_of(wj) {
-                0 => out.fill(0.0),
-                1 => {
-                    let i = wj.iter().position(|&v| v != 0.0).expect("nnz == 1");
-                    scaled_copy(wj[i], src_of(i), out);
-                }
-                _ => {
-                    // batches of four nonzero sources; a final partial
-                    // batch is padded with zero weights (exact no-ops)
-                    let mut ws = [0.0f64; 4];
-                    let mut idx = [0usize; 4];
-                    let (mut fill, mut first) = (0usize, true);
-                    for (i, &wij) in wj.iter().enumerate() {
-                        if wij == 0.0 {
-                            continue;
-                        }
-                        ws[fill] = wij;
-                        idx[fill] = i;
-                        fill += 1;
-                        if fill == 4 {
-                            let (s0, s1, s2, s3) =
-                                (src_of(idx[0]), src_of(idx[1]), src_of(idx[2]), src_of(idx[3]));
-                            if first {
-                                wsum4::<true>(ws, s0, s1, s2, s3, out);
-                                first = false;
-                            } else {
-                                wsum4::<false>(ws, s0, s1, s2, s3, out);
-                            }
-                            fill = 0;
-                        }
-                    }
-                    if fill > 0 {
-                        for slot in fill..4 {
-                            ws[slot] = 0.0;
-                            idx[slot] = idx[0];
-                        }
-                        let (s0, s1, s2, s3) =
-                            (src_of(idx[0]), src_of(idx[1]), src_of(idx[2]), src_of(idx[3]));
-                        if first {
-                            wsum4::<true>(ws, s0, s1, s2, s3, out);
-                        } else {
-                            wsum4::<false>(ws, s0, s1, s2, s3, out);
-                        }
-                    }
-                }
-            }
-            j += 1;
         }
         r0 += tb;
     }
@@ -1160,25 +687,42 @@ fn gemm_tn_into<const ACC: bool>(
     let mut j = 0;
     while j < kb {
         let nb = (kb - j).min(TN_TILE);
-        let bj = &b[j * ldb..];
         let mut i = 0;
         while i < ka {
             let na = (ka - i).min(TN_TILE);
-            let (ai, o) = (&a[i * lda..], &mut out[i + ka * j..]);
-            match nb {
-                4 => tn_store::<4, ACC>(na, rows, ai, lda, bj, ldb, o, ka),
-                3 => tn_store::<3, ACC>(na, rows, ai, lda, bj, ldb, o, ka),
-                2 => tn_store::<2, ACC>(na, rows, ai, lda, bj, ldb, o, ka),
-                _ => tn_store::<1, ACC>(na, rows, ai, lda, bj, ldb, o, ka),
-            }
+            let (ai, bj) = (&a[i * lda..], &b[j * ldb..]);
+            tn_block::<ACC>(na, nb, rows, ai, lda, bj, ldb, &mut out[i + ka * j..], ka);
             i += na;
         }
         j += nb;
     }
 }
 
-/// One `na × MB` tile of [`gemm_tn`], written (or with `ACC` added)
-/// column-major at stride `ld` into `out`.
+/// One `na × nb` tile (`1 ≤ na, nb ≤ TN_TILE`) of [`gemm_tn`]: the dot
+/// products of columns `0..na` of `a` with columns `0..nb` of `b`, written
+/// (or with `ACC` added) column-major at stride `ld` into `out`.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn tn_block<const ACC: bool>(
+    na: usize,
+    nb: usize,
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    out: &mut [f64],
+    ld: usize,
+) {
+    match nb {
+        4 => tn_store::<4, ACC>(na, rows, a, lda, b, ldb, out, ld),
+        3 => tn_store::<3, ACC>(na, rows, a, lda, b, ldb, out, ld),
+        2 => tn_store::<2, ACC>(na, rows, a, lda, b, ldb, out, ld),
+        _ => tn_store::<1, ACC>(na, rows, a, lda, b, ldb, out, ld),
+    }
+}
+
+/// One `na × MB` tile of [`gemm_tn`] (see [`tn_block`]).
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn tn_store<const MB: usize, const ACC: bool>(
@@ -1870,8 +1414,17 @@ mod tests {
 
     #[test]
     fn gram_block_matches_pairwise_dots() {
-        // straddle the tile boundary and odd/uneven splits
-        for (m, cx, cy) in [(5, 2, 3), (PANEL_TILE, 4, 4), (PANEL_TILE + 7, 3, 5), (300, 1, 0)] {
+        // straddle the row-lane and register-tile boundaries, with X/Y
+        // seams inside a tile and one-sided unions
+        for (m, cx, cy) in [
+            (5, 2, 3),
+            (PANEL_TILE, 4, 4),
+            (PANEL_TILE + 7, 3, 5),
+            (300, 1, 0),
+            (37, 5, 6),
+            (16, 0, 7),
+            (9, 9, 0),
+        ] {
             let x = test_panel(m, cx, 1);
             let y = test_panel(m, cy, 2);
             let k = cx + cy;
@@ -1885,6 +1438,7 @@ mod tests {
                         (got - want).abs() <= 1e-12 * (m as f64),
                         "G[{i},{j}] m={m} cx={cx} cy={cy}: {got} vs {want}"
                     );
+                    assert_eq!(got.to_bits(), g[j + k * i].to_bits(), "G[{i},{j}] symmetric");
                 }
             }
         }
@@ -1899,28 +1453,64 @@ mod tests {
 
     #[test]
     fn panel_update_matches_explicit_multiply() {
-        for (m, cx, cy) in [(6, 2, 2), (PANEL_TILE + 3, 3, 4), (2 * PANEL_TILE + 1, 5, 3)] {
-            let k = cx + cy;
-            let x0 = test_panel(m, cx, 3);
-            let y0 = test_panel(m, cy, 4);
-            // a dense-ish W with some exact zeros to exercise the skip path
-            let mut w = test_panel(k, k, 5);
-            w[0] = 0.0;
-            if k > 1 {
-                w[k + 1] = 0.0;
+        // W: dense columns (with exact zeros, or with a unit diagonal),
+        // identity columns, permutation columns from pure swaps and a zero
+        // column, at every X/Y split, odd k, and m not a multiple of 16 or
+        // of PANEL_TILE
+        fn sparse_w(k: usize, seed: u64) -> Vec<f64> {
+            let mut w = test_panel(k, k, seed);
+            let unit = |w: &mut [f64], j: usize, i: usize| {
+                w[k * j..k * (j + 1)].fill(0.0);
+                w[i + k * j] = 1.0;
+            };
+            if k >= 2 {
+                unit(&mut w, 0, 0);
             }
-            let (mut x, mut y) = (x0.clone(), y0.clone());
-            let mut tile = vec![0.0; k * PANEL_TILE];
-            panel_update(&mut x, &mut y, m, &w, &mut tile);
-            for j in 0..k {
-                for r in 0..m {
-                    let want: f64 =
-                        (0..k).map(|i| union_col(&x0, &y0, m, i)[r] * w[i + k * j]).sum();
-                    let got = union_col(&x, &y, m, j)[r];
-                    assert!(
-                        (got - want).abs() <= 1e-12 * (k as f64),
-                        "col {j} row {r} m={m}: {got} vs {want}"
-                    );
+            if k >= 3 {
+                w[2 + k * 2] = 1.0; // a unit diagonal in a moved column
+            }
+            if k >= 4 {
+                unit(&mut w, 1, 3);
+                unit(&mut w, 3, 1);
+            }
+            if k >= 5 {
+                w[k * 4..k * 5].fill(0.0);
+            }
+            if k >= 6 {
+                w[5 + k * 2] = 0.0;
+                w[k - 1 + k * 5] = 0.0;
+            }
+            if k >= 8 {
+                unit(&mut w, 6, 6);
+            }
+            w
+        }
+        for m in [6, 37, PANEL_TILE + 3, 2 * PANEL_TILE + 21] {
+            for k in [1, 2, 5, 7, 8, 12] {
+                for cx in 0..=k {
+                    let cy = k - cx;
+                    // −0.0 entries show whether a column was left as it
+                    // is or rewritten (a rewrite gives +0.0)
+                    let signed = |mut p: Vec<f64>| {
+                        p.iter_mut().step_by(7).for_each(|v| *v = -0.0);
+                        p
+                    };
+                    let x0 = signed(test_panel(m, cx, 3));
+                    let y0 = signed(test_panel(m, cy, 4));
+                    for w in [test_panel(k, k, 5), sparse_w(k, 6)] {
+                        let (mut x, mut y) = (x0.clone(), y0.clone());
+                        let mut tile = vec![0.0; k * PANEL_TILE];
+                        panel_update(&mut x, &mut y, m, &w, &mut tile);
+                        let (mut xr, mut yr) = (x0.clone(), y0.clone());
+                        naive::panel_update(&mut xr, &mut yr, m, &w);
+                        for (got, want) in x.iter().chain(&y).zip(xr.iter().chain(&yr)) {
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "m={m} cx={cx} cy={cy}: {got} vs {want}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -1942,14 +1532,6 @@ mod tests {
         panel_update(&mut x, &mut y, m, &w, &mut tile);
         assert_eq!(x, x0);
         assert_eq!(y, y0);
-    }
-
-    #[test]
-    fn scaled_copy_basic() {
-        let x = [1.0, -2.0, 4.0];
-        let mut y = [0.0; 3];
-        scaled_copy(0.5, &x, &mut y);
-        assert_eq!(y, [0.5, -1.0, 2.0]);
     }
 
     #[test]
