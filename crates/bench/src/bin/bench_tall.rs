@@ -9,14 +9,16 @@
 //! The full run times `blocked_svd` (Gram kernel, `P = 4`, vectors on) on
 //! extreme-aspect matrices twice per shape: directly, and with the
 //! tall-skinny QR front-end engaged (`A = QR`, Jacobi sweeps on the `n×n`
-//! factor `R`, `U ← Q·U_R`). Direct Jacobi pays `O(m·n²)` per sweep on the
-//! full column height; the front-end pays the `O(m·n²)` factorization once
-//! and then sweeps on `n`-row columns, so the gap widens with `m/n` and
-//! with the sweep count. Median wall-clock seconds and the derived
+//! matrix `Rᵀ = ŨΣṼᵀ`, `U ← Q·[Ṽ; 0]`). Direct Jacobi pays `O(m·n²)` per
+//! sweep on the full column height; the front-end pays the `O(m·n²)`
+//! factorization once and then sweeps on `n`-row columns, so the gap
+//! widens with `m/n` and with the sweep count. Median wall-clock seconds,
+//! the sweep counts (the front-end's are sweeps of `Rᵀ`) and the derived
 //! speedups go to `BENCH_tall.json` at the repository root.
 //!
 //! The full run also records the QR layer on its own (the `qr` block):
-//! `TsqrQr::factor` and `apply_q` on one thread, best of [`QR_REPS`], at
+//! `TsqrQr::factor`, `apply_q` on an `m×n` block, and the back-transform
+//! `q_times` of an `n×n` head on one thread, best of [`QR_REPS`], at
 //! panels 16, 32 and 64 on four shapes, in ms and GF/s.
 //!
 //! The smoke run is the regression gate wired into `scripts/verify.sh`:
@@ -109,6 +111,7 @@ struct QrRecord {
     panel: usize,
     factor_ms: f64,
     apply_ms: f64,
+    q_times_ms: f64,
     steady_alloc_events: u64,
 }
 
@@ -138,7 +141,9 @@ fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// `TsqrQr::factor` and `apply_q` (on an `m×n` block) on one thread.
+/// `TsqrQr::factor`, `apply_q` (on an `m×n` block) and `q_times` (of an
+/// `n×n` head, its `m×n` result allocated per call as in the front-end) on
+/// one thread.
 fn time_qr(m: usize, n: usize, panel: usize, reps: usize, seed: u64) -> QrRecord {
     let a = generate::random_uniform(m, n, seed);
     let opts = QrOptions { panel, leaf_rows: 0, lanes: 1 };
@@ -149,8 +154,12 @@ fn time_qr(m: usize, n: usize, panel: usize, reps: usize, seed: u64) -> QrRecord
     let qr = factor();
     let mut x = generate::random_uniform(m, n, seed + 1);
     let apply_ms = best_ms(reps, || qr.apply_q(black_box(&mut x), 1, &SerialJoin));
+    let head = generate::random_uniform(n, n, seed + 2);
+    let q_times_ms = best_ms(reps, || {
+        black_box(qr.q_times(black_box(&head), 1, &SerialJoin));
+    });
     let steady_alloc_events = qr.stats().steady_alloc_events;
-    QrRecord { m, n, panel, factor_ms, apply_ms, steady_alloc_events }
+    QrRecord { m, n, panel, factor_ms, apply_ms, q_times_ms, steady_alloc_events }
 }
 
 fn full_run(seed: u64) {
@@ -162,11 +171,12 @@ fn full_run(seed: u64) {
             let q = time_qr(m, n, panel, QR_REPS, seed);
             eprintln!(
                 "qr {m:5}x{n:<3} panel {panel:2}: factor {:7.3} ms ({:5.1} GF/s), \
-                 apply_q {:7.3} ms ({:5.1} GF/s)",
+                 apply_q {:7.3} ms ({:5.1} GF/s), q_times {:7.3} ms",
                 q.factor_ms,
                 q.factor_gflops(),
                 q.apply_ms,
-                q.apply_gflops()
+                q.apply_gflops(),
+                q.q_times_ms
             );
             assert_eq!(q.steady_alloc_events, 0, "QR factor allocated in steady state");
             qr_records.push(q);
@@ -229,8 +239,9 @@ fn full_run(seed: u64) {
     json.push_str("  \"qr\": {\n");
     let _ = writeln!(
         json,
-        "    \"unit\": \"ms (best of {QR_REPS}, one thread): TsqrQr::factor, and apply_q on an \
-         m x n block; GF/s from 2mn^2 - 2n^3/3 and 4mn^2 - 2n^3 flops\","
+        "    \"unit\": \"ms (best of {QR_REPS}, one thread): TsqrQr::factor, apply_q on an \
+         m x n block, and q_times of an n x n head (Q*[head; 0], result allocated per call); \
+         GF/s from 2mn^2 - 2n^3/3 and 4mn^2 - 2n^3 flops\","
     );
     json.push_str("    \"results\": [\n");
     for (i, q) in qr_records.iter().enumerate() {
@@ -238,14 +249,16 @@ fn full_run(seed: u64) {
         let _ = writeln!(
             json,
             "      {{\"m\": {}, \"n\": {}, \"panel\": {}, \"factor_ms\": {:.3}, \
-             \"factor_gflops\": {:.1}, \"apply_q_ms\": {:.3}, \"apply_q_gflops\": {:.1}}}{comma}",
+             \"factor_gflops\": {:.1}, \"apply_q_ms\": {:.3}, \"apply_q_gflops\": {:.1}, \
+             \"q_times_ms\": {:.3}}}{comma}",
             q.m,
             q.n,
             q.panel,
             q.factor_ms,
             q.factor_gflops(),
             q.apply_ms,
-            q.apply_gflops()
+            q.apply_gflops(),
+            q.q_times_ms
         );
     }
     json.push_str("    ]\n");

@@ -94,7 +94,7 @@ pub struct BlockedRun {
     /// pipeline.
     pub steady_alloc_events: u64,
     /// Whether the tall-skinny QR front-end engaged (the sweeps ran on
-    /// the `n×n` factor `R`; see [`SvdOptions::qr_frontend`]).
+    /// the `n×n` matrix `Rᵀ`; see [`SvdOptions::qr_frontend`]).
     pub qr_frontend: bool,
 }
 
@@ -160,31 +160,28 @@ pub fn blocked_svd(a: &Matrix, opts: &BlockedOptions) -> Result<BlockedRun, SvdE
     if opts.processors == 0 {
         return Err(SvdError::NoProcessors);
     }
-    screened(a, |a| blocked_svd_inner(a, opts, true), |run| &mut run.svd)
+    screened(a, |a| blocked_svd_inner(a, opts), |run| &mut run.svd)
 }
 
-/// The blocked driver behind the front-end gate: `allow_frontend` is
-/// dropped for the recursive solve on `R` (square, but a degenerate
-/// crossover setting must not re-enter the factorization).
-fn blocked_svd_inner(
-    a: &Matrix,
-    opts: &BlockedOptions,
-    allow_frontend: bool,
-) -> Result<BlockedRun, SvdError> {
+fn blocked_svd_inner(a: &Matrix, opts: &BlockedOptions) -> Result<BlockedRun, SvdError> {
     if a.rows() == 0 || a.cols() == 0 {
         return Err(SvdError::EmptyMatrix);
     }
     if a.rows() < a.cols() {
         let at = a.transpose();
-        let mut run = blocked_svd_inner(&at, opts, allow_frontend)?;
+        let mut run = blocked_svd_inner(&at, opts)?;
         std::mem::swap(&mut run.svd.u, &mut run.svd.v);
         return Ok(run);
     }
-    if allow_frontend && crate::tall::engages(&opts.svd, a.rows(), a.cols()) {
-        let qr = crate::tall::factor(a, &opts.svd)?;
-        let mut run = blocked_svd_inner(qr.r(), opts, false)?;
-        run.svd.u = crate::tall::back_transform(&qr, &run.svd.u, crate::tall::lanes(&opts.svd));
-        run.steady_alloc_events += qr.stats().steady_alloc_events;
+    if crate::tall::engages(&opts.svd, a.rows(), a.cols()) {
+        let processors = opts.processors;
+        let (mut run, qr_allocs) = crate::tall::solve(
+            a,
+            &opts.svd,
+            |rt, svd| blocked_svd_inner(rt, &BlockedOptions { processors, svd }),
+            |run| &mut run.svd,
+        )?;
+        run.steady_alloc_events += qr_allocs;
         run.qr_frontend = true;
         return Ok(run);
     }

@@ -56,9 +56,10 @@ pub struct SvdRun {
     /// sweep (empty unless `track_off` was set), of the matrix as swept:
     /// an input rescaled at entry is measured at that scale.
     pub off_history: Vec<f64>,
-    /// Whether the tall-skinny QR front-end engaged: the sweeps ran on
-    /// the `n×n` factor `R` and `U` was back-transformed through `Q`
-    /// (see [`SvdOptions::qr_frontend`]).
+    /// Whether the tall-skinny QR front-end engaged: the sweeps (and
+    /// `sweep_stats`, `simulated_time`, `off_history`) ran on the `n×n`
+    /// matrix `Rᵀ`, and `U` was back-transformed through `Q` (see
+    /// [`SvdOptions::qr_frontend`]).
     pub qr_frontend: bool,
 }
 
@@ -116,10 +117,10 @@ impl HestenesSvd {
             return Err(SvdError::EmptyMatrix);
         }
         if a.rows() >= a.cols() {
-            self.compute_tall(a, false, true)
+            self.compute_tall(a, false)
         } else {
             let at = a.transpose();
-            let mut run = self.compute_tall(&at, true, true)?;
+            let mut run = self.compute_tall(&at, true)?;
             // A = U Σ Vᵀ with Aᵀ = V Σ Uᵀ: swap the factors back
             std::mem::swap(&mut run.svd.u, &mut run.svd.v);
             Ok(run)
@@ -139,39 +140,19 @@ impl HestenesSvd {
         self.options.ordering.build(pow2).map(|_| pow2)
     }
 
-    /// Run the chosen Jacobi driver on `A = QR`'s small factor `R`, then
-    /// back-transform `U ← Q·U_R` (the tall-skinny front-end; see
-    /// [`crate::tall`]). The inner solve runs with the front-end barred:
-    /// `R` is square, and the guard must hold even for degenerate
-    /// crossover settings.
-    fn frontend_run(
-        &self,
-        a: &Matrix,
-        transposed: bool,
-        distributed: bool,
-    ) -> Result<SvdRun, SvdError> {
-        let qr = crate::tall::factor(a, &self.options)?;
-        let mut run = if distributed {
-            self.compute_distributed_inner(qr.r(), false)?
-        } else {
-            self.compute_tall(qr.r(), false, false)?
-        };
-        run.svd.u = crate::tall::back_transform(&qr, &run.svd.u, crate::tall::lanes(&self.options));
-        run.transposed = transposed;
-        run.qr_frontend = true;
-        Ok(run)
-    }
-
-    fn compute_tall(
-        &self,
-        a: &Matrix,
-        transposed: bool,
-        allow_frontend: bool,
-    ) -> Result<SvdRun, SvdError> {
+    fn compute_tall(&self, a: &Matrix, transposed: bool) -> Result<SvdRun, SvdError> {
         let (m, n) = a.shape();
         debug_assert!(m >= n);
-        if allow_frontend && crate::tall::engages(&self.options, m, n) {
-            return self.frontend_run(a, transposed, false);
+        if crate::tall::engages(&self.options, m, n) {
+            let (mut run, _) = crate::tall::solve(
+                a,
+                &self.options,
+                |rt, inner| HestenesSvd::new(inner).compute_tall(rt, false),
+                |run| &mut run.svd,
+            )?;
+            run.transposed = transposed;
+            run.qr_frontend = true;
+            return Ok(run);
         }
         let n_pad = self.padded_size(n)?;
         let ordering = checked_ordering(&self.options, n_pad)?;
@@ -273,27 +254,30 @@ impl HestenesSvd {
     /// bounded receive times out (an executor bug) — carrying the failing
     /// rank, sweep, step, and message context.
     pub fn compute_distributed(&self, a: &Matrix) -> Result<SvdRun, SvdError> {
-        screened(a, |a| self.compute_distributed_inner(a, true), |run| &mut run.svd)
+        screened(a, |a| self.compute_distributed_inner(a), |run| &mut run.svd)
     }
 
-    fn compute_distributed_inner(
-        &self,
-        a: &Matrix,
-        allow_frontend: bool,
-    ) -> Result<SvdRun, SvdError> {
+    fn compute_distributed_inner(&self, a: &Matrix) -> Result<SvdRun, SvdError> {
         if a.rows() == 0 || a.cols() == 0 {
             return Err(SvdError::EmptyMatrix);
         }
         if a.rows() < a.cols() {
             let at = a.transpose();
-            let mut run = self.compute_distributed_inner(&at, allow_frontend)?;
+            let mut run = self.compute_distributed_inner(&at)?;
             std::mem::swap(&mut run.svd.u, &mut run.svd.v);
             run.transposed = true;
             return Ok(run);
         }
         let (m, n) = a.shape();
-        if allow_frontend && crate::tall::engages(&self.options, m, n) {
-            return self.frontend_run(a, false, true);
+        if crate::tall::engages(&self.options, m, n) {
+            let (mut run, _) = crate::tall::solve(
+                a,
+                &self.options,
+                |rt, inner| HestenesSvd::new(inner).compute_distributed_inner(rt),
+                |run| &mut run.svd,
+            )?;
+            run.qr_frontend = true;
+            return Ok(run);
         }
         let n_pad = self.padded_size(n)?;
         let ordering = checked_ordering(&self.options, n_pad)?;

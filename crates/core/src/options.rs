@@ -100,7 +100,7 @@ impl fmt::Display for HierBlocking {
 }
 
 /// Options for [`HestenesSvd`](crate::HestenesSvd).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SvdOptions {
     /// The parallel Jacobi ordering (default: the paper's fat-tree
     /// ordering).
@@ -118,7 +118,12 @@ pub struct SvdOptions {
     /// Sorting behaviour (default: descending singular values, §3.2.1).
     pub sort: SortMode,
     /// Whether to accumulate `V` and produce singular vectors. Turning
-    /// this off roughly halves memory traffic when only `Σ` is needed.
+    /// this off roughly halves memory traffic when only `Σ` is needed;
+    /// `U` is still returned (one-sided Jacobi gets it from the converged
+    /// columns) and `V` is the identity placeholder — except when the QR
+    /// front-end engages ([`SvdOptions::qr_frontend`]), whose inner solve
+    /// always accumulates its `V` because that becomes `A`'s `U`: there
+    /// both factors are real with vectors off too.
     pub vectors: bool,
     /// Record the exact off-diagonal measure before the first sweep and
     /// after every sweep (O(n²m) per sweep — instrumentation only).
@@ -148,9 +153,13 @@ pub struct SvdOptions {
     /// Tall-skinny QR front-end: when the aspect ratio `m/n` reaches
     /// [`SvdOptions::qr_crossover`], factor `A = QR` with the TSQR tree
     /// ([`treesvd_matrix::qr`]), run the Jacobi driver on the `n×n`
-    /// factor `R`, and back-transform `U ← Q·U_R` without ever forming
-    /// `Q`. Wide inputs (`m < n`) go through the same path on `Aᵀ`.
-    /// Default `false` (bitwise-identical to the pre-front-end drivers).
+    /// matrix `Rᵀ = ŨΣṼᵀ` (whose columns start out nearly orthogonal, so
+    /// it takes fewer sweeps than `R`), and return `U = Q·[Ṽ; 0]` —
+    /// back-transformed without ever forming `Q` — and `V = Ũ`. The inner
+    /// solve accumulates `Ṽ` even with [`SvdOptions::vectors`] off, so
+    /// `U` and `V` are both real then. Wide inputs (`m < n`) go through
+    /// the same path on `Aᵀ`. Default `false` (bitwise-identical to the
+    /// pre-front-end drivers).
     pub qr_frontend: bool,
     /// Aspect-ratio crossover for the front-end: engage when
     /// `m ≥ qr_crossover · n`. The QR stage costs `≈ 2mn²` flops and the

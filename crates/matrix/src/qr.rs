@@ -4,8 +4,9 @@
 //! For `m ≫ n` the one-sided Jacobi sweeps rotate full `m`-length columns
 //! every meeting — nearly all memory bandwidth moves data that a QR
 //! front-end could shrink first. This module factors `A = QR` so the
-//! Jacobi drivers run on the small `n×n` factor `R`, with `Q` kept in
-//! factored form (never materialized) and applied tile by tile:
+//! Jacobi drivers run on the small `n×n` factor (they sweep `Rᵀ`), with
+//! `Q` kept in factored form (never materialized) and applied tile by
+//! tile:
 //!
 //! * **Panel factorization** proceeds left to right in panels of
 //!   [`QrOptions::panel`] columns. Each panel's rows are split into *row
@@ -34,17 +35,40 @@
 //!   barrier is needed between tree levels. The leaves of a panel share
 //!   its columns of the working matrix, so they are factored one after
 //!   another.
+//! * **Back-transform** ([`TsqrQr::q_times`]): `Q·[X; 0]` for an `n`-row
+//!   `X`. The first panel it applies is the last one, and there every
+//!   leaf's rows below its `bw`-row head are still zero, so its `VᵀC`
+//!   multiplies the heads only — bit for bit what [`TsqrQr::apply_q`]
+//!   computes on the zero-padded matrix.
 //!
 //! The factorization's steady state (the per-panel loop) is
 //! allocation-free after the first panel warms the per-lane scratch
 //! arenas; [`QrStats::steady_alloc_events`] counts violations (zero in
 //! every test and bench). The factor storage itself — the working matrix,
 //! one `T` per tree node and one `V` per combine — is the output,
-//! allocated once per node.
+//! allocated once per node, except the `m×n` working matrix: a dropped
+//! [`TsqrQr`] leaves it in a one-slot spare of its thread, and the next
+//! `factor` on that thread copies `A` into the spare when its capacity
+//! lies between the `m·n` it needs and twice that; otherwise the spare is
+//! freed and a new buffer allocated. So a steady stream of same-shape
+//! factorizations allocates no working matrix, and each thread holds at
+//! most one spare, no larger than twice the working matrix of the
+//! factorization that filled it. Reuse also keeps the allocator from
+//! handing the pages back to the kernel between solves — with glibc, a
+//! freed multi-MiB working matrix can coalesce into a heap top above the
+//! trim threshold, and every later request then faults its pages in
+//! again.
 
 use crate::error::MatrixError;
 use crate::matrix::Matrix;
 use crate::ops;
+use std::cell::Cell;
+
+thread_local! {
+    /// The working matrix of the last [`TsqrQr`] dropped on this thread,
+    /// kept for the next [`TsqrQr::factor`] on it (see the module docs).
+    static SPARE: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
 
 /// Fork–join hook for the TSQR tree: this crate is the workspace's
 /// lowest layer and cannot depend on the persistent worker pool
@@ -194,7 +218,7 @@ impl QrScratch {
 
 /// `A = QR` in TSQR factored form: `R` explicitly, `Q` as the per-panel
 /// reflector trees, applied on demand by [`TsqrQr::apply_q`] /
-/// [`TsqrQr::apply_qt`].
+/// [`TsqrQr::apply_qt`] / [`TsqrQr::q_times`].
 #[derive(Debug)]
 pub struct TsqrQr {
     m: usize,
@@ -242,12 +266,12 @@ fn qr_tile(a: &mut [f64], ld: usize, h: usize, w: usize, t: &mut [f64], ldt: usi
     // A₂ ← Q₁ᵀ·A₂ = A₂ − V₁·T₁ᵀ·(V₁ᵀA₂)
     let (v1, a2) = a.split_at_mut(w1 * ld);
     let (ws, vh) = s.split_at_mut(w1 * w2);
-    apply_wy(v1, ld, h, w1, t, ldt, true, a2, ld, (0, w1), w2, ws, vh);
+    apply_wy(v1, ld, h, w1, t, ldt, true, a2, ld, (0, w1), false, w2, ws, vh);
     qr_tile(&mut a[w1 * ld + w1..], ld, h - w1, w2, &mut t[w1 * ldt + w1..], ldt, s);
     // T₁₂ = −T₁·(V₁ᵀV₂)·T₂. V₂ starts at row w1, so only rows w1..h of V₁
     // meet it: x = V₂ᵀ·V₁(w1..h, :) is (V₁ᵀV₂)ᵀ, w2 × w1.
     let (x, vh) = s.split_at_mut(w2 * w1);
-    vt_c(&a[w1 * ld + w1..], ld, h - w1, w2, a, ld, (w1, w), w1, x, vh);
+    vt_c(&a[w1 * ld + w1..], ld, h - w1, w2, a, ld, (w1, w), false, w1, x, vh);
     for c in 0..w2 {
         let t2c = w1 + ldt * (w1 + c); // T₂(0.., c)
         for i in 0..w1 {
@@ -273,7 +297,10 @@ fn qr_tile(a: &mut [f64], ld: usize, h: usize, w: usize, t: &mut [f64], ldt: usi
 /// and the tail at `c[tail + j·ldc..][..h − bw]`, where
 /// `(head, tail) = rows`. The head is written out as a dense unit lower
 /// triangle into `vh` (`bw²` values, left there for the caller), so both
-/// parts run as [`ops::gemm_tn`] tiles.
+/// parts run as [`ops::gemm_tn`] tiles. `zero_tail` promises that `C` is
+/// zero in the tail rows: their tile is skipped, and since
+/// [`ops::gemm_tn`] sums from `+0` an all-zero tail would have written
+/// exactly `+0`, so `W` keeps the same bits.
 #[allow(clippy::too_many_arguments)]
 fn vt_c(
     v: &[f64],
@@ -283,6 +310,7 @@ fn vt_c(
     c: &[f64],
     ldc: usize,
     rows: (usize, usize),
+    zero_tail: bool,
     k: usize,
     w: &mut [f64],
     vh: &mut [f64],
@@ -294,12 +322,16 @@ fn vt_c(
         col[i] = 1.0;
         col[i + 1..].copy_from_slice(&v[i * ldv + i + 1..i * ldv + bw]);
     }
-    ops::gemm_tn(h - bw, &v[bw..], ldv, bw, &c[tail..], ldc, k, w);
+    if zero_tail {
+        w.fill(0.0);
+    } else {
+        ops::gemm_tn(h - bw, &v[bw..], ldv, bw, &c[tail..], ldc, k, w);
+    }
     ops::gemm_tn_acc(bw, vh, bw, bw, &c[head..], ldc, k, w);
 }
 
 /// Apply the block reflector `I − V·op(T)·Vᵀ` of one tree node to `k`
-/// columns of `C` (stride `ldc`), with `V` and `rows` laid out as in
+/// columns of `C` (stride `ldc`), with `V`, `rows` and `zero_tail` as in
 /// [`vt_c`] and the upper-triangular `T` at stride `ldt`. `trans`
 /// selects `op(T) = Tᵀ` (the `Qᵀ` direction) over `T`. The unit head
 /// (made dense in `vh`, `bw²` values) and the tail are multiplied by
@@ -317,6 +349,7 @@ fn apply_wy(
     c: &mut [f64],
     ldc: usize,
     rows: (usize, usize),
+    zero_tail: bool,
     k: usize,
     w: &mut [f64],
     vh: &mut [f64],
@@ -326,7 +359,7 @@ fn apply_wy(
     }
     let (head, tail) = rows;
     let w = &mut w[..bw * k];
-    vt_c(v, ldv, h, bw, c, ldc, rows, k, w, vh);
+    vt_c(v, ldv, h, bw, c, ldc, rows, zero_tail, k, w, vh);
     // triangular multiply in place, one column of W at a time
     for col in w.chunks_exact_mut(bw) {
         if trans {
@@ -358,11 +391,15 @@ fn apply_wy(
 /// each column). The leaves' `V` are read from `vs`, the working matrix,
 /// whose columns have the same length `ld`. `trans = true` is the `Qᵀ`
 /// direction (leaves, then combines in reduction order); `trans = false`
-/// is `Q` (combines in reverse, then leaves).
+/// is `Q` (combines in reverse, then leaves). `zero_tails` promises that
+/// `C` is zero in every leaf's rows below its head when the leaves are
+/// applied, so their `VᵀC` reads the heads only (see [`vt_c`]).
+#[allow(clippy::too_many_arguments)]
 fn apply_panel(
     p: &PanelFactor,
     vs: &[f64],
     trans: bool,
+    zero_tails: bool,
     c: &mut [f64],
     ld: usize,
     k: usize,
@@ -375,13 +412,13 @@ fn apply_panel(
         for leaf in &p.leaves {
             let v = &vs[p.col0 * ld + leaf.row0..];
             let rows = (leaf.row0, leaf.row0 + bw);
-            apply_wy(v, ld, leaf.rows, bw, &leaf.t, bw, trans, c, ld, rows, k, w, vh);
+            apply_wy(v, ld, leaf.rows, bw, &leaf.t, bw, trans, c, ld, rows, zero_tails, k, w, vh);
         }
     };
     let combine = |cb: &Combine, c: &mut [f64], s: &mut QrScratch| {
         let (w, vh) = s.w.split_at_mut(bw * k);
         let rows = (p.leaves[cb.left].row0, p.leaves[cb.right].row0);
-        apply_wy(&cb.v, 2 * bw, 2 * bw, bw, &cb.t, bw, trans, c, ld, rows, k, w, vh);
+        apply_wy(&cb.v, 2 * bw, 2 * bw, bw, &cb.t, bw, trans, c, ld, rows, false, k, w, vh);
     };
     if trans {
         leaves(c, s);
@@ -460,7 +497,16 @@ impl TsqrQr {
         }
         let lanes = opts.lanes.max(1);
         let mut scratches: Vec<QrScratch> = (0..lanes).map(|_| QrScratch::default()).collect();
-        let mut work = a.as_slice().to_vec();
+        let need = m * n;
+        let spare = SPARE.try_with(Cell::take).unwrap_or_default();
+        let mut work = if (need..=2 * need).contains(&spare.capacity()) {
+            spare
+        } else {
+            drop(spare); // free it before the new buffer is taken
+            Vec::with_capacity(need)
+        };
+        work.clear();
+        work.extend_from_slice(a.as_slice());
         let bw_max = opts.panel.clamp(1, n);
         let mut panels: Vec<PanelFactor> = Vec::with_capacity(n.div_ceil(bw_max));
         let mut stats = QrStats::default();
@@ -533,7 +579,7 @@ impl TsqrQr {
                 let mut chunks = chunk_columns(trailing, m, lanes);
                 let (pref, vs) = (&panel, &*done);
                 fan_out(&mut chunks, &mut scratches, lanes, join, &|chunk, s| {
-                    apply_panel(pref, vs, true, chunk.cols, m, chunk.k, s);
+                    apply_panel(pref, vs, true, false, chunk.cols, m, chunk.k, s);
                 });
             }
 
@@ -557,11 +603,6 @@ impl TsqrQr {
         Ok(TsqrQr { m, n, work, panels, r, stats })
     }
 
-    /// Row count of the factored matrix.
-    pub fn rows(&self) -> usize {
-        self.m
-    }
-
     /// Column count of the factored matrix.
     pub fn cols(&self) -> usize {
         self.n
@@ -577,7 +618,18 @@ impl TsqrQr {
         self.stats
     }
 
-    fn apply(&self, x: &mut Matrix, trans: bool, lanes: usize, join: &dyn Joiner) {
+    /// `X ← Q·X` (or `Qᵀ·X` with `trans`). `zero_below_n` promises that
+    /// rows `n..m` of `X` are zero: the first panel `Q` applies is the
+    /// last one, whose leaves all start at row `n − bw` or below, so
+    /// every leaf's tail is still zero when it is applied.
+    fn apply(
+        &self,
+        x: &mut Matrix,
+        trans: bool,
+        zero_below_n: bool,
+        lanes: usize,
+        join: &dyn Joiner,
+    ) {
         assert_eq!(x.rows(), self.m, "apply: row count mismatch");
         let k = x.cols();
         let lanes = lanes.max(1);
@@ -588,37 +640,59 @@ impl TsqrQr {
         fan_out(&mut chunks, &mut scratches, lanes, join, &|chunk, s| {
             if trans {
                 for p in panels.iter() {
-                    apply_panel(p, vs, true, chunk.cols, m, chunk.k, s);
+                    apply_panel(p, vs, true, false, chunk.cols, m, chunk.k, s);
                 }
             } else {
-                for p in panels.iter().rev() {
-                    apply_panel(p, vs, false, chunk.cols, m, chunk.k, s);
+                for (i, p) in panels.iter().rev().enumerate() {
+                    let zero_tails = zero_below_n && i == 0;
+                    apply_panel(p, vs, false, zero_tails, chunk.cols, m, chunk.k, s);
                 }
             }
         });
     }
 
     /// `X ← Q·X` for an `m×k` matrix, tile by tile (never forming `Q`).
-    /// The back-transform of the tall-skinny SVD pipeline is
-    /// `U = Q·[U_R; 0]`.
     pub fn apply_q(&self, x: &mut Matrix, lanes: usize, join: &dyn Joiner) {
-        self.apply(x, false, lanes, join);
+        self.apply(x, false, false, lanes, join);
     }
 
     /// `X ← Qᵀ·X` for an `m×k` matrix.
     pub fn apply_qt(&self, x: &mut Matrix, lanes: usize, join: &dyn Joiner) {
-        self.apply(x, true, lanes, join);
+        self.apply(x, true, false, lanes, join);
     }
 
-    /// Materialize the thin `Q` (`m×n`) by applying the tree to
-    /// `[Iₙ; 0]`. For verification; the drivers never call this.
-    pub fn thin_q(&self, join: &dyn Joiner) -> Matrix {
-        let mut q = Matrix::zeros(self.m, self.n).expect("nonzero dims");
-        for j in 0..self.n {
-            q.col_mut(j)[j] = 1.0;
+    /// `Q·[head; 0]` for an `n×k` `head`: the back-transform of the
+    /// tall-skinny SVD pipeline. Bitwise equal to [`TsqrQr::apply_q`] on
+    /// the zero-padded `m×k` matrix, but the first panel applied reads
+    /// only the rows that are not yet zero, which skips about a quarter
+    /// of the flops at two panels.
+    ///
+    /// # Panics
+    /// Panics if `head` does not have `n` rows.
+    pub fn q_times(&self, head: &Matrix, lanes: usize, join: &dyn Joiner) -> Matrix {
+        assert_eq!(head.rows(), self.n, "q_times: head must have n rows");
+        let mut x = Matrix::zeros(self.m, head.cols()).expect("nonzero dims");
+        for j in 0..head.cols() {
+            x.col_mut(j)[..self.n].copy_from_slice(head.col(j));
         }
-        self.apply_q(&mut q, 1, join);
-        q
+        self.apply(&mut x, false, true, lanes, join);
+        x
+    }
+
+    /// Materialize the thin `Q` (`m×n`): [`TsqrQr::q_times`] of `Iₙ`.
+    /// For verification; the drivers never call this.
+    pub fn thin_q(&self, join: &dyn Joiner) -> Matrix {
+        self.q_times(&Matrix::identity(self.n, self.n).expect("nonzero dims"), 1, join)
+    }
+}
+
+impl Drop for TsqrQr {
+    /// Leave the working matrix in this thread's spare slot for the next
+    /// [`TsqrQr::factor`], freeing what the slot held before.
+    fn drop(&mut self) {
+        let work = std::mem::take(&mut self.work);
+        // a thread being torn down has no slot left: the buffer is freed
+        let _ = SPARE.try_with(|s| s.set(work));
     }
 }
 
@@ -765,6 +839,64 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn q_times_matches_apply_q_bitwise() {
+        // (m, n, panel, leaf_rows, lanes): a four-leaf last panel, two
+        // lanes over 128 columns, odd panels and leaves, and the square
+        // and one-row-taller edges where the last panel has a single leaf
+        let cases = [
+            (20000, 96, 32, 4096, 1),
+            (16384, 128, 32, 0, 2),
+            (3000, 70, 17, 200, 2),
+            (131, 67, 5, 0, 1),
+            (64, 64, 32, 0, 1),
+            (65, 64, 32, 0, 1),
+        ];
+        for (m, n, panel, leaf_rows, lanes) in cases {
+            let a = generate::random_uniform(m, n, (m + n) as u64);
+            let qr =
+                TsqrQr::factor(&a, &QrOptions { panel, leaf_rows, lanes }, &SerialJoin).unwrap();
+            if m == 20000 {
+                let last = qr.panels.last().unwrap();
+                assert_eq!(last.leaves.len(), 4, "the last panel must have four leaves");
+            }
+            let mut head = generate::random_uniform(n, n, (m * n) as u64);
+            // a zero column of −0.0, and −0.0 on the diagonal
+            head.col_mut(1).fill(-0.0);
+            for i in (0..n).step_by(3) {
+                head.set(i, i, -0.0);
+            }
+            let mut padded = Matrix::zeros(m, n).unwrap();
+            for j in 0..n {
+                padded.col_mut(j)[..n].copy_from_slice(head.col(j));
+            }
+            qr.apply_q(&mut padded, lanes, &SerialJoin);
+            let got = qr.q_times(&head, lanes, &SerialJoin);
+            let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&got) == bits(&padded), "{m}x{n} panel {panel}: q_times ≠ apply_q");
+        }
+    }
+
+    #[test]
+    fn working_matrix_is_reused_within_twice_the_need() {
+        let big = generate::random_uniform(400, 20, 16);
+        let qr = TsqrQr::factor(&big, &QrOptions::default(), &SerialJoin).unwrap();
+        let ptr = qr.work.as_ptr();
+        drop(qr);
+        // same shape, and half the rows: the spare fits both
+        for m in [400, 200] {
+            let a = generate::random_uniform(m, 20, 17);
+            let qr = TsqrQr::factor(&a, &QrOptions::default(), &SerialJoin).unwrap();
+            assert_eq!(qr.work.as_ptr(), ptr, "{m}x20 must reuse the spare");
+            assert_qr(&a, &qr, 1e-12);
+        }
+        // a quarter of the rows: the spare is more than twice the need
+        let small = generate::random_uniform(100, 20, 18);
+        let qr = TsqrQr::factor(&small, &QrOptions::default(), &SerialJoin).unwrap();
+        assert!(qr.work.capacity() <= 2 * 100 * 20, "capacity {}", qr.work.capacity());
+        assert_qr(&small, &qr, 1e-12);
     }
 
     #[test]

@@ -240,7 +240,7 @@ fn blocked_ordering(n_super: usize) -> OrderingKind {
 /// sweeping `A` directly. Per sweep the direct path streams
 /// `14·pairs·me` A-flops; the front-end replaces `me` by `nn` at a
 /// one-time `(2 + 2·vectors)·me·nn²` panel-flop toll (QR + the
-/// back-transform `U ← Q·U_R`), charged at 1.5× the panel rate for the
+/// back-transform `U ← Q·[Ṽ; 0]`), charged at 1.5× the panel rate for the
 /// TSQR tree's reduction overhead.
 fn qr_crossover_aspect(cm: &CostModel, nn: usize, vectors: bool) -> f64 {
     if nn < 2 {

@@ -15,11 +15,13 @@ cargo build --release --workspace
 echo "== tier-1: cargo test -q =="
 cargo test -q --workspace
 
-echo "== SIMD lanes: treesvd-matrix and blocked-driver tests at the portable and AVX2+FMA tiers =="
+echo "== SIMD lanes: treesvd-matrix, blocked-driver and QR front-end tests at the portable and AVX2+FMA tiers =="
 # .cargo/config.toml builds for the host CPU, so on an AVX-512 host the
 # narrower lanes of the kernels in treesvd-matrix are never compiled.
-# The blocked driver's Gram build runs on gemm_tn, whose AVX2 lane sums
-# in four chains, so its results differ by tier and its tests run on each.
+# The blocked driver's Gram build and the QR front-end's factor and
+# back-transform run on gemm_tn, whose AVX2 lane sums in four chains, so
+# their results differ by tier and their tests (the front-end's graded-
+# input accuracy test among them) run on each.
 # RUSTFLAGS replaces build.rustflags; each tier gets its own target dir.
 if [ "$(uname -m)" = x86_64 ]; then
     for cpu in x86-64 haswell; do
@@ -28,6 +30,8 @@ if [ "$(uname -m)" = x86_64 ]; then
             cargo test -q --offline --release -p treesvd-matrix
         RUSTFLAGS="-C target-cpu=$cpu" CARGO_TARGET_DIR="target/lanes-$cpu" \
             cargo test -q --offline --release -p treesvd-core --lib blocked
+        RUSTFLAGS="-C target-cpu=$cpu" CARGO_TARGET_DIR="target/lanes-$cpu" \
+            cargo test -q --offline --release -p treesvd-core --lib tall
     done
 fi
 
