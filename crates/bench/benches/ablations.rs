@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use treesvd_bench::ablations;
+use treesvd_bench::experiments::paper_opts;
 use treesvd_core::{HestenesSvd, SvdOptions};
 use treesvd_matrix::generate;
 
@@ -27,7 +28,7 @@ fn bench_threshold(c: &mut Criterion) {
     {
         group.bench_with_input(BenchmarkId::new("svd", label), &a, |b, a| {
             b.iter(|| {
-                let opts = SvdOptions { threshold: thr, ..SvdOptions::default() };
+                let opts = SvdOptions { threshold: thr, ..paper_opts() };
                 let run = HestenesSvd::new(opts).compute(a).expect("convergence");
                 std::hint::black_box(run.sweeps)
             })

@@ -2,6 +2,7 @@
 //! convergence trace (paper §1, §3, §4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use treesvd_bench::experiments::paper_opts;
 use treesvd_core::{HestenesSvd, OrderingKind};
 use treesvd_matrix::generate;
 
@@ -11,14 +12,16 @@ fn print_convergence_summary() {
         let mut sweeps = Vec::new();
         for seed in [1u64, 2, 3] {
             let a = generate::random_uniform(64, 32, seed);
-            let run = HestenesSvd::with_ordering(kind).compute(&a).expect("convergence");
+            let run = HestenesSvd::new(paper_opts().with_ordering(kind))
+                .compute(&a)
+                .expect("convergence");
             sweeps.push(run.sweeps);
         }
         println!("{:>14}: {:?}", kind.name(), sweeps);
     }
     println!("\n== E6: coupling per sweep (fat-tree ordering, 48x24) ==");
     let a = generate::random_uniform(48, 24, 7);
-    let run = HestenesSvd::with_ordering(OrderingKind::FatTree).compute(&a).expect("convergence");
+    let run = HestenesSvd::new(paper_opts()).compute(&a).expect("convergence");
     for (k, c) in run.coupling_history().iter().enumerate() {
         println!("  sweep {:2}: {c:.3e}", k + 1);
     }
@@ -39,7 +42,9 @@ fn bench_convergence(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::new(kind.name(), "48x24"), &a, |b, a| {
             b.iter(|| {
-                let run = HestenesSvd::with_ordering(kind).compute(a).expect("convergence");
+                let run = HestenesSvd::new(paper_opts().with_ordering(kind))
+                    .compute(a)
+                    .expect("convergence");
                 std::hint::black_box(run.sweeps)
             })
         });

@@ -2,7 +2,8 @@
 //! (paper claim C7, §6) — real data, simulated machine, real rayon cores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use treesvd_core::{HestenesSvd, OrderingKind, SvdOptions, TopologyKind};
+use treesvd_bench::experiments::paper_opts;
+use treesvd_core::{HestenesSvd, OrderingKind, TopologyKind};
 use treesvd_matrix::generate;
 
 fn print_simulated_scaling() {
@@ -12,10 +13,9 @@ fn print_simulated_scaling() {
             let a = generate::random_uniform(2 * n, n, 99);
             print!("{topo} n={n:3}:");
             for kind in [OrderingKind::RoundRobin, OrderingKind::FatTree, OrderingKind::Hybrid] {
-                let run =
-                    HestenesSvd::new(SvdOptions::default().with_ordering(kind).with_topology(topo))
-                        .compute(&a)
-                        .expect("convergence");
+                let run = HestenesSvd::new(paper_opts().with_ordering(kind).with_topology(topo))
+                    .compute(&a)
+                    .expect("convergence");
                 print!("  {}={:.3e}({}sw)", kind.name(), run.simulated_time, run.sweeps);
             }
             println!();
@@ -33,7 +33,9 @@ fn bench_full_svd(c: &mut Criterion) {
         for kind in [OrderingKind::RoundRobin, OrderingKind::FatTree, OrderingKind::Hybrid] {
             group.bench_with_input(BenchmarkId::new(kind.name(), n), &a, |b, a| {
                 b.iter(|| {
-                    let run = HestenesSvd::with_ordering(kind).compute(a).expect("convergence");
+                    let run = HestenesSvd::new(paper_opts().with_ordering(kind))
+                        .compute(a)
+                        .expect("convergence");
                     std::hint::black_box(run.svd.sigma[0])
                 })
             });

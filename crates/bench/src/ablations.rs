@@ -13,6 +13,7 @@
 //!   where the fat-tree-vs-hybrid crossover on the CM-5 tree sits, showing
 //!   the conclusion is not an artifact of one parameter point.
 
+use crate::experiments::paper_opts;
 use crate::table::{fnum, Table};
 use treesvd_core::{HestenesSvd, Matrix, OrderingKind, SvdOptions, TopologyKind};
 use treesvd_matrix::generate;
@@ -82,7 +83,7 @@ pub fn a2_intra_group(n: usize, groups: usize, words: u64) -> Table {
                 Ok(Box::new(HybridOrdering::with_intra(size, groups, intra)?)
                     as Box<dyn JacobiOrdering>)
             })),
-            ..SvdOptions::default()
+            ..paper_opts()
         };
         let run = HestenesSvd::new(opts).compute(&a).expect("convergence");
 
@@ -109,7 +110,7 @@ pub fn a3_threshold(m: usize, n: usize, seed: u64) -> Table {
         ("1e-8", Some(1e-8)),
         ("1e-4", Some(1e-4)),
     ] {
-        let opts = SvdOptions { threshold: thr, ..SvdOptions::default() };
+        let opts = SvdOptions { threshold: thr, ..paper_opts() };
         match HestenesSvd::new(opts).compute(&a) {
             Ok(run) => {
                 t.row(vec![
@@ -162,8 +163,8 @@ pub fn a4_message_size(n: usize) -> Table {
 /// advertised level.
 pub fn a3_accuracy_statement(m: usize, n: usize, seed: u64) -> String {
     let a: Matrix = generate::random_uniform(m, n, seed);
-    let tight = HestenesSvd::new(SvdOptions::default()).compute(&a).expect("conv");
-    let loose = HestenesSvd::new(SvdOptions { threshold: Some(1e-8), ..SvdOptions::default() })
+    let tight = HestenesSvd::new(paper_opts()).compute(&a).expect("conv");
+    let loose = HestenesSvd::new(SvdOptions { threshold: Some(1e-8), ..paper_opts() })
         .compute(&a)
         .expect("conv");
     let d = treesvd_matrix::checks::spectrum_distance(&loose.svd.sigma, &tight.svd.sigma);

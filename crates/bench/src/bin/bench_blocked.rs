@@ -24,11 +24,14 @@ use treesvd_matrix::{generate, Matrix};
 /// Timed samples per configuration; the median is reported.
 const SAMPLES: usize = 5;
 
+/// The blocked driver on `A` itself: the QR front-end is off, so the
+/// meetings stream `m`-row panels, the shape this bench measures.
 fn opts_for(kernel: BlockKernel, vectors: bool, processors: usize) -> BlockedOptions {
-    BlockedOptions {
-        processors,
-        svd: SvdOptions::default().with_block_kernel(kernel).with_vectors(vectors),
-    }
+    let svd = SvdOptions::default()
+        .with_qr_frontend(false)
+        .with_block_kernel(kernel)
+        .with_vectors(vectors);
+    BlockedOptions { processors, svd }
 }
 
 /// Median wall-clock seconds of a full `blocked_svd` run, plus the run

@@ -38,11 +38,13 @@ use treesvd_matrix::{generate, Matrix};
 /// Processors for the blocked driver (`2P` block slots, `n = 8c`).
 const PROCESSORS: usize = 4;
 
+/// The blocked driver behind the QR front-end (the default), or on `A`
+/// itself.
 fn opts_for(frontend: bool) -> BlockedOptions {
-    let mut svd = SvdOptions::default().with_block_kernel(BlockKernel::Gram).with_vectors(true);
-    if frontend {
-        svd = svd.with_qr_frontend(true);
-    }
+    let svd = SvdOptions::default()
+        .with_block_kernel(BlockKernel::Gram)
+        .with_vectors(true)
+        .with_qr_frontend(frontend);
     BlockedOptions { processors: PROCESSORS, svd }
 }
 

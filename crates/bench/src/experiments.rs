@@ -20,6 +20,19 @@ pub const COMM_ORDERINGS: [OrderingKind; 5] = [
     OrderingKind::Llb,
 ];
 
+/// The paper's configuration: the QR front-end off, so the sweeps run on
+/// `A` itself. Every experiment here measures an ordering or an executor
+/// on `A`; behind the front-end they would measure it on `Rᵀ`.
+#[must_use]
+pub fn paper_opts() -> SvdOptions {
+    SvdOptions::default().with_qr_frontend(false)
+}
+
+/// The paper's solver with the given ordering ([`paper_opts`]).
+fn paper_solver(kind: OrderingKind) -> HestenesSvd {
+    HestenesSvd::new(paper_opts().with_ordering(kind))
+}
+
 fn build(kind: OrderingKind, n: usize) -> Box<dyn JacobiOrdering> {
     kind.build(n).expect("size accepted")
 }
@@ -98,7 +111,7 @@ pub fn e3_convergence(m: usize, n: usize, seeds: &[u64]) -> Table {
         let mut rots = Vec::new();
         for &seed in seeds {
             let a = generate::random_uniform(m, n, seed);
-            let run = HestenesSvd::with_ordering(kind).compute(&a).expect("convergence");
+            let run = paper_solver(kind).compute(&a).expect("convergence");
             sweeps.push(run.sweeps as f64);
             rots.push(run.total_rotations() as f64);
         }
@@ -156,8 +169,8 @@ pub fn e4_equivalence(n: usize) -> (Table, String) {
     let mut t = Table::new(vec!["seed", "new-ring sweeps", "round-robin sweeps"]);
     for seed in [1u64, 2, 3, 4, 5] {
         let a = generate::random_uniform(2 * n, n, seed);
-        let r1 = HestenesSvd::with_ordering(OrderingKind::NewRing).compute(&a).expect("conv");
-        let r2 = HestenesSvd::with_ordering(OrderingKind::RoundRobin).compute(&a).expect("conv");
+        let r1 = paper_solver(OrderingKind::NewRing).compute(&a).expect("conv");
+        let r2 = paper_solver(OrderingKind::RoundRobin).compute(&a).expect("conv");
         t.row(vec![seed.to_string(), r1.sweeps.to_string(), r2.sweeps.to_string()]);
     }
     (t, narrative)
@@ -174,7 +187,7 @@ pub fn e5_sorted_sigma(m: usize, n: usize, seeds: &[u64]) -> Table {
             let sigma_true: Vec<f64> =
                 (1..=n).rev().map(|k| k as f64 + 0.25 * (seed as f64 % 3.0)).collect();
             let a = generate::with_singular_values(m, &sigma_true, seed);
-            let run = HestenesSvd::with_ordering(kind).compute(&a).expect("convergence");
+            let run = paper_solver(kind).compute(&a).expect("convergence");
             if checks::is_nonincreasing(&run.svd.sigma) {
                 sorted += 1;
             }
@@ -194,9 +207,7 @@ pub fn e5_sorted_sigma(m: usize, n: usize, seeds: &[u64]) -> Table {
 /// the exact off-diagonal measure for a single representative run.
 pub fn e6_quadratic(m: usize, n: usize, seed: u64) -> Table {
     let a = generate::random_uniform(m, n, seed);
-    let run = HestenesSvd::new(SvdOptions::default().with_track_off(true))
-        .compute(&a)
-        .expect("convergence");
+    let run = HestenesSvd::new(paper_opts().with_track_off(true)).compute(&a).expect("convergence");
     let mut t = Table::new(vec!["sweep", "max coupling", "off(A)", "rotations"]);
     for (k, s) in run.sweep_stats.iter().enumerate() {
         t.row(vec![
@@ -246,8 +257,8 @@ pub fn e3b_llb_parity(m: usize, n: usize, seeds: &[u64]) -> Table {
         Table::new(vec!["seed", "llb sweeps", "odd (wastes half-sweep)", "fat-tree sweeps"]);
     for &seed in seeds {
         let a = generate::random_uniform(m, n, seed);
-        let llb = HestenesSvd::with_ordering(OrderingKind::Llb).compute(&a).expect("conv");
-        let ft = HestenesSvd::with_ordering(OrderingKind::FatTree).compute(&a).expect("conv");
+        let llb = paper_solver(OrderingKind::Llb).compute(&a).expect("conv");
+        let ft = paper_solver(OrderingKind::FatTree).compute(&a).expect("conv");
         t.row(vec![
             seed.to_string(),
             llb.sweeps.to_string(),
@@ -264,7 +275,7 @@ pub fn e3b_llb_parity(m: usize, n: usize, seeds: &[u64]) -> Table {
 pub fn e8_undersized(m: usize, n: usize, seed: u64) -> Table {
     use treesvd_core::{blocked_svd, BlockedOptions};
     let a = generate::random_uniform(m, n, seed);
-    let full = HestenesSvd::new(SvdOptions::default()).compute(&a).expect("convergence");
+    let full = HestenesSvd::new(paper_opts()).compute(&a).expect("convergence");
     let mut t = Table::new(vec![
         "processors",
         "block size",
@@ -281,7 +292,8 @@ pub fn e8_undersized(m: usize, n: usize, seed: u64) -> Table {
     ]);
     let mut p = n / 4;
     while p >= 2 {
-        let run = blocked_svd(&a, &BlockedOptions::for_processors(p)).expect("convergence");
+        let opts = BlockedOptions { processors: p, svd: paper_opts() };
+        let run = blocked_svd(&a, &opts).expect("convergence");
         let err = checks::spectrum_distance(&run.svd.sigma, &full.svd.sigma);
         t.row(vec![
             p.to_string(),
@@ -309,7 +321,7 @@ pub fn accuracy_table(seeds: &[u64]) -> Table {
                     1 => generate::graded(24, 16, 1e-6, seed),
                     _ => generate::rank_deficient(24, 16, 10, seed),
                 };
-                let run = HestenesSvd::with_ordering(kind).compute(&a).expect("convergence");
+                let run = paper_solver(kind).compute(&a).expect("convergence");
                 max_res = max_res.max(run.svd.residual(&a));
                 max_orth = max_orth.max(run.svd.orthogonality());
             }

@@ -160,25 +160,33 @@ pub fn blocked_svd(a: &Matrix, opts: &BlockedOptions) -> Result<BlockedRun, SvdE
     if opts.processors == 0 {
         return Err(SvdError::NoProcessors);
     }
-    screened(a, |a| blocked_svd_inner(a, opts), |run| &mut run.svd)
+    let fe = opts.svd.qr_frontend;
+    screened(a, fe, |a, norms| blocked_svd_inner(a, norms, opts), |run| &mut run.svd)
 }
 
-fn blocked_svd_inner(a: &Matrix, opts: &BlockedOptions) -> Result<BlockedRun, SvdError> {
+/// The blocked solve of `a`, whose columns (rows, when it is wide) have
+/// the sums of squares `norms` (read only by the front-end).
+fn blocked_svd_inner(
+    a: &Matrix,
+    norms: &[f64],
+    opts: &BlockedOptions,
+) -> Result<BlockedRun, SvdError> {
     if a.rows() == 0 || a.cols() == 0 {
         return Err(SvdError::EmptyMatrix);
     }
     if a.rows() < a.cols() {
         let at = a.transpose();
-        let mut run = blocked_svd_inner(&at, opts)?;
+        let mut run = blocked_svd_inner(&at, norms, opts)?;
         std::mem::swap(&mut run.svd.u, &mut run.svd.v);
         return Ok(run);
     }
-    if crate::tall::engages(&opts.svd, a.rows(), a.cols()) {
+    if opts.svd.qr_frontend {
         let processors = opts.processors;
         let (mut run, qr_allocs) = crate::tall::solve(
             a,
+            norms,
             &opts.svd,
-            |rt, svd| blocked_svd_inner(rt, &BlockedOptions { processors, svd }),
+            |rt, svd| blocked_svd_inner(rt, &[], &BlockedOptions { processors, svd }),
             |run| &mut run.svd,
         )?;
         run.steady_alloc_events += qr_allocs;

@@ -101,7 +101,9 @@ impl HestenesSvd {
     /// two for the tree orderings); padding contributes exact zero
     /// singular values that are stripped before returning. Inputs with
     /// extreme magnitudes are swept at an exact power-of-two scale (see
-    /// the crate's input screen); `σ` is returned unscaled.
+    /// the crate's input screen); `σ` is returned unscaled. Unless
+    /// [`SvdOptions::qr_frontend`] is off, the sweeps run on the `n×n`
+    /// factor `Rᵀ` of the norm-sorted input (see [`crate::tall`]).
     ///
     /// # Errors
     /// [`SvdError::EmptyMatrix`] for degenerate shapes,
@@ -109,18 +111,20 @@ impl HestenesSvd {
     /// [`SvdError::Ordering`] if no padded size suits the ordering, and
     /// [`SvdError::NoConvergence`] if `max_sweeps` is exhausted.
     pub fn compute(&self, a: &Matrix) -> Result<SvdRun, SvdError> {
-        screened(a, |a| self.compute_screened(a), |run| &mut run.svd)
+        let fe = self.options.qr_frontend;
+        screened(a, fe, |a, norms| self.compute_screened(a, norms), |run| &mut run.svd)
     }
 
-    fn compute_screened(&self, a: &Matrix) -> Result<SvdRun, SvdError> {
+    fn compute_screened(&self, a: &Matrix, norms: &[f64]) -> Result<SvdRun, SvdError> {
         if a.rows() == 0 || a.cols() == 0 {
             return Err(SvdError::EmptyMatrix);
         }
         if a.rows() >= a.cols() {
-            self.compute_tall(a, false)
+            self.compute_tall(a, norms, false)
         } else {
+            // the screen summed A's rows: the columns of Aᵀ
             let at = a.transpose();
-            let mut run = self.compute_tall(&at, true)?;
+            let mut run = self.compute_tall(&at, norms, true)?;
             // A = U Σ Vᵀ with Aᵀ = V Σ Uᵀ: swap the factors back
             std::mem::swap(&mut run.svd.u, &mut run.svd.v);
             Ok(run)
@@ -140,14 +144,22 @@ impl HestenesSvd {
         self.options.ordering.build(pow2).map(|_| pow2)
     }
 
-    fn compute_tall(&self, a: &Matrix, transposed: bool) -> Result<SvdRun, SvdError> {
+    /// The solve of an `m ≥ n` input whose columns have the sums of
+    /// squares `norms` (read only by the front-end).
+    fn compute_tall(
+        &self,
+        a: &Matrix,
+        norms: &[f64],
+        transposed: bool,
+    ) -> Result<SvdRun, SvdError> {
         let (m, n) = a.shape();
         debug_assert!(m >= n);
-        if crate::tall::engages(&self.options, m, n) {
+        if self.options.qr_frontend {
             let (mut run, _) = crate::tall::solve(
                 a,
+                norms,
                 &self.options,
-                |rt, inner| HestenesSvd::new(inner).compute_tall(rt, false),
+                |rt, inner| HestenesSvd::new(inner).compute_tall(rt, &[], false),
                 |run| &mut run.svd,
             )?;
             run.transposed = transposed;
@@ -254,26 +266,29 @@ impl HestenesSvd {
     /// bounded receive times out (an executor bug) — carrying the failing
     /// rank, sweep, step, and message context.
     pub fn compute_distributed(&self, a: &Matrix) -> Result<SvdRun, SvdError> {
-        screened(a, |a| self.compute_distributed_inner(a), |run| &mut run.svd)
+        let fe = self.options.qr_frontend;
+        screened(a, fe, |a, norms| self.compute_distributed_inner(a, norms), |run| &mut run.svd)
     }
 
-    fn compute_distributed_inner(&self, a: &Matrix) -> Result<SvdRun, SvdError> {
+    fn compute_distributed_inner(&self, a: &Matrix, norms: &[f64]) -> Result<SvdRun, SvdError> {
         if a.rows() == 0 || a.cols() == 0 {
             return Err(SvdError::EmptyMatrix);
         }
         if a.rows() < a.cols() {
+            // the screen summed A's rows: the columns of Aᵀ
             let at = a.transpose();
-            let mut run = self.compute_distributed_inner(&at)?;
+            let mut run = self.compute_distributed_inner(&at, norms)?;
             std::mem::swap(&mut run.svd.u, &mut run.svd.v);
             run.transposed = true;
             return Ok(run);
         }
         let (m, n) = a.shape();
-        if crate::tall::engages(&self.options, m, n) {
+        if self.options.qr_frontend {
             let (mut run, _) = crate::tall::solve(
                 a,
+                norms,
                 &self.options,
-                |rt, inner| HestenesSvd::new(inner).compute_distributed_inner(rt),
+                |rt, inner| HestenesSvd::new(inner).compute_distributed_inner(rt, &[]),
                 |run| &mut run.svd,
             )?;
             run.qr_frontend = true;

@@ -24,11 +24,15 @@
 //!
 //! # What runs underneath
 //!
-//! [`HestenesSvd::compute`] distributes the columns over a simulated
-//! tree-connected multiprocessor (`treesvd-sim`), picks one of the paper's
-//! parallel Jacobi orderings (`treesvd-orderings`), and sweeps until a full
-//! sweep applies no rotation and no interchange (§1's termination rule with
-//! the threshold strategy). Per-sweep rotations execute in parallel on real
+//! [`HestenesSvd::compute`] first preconditions the input with the QR
+//! front-end ([`tall`]): it sorts the columns by norm, factors
+//! `A·P = QR`, and hands the small `n×n` factor `Rᵀ` to the paper's
+//! machinery ([`SvdOptions::qr_frontend`] switches this off, and the
+//! paper's experiments do). That machinery distributes the columns over a
+//! simulated tree-connected multiprocessor (`treesvd-sim`), picks one of
+//! the paper's parallel Jacobi orderings (`treesvd-orderings`), and sweeps
+//! until a full sweep applies no rotation and no interchange (§1's
+//! termination rule with the threshold strategy). Per-sweep rotations execute in parallel on real
 //! host cores via a persistent worker pool; the machine model meanwhile accounts simulated
 //! communication time on the configured topology, so the same run yields
 //! both the numerical result and the performance data the experiments

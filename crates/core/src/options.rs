@@ -117,13 +117,14 @@ pub struct SvdOptions {
     pub max_sweeps: usize,
     /// Sorting behaviour (default: descending singular values, §3.2.1).
     pub sort: SortMode,
-    /// Whether to accumulate `V` and produce singular vectors. Turning
-    /// this off roughly halves memory traffic when only `Σ` is needed;
-    /// `U` is still returned (one-sided Jacobi gets it from the converged
-    /// columns) and `V` is the identity placeholder — except when the QR
-    /// front-end engages ([`SvdOptions::qr_frontend`]), whose inner solve
-    /// always accumulates its `V` because that becomes `A`'s `U`: there
-    /// both factors are real with vectors off too.
+    /// Whether to accumulate `V` and produce singular vectors. With the
+    /// QR front-end on (the default, [`SvdOptions::qr_frontend`]) this
+    /// changes nothing: its inner solve always accumulates its `V`,
+    /// because that becomes `A`'s `U`, so both factors are real either
+    /// way. With the front-end off, turning this off roughly halves memory
+    /// traffic when only `Σ` is needed; `U` is still returned (one-sided
+    /// Jacobi gets it from the converged columns) and `V` is the identity
+    /// placeholder.
     pub vectors: bool,
     /// Record the exact off-diagonal measure before the first sweep and
     /// after every sweep (O(n²m) per sweep — instrumentation only).
@@ -131,7 +132,8 @@ pub struct SvdOptions {
     /// Adaptive dispatch cutoff forwarded to the executor
     /// ([`treesvd_sim::ExecConfig::serial_cutoff`]): per-step work (in
     /// data words) below which rotations run serially instead of forking
-    /// host threads.
+    /// host threads. The QR front-end factors an input of fewer words on
+    /// one lane too.
     pub serial_cutoff: usize,
     /// Statically verify the ordering's schedule (ownership safety, pair
     /// coverage, order restoration, deadlock freedom) with
@@ -150,23 +152,17 @@ pub struct SvdOptions {
     /// [`par::num_threads`](treesvd_sim::par::num_threads) (which honors
     /// the `TREESVD_THREADS` environment variable).
     pub threads: Option<usize>,
-    /// Tall-skinny QR front-end: when the aspect ratio `m/n` reaches
-    /// [`SvdOptions::qr_crossover`], factor `A = QR` with the TSQR tree
-    /// ([`treesvd_matrix::qr`]), run the Jacobi driver on the `n×n`
-    /// matrix `Rᵀ = ŨΣṼᵀ` (whose columns start out nearly orthogonal, so
-    /// it takes fewer sweeps than `R`), and return `U = Q·[Ṽ; 0]` —
-    /// back-transformed without ever forming `Q` — and `V = Ũ`. The inner
-    /// solve accumulates `Ṽ` even with [`SvdOptions::vectors`] off, so
-    /// `U` and `V` are both real then. Wide inputs (`m < n`) go through
-    /// the same path on `Aᵀ`. Default `false` (bitwise-identical to the
-    /// pre-front-end drivers).
+    /// The QR front-end (Drmač–Veselić preconditioning, LAPACK
+    /// `DGEJSV`): sort `A`'s columns by decreasing norm, factor
+    /// `A·P = QR` with the TSQR tree ([`treesvd_matrix::qr`]), run the
+    /// Jacobi driver on the `n×n` matrix `Rᵀ = ŨΣṼᵀ` (whose columns start
+    /// out nearly orthogonal, so it takes fewer sweeps than `A`), and
+    /// return `U = Q·[Ṽ; 0]` — back-transformed without ever forming `Q`
+    /// — and `V = P·Ũ`. Wide inputs (`m < n`) go through the same path on
+    /// `Aᵀ`. Default `true`, on every shape; `false` sweeps `A` itself,
+    /// as the paper does (its experiments and the `blocked` benchmark
+    /// measure orderings and executors on `A` that way).
     pub qr_frontend: bool,
-    /// Aspect-ratio crossover for the front-end: engage when
-    /// `m ≥ qr_crossover · n`. The QR stage costs `≈ 2mn²` flops and the
-    /// back-transform `≈ 2mn·k`, versus Jacobi sweeps that stream
-    /// `O(mn·log n)` words per sweep — the break-even sits near 4–8 on
-    /// bandwidth-bound machines, so the default is 8.
-    pub qr_crossover: f64,
     /// Panel width (compact-WY block size) of the front-end's tiled QR.
     pub qr_panel: usize,
     /// Outer cache-level blocking of the blocked driver's meetings.
@@ -188,8 +184,7 @@ impl Default for SvdOptions {
             verify_schedule: false,
             block_kernel: BlockKernel::default(),
             threads: None,
-            qr_frontend: false,
-            qr_crossover: 8.0,
+            qr_frontend: true,
             qr_panel: 32,
             hier: HierBlocking::default(),
         }
@@ -259,16 +254,9 @@ impl SvdOptions {
         self
     }
 
-    /// Enable (or disable) the tall-skinny QR front-end.
+    /// Keep (or switch off) the QR front-end.
     pub fn with_qr_frontend(mut self, enabled: bool) -> Self {
         self.qr_frontend = enabled;
-        self
-    }
-
-    /// Set the front-end's aspect-ratio crossover (engage when
-    /// `m ≥ crossover · n`). Values ≤ 1 engage on every non-wide input.
-    pub fn with_qr_crossover(mut self, crossover: f64) -> Self {
-        self.qr_crossover = crossover;
         self
     }
 
@@ -409,19 +397,15 @@ mod tests {
     #[test]
     fn qr_frontend_defaults_and_builders() {
         let o = SvdOptions::default();
-        assert!(!o.qr_frontend, "front-end must be opt-in");
-        assert_eq!(o.qr_crossover, 8.0);
+        assert!(o.qr_frontend, "every solve is preconditioned by default");
         assert_eq!(o.qr_panel, 32);
         assert_eq!(o.hier, HierBlocking::Auto);
-        let o = o
-            .with_qr_frontend(true)
-            .with_qr_crossover(2.5)
-            .with_qr_panel(0)
-            .with_hier_blocking(HierBlocking::Cols(48));
-        assert!(o.qr_frontend);
-        assert_eq!(o.qr_crossover, 2.5);
+        let o =
+            o.with_qr_frontend(false).with_qr_panel(0).with_hier_blocking(HierBlocking::Cols(48));
+        assert!(!o.qr_frontend);
         assert_eq!(o.qr_panel, 1, "panel width is floored at 1");
         assert_eq!(o.hier, HierBlocking::Cols(48));
+        assert!(o.with_qr_frontend(true).qr_frontend);
     }
 
     #[test]

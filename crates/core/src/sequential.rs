@@ -30,7 +30,7 @@ pub struct SequentialRun {
 /// [`SvdError::EmptyMatrix`], [`SvdError::NonFinite`] or
 /// [`SvdError::NoConvergence`].
 pub fn sequential_svd(a: &Matrix, max_sweeps: usize) -> Result<SequentialRun, SvdError> {
-    screened(a, |a| sweep_to_convergence(a, max_sweeps), |run| &mut run.svd)
+    screened(a, false, |a, _| sweep_to_convergence(a, max_sweeps), |run| &mut run.svd)
 }
 
 fn sweep_to_convergence(a: &Matrix, max_sweeps: usize) -> Result<SequentialRun, SvdError> {

@@ -21,6 +21,12 @@
 
 use crate::ops::{gram3, rotate_fused, rotate_fused_swapped};
 
+/// The `|ζ|` above which a rotation takes the asymptote `t = 1/(2ζ)`
+/// (correct to a relative `O(ζ⁻²) < 10⁻³⁰⁰` there): `f64::MAX.sqrt()` is
+/// ≈ 1.34e154, and 1e150 leaves headroom for the `+ |ζ|` term. Shared by
+/// [`compute_rotation`] and [`crate::soa::rotation_lanes`].
+pub(crate) const ZETA_HUGE: f64 = 1e150;
+
 /// A computed plane rotation `(c, s)` together with the Gram data that
 /// produced it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +74,17 @@ pub struct PairOutcome {
 /// `threshold` implements the paper's threshold strategy (§1, citing
 /// Wilkinson): if `|gamma| <= threshold * sqrt(alpha * beta)` the pair is
 /// declared orthogonal and the identity is returned with `skipped = true`.
+///
+/// Above `|zeta| > 10¹⁵⁰` ([`ZETA_HUGE`]) the asymptote `t = 1/(2·zeta)`
+/// replaces the formula, whose `zeta²` overflows to ∞ near `1.34e154`
+/// and would turn the rotation into a no-op that still counts as one.
+///
+/// `#[inline]`: the drivers in other crates call this once per pair, and
+/// the call to the cold asymptote would otherwise keep it out of line
+/// there (a leaf function, it used to be inlined across crates without
+/// the hint).
 #[must_use]
+#[inline]
 pub fn compute_rotation(alpha: f64, beta: f64, gamma: f64, threshold: f64) -> Rotation {
     // A zero column is orthogonal to everything.
     if alpha == 0.0 || beta == 0.0 {
@@ -79,6 +95,9 @@ pub fn compute_rotation(alpha: f64, beta: f64, gamma: f64, threshold: f64) -> Ro
         return Rotation::IDENTITY;
     }
     let zeta = (beta - alpha) / (2.0 * gamma);
+    if zeta.abs() > ZETA_HUGE {
+        return huge_zeta_rotation(zeta);
+    }
     let t = {
         let denom = zeta.abs() + (1.0 + zeta * zeta).sqrt();
         if zeta >= 0.0 {
@@ -90,6 +109,17 @@ pub fn compute_rotation(alpha: f64, beta: f64, gamma: f64, threshold: f64) -> Ro
     let c = 1.0 / (1.0 + t * t).sqrt();
     let s = c * t;
     Rotation { c, s, skipped: false }
+}
+
+/// The rotation for `|zeta| > ZETA_HUGE`, with the same bits as the SoA
+/// lanes' select; cold and out of line, so the common path's code keeps
+/// one compare-and-branch.
+#[cold]
+#[inline(never)]
+fn huge_zeta_rotation(zeta: f64) -> Rotation {
+    let t = 0.5 / zeta;
+    let c = 1.0 / (1.0 + t * t).sqrt();
+    Rotation { c, s: c * t, skipped: false }
 }
 
 /// Apply equation (1) to a column pair: `a' = c·a − s·b`, `b' = s·a + c·b`.

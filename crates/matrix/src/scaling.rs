@@ -55,6 +55,54 @@ pub fn finite_max_abs(x: &[f64]) -> Option<f64> {
     poison.iter().all(|&p| p == 0.0).then(|| max.iter().fold(0.0_f64, |m, &v| m.max(v)))
 }
 
+/// [`finite_max_abs`] of `x` and `Σxᵢ²` in the same pass.
+#[must_use]
+pub fn finite_max_abs_sumsq(x: &[f64]) -> Option<(f64, f64)> {
+    const LANES: usize = 8;
+    let mut max = [0.0_f64; LANES];
+    let mut poison = [0.0_f64; LANES];
+    let mut sum = [0.0_f64; LANES];
+    let chunks = x.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (((m, p), s), &v) in max.iter_mut().zip(&mut poison).zip(&mut sum).zip(chunk) {
+            let a = v.abs();
+            *m = if a > *m { a } else { *m };
+            *p += v * 0.0;
+            *s += v * v;
+        }
+    }
+    for (((m, p), s), &v) in max.iter_mut().zip(&mut poison).zip(&mut sum).zip(tail) {
+        *m = m.max(v.abs());
+        *p += v * 0.0;
+        *s += v * v;
+    }
+    poison
+        .iter()
+        .all(|&p| p == 0.0)
+        .then(|| (max.iter().fold(0.0_f64, |m, &v| m.max(v)), sum.iter().sum()))
+}
+
+/// [`finite_max_abs`] of `x`, adding each `xᵢ²` to `acc[i]` in the same
+/// pass (called on every column of a matrix, `acc` collects the row sums
+/// of squares).
+///
+/// # Panics
+/// Panics if `acc` is shorter than `x`.
+#[must_use]
+pub fn finite_max_abs_add_squares(x: &[f64], acc: &mut [f64]) -> Option<f64> {
+    let acc = &mut acc[..x.len()];
+    let mut max = 0.0_f64;
+    let mut poison = 0.0_f64;
+    for (s, &v) in acc.iter_mut().zip(x) {
+        let a = v.abs();
+        max = if a > max { a } else { max };
+        poison += v * 0.0;
+        *s += v * v;
+    }
+    (poison == 0.0).then_some(max)
+}
+
 /// `x · 2^k`, exact whenever the result is a normal number. Two factors
 /// keep each power representable for every `|k| ≤ 1074`.
 #[must_use]
@@ -113,6 +161,28 @@ mod tests {
             }
         }
         assert_eq!(finite_max_abs(&[-0.0, -5e-324]), Some(5e-324));
+    }
+
+    #[test]
+    fn fused_sums_of_squares_match_the_plain_pass() {
+        for len in [0, 3, 8, 13, 40] {
+            let mut x: Vec<f64> = (0..len).map(|i| (i as f64 - 7.5) * 0.25).collect();
+            let want_sum: f64 = x.iter().map(|v| v * v).sum();
+            let (max, sum) = finite_max_abs_sumsq(&x).unwrap();
+            assert_eq!(Some(max), finite_max_abs(&x), "len {len}");
+            assert!((sum - want_sum).abs() <= 1e-15 * want_sum, "len {len}");
+            let mut acc = vec![1.0; len + 2];
+            assert_eq!(finite_max_abs_add_squares(&x, &mut acc), finite_max_abs(&x), "len {len}");
+            for (i, (&s, &v)) in acc.iter().zip(&x).enumerate() {
+                assert_eq!(s, 1.0 + v * v, "len {len} row {i}");
+            }
+            assert_eq!(acc[len..], [1.0, 1.0], "entries past x stay untouched");
+            if let Some(last) = x.last_mut() {
+                *last = f64::NAN;
+                assert_eq!(finite_max_abs_sumsq(&x), None, "len {len}");
+                assert_eq!(finite_max_abs_add_squares(&x, &mut acc), None, "len {len}");
+            }
+        }
     }
 
     #[test]

@@ -30,16 +30,12 @@
 //! identical** and the fallback can be forced at runtime
 //! ([`LanePath::Scalar`]) for testing and benchmarking.
 
+use crate::rotation::ZETA_HUGE;
+
 /// Default lane-group width: one AVX-512 register of `f64`s, or two AVX2
 /// registers processed back to back. Problem `i` of a batch lives at lane
 /// `i % LANES` of lane-group `i / LANES`.
 pub const LANES: usize = 8;
-
-/// Magnitude of `ζ = (β − α) / 2γ` beyond which `ζ²` would overflow and
-/// the solve switches to the asymptote `t = 1/(2ζ)` (correct to a relative
-/// error of `O(ζ⁻²) < 10⁻³⁰⁰` there). `f64::MAX.sqrt()` is ≈ 1.34e154;
-/// 1e150 leaves headroom for the `+ |ζ|` term.
-const ZETA_HUGE: f64 = 1e150;
 
 /// Which kernel body executes the lane math.
 ///
@@ -163,7 +159,8 @@ pub fn rotate_lanes_dual<const L: usize>(
 ///
 /// * **threshold skip** — `|γ| ≤ threshold·√α·√β`, or a zero column
 ///   (`α = 0` or `β = 0`): identity rotation, exactly `(c, s) = (1, 0)`;
-/// * **huge ζ** — `|ζ| > 10¹⁵⁰`, where the textbook
+/// * **huge ζ** — `|ζ| > 10¹⁵⁰` ([`ZETA_HUGE`], shared with
+///   [`crate::rotation::compute_rotation`]), where the textbook
 ///   `t = sign(ζ)/(|ζ| + √(1 + ζ²))` would overflow `ζ²` to infinity and
 ///   collapse to `t = 0`: the asymptote `t = 1/(2ζ)` is used instead, so
 ///   the solve never overflows for any finite Gram entries;
@@ -742,6 +739,22 @@ mod tests {
             assert_eq!(rot.c[l], reference.c, "lane {l}");
             assert_eq!(rot.s[l], reference.s, "lane {l}");
             assert_eq!(rot.write[l] != 0, !reference.skipped, "lane {l}");
+        }
+        // past ZETA_HUGE: |ζ| ≈ 5e151 (ζ² still finite) and ≈ 5e155 (ζ²
+        // overflows), of either sign, and one lane just below the switch
+        let alpha = [1.0, 1.0, 1e-290, 1.0];
+        let beta = [1e-290, 1e-290, 1.0, 1e-290];
+        let gamma = [1e-152, 1e-156, -1e-156, 0.5e-150 / 0.99];
+        let rot = rotation_lanes::<L>(&alpha, &beta, &gamma, 1e-12, false, &[u64::MAX; L]);
+        for l in 0..L {
+            let zeta = (beta[l] - alpha[l]) / (2.0 * gamma[l]);
+            assert_eq!(zeta.abs() > ZETA_HUGE, l < 3, "lane {l}: ζ = {zeta:e}");
+            let reference = compute_rotation(alpha[l], beta[l], gamma[l], 1e-12);
+            assert_eq!(rot.c[l].to_bits(), reference.c.to_bits(), "lane {l}");
+            assert_eq!(rot.s[l].to_bits(), reference.s.to_bits(), "lane {l}");
+            assert!(!reference.skipped && reference.s != 0.0, "lane {l}: a no-op rotation");
+            let want = 0.5 / zeta; // t ≈ 1/(2ζ), and c = 1 to working precision
+            assert!((reference.s - want).abs() <= 1e-15 * want.abs(), "lane {l}");
         }
     }
 

@@ -417,7 +417,10 @@ pub(crate) fn rotate_pair(
 /// Decide whether the swapped update (equation (3)) is required: under
 /// [`SortMode::Descending`] the larger-norm column must end up in the slot
 /// holding the smaller index label. Uses the rotation-algebra predicted
-/// norms so the decision is made before touching the column data.
+/// norms so the decision is made before touching the column data. Only a
+/// strictly larger norm on the wrong side swaps: two equal columns (two
+/// zero columns, say) stay put, or they would swap at every meeting and
+/// no sweep would ever be swap-free.
 fn need_swap(
     rot: treesvd_matrix::rotation::Rotation,
     alpha: f64,
@@ -438,9 +441,11 @@ fn need_swap(
                     s * s * alpha + 2.0 * c * s * gamma + c * c * beta,
                 )
             };
-            let larger_on_left_wanted = small_label_on_left;
-            let larger_ends_left = alpha_new >= beta_new;
-            larger_on_left_wanted != larger_ends_left
+            if small_label_on_left {
+                beta_new > alpha_new
+            } else {
+                alpha_new > beta_new
+            }
         }
     }
 }

@@ -2,10 +2,16 @@
 //! (C1–C7 in DESIGN.md) asserted end-to-end.
 
 use treesvd_bench::experiments;
-use treesvd_core::{HestenesSvd, OrderingKind, SvdOptions, TopologyKind};
+use treesvd_bench::experiments::paper_opts;
+use treesvd_core::{HestenesSvd, OrderingKind, TopologyKind};
 use treesvd_matrix::{checks, generate};
 use treesvd_orderings::{HybridOrdering, JacobiOrdering};
 use treesvd_sim::{analyze_program, Machine};
+
+/// The paper's solver: `kind`'s ordering sweeping `A` itself.
+fn paper_solver(kind: OrderingKind) -> HestenesSvd {
+    HestenesSvd::new(paper_opts().with_ordering(kind))
+}
 
 fn comm_report(
     ord: &dyn JacobiOrdering,
@@ -71,8 +77,8 @@ fn c2_order_restoration_difference() {
 fn c3_new_ring_convergence_matches_round_robin() {
     for seed in [1u64, 2, 3, 4] {
         let a = generate::random_uniform(32, 16, seed);
-        let nr = HestenesSvd::with_ordering(OrderingKind::NewRing).compute(&a).unwrap();
-        let rr = HestenesSvd::with_ordering(OrderingKind::RoundRobin).compute(&a).unwrap();
+        let nr = paper_solver(OrderingKind::NewRing).compute(&a).unwrap();
+        let rr = paper_solver(OrderingKind::RoundRobin).compute(&a).unwrap();
         let diff = (nr.sweeps as i64 - rr.sweeps as i64).abs();
         assert!(diff <= 2, "seed {seed}: {} vs {}", nr.sweeps, rr.sweeps);
         assert!(
@@ -89,7 +95,7 @@ fn c4_sorted_singular_values() {
     for kind in OrderingKind::ALL {
         for seed in [5u64, 6] {
             let a = generate::random_uniform(24, 12, seed);
-            let run = HestenesSvd::with_ordering(kind).compute(&a).unwrap();
+            let run = paper_solver(kind).compute(&a).unwrap();
             assert!(
                 checks::is_nonincreasing(&run.svd.sigma),
                 "{kind} seed {seed}: {:?}",
@@ -125,7 +131,7 @@ fn c5_hybrid_contention_freedom() {
 #[test]
 fn c6_quadratic_convergence_tail() {
     let a = generate::random_uniform(48, 24, 9);
-    let run = HestenesSvd::new(SvdOptions::default()).compute(&a).unwrap();
+    let run = HestenesSvd::new(paper_opts()).compute(&a).unwrap();
     let h = run.coupling_history();
     assert!(h.len() >= 4, "{h:?}");
     // find the first sweep with coupling < 1e-2 and check the next sweep
