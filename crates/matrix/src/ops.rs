@@ -202,6 +202,9 @@ pub fn norm2(x: &[f64]) -> f64 {
     if scale == 0.0 || !scale.is_finite() {
         return scale;
     }
+    if scale < f64::MIN_POSITIVE {
+        return norm2_subnormal(x);
+    }
     let inv = 1.0 / scale;
     let mut acc = [0.0f64; UNROLL];
     let xc = x.chunks_exact(UNROLL);
@@ -218,6 +221,25 @@ pub fn norm2(x: &[f64]) -> f64 {
         tail += t * t;
     }
     scale * (sum_unrolled(acc) + tail).sqrt()
+}
+
+/// [`norm2`] of a vector whose largest entry is subnormal, where
+/// `1/scale` can overflow to ∞ (and `0·∞` poison the sum): every entry
+/// is first scaled by `2^1022`, exactly, into the normal range.
+#[cold]
+#[inline(never)]
+fn norm2_subnormal(x: &[f64]) -> f64 {
+    let up = 1.0 / f64::MIN_POSITIVE; // 2^1022
+    let scale = x.iter().fold(0.0_f64, |s, &v| s.max((v * up).abs()));
+    let inv = 1.0 / scale;
+    let sum: f64 = x
+        .iter()
+        .map(|&v| {
+            let t = v * up * inv;
+            t * t
+        })
+        .sum();
+    scale * sum.sqrt() * f64::MIN_POSITIVE
 }
 
 /// `y += alpha * x` (unrolled; no reduction, but the fixed-width blocks
@@ -1329,6 +1351,13 @@ mod tests {
         let n = norm2(&small);
         assert!(n > 0.0);
         assert!((n - 1e-200 * 2.0_f64.sqrt()).abs() / n < 1e-14);
+        // a subnormal largest entry: 1/scale overflows past 2^-1024
+        for tiny in [1e-309, 3e-320, 5e-324] {
+            let x = [tiny, -tiny, 0.0, tiny, tiny];
+            let want = tiny * 2.0;
+            let n = norm2(&x);
+            assert!((n - want).abs() <= 1e-15 * want + 5e-324, "{tiny:e}: {n:e} vs {want:e}");
+        }
     }
 
     #[test]
