@@ -110,6 +110,22 @@ mod tests {
     }
 
     #[test]
+    fn nan_factors_have_nan_residuals() {
+        // a U of nothing but NaN, or of NaN and zeros, must not score as a
+        // perfect factor: norm2's scale skips NaN entries
+        let a = generate::random_uniform(4, 2, 5);
+        let v = Matrix::identity(2, 2).unwrap();
+        let all_nan = Matrix::from_row_major(4, 2, &[f64::NAN; 8]).unwrap();
+        let mut nan_and_zeros = Matrix::zeros(4, 2).unwrap();
+        nan_and_zeros.set(0, 0, f64::NAN);
+        nan_and_zeros.set(1, 1, f64::NAN);
+        for u in [all_nan, nan_and_zeros] {
+            assert!(orthogonality_residual(&u).is_nan(), "{u:?}");
+            assert!(reconstruction_residual(&a, &u, &[2.0, 1.0], &v).is_nan(), "{u:?}");
+        }
+    }
+
+    #[test]
     fn off_measure_zero_for_orthogonal_columns() {
         let m = generate::already_orthogonal(6, 4, 7);
         assert!(off_diagonal_measure(&m) < 1e-12);

@@ -178,6 +178,7 @@ pub fn norm2_sq(x: &[f64]) -> f64 {
 }
 
 /// Euclidean norm with scaling to avoid overflow/underflow on extreme data.
+/// A vector with a NaN entry has norm NaN.
 ///
 /// The scale (the largest magnitude; NaN entries are skipped, as
 /// [`f64::max`] does) is found in [`UNROLL`] independent lanes: a maximum
@@ -200,7 +201,8 @@ pub fn norm2(x: &[f64]) -> f64 {
         scale = scale.max(l);
     }
     if scale == 0.0 || !scale.is_finite() {
-        return scale;
+        // the maximum skipped any NaN; a vector holding one has no norm
+        return if x.iter().any(|v| v.is_nan()) { f64::NAN } else { scale };
     }
     if scale < f64::MIN_POSITIVE {
         return norm2_subnormal(x);
@@ -491,6 +493,44 @@ pub fn rotate_fused(c: f64, s: f64, a: &mut [f64], b: &mut [f64]) -> (f64, f64) 
 pub fn rotate_fused_swapped(c: f64, s: f64, a: &mut [f64], b: &mut [f64]) -> (f64, f64) {
     assert_eq!(a.len(), b.len(), "rotate_fused_swapped: length mismatch");
     rotate_fused_impl::<true>(c, s, a, b)
+}
+
+/// Plane rotation that measures nothing: `a' = c·a − s·b`, `b' = s·a + c·b`
+/// (equation (1)), or with `swap` the interchanged form of equation (3),
+/// `a' = s·a + c·b`, `b' = c·a − s·b`. Every element is
+/// [`crate::rotation::apply_rotation`]'s (or `apply_rotation_swapped`'s)
+/// expression, with separate multiplies and no FMA, so the written bits are
+/// theirs and [`rotate_fused`]'s. The body runs over fixed [`UNROLL`]-wide
+/// chunks, so the swapped form vectorizes lane-wise too.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn rotate(c: f64, s: f64, a: &mut [f64], b: &mut [f64], swap: bool) {
+    assert_eq!(a.len(), b.len(), "rotate: length mismatch");
+    if swap {
+        rotate_impl::<true>(c, s, a, b);
+    } else {
+        rotate_impl::<false>(c, s, a, b);
+    }
+}
+
+#[inline]
+fn rotate_impl<const SWAP: bool>(c: f64, s: f64, a: &mut [f64], b: &mut [f64]) {
+    let (ac, at) = a.as_chunks_mut::<UNROLL>();
+    let (bc, bt) = b.as_chunks_mut::<UNROLL>();
+    for (ca, cb) in ac.iter_mut().zip(bc.iter_mut()) {
+        let (mut xp, mut yp) = ([0.0; UNROLL], [0.0; UNROLL]);
+        for k in 0..UNROLL {
+            xp[k] = c * ca[k] - s * cb[k];
+            yp[k] = s * ca[k] + c * cb[k];
+        }
+        (*ca, *cb) = if SWAP { (yp, xp) } else { (xp, yp) };
+    }
+    for (x, y) in at.iter_mut().zip(bt.iter_mut()) {
+        let (xp, yp) = (c * *x - s * *y, s * *x + c * *y);
+        (*x, *y) = if SWAP { (yp, xp) } else { (xp, yp) };
+    }
 }
 
 /// Row-band height (in elements) of [`panel_update`]: each band of the
@@ -1310,11 +1350,12 @@ mod tests {
     fn norm2_lane_max_is_the_strict_fold() {
         // the scale is a maximum, exact in any order: the lanes must give
         // the strict left-to-right fold's norm bit for bit, NaN entries
-        // skipped in the scale as f64::max skips them
+        // skipped in the scale as f64::max skips them, and NaN out when
+        // any entry is NaN
         fn strict_fold_norm2(x: &[f64]) -> f64 {
             let scale = x.iter().fold(0.0f64, |s, v| s.max(v.abs()));
             if scale == 0.0 || !scale.is_finite() {
-                return scale;
+                return if x.iter().any(|v| v.is_nan()) { f64::NAN } else { scale };
             }
             let inv = 1.0 / scale;
             let mut acc = [0.0f64; UNROLL];
@@ -1338,6 +1379,11 @@ mod tests {
                 let (got, want) = (norm2(&x), strict_fold_norm2(&x));
                 assert_eq!(got.to_bits(), want.to_bits(), "len {len} {poison:?}: {got} vs {want}");
             }
+        }
+        // no scale to find: the NaN is the answer, not 0 or ∞
+        for x in [vec![f64::NAN; 9], vec![f64::NAN, 0.0, -0.0], vec![0.0, f64::NAN, f64::INFINITY]]
+        {
+            assert!(norm2(&x).is_nan(), "{x:?}");
         }
     }
 

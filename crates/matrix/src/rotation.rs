@@ -19,7 +19,7 @@
 //!
 //! so no explicit column interchange is ever performed.
 
-use crate::ops::{gram3, rotate_fused, rotate_fused_swapped};
+use crate::ops::{gram3, rotate};
 
 /// The `|ζ|` above which a rotation takes the asymptote `t = 1/(2ζ)`
 /// (correct to a relative `O(ζ⁻²) < 10⁻³⁰⁰` there): `f64::MAX.sqrt()` is
@@ -56,8 +56,6 @@ pub struct PairOutcome {
     /// Normalized pre-rotation coupling `|a_i·a_j| / (‖a_i‖‖a_j‖)` — the
     /// convergence measure (0 when either column is zero).
     pub coupling: f64,
-    /// Squared norms `(‖a_i‖², ‖a_j‖²)` *after* the update.
-    pub norms_sq_after: (f64, f64),
     /// Whether the swapped form (equation (3)) was used, i.e. the columns
     /// were interchanged as part of the update.
     pub used_swap: bool,
@@ -157,29 +155,6 @@ pub fn apply_rotation_swapped(rot: Rotation, a: &mut [f64], b: &mut [f64]) {
     }
 }
 
-/// Apply a rotation to a column pair in a **single fused pass**, returning
-/// the updated squared norms `(‖a'‖², ‖b'‖²)` measured from the freshly
-/// written values.
-///
-/// This is the hot-path form of [`apply_rotation`] /
-/// [`apply_rotation_swapped`]: instead of rotating (one traversal) and then
-/// re-measuring both norms (two more traversals), the fused kernel in
-/// [`crate::ops`] produces the rotated columns and their exact squared norms
-/// in one sweep over the data. A skipped rotation with `swap = false` still
-/// measures the norms (one fused read-only pass semantically, implemented as
-/// the same kernel with `c = 1, s = 0`).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[must_use]
-pub fn rotate_pair_fused(rot: Rotation, a: &mut [f64], b: &mut [f64], swap: bool) -> (f64, f64) {
-    if swap {
-        rotate_fused_swapped(rot.c, rot.s, a, b)
-    } else {
-        rotate_fused(rot.c, rot.s, a, b)
-    }
-}
-
 /// Orthogonalize a column pair in place, optionally keeping the larger-norm
 /// column on the *left* (first) slot, as required for sorted singular values
 /// (paper §3.2.1).
@@ -189,11 +164,8 @@ pub fn rotate_pair_fused(rot: Rotation, a: &mut [f64], b: &mut [f64], swap: bool
 /// swapped form of the update (equation (3)) is used, so the exchange costs
 /// nothing extra.
 ///
-/// The update itself uses the fused rotate-and-measure kernel
-/// ([`rotate_pair_fused`]), so the reported `norms_sq_after` are the *exact*
-/// squared norms of the written columns, not rotation-algebra estimates —
-/// and the whole pair costs ~2 column traversals (gram + fused apply)
-/// instead of ~5.
+/// The pair costs two column traversals: [`gram3`], then the rotation
+/// kernel [`rotate`], which measures nothing.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -208,8 +180,7 @@ pub fn orthogonalize_pair(
     let coupling =
         if alpha > 0.0 && beta > 0.0 { gamma.abs() / (alpha.sqrt() * beta.sqrt()) } else { 0.0 };
     // Predicted norms after the rotation (rotation algebra); used only to
-    // decide the swap before touching the data. The reported norms come
-    // from the fused kernel, i.e. from the written values themselves.
+    // decide the swap before touching the data.
     let (alpha_pred, beta_pred) = if rot.skipped {
         (alpha, beta)
     } else {
@@ -220,18 +191,10 @@ pub fn orthogonalize_pair(
         )
     };
     let want_swap = sort_descending && beta_pred > alpha_pred;
-    if rot.skipped && !want_swap {
-        // Nothing to write: keep the exact Gram norms without another pass.
-        return PairOutcome {
-            rotation: rot,
-            off: gamma.abs(),
-            coupling,
-            norms_sq_after: (alpha, beta),
-            used_swap: false,
-        };
+    if !rot.skipped || want_swap {
+        rotate(rot.c, rot.s, a, b, want_swap);
     }
-    let norms_sq_after = rotate_pair_fused(rot, a, b, want_swap);
-    PairOutcome { rotation: rot, off: gamma.abs(), coupling, norms_sq_after, used_swap: want_swap }
+    PairOutcome { rotation: rot, off: gamma.abs(), coupling, used_swap: want_swap }
 }
 
 #[cfg(test)]
@@ -317,18 +280,9 @@ mod tests {
         let mut a = vec![0.1, 0.0, 0.0];
         let mut b = vec![0.0, 5.0, 0.1];
         let out = orthogonalize_pair(&mut a, &mut b, 0.0, true);
+        assert!(out.used_swap);
         assert!(norm2_sq(&a) >= norm2_sq(&b));
-        assert!(out.norms_sq_after.0 >= out.norms_sq_after.1);
         assert_close(dot(&a, &b), 0.0, 1e-12);
-    }
-
-    #[test]
-    fn orthogonalize_pair_reports_norms() {
-        let mut a = vec![1.0, 2.0];
-        let mut b = vec![0.5, -1.0];
-        let out = orthogonalize_pair(&mut a, &mut b, 0.0, false);
-        assert_close(out.norms_sq_after.0, norm2_sq(&a), 1e-12);
-        assert_close(out.norms_sq_after.1, norm2_sq(&b), 1e-12);
     }
 
     #[test]
@@ -343,36 +297,35 @@ mod tests {
     }
 
     #[test]
-    fn rotate_pair_fused_matches_apply_then_measure() {
-        let a0 = vec![1.0, -2.0, 0.25, 4.0, -1.5];
-        let b0 = vec![0.5, 1.0, -3.0, 2.0, 0.75];
-        let (alpha, beta, gamma) = gram3(&a0, &b0);
-        let rot = compute_rotation(alpha, beta, gamma, 0.0);
-        for swap in [false, true] {
-            let (mut a1, mut b1) = (a0.clone(), b0.clone());
-            if swap {
-                apply_rotation_swapped(rot, &mut a1, &mut b1);
-            } else {
-                apply_rotation(rot, &mut a1, &mut b1);
+    fn orthogonalize_pair_writes_apply_rotation_bits() {
+        // the written columns are apply_rotation's bits, or
+        // apply_rotation_swapped's when the sort swaps: a rotated pair with
+        // the larger column on either side (11 rows: one 8-wide chunk and a
+        // tail), and an orthogonal pair that only swaps
+        let x = vec![4.0, -2.0, 0.25, 4.0, -1.5, 3.0, 0.5, -2.0, 1.0, -0.0, 2.5];
+        let y = vec![0.5, 1.0, -3.0, 2.0, 0.75, -1.0, 0.0, 1.5, -0.25, 0.0, -1.0];
+        let cases = [(x.clone(), y.clone()), (y, x), (vec![1.0, 0.0, -0.0], vec![0.0, 3.0, 0.0])];
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let mut swaps = 0;
+        for (a0, b0) in cases {
+            for sort in [false, true] {
+                let (alpha, beta, gamma) = gram3(&a0, &b0);
+                let rot = compute_rotation(alpha, beta, gamma, 0.0);
+                let (mut a1, mut b1) = (a0.clone(), b0.clone());
+                let out = orthogonalize_pair(&mut a1, &mut b1, 0.0, sort);
+                let (mut a2, mut b2) = (a0.clone(), b0.clone());
+                if out.used_swap {
+                    apply_rotation_swapped(rot, &mut a2, &mut b2);
+                } else {
+                    apply_rotation(rot, &mut a2, &mut b2);
+                }
+                assert_eq!(out.rotation, rot);
+                assert_eq!(bits(&a1), bits(&a2), "sort={sort}");
+                assert_eq!(bits(&b1), bits(&b2), "sort={sort}");
+                swaps += usize::from(out.used_swap);
             }
-            let (mut a2, mut b2) = (a0.clone(), b0.clone());
-            let (na, nb) = rotate_pair_fused(rot, &mut a2, &mut b2, swap);
-            assert_eq!(a1, a2, "swap={swap}");
-            assert_eq!(b1, b2, "swap={swap}");
-            assert_close(na, norm2_sq(&a2), 1e-13 * na.max(1.0));
-            assert_close(nb, norm2_sq(&b2), 1e-13 * nb.max(1.0));
         }
-    }
-
-    #[test]
-    fn outcome_norms_are_exact_measured_norms() {
-        let mut a = vec![1.0, 2.0, -0.5, 3.0, 0.25, -1.0, 2.0, 0.125, 4.0];
-        let mut b = vec![0.5, -1.0, 2.0, 1.0, -0.25, 0.5, 3.0, -2.0, 0.5];
-        let out = orthogonalize_pair(&mut a, &mut b, 0.0, false);
-        // Fused norms come from the written data, so they match a
-        // re-measurement to rounding of the reduction only.
-        assert_close(out.norms_sq_after.0, norm2_sq(&a), 1e-14 * out.norms_sq_after.0);
-        assert_close(out.norms_sq_after.1, norm2_sq(&b), 1e-14 * out.norms_sq_after.1);
+        assert_eq!(swaps, 2, "the sort swaps the second and third pairs");
     }
 
     #[test]

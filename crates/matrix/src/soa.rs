@@ -729,33 +729,64 @@ mod tests {
 
     #[test]
     fn rotation_lanes_matches_compute_rotation_per_lane() {
-        const L: usize = 4;
-        let alpha = [4.0, 1.0, 0.0, 2.5];
-        let beta = [1.0, 4.0, 3.0, 2.5];
-        let gamma = [0.5, -0.5, 0.0, 1e-18];
-        let rot = rotation_lanes::<L>(&alpha, &beta, &gamma, 1e-12, false, &[u64::MAX; L]);
-        for l in 0..L {
-            let reference = compute_rotation(alpha[l], beta[l], gamma[l], 1e-12);
-            assert_eq!(rot.c[l], reference.c, "lane {l}");
-            assert_eq!(rot.s[l], reference.s, "lane {l}");
-            assert_eq!(rot.write[l] != 0, !reference.skipped, "lane {l}");
-        }
-        // past ZETA_HUGE: |ζ| ≈ 5e151 (ζ² still finite) and ≈ 5e155 (ζ²
-        // overflows), of either sign, and one lane just below the switch
-        let alpha = [1.0, 1.0, 1e-290, 1.0];
-        let beta = [1e-290, 1e-290, 1.0, 1e-290];
-        let gamma = [1e-152, 1e-156, -1e-156, 0.5e-150 / 0.99];
-        let rot = rotation_lanes::<L>(&alpha, &beta, &gamma, 1e-12, false, &[u64::MAX; L]);
+        // the simulated executor reads a group of LANES pairs' rotations
+        // from this solve (write == 0 meaning skipped), so every lane must
+        // carry compute_rotation's bits
+        const L: usize = LANES;
+        let check = |alpha: &[f64; L], beta: &[f64; L], gamma: &[f64; L]| {
+            let rot = rotation_lanes::<L>(alpha, beta, gamma, 1e-12, false, &[u64::MAX; L]);
+            for l in 0..L {
+                let reference = compute_rotation(alpha[l], beta[l], gamma[l], 1e-12);
+                assert_eq!(rot.c[l].to_bits(), reference.c.to_bits(), "lane {l}");
+                assert_eq!(rot.s[l].to_bits(), reference.s.to_bits(), "lane {l}");
+                assert_eq!(rot.write[l] == 0, reference.skipped, "lane {l}");
+            }
+            rot
+        };
+        // |γ| exactly at the threshold skips, one ulp above rotates; γ = −0;
+        // α = β (ζ = 0); a zero α or β
+        let at = 1e-12 * (4.0f64.sqrt() * 9.0f64.sqrt());
+        let rot = check(
+            &[4.0, 4.0, 4.0, 4.0, 2.0, 2.5, 0.0, 3.0],
+            &[9.0, 9.0, 9.0, 1.0, 3.0, 2.5, 3.0, 0.0],
+            &[at, -at, at.next_up(), 0.5, -0.0, 0.7, 0.5, -0.5],
+        );
+        assert_eq!(
+            rot.write.map(|w| w != 0),
+            [false, false, true, true, false, true, false, false]
+        );
+        // subnormal α, with an ordinary and a huge ζ; past ZETA_HUGE:
+        // |ζ| ≈ 5e151 (ζ² still finite) and ≈ 5e155 (ζ² overflows), of
+        // either sign, and one lane just below the switch
+        let alpha = [4e-320, 1e-310, 1.0, 1.0, 1e-290, 1.0, 2.0, 1.0];
+        let beta = [5e-320, 1.0, 1e-290, 1e-290, 1.0, 1e-290, 1.0, 1.0];
+        let gamma = [1e-320, 1e-160, 1e-152, 1e-156, -1e-156, 0.5e-150 / 0.99, 0.3, -0.2];
+        let rot = check(&alpha, &beta, &gamma);
         for l in 0..L {
             let zeta = (beta[l] - alpha[l]) / (2.0 * gamma[l]);
-            assert_eq!(zeta.abs() > ZETA_HUGE, l < 3, "lane {l}: ζ = {zeta:e}");
-            let reference = compute_rotation(alpha[l], beta[l], gamma[l], 1e-12);
-            assert_eq!(rot.c[l].to_bits(), reference.c.to_bits(), "lane {l}");
-            assert_eq!(rot.s[l].to_bits(), reference.s.to_bits(), "lane {l}");
-            assert!(!reference.skipped && reference.s != 0.0, "lane {l}: a no-op rotation");
-            let want = 0.5 / zeta; // t ≈ 1/(2ζ), and c = 1 to working precision
-            assert!((reference.s - want).abs() <= 1e-15 * want.abs(), "lane {l}");
+            assert_eq!(zeta.abs() > ZETA_HUGE, (1..5).contains(&l), "lane {l}: ζ = {zeta:e}");
+            assert!(rot.write[l] != 0 && rot.s[l] != 0.0, "lane {l}: a no-op rotation");
+            if (1..5).contains(&l) {
+                let want = 0.5 / zeta; // t ≈ 1/(2ζ), and c = 1 to working precision
+                assert!((rot.s[l] - want).abs() <= 1e-15 * want.abs(), "lane {l}");
+            }
         }
+        // ζ one or two ulps either side of ZETA_HUGE, of either sign
+        let g0 = 0.5 / ZETA_HUGE;
+        let gamma = [
+            g0.next_down().next_down(),
+            g0.next_down(),
+            g0,
+            g0.next_up(),
+            g0.next_up().next_up(),
+            -g0.next_down(),
+            -g0,
+            -g0.next_up(),
+        ];
+        let zetas = gamma.map(|g| (1.0 - 1e-300) / (2.0 * g));
+        assert!(zetas.iter().any(|z| z.abs() > ZETA_HUGE), "{zetas:?}");
+        assert!(zetas.iter().any(|z| z.abs() <= ZETA_HUGE), "{zetas:?}");
+        check(&[1e-300; L], &[1.0; L], &gamma);
     }
 
     #[test]

@@ -299,6 +299,7 @@ pub fn distributed_svd(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::tests::{slot_bits, tied_columns};
     use crate::exec::{execute_program, ColumnStore, ExecConfig};
     use crate::machine::Machine;
     use treesvd_matrix::generate;
@@ -331,24 +332,38 @@ mod tests {
 
     #[test]
     fn distributed_matches_synchronous_bitwise() {
-        for kind in [OrderingKind::RoundRobin, OrderingKind::FatTree, OrderingKind::NewRing] {
-            let n = 8;
-            let a = generate::random_uniform(12, n, 3);
+        // each rank solves its pair alone with compute_rotation; the
+        // synchronous executor solves a step's pairs in lane groups. 9, 17
+        // and 32 pairs give short and whole groups; the tied input has
+        // equal-norm columns and two zero columns, like padding.
+        let cases = [
+            (OrderingKind::RoundRobin, 8, false, false),
+            (OrderingKind::FatTree, 8, false, false),
+            (OrderingKind::NewRing, 8, false, false),
+            (OrderingKind::RoundRobin, 18, true, true),
+            (OrderingKind::NewRing, 34, false, true),
+            (OrderingKind::FatTree, 64, true, true),
+        ];
+        for (kind, n, tied, accumulate_v) in cases {
+            let a = if tied {
+                treesvd_matrix::Matrix::from_columns(&tied_columns(n + 4, n, 3)).unwrap()
+            } else {
+                generate::random_uniform(n + 4, n, 3)
+            };
             let ord = kind.build(n).unwrap();
             let dist = distributed_svd(
                 ord.as_ref(),
                 a.clone().into_columns(),
-                false,
+                accumulate_v,
                 ExecConfig::default(),
                 40,
             )
             .unwrap();
-            let (ref_slots, ref_layout, ref_sweeps) = reference_run(kind, &a, false, 40);
-            assert_eq!(dist.sweeps, ref_sweeps, "{kind}");
-            assert_eq!(dist.layout, ref_layout, "{kind}");
-            for (s, (d, r)) in dist.slots.iter().zip(ref_slots.iter()).enumerate() {
-                assert_eq!(d.a, r.a, "{kind}: slot {s} differs");
-            }
+            let (ref_slots, ref_layout, ref_sweeps) = reference_run(kind, &a, accumulate_v, 40);
+            let case = format!("{kind} n {n} tied {tied} v {accumulate_v}");
+            assert_eq!(dist.sweeps, ref_sweeps, "{case}");
+            assert_eq!(dist.layout, ref_layout, "{case}");
+            assert!(slot_bits(&dist.slots) == slot_bits(&ref_slots), "{case}: slots differ");
         }
     }
 

@@ -4,19 +4,20 @@
 //! depends on the program and the column length, not on the data, so it
 //! is priced beforehand by [`analyze_program`] and copied into the
 //! sweep's [`SweepStats`]. The per-step buffers (permuted slots and
-//! layout, pair reports) live in a reusable [`ExecScratch`], and the
-//! rotation kernel is the fused rotate-and-measure pass from
-//! `treesvd-matrix`. Steps whose work is below
-//! [`ExecConfig::serial_cutoff`] run serially; larger steps fork across
-//! host cores with [`crate::par::join`].
+//! layout, pair reports) live in a reusable [`ExecScratch`]. A step's
+//! disjoint pairs are solved [`LANES`] at a time: their Gram entries, one
+//! SIMD-lane solve of their rotations ([`rotation_lanes`], bit for bit
+//! [`compute_rotation`]), then one rotation of each pair's `A` and `V`
+//! columns by [`ops::rotate`], which measures nothing. Steps whose work is
+//! below [`ExecConfig::serial_cutoff`] run serially; larger steps fork
+//! across host cores with [`crate::par::join`].
 
 use crate::analyze::{analyze_program, CommReport};
 use crate::machine::Machine;
 use crate::par;
 use treesvd_matrix::ops;
-use treesvd_matrix::rotation::{
-    apply_rotation, apply_rotation_swapped, compute_rotation, orthogonalize_pair, rotate_pair_fused,
-};
+use treesvd_matrix::rotation::{compute_rotation, Rotation};
+use treesvd_matrix::soa::{rotation_lanes, LANES};
 use treesvd_net::PhaseCost;
 use treesvd_orderings::{ColIndex, Program};
 
@@ -354,6 +355,12 @@ struct RotCtx {
 
 /// Rotate the pairs covered by `slots`/`reports` (pair `p` of this chunk is
 /// global pair `base + p`), forking into at most `tasks` leaves.
+///
+/// A leaf takes its pairs in groups of [`LANES`]: the Gram entries of every
+/// pair of the group, then one lane solve of the group's rotations, then
+/// the pairs' updates. Lanes past a short group see zero Gram entries,
+/// which skip. The lanes give [`compute_rotation`]'s bits, so each pair
+/// comes out as [`rotate_pair`] would leave it.
 fn rotate_pairs(
     slots: &mut [SlotData],
     reports: &mut [PairReport],
@@ -373,21 +380,37 @@ fn rotate_pairs(
         );
         return;
     }
-    for (p, (pair, rep)) in slots.chunks_exact_mut(2).zip(reports.iter_mut()).enumerate() {
-        let (left, right) = pair.split_at_mut(1);
-        // sorting rule: the larger-norm column must end in the slot holding
-        // the smaller index label
-        let g = base + p;
-        let small_label_on_left = layout[2 * g] < layout[2 * g + 1];
-        *rep =
-            rotate_pair(&mut left[0], &mut right[0], ctx.threshold, ctx.sort, small_label_on_left);
+    let groups = slots.chunks_mut(2 * LANES).zip(reports.chunks_mut(LANES));
+    for (k, (group, reps)) in groups.enumerate() {
+        let mut gram = [[0.0; LANES]; 3];
+        for (p, pair) in group.chunks_exact(2).enumerate() {
+            (gram[0][p], gram[1][p], gram[2][p]) = ops::gram3(&pair[0].a, &pair[1].a);
+        }
+        let [alpha, beta, gamma] = &gram;
+        let rots = rotation_lanes(alpha, beta, gamma, ctx.threshold, false, &[u64::MAX; LANES]);
+        for (p, (pair, rep)) in group.chunks_exact_mut(2).zip(reps.iter_mut()).enumerate() {
+            let (left, right) = pair.split_at_mut(1);
+            let rot = Rotation { c: rots.c[p], s: rots.s[p], skipped: rots.write[p] == 0 };
+            // sorting rule: the larger-norm column must end in the slot
+            // holding the smaller index label
+            let g = base + k * LANES + p;
+            let small_label_on_left = layout[2 * g] < layout[2 * g + 1];
+            *rep = update_pair(
+                &mut left[0],
+                &mut right[0],
+                rot,
+                (alpha[p], beta[p], gamma[p]),
+                ctx.sort,
+                small_label_on_left,
+            );
+        }
     }
 }
 
-/// Orthogonalize one resident pair, honouring the sorting rule, with the
-/// fused rotate-and-measure kernel (one pass instead of rotate + two norm
-/// re-measurements), then apply the same rotation to the accumulated
-/// right-singular-vector columns when vectors are carried.
+/// Orthogonalize one resident pair, honouring the sorting rule: the Gram
+/// entries, [`compute_rotation`], then [`update_pair`]. The distributed
+/// worker runs this, and it is the per-pair reference for the lane groups
+/// of [`rotate_pairs`].
 pub(crate) fn rotate_pair(
     left: &mut SlotData,
     right: &mut SlotData,
@@ -396,21 +419,31 @@ pub(crate) fn rotate_pair(
     small_label_on_left: bool,
 ) -> PairReport {
     let (alpha, beta, gamma) = ops::gram3(&left.a, &right.a);
+    let rot = compute_rotation(alpha, beta, gamma, threshold);
+    update_pair(left, right, rot, (alpha, beta, gamma), sort, small_label_on_left)
+}
+
+/// Apply a pair's solved rotation (its Gram entries `(α, β, γ)` given):
+/// decide the sorting swap, then rotate the `A` columns and, when vectors
+/// are carried, the `V` columns with [`ops::rotate`], which measures
+/// nothing. A skipped rotation that needs no swap writes nothing.
+fn update_pair(
+    left: &mut SlotData,
+    right: &mut SlotData,
+    rot: Rotation,
+    (alpha, beta, gamma): (f64, f64, f64),
+    sort: SortMode,
+    small_label_on_left: bool,
+) -> PairReport {
     let coupling =
         if alpha > 0.0 && beta > 0.0 { gamma.abs() / (alpha.sqrt() * beta.sqrt()) } else { 0.0 };
-    let rot = compute_rotation(alpha, beta, gamma, threshold);
     let need_swap = need_swap(rot, alpha, beta, gamma, sort, small_label_on_left);
     if rot.skipped && !need_swap {
         return PairReport { rotated: false, swapped: false, coupling };
     }
-    let _ = rotate_pair_fused(rot, &mut left.a, &mut right.a, need_swap);
-    if !left.v.is_empty() {
-        if need_swap {
-            apply_rotation_swapped(rot, &mut left.v, &mut right.v);
-        } else {
-            apply_rotation(rot, &mut left.v, &mut right.v);
-        }
-    }
+    // V is empty when it is not carried
+    ops::rotate(rot.c, rot.s, &mut left.a, &mut right.a, need_swap);
+    ops::rotate(rot.c, rot.s, &mut left.v, &mut right.v, need_swap);
     PairReport { rotated: !rot.skipped, swapped: need_swap, coupling }
 }
 
@@ -422,7 +455,7 @@ pub(crate) fn rotate_pair(
 /// zero columns, say) stay put, or they would swap at every meeting and
 /// no sweep would ever be swap-free.
 fn need_swap(
-    rot: treesvd_matrix::rotation::Rotation,
+    rot: Rotation,
     alpha: f64,
     beta: f64,
     gamma: f64,
@@ -498,22 +531,11 @@ pub fn off_measure_limited(store: &ColumnStore, threads: usize) -> f64 {
     .sqrt()
 }
 
-/// Orthogonalize a free-standing column pair (utility shared with the
-/// sequential reference in `treesvd-core`).
-pub fn orthogonalize_free(
-    a: &mut [f64],
-    b: &mut [f64],
-    threshold: f64,
-    sort_descending: bool,
-) -> treesvd_matrix::rotation::PairOutcome {
-    orthogonalize_pair(a, b, threshold, sort_descending)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use treesvd_net::TopologyKind;
-    use treesvd_orderings::{FatTreeOrdering, JacobiOrdering, RoundRobinOrdering};
+    use treesvd_orderings::{FatTreeOrdering, JacobiOrdering, OrderingKind, RoundRobinOrdering};
 
     fn store_from(m: usize, n: usize, seed: u64, v: bool) -> ColumnStore {
         let mat = treesvd_matrix::generate::random_uniform(m, n, seed);
@@ -676,30 +698,60 @@ mod tests {
         );
     }
 
+    /// Bit patterns of every `A` and `V` entry, slot by slot.
+    pub(crate) fn slot_bits(slots: &[SlotData]) -> Vec<u64> {
+        slots.iter().flat_map(|s| s.a.iter().chain(&s.v)).map(|x| x.to_bits()).collect()
+    }
+
+    /// The columns of an `m × n` uniform input whose columns 1 and 3 tie
+    /// the norms of columns 0 and 2 (a copy and a negated copy) and whose
+    /// last two columns are zero, like padding.
+    pub(crate) fn tied_columns(m: usize, n: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut cols = treesvd_matrix::generate::random_uniform(m, n, seed).into_columns();
+        cols[1] = cols[0].clone();
+        cols[3] = cols[2].iter().map(|x| -x).collect();
+        cols[n - 1].fill(0.0);
+        cols[n - 2].fill(0.0);
+        cols
+    }
+
     #[test]
     fn forked_execution_matches_serial_bitwise() {
-        // the fork tree partitions the same disjoint pairs, so forcing
-        // parallel dispatch must give bit-identical columns to serial.
-        let n = 16;
-        let ord = FatTreeOrdering::new(n).unwrap();
-        let mac = machine(n);
-        let run = |cutoff: usize| -> ColumnStore {
-            let mut store = store_from(20, n, 22, true);
-            let cfg = ExecConfig { serial_cutoff: cutoff, ..ExecConfig::default() };
-            let mut layout = ord.initial_layout();
-            for k in 0..3 {
-                let prog = ord.sweep_program(k, &layout);
-                execute_program(&mac, &prog, &mut store, &cfg);
-                layout = prog.final_layout();
+        // the fork tree partitions the same disjoint pairs, and a leaf's
+        // lane groups solve each pair as the serial groups do, so forcing
+        // parallel dispatch on 2 or 3 lanes must give bit-identical columns
+        // and stats. 9, 17 and 32 pairs: short groups and whole ones.
+        for (n, kind) in [
+            (18, OrderingKind::RoundRobin),
+            (34, OrderingKind::NewRing),
+            (64, OrderingKind::FatTree),
+        ] {
+            let ord = kind.build(n).unwrap();
+            let mac = Machine::with_kind(TopologyKind::PerfectFatTree, (n / 2).next_power_of_two());
+            for tied in [false, true] {
+                let run = |cutoff: usize, threads: usize| {
+                    let mut store = if tied {
+                        ColumnStore::from_columns(tied_columns(n + 4, n, 22), true)
+                    } else {
+                        store_from(n + 4, n, 22, true)
+                    };
+                    let cfg =
+                        ExecConfig { serial_cutoff: cutoff, threads, ..ExecConfig::default() };
+                    let mut layout = ord.initial_layout();
+                    let mut stats = Vec::new();
+                    for k in 0..3 {
+                        let prog = ord.sweep_program(k, &layout);
+                        let st = execute_program(&mac, &prog, &mut store, &cfg);
+                        stats.push((st.rotations, st.skips, st.swaps, st.max_coupling.to_bits()));
+                        layout = prog.final_layout();
+                    }
+                    (slot_bits(&store.slots), store.layout, stats)
+                };
+                let serial = run(usize::MAX, 1);
+                for threads in [2, 3] {
+                    assert!(serial == run(0, threads), "n {n} tied {tied}: {threads} lanes differ");
+                }
             }
-            store
-        };
-        let serial = run(usize::MAX);
-        let forked = run(0);
-        assert_eq!(serial.layout, forked.layout);
-        for (s, f) in serial.slots.iter().zip(forked.slots.iter()) {
-            assert_eq!(s.a, f.a);
-            assert_eq!(s.v, f.v);
         }
     }
 

@@ -15,9 +15,11 @@ cargo build --release --workspace
 echo "== tier-1: cargo test -q =="
 cargo test -q --workspace
 
-echo "== SIMD lanes: treesvd-matrix, blocked-driver and QR front-end tests at the portable and AVX2+FMA tiers =="
+echo "== SIMD lanes: treesvd-matrix, executor, driver, blocked-driver and QR front-end tests at the portable and AVX2+FMA tiers =="
 # .cargo/config.toml builds for the host CPU, so on an AVX-512 host the
 # narrower lanes of the kernels in treesvd-matrix are never compiled.
+# The simulated executor solves each step's rotations in SIMD lanes, which
+# its tests and the driver's compare bit for bit with the per-pair solve.
 # The blocked driver's Gram build and the QR front-end's factor and
 # back-transform run on gemm_tn, whose AVX2 lane sums in four chains, so
 # their results differ by tier and their tests (the front-end's graded-
@@ -28,6 +30,10 @@ if [ "$(uname -m)" = x86_64 ]; then
         echo "-- target-cpu=$cpu"
         RUSTFLAGS="-C target-cpu=$cpu" CARGO_TARGET_DIR="target/lanes-$cpu" \
             cargo test -q --offline --release -p treesvd-matrix
+        RUSTFLAGS="-C target-cpu=$cpu" CARGO_TARGET_DIR="target/lanes-$cpu" \
+            cargo test -q --offline --release -p treesvd-sim
+        RUSTFLAGS="-C target-cpu=$cpu" CARGO_TARGET_DIR="target/lanes-$cpu" \
+            cargo test -q --offline --release -p treesvd-core --lib driver
         RUSTFLAGS="-C target-cpu=$cpu" CARGO_TARGET_DIR="target/lanes-$cpu" \
             cargo test -q --offline --release -p treesvd-core --lib blocked
         RUSTFLAGS="-C target-cpu=$cpu" CARGO_TARGET_DIR="target/lanes-$cpu" \
