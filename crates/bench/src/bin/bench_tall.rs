@@ -19,7 +19,7 @@
 //! The full run also records the QR layer on its own (the `qr` block):
 //! `TsqrQr::factor`, `apply_q` on an `m×n` block, and the back-transform
 //! `q_times` of an `n×n` head on one thread, best of [`QR_REPS`], at
-//! panels 16, 32 and 64 on four shapes, in ms and GF/s.
+//! panels 16, 32 and 64 on four shapes, each in ms and GF/s.
 //!
 //! The smoke run is the regression gate wired into `scripts/verify.sh`:
 //! at `m/n = 128` the front-end must beat direct Jacobi outright, the
@@ -126,9 +126,20 @@ impl QrRecord {
 
     /// Flops of applying `n` reflectors of length `m` to `n` columns,
     /// `4mn² − 2n³`.
-    fn apply_gflops(&self) -> f64 {
+    fn apply_flops(&self) -> f64 {
         let (m, n) = (self.m as f64, self.n as f64);
-        (4.0 * m * n * n - 2.0 * n * n * n) / (self.apply_ms * 1e6)
+        4.0 * m * n * n - 2.0 * n * n * n
+    }
+
+    fn apply_gflops(&self) -> f64 {
+        self.apply_flops() / (self.apply_ms * 1e6)
+    }
+
+    /// `q_times` on `apply_q`'s flop count: it delivers the same product,
+    /// `Q` applied to `n` columns, but skips the zero rows of the padded
+    /// head, so this is its effective rate.
+    fn q_times_gflops(&self) -> f64 {
+        self.apply_flops() / (self.q_times_ms * 1e6)
     }
 }
 
@@ -173,12 +184,13 @@ fn full_run(seed: u64) {
             let q = time_qr(m, n, panel, QR_REPS, seed);
             eprintln!(
                 "qr {m:5}x{n:<3} panel {panel:2}: factor {:7.3} ms ({:5.1} GF/s), \
-                 apply_q {:7.3} ms ({:5.1} GF/s), q_times {:7.3} ms",
+                 apply_q {:7.3} ms ({:5.1} GF/s), q_times {:7.3} ms ({:5.1} GF/s)",
                 q.factor_ms,
                 q.factor_gflops(),
                 q.apply_ms,
                 q.apply_gflops(),
-                q.q_times_ms
+                q.q_times_ms,
+                q.q_times_gflops()
             );
             assert_eq!(q.steady_alloc_events, 0, "QR factor allocated in steady state");
             qr_records.push(q);
@@ -243,7 +255,8 @@ fn full_run(seed: u64) {
         json,
         "    \"unit\": \"ms (best of {QR_REPS}, one thread): TsqrQr::factor, apply_q on an \
          m x n block, and q_times of an n x n head (Q*[head; 0], result allocated per call); \
-         GF/s from 2mn^2 - 2n^3/3 and 4mn^2 - 2n^3 flops\","
+         GF/s from 2mn^2 - 2n^3/3 flops for the factor and 4mn^2 - 2n^3 for apply_q and \
+         q_times (q_times skips the zero rows of the padded head: its rate is effective)\","
     );
     json.push_str("    \"results\": [\n");
     for (i, q) in qr_records.iter().enumerate() {
@@ -252,7 +265,7 @@ fn full_run(seed: u64) {
             json,
             "      {{\"m\": {}, \"n\": {}, \"panel\": {}, \"factor_ms\": {:.3}, \
              \"factor_gflops\": {:.1}, \"apply_q_ms\": {:.3}, \"apply_q_gflops\": {:.1}, \
-             \"q_times_ms\": {:.3}}}{comma}",
+             \"q_times_ms\": {:.3}, \"q_times_gflops\": {:.1}}}{comma}",
             q.m,
             q.n,
             q.panel,
@@ -260,7 +273,8 @@ fn full_run(seed: u64) {
             q.factor_gflops(),
             q.apply_ms,
             q.apply_gflops(),
-            q.q_times_ms
+            q.q_times_ms,
+            q.q_times_gflops()
         );
     }
     json.push_str("    ]\n");

@@ -132,8 +132,8 @@ pub struct SvdOptions {
     /// Adaptive dispatch cutoff forwarded to the executor
     /// ([`treesvd_sim::ExecConfig::serial_cutoff`]): per-step work (in
     /// data words) below which rotations run serially instead of forking
-    /// host threads. The QR front-end factors an input of fewer words on
-    /// one lane too.
+    /// host threads. The QR front-end does not read it: it factors on the
+    /// caller's lanes ([`SvdOptions::threads`]) whatever the input's size.
     pub serial_cutoff: usize,
     /// Statically verify the ordering's schedule (ownership safety, pair
     /// coverage, order restoration, deadlock freedom) with

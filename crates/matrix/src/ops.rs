@@ -667,6 +667,158 @@ pub fn panel_update(x: &mut [f64], y: &mut [f64], m: usize, w: &[f64], tile: &mu
     }
 }
 
+/// One pass of the tall QR's fused narrow-column base case down `K`
+/// columns of equal length, with the previous reflector's tail `v` beside
+/// them (the same rows):
+///
+/// * with `UPDATE`, each row `r` first scales `v[r] *= s`, which gives the
+///   tail its final value, and then applies the reflector to every column:
+///   `cols[k][r] −= c[k]·v[r]`;
+/// * rows `1..` are summed as they are written:
+///   `dots[k] = Σ cols[0][r]·cols[k][r]` and `squares[k] = Σ cols[k][r]²`
+///   (`squares[0]` is `dots[0]`). Row 0 is the next reflector's head, so
+///   it is updated, not summed.
+///
+/// So one read and one write of the block does the work of a scaling
+/// pass, a rank-1 update and the next reflector's norm and dot products.
+/// Each sum runs in [`UNROLL`] lanes (lane `l` takes the rows `≡ 1 + l`
+/// mod [`UNROLL`]) added by the pairwise tree, with separate multiplies
+/// and adds, so every lane path rounds alike.
+///
+/// # Panics
+/// Panics if the columns differ in length, or if `UPDATE` and `v` has
+/// another length.
+pub(crate) fn house_pass<const K: usize, const UPDATE: bool>(
+    v: &mut [f64],
+    s: f64,
+    c: &[f64; K],
+    cols: &mut [&mut [f64]; K],
+) -> ([f64; K], [f64; K]) {
+    let len = cols.first().map_or(0, |col| col.len());
+    assert!(cols.iter().all(|col| col.len() == len), "house_pass: column length mismatch");
+    assert!(!UPDATE || v.len() == len, "house_pass: reflector length mismatch");
+    if len == 0 {
+        return ([0.0; K], [0.0; K]);
+    }
+    if UPDATE {
+        v[0] *= s;
+        for (col, &ck) in cols.iter_mut().zip(c) {
+            col[0] -= ck * v[0];
+        }
+    }
+    let (dots, squares) = house_lanes::<K, UPDATE>(v, s, c, cols);
+    let (dots, mut squares) = (dots.map(sum_unrolled), squares.map(sum_unrolled));
+    squares[0] = dots[0];
+    (dots, squares)
+}
+
+/// The lane sums of [`house_pass`] over rows `1..` (row 0 is done by the
+/// caller): `(dots, squares)`, with `squares[0]` left unsummed.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[inline]
+fn house_lanes<const K: usize, const UPDATE: bool>(
+    v: &mut [f64],
+    s: f64,
+    c: &[f64; K],
+    cols: &mut [&mut [f64]; K],
+) -> ([[f64; UNROLL]; K], [[f64; UNROLL]; K]) {
+    use core::arch::x86_64::*;
+    let len = cols.first().map_or(0, |col| col.len());
+    assert!(
+        cols.iter().all(|col| col.len() == len) && (!UPDATE || v.len() == len),
+        "house_lanes: length mismatch"
+    );
+    let (mut dots, mut squares) = ([[0.0f64; UNROLL]; K], [[0.0f64; UNROLL]; K]);
+    // SAFETY: every column holds `len` rows, and so does `v` when `UPDATE`
+    // (asserted above); each step touches rows `r..r + 8` with
+    // `r ≥ 1`, full steps only while `r + 8 ≤ len` and the last step
+    // masked to the `len − r` rows left, whose masked-off lanes are not
+    // accessed. Stores go to those rows and to the local lane arrays.
+    // AVX-512F is a compile-time target feature.
+    unsafe {
+        let pv = v.as_mut_ptr();
+        let pc: [*mut f64; K] = core::array::from_fn(|k| cols[k].as_mut_ptr());
+        let vs = _mm512_set1_pd(s);
+        let vc: [__m512d; K] = core::array::from_fn(|k| _mm512_set1_pd(c[k]));
+        let mut d = [_mm512_setzero_pd(); K];
+        let mut q = [_mm512_setzero_pd(); K];
+        let mut step = |r: usize, m: u8| {
+            let x = if UPDATE {
+                let x = _mm512_mul_pd(_mm512_maskz_loadu_pd(m, pv.add(r)), vs);
+                _mm512_mask_storeu_pd(pv.add(r), m, x);
+                x
+            } else {
+                _mm512_setzero_pd()
+            };
+            let mut y0 = _mm512_setzero_pd();
+            for k in 0..K {
+                let mut y = _mm512_maskz_loadu_pd(m, pc[k].add(r));
+                if UPDATE {
+                    y = _mm512_sub_pd(y, _mm512_mul_pd(vc[k], x));
+                    _mm512_mask_storeu_pd(pc[k].add(r), m, y);
+                }
+                // lanes past the last row keep their sums untouched
+                if k == 0 {
+                    y0 = y;
+                } else {
+                    q[k] = _mm512_mask_add_pd(q[k], m, q[k], _mm512_mul_pd(y, y));
+                }
+                d[k] = _mm512_mask_add_pd(d[k], m, d[k], _mm512_mul_pd(y0, y));
+            }
+        };
+        let mut r = 1;
+        while r + UNROLL <= len {
+            step(r, u8::MAX);
+            r += UNROLL;
+        }
+        if r < len {
+            step(r, lane_mask(len - r));
+        }
+        for k in 0..K {
+            _mm512_storeu_pd(dots[k].as_mut_ptr(), d[k]);
+            _mm512_storeu_pd(squares[k].as_mut_ptr(), q[k]);
+        }
+    }
+    (dots, squares)
+}
+
+/// Portable lanes of [`house_pass`]: the AVX-512 lane assignment and
+/// operations in scalar code, so the two agree bitwise.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+#[inline]
+fn house_lanes<const K: usize, const UPDATE: bool>(
+    v: &mut [f64],
+    s: f64,
+    c: &[f64; K],
+    cols: &mut [&mut [f64]; K],
+) -> ([[f64; UNROLL]; K], [[f64; UNROLL]; K]) {
+    let len = cols.first().map_or(0, |col| col.len());
+    let (mut dots, mut squares) = ([[0.0f64; UNROLL]; K], [[0.0f64; UNROLL]; K]);
+    for r in 1..len {
+        let l = (r - 1) % UNROLL;
+        let x = if UPDATE {
+            v[r] *= s;
+            v[r]
+        } else {
+            0.0
+        };
+        let mut y0 = 0.0;
+        for k in 0..K {
+            if UPDATE {
+                cols[k][r] -= c[k] * x;
+            }
+            let y = cols[k][r];
+            if k == 0 {
+                y0 = y;
+            } else {
+                squares[k][l] += y * y;
+            }
+            dots[k][l] += y0 * y;
+        }
+    }
+    (dots, squares)
+}
+
 /// Side of the [`gemm_tn`] register tile: up to `TN_TILE × TN_TILE`
 /// outputs accumulate in registers over one pass down the rows, so every
 /// column load feeds `TN_TILE` fused multiply-adds.

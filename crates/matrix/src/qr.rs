@@ -19,10 +19,16 @@
 //!   2000; the shape of LAPACK `DGEQRT3`): a tile `w` columns wide is
 //!   split in two; the left half is factored, its block reflector is
 //!   applied to the right half, the right half is factored below it, and
-//!   the two triangular factors are joined by `T₁₂ = −T₁·(V₁ᵀV₂)·T₂`. A
-//!   one-column tile is one Householder reflector. So `V` and `T` come
-//!   out together, and nearly every flop runs in the register-blocked
-//!   [`ops::gemm_tn`] / [`ops::gemm_acc`] tiles.
+//!   the two triangular factors are joined by `T₁₂ = −T₁·(V₁ᵀV₂)·T₂`. So
+//!   `V` and `T` come out together, and nearly every flop runs in the
+//!   register-blocked [`ops::gemm_tn`] / [`ops::gemm_acc`] tiles.
+//! * **A fused base case**: the recursion ends at `BASE` (four) columns,
+//!   which one routine factors in `w + 1` passes down the block, each one
+//!   `ops::house_pass` that finishes the last reflector's tail, applies
+//!   it, and sums the next reflector's norm and dot products as it goes.
+//!   The sums are unscaled; a column whose sums leave a safe range takes a
+//!   cold step that forms its reflector at a scale, as the one-column
+//!   reflector does.
 //! * **Compact-WY storage**: every tree node is `Q_node = I − V·T·Vᵀ`
 //!   with `V` unit lower trapezoidal and `T` upper triangular. A leaf's
 //!   `V` stays in the working matrix below the panel's diagonal, with its
@@ -41,6 +47,14 @@
 //!   multiplies the heads only — bit for bit what [`TsqrQr::apply_q`]
 //!   computes on the zero-padded matrix.
 //!
+//! The working matrix is `A` copied at a leading dimension of its own
+//! (`work_ld`): `m` rounded up to whole 64-byte lines, plus a line when
+//! that is a whole number of 4 KiB pages, with the first column on a line
+//! boundary. So every column of `V` and of the trailing matrix starts on
+//! a line, and at power-of-two heights the columns no longer map to one
+//! L1 set. The kernels take separate strides for `V` and `C`, since the
+//! matrices `Q` is applied to keep their own.
+//!
 //! The factorization's steady state (the per-panel loop) is
 //! allocation-free after the first panel warms the per-lane scratch
 //! arenas; [`QrStats::steady_alloc_events`] counts violations (zero in
@@ -49,8 +63,9 @@
 //! allocated once per node, except the `m×n` working matrix: a dropped
 //! [`TsqrQr`] leaves it in a one-slot spare of its thread, and the next
 //! `factor` on that thread copies `A` into the spare when its capacity
-//! lies between the `m·n` it needs and twice that; otherwise the spare is
-//! freed and a new buffer allocated. So a steady stream of same-shape
+//! lies between the `ld·n + 7` values it needs (the padded columns, and
+//! room to align the first) and twice that; otherwise the spare is freed
+//! and a new buffer allocated. So a steady stream of same-shape
 //! factorizations allocates no working matrix, and each thread holds at
 //! most one spare, no larger than twice the working matrix of the
 //! factorization that filled it. Reuse also keeps the allocator from
@@ -223,12 +238,38 @@ impl QrScratch {
 pub struct TsqrQr {
     m: usize,
     n: usize,
-    /// The reduced working matrix (`m × n`, column-major): below each
-    /// panel's diagonal it holds the reflectors of the panel's leaves.
+    /// Leading dimension of the working matrix ([`work_ld`] of `m`).
+    ld: usize,
+    /// Offset of the working matrix in `work`: its first column starts on
+    /// a 64-byte boundary.
+    off: usize,
+    /// The buffer of the reduced working matrix (`m × n`, column-major at
+    /// stride `ld` from `off`): below each panel's diagonal it holds the
+    /// reflectors of the panel's leaves.
     work: Vec<f64>,
     panels: Vec<PanelFactor>,
     r: Matrix,
     stats: QrStats,
+}
+
+/// Doubles in a 64-byte cache line, the alignment of the working matrix's
+/// columns.
+const LINE: usize = 8;
+
+/// The leading dimension of the working matrix of an `m`-row factor: `m`
+/// rounded up to whole cache lines, so that every column starts on a line
+/// as the first one does, plus one more line when that makes a whole
+/// number of 4 KiB pages. At such a stride every column starts on the
+/// same L1 set (and on one of a few L2 sets), so the `V` and `C` columns
+/// that a register tile streams together evict one another; the extra
+/// line spreads them over the sets. The padding rows are never read.
+fn work_ld(m: usize) -> usize {
+    let ld = m.next_multiple_of(LINE);
+    if ld.is_multiple_of(512) {
+        ld + LINE
+    } else {
+        ld
+    }
 }
 
 /// One Householder reflector `H = I − τ·v·vᵀ` (`v[0] = 1`) that maps
@@ -266,16 +307,36 @@ fn house_col_subnormal(col: &mut [f64]) -> f64 {
     tau
 }
 
+/// Widest block [`qr_tile`] hands to its fused base case, [`qr_base`]. On
+/// a 4096-row block at stride 8200 (one AVX-512 thread of a 2-vCPU Xeon
+/// guest), four columns take 13 µs against 29 µs for the recursion the base
+/// case replaced. Eight columns were tried: the base case's eight passes
+/// and its Gram product read the block more often than the eight-column
+/// recursion level's tile products do, 56–63 µs against 43 µs for two
+/// four-column base cases joined by that level.
+const BASE: usize = 4;
+
+/// The range of sums of squares [`qr_base`] forms a reflector from as they
+/// are: column norms between `2^−240` and `2^240`. Then no partial sum of
+/// squares or dot product of such columns overflows, and each product
+/// that underflows is off by at most `2^−1075`, less in all than an ulp of
+/// the norms' product (at least `2^−480`) on any column shorter than
+/// `2^500` rows, so the unscaled sums are as accurate as [`house_col`]'s
+/// scaled ones.
+const SUM_MIN: f64 = f64::from_bits((1023 - 480) << 52);
+const SUM_MAX: f64 = f64::from_bits((1023 + 480) << 52);
+
 /// Recursive in-place QR of the `h × w` block whose column `j` is
 /// `a[j·ld..][..h]` (`h ≥ w ≥ 1`). On return the block's upper triangle
 /// holds `R`, its strict lower trapezoid the reflector tails `V` (unit
 /// diagonal implicit), and the upper triangle of `t` (stride `ldt`) the
 /// `T` with `H₀·H₁⋯H_{w−1} = I − V·T·Vᵀ`. `s` is scratch of at least
-/// `⌊w/2⌋·⌈w/2⌉ + ⌈w/2⌉²` values.
+/// `⌊w/2⌋·⌈w/2⌉ + ⌈w/2⌉²` values. Blocks of at most [`BASE`] columns go
+/// to [`qr_base`].
 fn qr_tile(a: &mut [f64], ld: usize, h: usize, w: usize, t: &mut [f64], ldt: usize, s: &mut [f64]) {
     debug_assert!(h >= w && w >= 1);
-    if w == 1 {
-        t[0] = house_col(&mut a[..h]);
+    if w <= BASE {
+        qr_base(a, ld, h, w, t, ldt);
         return;
     }
     let (w1, w2) = (w / 2, w - w / 2);
@@ -305,6 +366,150 @@ fn qr_tile(a: &mut [f64], ld: usize, h: usize, w: usize, t: &mut [f64], ldt: usi
             t[i + ldt * (w1 + c)] = -acc;
         }
     }
+}
+
+/// The fused base case of [`qr_tile`]: the Householder QR of an `h × w`
+/// block of at most [`BASE`] columns, with the same outputs, in `w + 1`
+/// passes of [`ops::house_pass`] down the block instead of one or more per
+/// recursion level and per kernel. Pass `p` scales the tail of reflector
+/// `p − 1`, applies that reflector to columns `p..w`, and sums what forms
+/// reflector `p`: the squared norm of column `p` below its head and its
+/// dot products with the columns to its right. When every sum lies in
+/// [`SUM_MIN`]`..=`[`SUM_MAX`] the reflector is formed from them;
+/// otherwise [`house_cold`] forms it as [`house_col`] does, at a scale,
+/// and takes its dot products again. `T` comes last, from the Gram matrix
+/// of `V`.
+fn qr_base(a: &mut [f64], ld: usize, h: usize, w: usize, t: &mut [f64], ldt: usize) {
+    debug_assert!(h >= w && (1..=BASE).contains(&w));
+    let mut tau = [0.0; BASE];
+    // c[k]: the weight of the last reflector formed in column k, τ·vᵀa_k;
+    // s: the scale its tail is still waiting for
+    let mut c = [0.0; BASE];
+    let mut s = 1.0;
+    for p in 0..=w {
+        // the last column may end at row h, short of a whole stride
+        let (done, rest) = a.split_at_mut((p * ld).min(a.len()));
+        let v = match p.checked_sub(1) {
+            Some(q) => &mut done[q * ld + p..q * ld + h],
+            None => &mut [],
+        };
+        if p > 0 {
+            // the reflector's unit head meets row p − 1
+            for k in p..w {
+                rest[(k - p) * ld + p - 1] -= c[k];
+            }
+        }
+        let (dots, squares) = base_pass(w - p, p > 0, v, s, &c[p..w], rest, ld, p..h);
+        if p == w {
+            break;
+        }
+        let safe = |x: f64| (SUM_MIN..=SUM_MAX).contains(&x);
+        if squares[..w - p].iter().all(|&x| safe(x)) {
+            let alpha = a[p * ld + p];
+            let beta = -alpha.signum() * f64::hypot(alpha, dots[0].sqrt());
+            tau[p] = (beta - alpha) / beta;
+            s = 1.0 / (alpha - beta);
+            for k in p + 1..w {
+                c[k] = tau[p] * (a[k * ld + p] + s * dots[k - p]);
+            }
+            a[p * ld + p] = beta;
+        } else {
+            tau[p] = house_cold(a, ld, h, w, p, &mut c);
+            s = 1.0;
+        }
+    }
+    // T(0..j, j) = −τ_j·T(0..j, 0..j)·Vᵀv_j, with VᵀV from the tails below
+    // row w and then the unit heads above it
+    let mut g = [0.0; BASE * BASE];
+    let g = &mut g[..w * w];
+    ops::gemm_tn(h - w, &a[w..], ld, w, &a[w..], ld, w, g);
+    for j in 0..w {
+        t[j + ldt * j] = tau[j];
+        for i in 0..j {
+            let mut head = a[i * ld + j];
+            for r in j + 1..w {
+                head += a[i * ld + r] * a[j * ld + r];
+            }
+            g[i + w * j] += head;
+        }
+        for i in 0..j {
+            let mut acc = 0.0;
+            for l in i..j {
+                acc += t[i + ldt * l] * g[l + w * j];
+            }
+            t[i + ldt * j] = -tau[j] * acc;
+        }
+    }
+}
+
+/// [`ops::house_pass`] down rows `rows` of the first `k` columns of
+/// `block` (stride `ld`), `update` applying the reflector whose tail is
+/// `v` with the weights `c`; `k = 0` only scales `v`. The sums come back
+/// padded to [`BASE`].
+#[allow(clippy::too_many_arguments)]
+fn base_pass(
+    k: usize,
+    update: bool,
+    v: &mut [f64],
+    s: f64,
+    c: &[f64],
+    block: &mut [f64],
+    ld: usize,
+    rows: std::ops::Range<usize>,
+) -> ([f64; BASE], [f64; BASE]) {
+    fn run<const K: usize>(
+        update: bool,
+        v: &mut [f64],
+        s: f64,
+        c: &[f64],
+        mut block: &mut [f64],
+        ld: usize,
+        rows: std::ops::Range<usize>,
+    ) -> ([f64; BASE], [f64; BASE]) {
+        let c: &[f64; K] = c.try_into().expect("one weight per column");
+        let mut cols: [&mut [f64]; K] = core::array::from_fn(|_| {
+            let n = block.len().min(ld);
+            let (col, rest) = std::mem::take(&mut block).split_at_mut(n);
+            block = rest;
+            &mut col[rows.clone()]
+        });
+        let (dots, squares) = if update {
+            ops::house_pass::<K, true>(v, s, c, &mut cols)
+        } else {
+            ops::house_pass::<K, false>(v, s, c, &mut cols)
+        };
+        let mut out = ([0.0; BASE], [0.0; BASE]);
+        out.0[..K].copy_from_slice(&dots);
+        out.1[..K].copy_from_slice(&squares);
+        out
+    }
+    // one arm per width up to BASE
+    match k {
+        0 => {
+            ops::scal(s, v);
+            ([0.0; BASE], [0.0; BASE])
+        }
+        1 => run::<1>(update, v, s, c, block, ld, rows),
+        2 => run::<2>(update, v, s, c, block, ld, rows),
+        3 => run::<3>(update, v, s, c, block, ld, rows),
+        _ => run::<BASE>(update, v, s, c, block, ld, rows),
+    }
+}
+
+/// Reflector `p` of [`qr_base`] when its sums left the safe range: formed
+/// by [`house_col`], at a scale, and its weight in each column `k` to the
+/// right taken by a dot product with the scaled tail. Returns `τ`.
+#[cold]
+#[inline(never)]
+fn house_cold(a: &mut [f64], ld: usize, h: usize, w: usize, p: usize, c: &mut [f64; BASE]) -> f64 {
+    let (left, right) = a.split_at_mut(((p + 1) * ld).min(a.len()));
+    let v = &mut left[p * ld + p..p * ld + h];
+    let tau = house_col(v);
+    for k in p + 1..w {
+        let col = &right[(k - p - 1) * ld..];
+        c[k] = tau * (col[p] + ops::dot(&v[1..], &col[p + 1..h]));
+    }
+    tau
 }
 
 /// `W = VᵀC` for `k` columns (`W` is `bw × k`, column-major). `V` is
@@ -404,9 +609,9 @@ fn apply_wy(
 }
 
 /// Apply one panel's whole reflector tree to a contiguous column chunk
-/// (`k` columns of length `ld`, panel rows addressed globally inside
+/// (`k` columns at stride `ldc`, panel rows addressed globally inside
 /// each column). The leaves' `V` are read from `vs`, the working matrix,
-/// whose columns have the same length `ld`. `trans = true` is the `Qᵀ`
+/// at its own stride `ldv`. `trans = true` is the `Qᵀ`
 /// direction (leaves, then combines in reduction order); `trans = false`
 /// is `Q` (combines in reverse, then leaves). `zero_tails` promises that
 /// `C` is zero in every leaf's rows below its head when the leaves are
@@ -415,10 +620,11 @@ fn apply_wy(
 fn apply_panel(
     p: &PanelFactor,
     vs: &[f64],
+    ldv: usize,
     trans: bool,
     zero_tails: bool,
     c: &mut [f64],
-    ld: usize,
+    ldc: usize,
     k: usize,
     s: &mut QrScratch,
 ) {
@@ -427,15 +633,15 @@ fn apply_panel(
     let leaves = |c: &mut [f64], s: &mut QrScratch| {
         let (w, vh) = s.w.split_at_mut(bw * k);
         for leaf in &p.leaves {
-            let v = &vs[p.col0 * ld + leaf.row0..];
+            let v = &vs[p.col0 * ldv + leaf.row0..];
             let rows = (leaf.row0, leaf.row0 + bw);
-            apply_wy(v, ld, leaf.rows, bw, &leaf.t, bw, trans, c, ld, rows, zero_tails, k, w, vh);
+            apply_wy(v, ldv, leaf.rows, bw, &leaf.t, bw, trans, c, ldc, rows, zero_tails, k, w, vh);
         }
     };
     let combine = |cb: &Combine, c: &mut [f64], s: &mut QrScratch| {
         let (w, vh) = s.w.split_at_mut(bw * k);
         let rows = (p.leaves[cb.left].row0, p.leaves[cb.right].row0);
-        apply_wy(&cb.v, 2 * bw, 2 * bw, bw, &cb.t, bw, trans, c, ld, rows, false, k, w, vh);
+        apply_wy(&cb.v, 2 * bw, 2 * bw, bw, &cb.t, bw, trans, c, ldc, rows, false, k, w, vh);
     };
     if trans {
         leaves(c, s);
@@ -509,7 +715,7 @@ impl TsqrQr {
     /// route `m < n` through the factorization of `Aᵀ`.
     pub fn factor(a: &Matrix, opts: &QrOptions, join: &dyn Joiner) -> Result<TsqrQr, MatrixError> {
         let (m, n) = a.shape();
-        Self::factor_with(m, n, |work| work.extend_from_slice(a.as_slice()), opts, join)
+        Self::factor_with(m, n, |j| a.col(j), opts, join)
     }
 
     /// Factor `A·P = QR`, where column `k` of `A·P` is column `order[k]`
@@ -532,20 +738,15 @@ impl TsqrQr {
         if order.len() != a.cols() {
             return Err(MatrixError::ShapeMismatch { left: a.shape(), right: (order.len(), 1) });
         }
-        let fill = |work: &mut Vec<f64>| {
-            for &j in order {
-                work.extend_from_slice(a.col(j));
-            }
-        };
-        Self::factor_with(a.rows(), a.cols(), fill, opts, join)
+        Self::factor_with(a.rows(), a.cols(), |k| a.col(order[k]), opts, join)
     }
 
-    /// The factorization of the `m × n` matrix that `fill` appends,
-    /// column-major, to the empty working matrix.
-    fn factor_with(
+    /// The factorization of the `m × n` matrix whose column `j` is
+    /// `col(j)`, copied into the working matrix.
+    fn factor_with<'a>(
         m: usize,
         n: usize,
-        fill: impl FnOnce(&mut Vec<f64>),
+        col: impl Fn(usize) -> &'a [f64],
         opts: &QrOptions,
         join: &dyn Joiner,
     ) -> Result<TsqrQr, MatrixError> {
@@ -554,17 +755,24 @@ impl TsqrQr {
         }
         let lanes = opts.lanes.max(1);
         let mut scratches: Vec<QrScratch> = (0..lanes).map(|_| QrScratch::default()).collect();
-        let need = m * n;
+        let ld = work_ld(m);
+        // room to move the first column onto a cache line
+        let need = ld * n + LINE - 1;
         let spare = SPARE.try_with(Cell::take).unwrap_or_default();
-        let mut work = if (need..=2 * need).contains(&spare.capacity()) {
+        let mut buf = if (need..=2 * need).contains(&spare.capacity()) {
             spare
         } else {
             drop(spare); // free it before the new buffer is taken
             Vec::with_capacity(need)
         };
-        work.clear();
-        fill(&mut work);
-        debug_assert_eq!(work.len(), need);
+        buf.clear();
+        let off = buf.as_ptr().align_offset(LINE * size_of::<f64>());
+        buf.resize(off, 0.0);
+        for j in 0..n {
+            buf.extend_from_slice(col(j));
+            buf.resize(off + (j + 1) * ld, 0.0);
+        }
+        let work = &mut buf[off..];
         let bw_max = opts.panel.clamp(1, n);
         let mut panels: Vec<PanelFactor> = Vec::with_capacity(n.div_ceil(bw_max));
         let mut stats = QrStats::default();
@@ -586,7 +794,7 @@ impl TsqrQr {
             for i in 0..nl {
                 let rows = hbase + usize::from(i < hrem);
                 let mut t = vec![0.0; bw * bw];
-                qr_tile(&mut work[col0 * m + row0..], m, rows, bw, &mut t, bw, &mut s0.s);
+                qr_tile(&mut work[col0 * ld + row0..], ld, rows, bw, &mut t, bw, &mut s0.s);
                 leaves.push(Leaf { row0, rows, t });
                 row0 += rows;
             }
@@ -609,7 +817,7 @@ impl TsqrQr {
                     // stack the two upper-triangular R factors
                     let mut v = vec![0.0; h * bw];
                     for j in 0..bw {
-                        let col = &work[(col0 + j) * m..];
+                        let col = &work[(col0 + j) * ld..];
                         v[j * h..j * h + j + 1].copy_from_slice(&col[rl..rl + j + 1]);
                         v[j * h + bw..j * h + bw + j + 1].copy_from_slice(&col[rr..rr + j + 1]);
                     }
@@ -618,7 +826,7 @@ impl TsqrQr {
                     // the merged R overwrites the left child's; the V head
                     // below its diagonal stays
                     for j in 0..bw {
-                        work[(col0 + j) * m + rl..][..j + 1]
+                        work[(col0 + j) * ld + rl..][..j + 1]
                             .copy_from_slice(&v[j * h..j * h + j + 1]);
                     }
                     combines.push(Combine { left, right, v, t });
@@ -632,12 +840,12 @@ impl TsqrQr {
 
             // ---- trailing update: Qᵀ_panel on columns right of the panel
             //      (parallel over column chunks) ----
-            let (done, trailing) = work.split_at_mut((col0 + bw) * m);
+            let (done, trailing) = work.split_at_mut((col0 + bw) * ld);
             if !trailing.is_empty() {
-                let mut chunks = chunk_columns(trailing, m, lanes);
+                let mut chunks = chunk_columns(trailing, ld, lanes);
                 let (pref, vs) = (&panel, &*done);
                 fan_out(&mut chunks, &mut scratches, lanes, join, &|chunk, s| {
-                    apply_panel(pref, vs, true, false, chunk.cols, m, chunk.k, s);
+                    apply_panel(pref, vs, ld, true, false, chunk.cols, ld, chunk.k, s);
                 });
             }
 
@@ -656,9 +864,9 @@ impl TsqrQr {
         // R = the upper triangle of the reduced working matrix
         let mut r = Matrix::zeros(n, n)?;
         for j in 0..n {
-            r.col_mut(j)[..=j].copy_from_slice(&work[j * m..j * m + j + 1]);
+            r.col_mut(j)[..=j].copy_from_slice(&work[j * ld..j * ld + j + 1]);
         }
-        Ok(TsqrQr { m, n, work, panels, r, stats })
+        Ok(TsqrQr { m, n, ld, off, work: buf, panels, r, stats })
     }
 
     /// Column count of the factored matrix.
@@ -694,16 +902,16 @@ impl TsqrQr {
         let m = self.m;
         let mut scratches: Vec<QrScratch> = (0..lanes).map(|_| QrScratch::default()).collect();
         let mut chunks = chunk_columns(x.as_mut_slice(), m, lanes.min(k));
-        let (panels, vs) = (&self.panels, &self.work[..]);
+        let (panels, vs, ldv) = (&self.panels, &self.work[self.off..], self.ld);
         fan_out(&mut chunks, &mut scratches, lanes, join, &|chunk, s| {
             if trans {
                 for p in panels.iter() {
-                    apply_panel(p, vs, true, false, chunk.cols, m, chunk.k, s);
+                    apply_panel(p, vs, ldv, true, false, chunk.cols, m, chunk.k, s);
                 }
             } else {
                 for (i, p) in panels.iter().rev().enumerate() {
                     let zero_tails = zero_below_n && i == 0;
-                    apply_panel(p, vs, false, zero_tails, chunk.cols, m, chunk.k, s);
+                    apply_panel(p, vs, ldv, false, zero_tails, chunk.cols, m, chunk.k, s);
                 }
             }
         });
@@ -758,6 +966,17 @@ impl Drop for TsqrQr {
 mod tests {
     use super::*;
     use crate::{checks, generate};
+
+    /// `2^e`, exactly, for `−1074 ≤ e ≤ 1023`. `powi` is exact only when
+    /// the compiler folds it: at run time `2f64.powi(-1060)` takes the
+    /// reciprocal of an overflowed `2^1060` and returns 0.
+    fn pow2(e: i32) -> f64 {
+        assert!((-1074..=1023).contains(&e));
+        match u32::try_from(e + 1022) {
+            Ok(biased) => f64::from_bits(u64::from(biased + 1) << 52),
+            Err(_) => f64::from_bits(1 << (e + 1074)),
+        }
+    }
 
     fn factor_opts(panel: usize, leaf_rows: usize) -> QrOptions {
         QrOptions { panel, leaf_rows, lanes: 1 }
@@ -874,8 +1093,8 @@ mod tests {
         // a reflector formed at that scale is orthogonal to about 1e-5,
         // and past 2^-1024 its 1/(α − β) overflows and Q turns to NaN
         let mut a = generate::random_uniform(160, 40, 12);
-        ops::scal(2f64.powi(-1060), a.col_mut(9));
-        ops::scal(2f64.powi(-1070), a.col_mut(33));
+        ops::scal(pow2(-1060), a.col_mut(9));
+        ops::scal(pow2(-1070), a.col_mut(33));
         for leaf_rows in [0, 64] {
             let qr = TsqrQr::factor(&a, &factor_opts(32, leaf_rows), &SerialJoin).unwrap();
             let q = qr.thin_q(&SerialJoin);
@@ -1017,6 +1236,139 @@ mod tests {
             assert_eq!(qr.stats().panels, 3);
             assert!(qr.stats().leaves >= 4, "leaves {}", qr.stats().leaves);
             assert_eq!(qr.stats().steady_alloc_events, 0);
+        }
+    }
+
+    /// The recursion [`qr_base`] replaced below [`BASE`] columns: down to
+    /// one column, then one [`house_col`] reflector. The reference the base
+    /// case is compared against.
+    fn qr_tile_reference(
+        a: &mut [f64],
+        ld: usize,
+        h: usize,
+        w: usize,
+        t: &mut [f64],
+        ldt: usize,
+        s: &mut [f64],
+    ) {
+        if w == 1 {
+            t[0] = house_col(&mut a[..h]);
+            return;
+        }
+        let (w1, w2) = (w / 2, w - w / 2);
+        qr_tile_reference(a, ld, h, w1, t, ldt, s);
+        let (v1, a2) = a.split_at_mut(w1 * ld);
+        let (ws, vh) = s.split_at_mut(w1 * w2);
+        apply_wy(v1, ld, h, w1, t, ldt, true, a2, ld, (0, w1), false, w2, ws, vh);
+        let (a2, t2) = (&mut a[w1 * ld + w1..], &mut t[w1 * ldt + w1..]);
+        qr_tile_reference(a2, ld, h - w1, w2, t2, ldt, s);
+        let (x, vh) = s.split_at_mut(w2 * w1);
+        vt_c(&a[w1 * ld + w1..], ld, h - w1, w2, a, ld, (w1, w), false, w1, x, vh);
+        for c in 0..w2 {
+            let t2c = w1 + ldt * (w1 + c);
+            for i in 0..w1 {
+                t[i + ldt * (w1 + c)] = ops::dot(&x[w2 * i..w2 * i + c + 1], &t[t2c..t2c + c + 1]);
+            }
+            for i in 0..w1 {
+                let acc: f64 = (i..w1).map(|l| t[i + ldt * l] * t[l + ldt * (w1 + c)]).sum();
+                t[i + ldt * (w1 + c)] = -acc;
+            }
+        }
+    }
+
+    #[test]
+    fn base_case_matches_the_recursion_it_replaces() {
+        // blocks of 1..=BASE columns (the base case alone) and wider ones
+        // (the recursion ending in it), at a stride past the block height
+        let (h, ld) = (67, 72);
+        let scaled = |w: usize, seed: u64, scales: &[(usize, f64)]| {
+            let mut a = generate::random_uniform(ld, w, seed).as_slice().to_vec();
+            for &(j, f) in scales {
+                ops::scal(f, &mut a[j * ld..(j + 1) * ld]);
+            }
+            a
+        };
+        let mut cases: Vec<(String, usize, Vec<f64>)> = Vec::new();
+        for w in 1..=11 {
+            cases.push((format!("random w {w}"), w, scaled(w, w as u64, &[])));
+            // graded columns, 2^−100 apart: from the fourth on they leave
+            // the safe range of the unscaled sums, and so does every step
+            // that sums against them
+            let grades: Vec<_> = (0..w).map(|j| (j, pow2(-100 * j as i32))).collect();
+            cases.push((format!("graded w {w}"), w, scaled(w, 50 + w as u64, &grades)));
+        }
+        for w in [2, 4, 7] {
+            // τ = 0: a first column with a zero tail, and a zero column
+            let mut a = scaled(w, 20 + w as u64, &[]);
+            a[1..ld].fill(0.0);
+            a[(w - 1) * ld..w * ld].fill(0.0);
+            cases.push((format!("tau 0 w {w}"), w, a));
+            let big = [(0, 2f64.powi(500)), (w - 1, 2f64.powi(-500))];
+            cases.push((format!("2^±500 w {w}"), w, scaled(w, 30 + w as u64, &big)));
+            // last, since a reflector formed from 14-bit entries is only
+            // that exact, and every later column would carry its error
+            let tiny = [(w - 1, pow2(-1060))];
+            cases.push((format!("subnormal w {w}"), w, scaled(w, 40 + w as u64, &tiny)));
+        }
+        for (case, w, a0) in cases {
+            let norms: Vec<f64> = (0..w).map(|j| ops::norm2(&a0[j * ld..j * ld + h])).collect();
+            let mut s = vec![0.0; w * w];
+            let (mut got, mut want) = (a0.clone(), a0.clone());
+            let (mut t_got, mut t_want) = (vec![0.0; w * w], vec![0.0; w * w]);
+            qr_tile(&mut got, ld, h, w, &mut t_got, w, &mut s);
+            qr_tile_reference(&mut want, ld, h, w, &mut t_want, w, &mut s);
+            for j in 0..w {
+                // R to its column's scale, V and T (of order one) to 1e-12;
+                // a subnormal column carries rounding of 2^−1074 per
+                // operation, its reflector that over its norm
+                let floor = pow2(-1074) * (16 * h) as f64;
+                let (r_tol, v_tol) = (1e-13 * norms[j] + floor, 1e-12 + floor / norms[j]);
+                for i in 0..h {
+                    let (x, y) = (got[j * ld + i], want[j * ld + i]);
+                    let tol = if i <= j { r_tol } else { v_tol };
+                    assert!((x - y).abs() <= tol, "{case}: ({i},{j}) {x:e} vs {y:e}");
+                }
+                for i in 0..w {
+                    let (x, y) = (t_got[i + w * j], t_want[i + w * j]);
+                    assert!((x - y).abs() <= v_tol, "{case}: T({i},{j}) {x:e} vs {y:e}");
+                }
+                // an exactly zero tail keeps τ = 0 exactly
+                if want[j * ld + j + 1..j * ld + h].iter().all(|&x| x == 0.0) {
+                    assert_eq!(t_got[j + w * j], 0.0, "{case}: τ_{j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padded_and_unpadded_heights_keep_the_factor_exact() {
+        // 4096 and 8192 rows fill whole 4 KiB pages per column, so the
+        // working matrix is padded; 4095 rows are rounded up to 4096 and
+        // padded too, and 8200 rows need neither
+        for (m, ld) in [(4096, 4104), (8192, 8200), (4095, 4104), (8200, 8200)] {
+            assert_eq!(work_ld(m), ld, "{m} rows");
+            assert!(!(ld * 8).is_multiple_of(4096), "{m} rows: stride on a page");
+            let a = generate::random_uniform(m, 40, m as u64);
+            let opts = QrOptions { panel: 16, leaf_rows: 0, lanes: 1 };
+            let qr = TsqrQr::factor(&a, &opts, &SerialJoin).unwrap();
+            assert_eq!(qr.ld, ld);
+            assert_eq!(qr.work[qr.off..].as_ptr() as usize % 64, 0, "{m} rows: unaligned");
+            assert_eq!(qr.stats().steady_alloc_events, 0, "{m} rows");
+            assert_qr(&a, &qr, 1e-12);
+            let head = generate::random_uniform(40, 40, m as u64 + 1);
+            let mut padded = Matrix::zeros(m, 40).unwrap();
+            for j in 0..40 {
+                padded.col_mut(j)[..40].copy_from_slice(head.col(j));
+            }
+            qr.apply_q(&mut padded, 1, &SerialJoin);
+            let got = qr.q_times(&head, 1, &SerialJoin);
+            let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&got) == bits(&padded), "{m} rows: q_times ≠ apply_q");
+            // the working matrix goes back to the spare and serves again
+            let ptr = qr.work.as_ptr();
+            drop(qr);
+            let again = TsqrQr::factor(&a, &opts, &SerialJoin).unwrap();
+            assert_eq!(again.work.as_ptr(), ptr, "{m} rows: spare not reused");
         }
     }
 

@@ -50,9 +50,6 @@ impl Rotation {
 pub struct PairOutcome {
     /// The rotation that was applied (identity if skipped).
     pub rotation: Rotation,
-    /// `|a_i · a_j|` before the rotation — the pair's contribution to the
-    /// off-diagonal measure.
-    pub off: f64,
     /// Normalized pre-rotation coupling `|a_i·a_j| / (‖a_i‖‖a_j‖)` — the
     /// convergence measure (0 when either column is zero).
     pub coupling: f64,
@@ -194,7 +191,7 @@ pub fn orthogonalize_pair(
     if !rot.skipped || want_swap {
         rotate(rot.c, rot.s, a, b, want_swap);
     }
-    PairOutcome { rotation: rot, off: gamma.abs(), coupling, used_swap: want_swap }
+    PairOutcome { rotation: rot, coupling, used_swap: want_swap }
 }
 
 #[cfg(test)]
@@ -283,17 +280,6 @@ mod tests {
         assert!(out.used_swap);
         assert!(norm2_sq(&a) >= norm2_sq(&b));
         assert_close(dot(&a, &b), 0.0, 1e-12);
-    }
-
-    #[test]
-    fn outcome_off_is_pre_rotation_coupling() {
-        let a0 = vec![1.0, 1.0];
-        let b0 = vec![1.0, -0.5];
-        let expected = dot(&a0, &b0).abs();
-        let mut a = a0;
-        let mut b = b0;
-        let out = orthogonalize_pair(&mut a, &mut b, 0.0, false);
-        assert_close(out.off, expected, 0.0);
     }
 
     #[test]

@@ -111,6 +111,7 @@ fn recv_fail(rank: usize, sweep: usize, step: u64) -> impl Fn(RecvError) -> Dist
 fn worker(
     comm: &mut Communicator,
     programs: &[Program],
+    max_sweeps: usize,
     mut left: SlotData,
     mut right: SlotData,
     config: ExecConfig,
@@ -124,7 +125,8 @@ fn worker(
     let mut global_step = 0usize;
     let mut warm_allocs = 0u64;
 
-    for (sweep_no, program) in programs.iter().enumerate() {
+    for sweep_no in 0..max_sweeps {
+        let program = &programs[sweep_no % programs.len()];
         let layouts = program.layouts();
         let mut rotations = 0usize;
         let mut swaps = 0usize;
@@ -239,8 +241,10 @@ pub fn distributed_svd(
     assert_eq!(n % 2, 0, "need an even column count");
     let procs = n / 2;
 
-    // programs are precomputed (they are deterministic) and shared read-only
-    let programs: Arc<Vec<Program>> = Arc::new(ordering.programs(max_sweeps));
+    // the layout cycle repeats with the ordering's restore period, so one
+    // period of programs is generated (they are deterministic) and shared
+    // read-only; sweep k runs program k mod period
+    let programs: Arc<Vec<Program>> = Arc::new(ordering.programs(ordering.restore_period().max(1)));
     let mut slots = ColumnStore::from_columns(columns, accumulate_v).slots;
 
     let mut handles = Vec::with_capacity(procs);
@@ -249,7 +253,7 @@ pub fn distributed_svd(
         let right = std::mem::take(&mut slots[2 * rank + 1]);
         let programs = Arc::clone(&programs);
         handles.push(crate::par::spawn_worker(format!("treesvd-rank-{rank}"), move || {
-            worker(&mut comm, &programs, left, right, config, accumulate_v)
+            worker(&mut comm, &programs, max_sweeps, left, right, config, accumulate_v)
         }));
     }
 
@@ -279,11 +283,11 @@ pub fn distributed_svd(
         return Err(e);
     }
 
-    // final layout: replay the programs that actually ran
-    let mut layout: Vec<ColIndex> = (0..n).collect();
-    for program in programs.iter().take(sweeps) {
-        layout = program.final_layout();
-    }
+    // final layout: that of the last program run
+    let layout = match sweeps.checked_sub(1) {
+        Some(last) => programs[last % programs.len()].final_layout(),
+        None => ordering.initial_layout(),
+    };
 
     Ok(DistributedOutcome {
         slots,
@@ -335,7 +339,10 @@ mod tests {
         // each rank solves its pair alone with compute_rotation; the
         // synchronous executor solves a step's pairs in lane groups. 9, 17
         // and 32 pairs give short and whole groups; the tied input has
-        // equal-norm columns and two zero columns, like padding.
+        // equal-norm columns and two zero columns, like padding. The
+        // reference generates every sweep's program; the distributed run
+        // reuses one restore period of them, so every case runs past one
+        // period, and the LLB ordering's programs alternate direction.
         let cases = [
             (OrderingKind::RoundRobin, 8, false, false),
             (OrderingKind::FatTree, 8, false, false),
@@ -343,6 +350,8 @@ mod tests {
             (OrderingKind::RoundRobin, 18, true, true),
             (OrderingKind::NewRing, 34, false, true),
             (OrderingKind::FatTree, 64, true, true),
+            (OrderingKind::Llb, 16, false, true),
+            (OrderingKind::ModifiedRing, 16, true, false),
         ];
         for (kind, n, tied, accumulate_v) in cases {
             let a = if tied {
@@ -361,6 +370,7 @@ mod tests {
             .unwrap();
             let (ref_slots, ref_layout, ref_sweeps) = reference_run(kind, &a, accumulate_v, 40);
             let case = format!("{kind} n {n} tied {tied} v {accumulate_v}");
+            assert!(ref_sweeps > ord.restore_period(), "{case}: {ref_sweeps} sweeps");
             assert_eq!(dist.sweeps, ref_sweeps, "{case}");
             assert_eq!(dist.layout, ref_layout, "{case}");
             assert!(slot_bits(&dist.slots) == slot_bits(&ref_slots), "{case}: slots differ");
