@@ -11,15 +11,22 @@
 //! eight block slots), for both meeting kernels, with and without singular
 //! vectors, and writes median wall-clock seconds plus the derived
 //! Gram-over-pairwise speedups to `BENCH_blocked.json` at the repository
-//! root. The smoke run is the regression gate wired into
+//! root. Beside them it records the Gram kernel's three meeting stages per
+//! call at each width, on the first step's `P` meetings of the same input:
+//! the Gram build (`ops::gram_block`, one meeting), the in-cache lane pass
+//! (`soa::GramLanes`: interleave the `P` meetings' `G`, one pass over all
+//! of them, hand back each `W`) and the panel apply (`ops::panel_update`,
+//! one meeting's `A` panel). The smoke run is the regression gate wired into
 //! `scripts/verify.sh`: at `c = 16` the Gram kernel must not lose to the
 //! pairwise oracle, and the Gram run must be allocation-free after the
 //! first sweep warms its scratch buffers.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 use treesvd_core::{blocked_svd, BlockKernel, BlockedOptions, BlockedRun, SvdOptions};
-use treesvd_matrix::{generate, Matrix};
+use treesvd_matrix::soa::GramLanes;
+use treesvd_matrix::{generate, ops, Matrix};
 
 /// Timed samples per configuration; the median is reported.
 const SAMPLES: usize = 5;
@@ -49,6 +56,79 @@ fn time_blocked(a: &Matrix, opts: &BlockedOptions) -> (f64, BlockedRun) {
     (samples[SAMPLES / 2], last.unwrap())
 }
 
+/// Median microseconds per call of `f`, over [`SAMPLES`] samples of about
+/// 2 ms each.
+fn per_call_us(mut f: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    f();
+    let reps = (2e-3 / t.elapsed().as_secs_f64().max(1e-8)).clamp(1.0, 1e5) as usize;
+    let mut samples = [0.0f64; SAMPLES];
+    for s in &mut samples {
+        let t = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        *s = t.elapsed().as_secs_f64() * 1e6 / reps as f64;
+    }
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples[SAMPLES / 2]
+}
+
+/// Per-call microseconds of the Gram meeting's three stages at block
+/// width `c`, on the meetings of the first step (slot pair `p` holds
+/// columns `2pc..2(p+1)c` of `a`); at this first meeting of random columns
+/// every pair of every union rotates.
+struct Stages {
+    c: usize,
+    gram_block_us: f64,
+    lane_pass_us: f64,
+    panel_update_us: f64,
+}
+
+fn time_stages(a: &Matrix, c: usize, processors: usize) -> Stages {
+    let (m, k) = (a.rows(), 2 * c);
+    let unions: Vec<&[f64]> = a.as_slice().chunks_exact(k * m).take(processors).collect();
+    let gs: Vec<Vec<f64>> = unions
+        .iter()
+        .map(|u| {
+            let (x, y) = u.split_at(c * m);
+            let mut g = vec![0.0; k * k];
+            ops::gram_block(x, y, m, &mut g);
+            g
+        })
+        .collect();
+    let mut g = vec![0.0; k * k];
+    let (x, y) = unions[0].split_at(c * m);
+    let gram_block_us = per_call_us(|| {
+        ops::gram_block(x, y, m, &mut g);
+        black_box(&g);
+    });
+    // the driver's default threshold, n_pad·ε
+    let threshold = (a.cols() as f64) * f64::EPSILON;
+    let mut lanes = GramLanes::default();
+    let mut w = vec![0.0; k * k];
+    let lane_pass_us = per_call_us(|| {
+        lanes.reset(k, processors);
+        for (lane, g) in gs.iter().enumerate() {
+            lanes.load(lane, g);
+        }
+        black_box(lanes.pass(threshold, true));
+        for lane in 0..processors {
+            lanes.w_into(lane, &mut w);
+        }
+        black_box(&w);
+    });
+    let mut panel = unions[0].to_vec();
+    let mut tile = vec![0.0; k * ops::PANEL_TILE];
+    lanes.w_into(0, &mut w);
+    let panel_update_us = per_call_us(|| {
+        let (x, y) = panel.split_at_mut(c * m);
+        ops::panel_update(x, y, m, &w, &mut tile);
+        black_box(&panel);
+    });
+    Stages { c, gram_block_us, lane_pass_us, panel_update_us }
+}
+
 struct Record {
     kernel: BlockKernel,
     vectors: bool,
@@ -70,10 +150,18 @@ fn full_run(seed: u64) {
     const PROCESSORS: usize = 4; // 8 block slots, n = 8c
     let block_widths = [4usize, 8, 16, 32];
     let mut records = Vec::new();
+    let mut stages = Vec::new();
 
     for &c in &block_widths {
         let n = 2 * PROCESSORS * c;
         let a = generate::random_uniform(M, n, seed);
+        let st = time_stages(&a, c, PROCESSORS);
+        eprintln!(
+            "c={c:2} stages per call: gram_block {:.2} us, lane pass ({PROCESSORS} meetings) \
+             {:.2} us, panel_update {:.2} us",
+            st.gram_block_us, st.lane_pass_us, st.panel_update_us
+        );
+        stages.push(st);
         for vectors in [true, false] {
             for kernel in [BlockKernel::Pairwise, BlockKernel::Gram] {
                 let (seconds, run) = time_blocked(&a, &opts_for(kernel, vectors, PROCESSORS));
@@ -104,6 +192,23 @@ fn full_run(seed: u64) {
             "    {{\"kernel\": \"{}\", \"vectors\": {}, \"c\": {}, \
              \"seconds\": {:.6}, \"sweeps\": {}}}{comma}",
             r.kernel, r.vectors, r.c, r.seconds, r.sweeps
+        );
+    }
+    json.push_str("  ],\n");
+    json.push_str(
+        "  \"stages_unit\": \"microseconds per call (median): gram_block and panel_update \
+         on one meeting's A panel, the lane pass over the first step's meetings \
+         (every pair rotates)\",\n",
+    );
+    let _ = writeln!(json, "  \"meetings_per_lane_pass\": {PROCESSORS},");
+    json.push_str("  \"stages\": [\n");
+    for (i, st) in stages.iter().enumerate() {
+        let comma = if i + 1 < stages.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{\"c\": {}, \"gram_block_us\": {:.2}, \"lane_pass_us\": {:.2}, \
+             \"panel_update_us\": {:.2}}}{comma}",
+            st.c, st.gram_block_us, st.lane_pass_us, st.panel_update_us
         );
     }
     json.push_str("  ],\n");

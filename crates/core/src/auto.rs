@@ -2,7 +2,7 @@
 //! dispatch entry — the production default path.
 //!
 //! The tuner ([`treesvd_tune`]) selects a full execution config (driver,
-//! ordering, kernel, block width, threads, hierarchical blocking) by
+//! ordering, kernel, block width, threads) by
 //! minimizing the calibrated cost model, pricing every candidate on the
 //! `n×n` factor the QR front-end sweeps plus the front-end's own toll:
 //! the front-end is not a choice, every auto run takes it. This
@@ -15,7 +15,7 @@
 
 use crate::blocked::{blocked_svd, BlockedOptions, BlockedRun};
 use crate::driver::HestenesSvd;
-use crate::options::{BlockKernel, HierBlocking, SvdError, SvdOptions};
+use crate::options::{BlockKernel, SvdError, SvdOptions};
 use crate::result::Svd;
 use treesvd_matrix::Matrix;
 use treesvd_tune::{plan_for, DriverSel, KernelSel, TunePlan, TuneProblem};
@@ -53,11 +53,6 @@ pub fn options_from_plan(plan: &TunePlan, problem: &TuneProblem) -> SvdOptions {
             KernelSel::Gram => BlockKernel::Gram,
         })
         .with_threads(Some(plan.threads as usize))
-        .with_hier_blocking(if plan.hier_cols == 0 {
-            HierBlocking::Auto
-        } else {
-            HierBlocking::Cols(plan.hier_cols as usize)
-        })
 }
 
 /// Result of an auto-tuned run: the decomposition plus the plan that

@@ -176,7 +176,6 @@ mod tests {
             kernel: KernelSel::Gram,
             block_cols: 1,
             threads: 4,
-            hier_cols: 0,
             predicted_ns: 1.0,
         }
     }

@@ -3,8 +3,9 @@
 //! Given a problem statement `(m, n, P, topology)` — plus the
 //! compile-time architecture — select the full execution config: driver
 //! (simulated / blocked / distributed), Jacobi ordering, block kernel,
-//! block width `c`, thread count, and hierarchical-blocking width, priced
-//! on the `n×n` factor the QR front-end hands every driver. Selection minimizes the
+//! block width `c` and thread count, priced on the `n×n` factor the QR
+//! front-end hands every driver (hierarchical blocking is left to the
+//! blocked driver's own cache-size rule). Selection minimizes the
 //! calibrated [`treesvd_net::CostModel`] extended with per-phase compute
 //! terms; see [`model`] for the procedure and [`calib`] for where the
 //! constants come from (compiled-in constants refined by one-shot

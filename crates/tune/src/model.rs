@@ -279,7 +279,6 @@ pub fn compute_plan(problem: &TuneProblem, cal: &Calibration) -> TunePlan {
         kernel: best.kernel,
         block_cols: best.block_cols,
         threads: best.threads.min(host).max(1),
-        hier_cols: 0,
         predicted_ns: best.total_ns + frontend_toll_ns(&cm, mm, nn),
     }
 }

@@ -115,8 +115,6 @@ pub struct TunePlan {
     pub block_cols: u16,
     /// Worker-thread budget the plan prices.
     pub threads: u16,
-    /// Hierarchical-blocking width; `0` = probe-driven `Auto`.
-    pub hier_cols: u32,
     /// The model's predicted wall time (ns) for the planned config —
     /// transparency, not a promise.
     pub predicted_ns: f64,
