@@ -8,18 +8,22 @@
 //!
 //! The full run times `blocked_svd` (Gram kernel, `P = 4`, vectors on) on
 //! extreme-aspect matrices twice per shape: directly, and with the
-//! tall-skinny QR front-end engaged (`A = QR`, Jacobi sweeps on the `n×n`
-//! matrix `Rᵀ = ŨΣṼᵀ`, `U ← Q·[Ṽ; 0]`). Direct Jacobi pays `O(m·n²)` per
-//! sweep on the full column height; the front-end pays the `O(m·n²)`
-//! factorization once and then sweeps on `n`-row columns, so the gap
-//! widens with `m/n` and with the sweep count. Median wall-clock seconds,
-//! the sweep counts (the front-end's are sweeps of `Rᵀ`) and the derived
-//! speedups go to `BENCH_tall.json` at the repository root.
+//! tall-skinny QR front-end engaged (`A·P = QR`, `Rᵀ = Q₂R₂`, Jacobi
+//! sweeps on the `n×n` matrix `R₂ᵀ = Ũ₂ΣṼ₂ᵀ`, `U ← Q·[Ũ₂; 0]`). Direct
+//! Jacobi pays `O(m·n²)` per sweep on the full column height; the
+//! front-end pays the `O(m·n²)` factorization once and then sweeps on
+//! `n`-row columns, so the gap widens with `m/n` and with the sweep count.
+//! Median wall-clock seconds, the sweep counts (the front-end's are sweeps
+//! of `R₂ᵀ`) and the derived speedups go to `BENCH_tall.json` at the
+//! repository root.
 //!
 //! The full run also records the QR layer on its own (the `qr` block):
 //! `TsqrQr::factor`, `apply_q` on an `m×n` block, and the back-transform
 //! `q_times` of an `n×n` head on one thread, best of [`QR_REPS`], at
-//! panels 16, 32 and 64 on four shapes, each in ms and GF/s.
+//! panels 16, 32 and 64, each in ms and GF/s. Four tall shapes stand for
+//! the front-end's first factorization, `A·P = QR`, and three square ones
+//! (n = 64, 128, 256) for its second, `Rᵀ = Q₂R₂`, and the back-transform
+//! `Q₂·Ṽ₂`; each row names its `layer`.
 //!
 //! The smoke run is the regression gate wired into `scripts/verify.sh`:
 //! at `m/n = 128` the front-end must beat direct Jacobi outright, the
@@ -101,8 +105,21 @@ fn run_shape(m: usize, n: usize, samples: usize, seed: u64) -> Record {
 const QR_PANELS: [usize; 3] = [16, 32, 64];
 
 /// Shapes of the QR-layer table: the `tall` workload's 8192×64, then a
-/// short, a tall and a wide-panel shape.
-const QR_SHAPES: [(usize, usize); 4] = [(8192, 64), (512, 128), (16384, 128), (2048, 256)];
+/// short, a tall and a wide-panel shape (the front-end's first
+/// factorization, `A·P = QR`), then the `n×n` inputs of its second,
+/// `Rᵀ = Q₂R₂`, at n = 64, 128 and 256.
+const QR_SHAPES: [(usize, usize); 7] =
+    [(8192, 64), (512, 128), (16384, 128), (2048, 256), (64, 64), (128, 128), (256, 256)];
+
+/// The front-end's factorization a QR-layer shape stands for: the second
+/// one factors the `n×n` `Rᵀ`.
+fn qr_layer(m: usize, n: usize) -> &'static str {
+    if m == n {
+        "second: R^T = Q2 R2"
+    } else {
+        "first: A P = Q R"
+    }
+}
 
 /// Timed repetitions per QR-layer entry; the best one is recorded.
 const QR_REPS: usize = 15;
@@ -256,16 +273,19 @@ fn full_run(seed: u64) {
         "    \"unit\": \"ms (best of {QR_REPS}, one thread): TsqrQr::factor, apply_q on an \
          m x n block, and q_times of an n x n head (Q*[head; 0], result allocated per call); \
          GF/s from 2mn^2 - 2n^3/3 flops for the factor and 4mn^2 - 2n^3 for apply_q and \
-         q_times (q_times skips the zero rows of the padded head: its rate is effective)\","
+         q_times (q_times skips the zero rows of the padded head: its rate is effective); \
+         layer names the front-end factorization a shape stands for, the first of A or the \
+         second, of the n x n R^T\","
     );
     json.push_str("    \"results\": [\n");
     for (i, q) in qr_records.iter().enumerate() {
         let comma = if i + 1 < qr_records.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "      {{\"m\": {}, \"n\": {}, \"panel\": {}, \"factor_ms\": {:.3}, \
-             \"factor_gflops\": {:.1}, \"apply_q_ms\": {:.3}, \"apply_q_gflops\": {:.1}, \
-             \"q_times_ms\": {:.3}, \"q_times_gflops\": {:.1}}}{comma}",
+            "      {{\"layer\": \"{}\", \"m\": {}, \"n\": {}, \"panel\": {}, \
+             \"factor_ms\": {:.3}, \"factor_gflops\": {:.1}, \"apply_q_ms\": {:.3}, \
+             \"apply_q_gflops\": {:.1}, \"q_times_ms\": {:.3}, \"q_times_gflops\": {:.1}}}{comma}",
+            qr_layer(q.m, q.n),
             q.m,
             q.n,
             q.panel,

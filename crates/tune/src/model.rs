@@ -2,8 +2,8 @@
 //! the calibrated cost model and keep the cheapest.
 //!
 //! Every solve runs the QR front-end, so the model prices three driver
-//! families on the `n×n` factor `Rᵀ` the sweeps run on, in nanoseconds,
-//! and adds the front-end's own toll:
+//! families on the `n×n` factor `R₂ᵀ` the sweeps run on (`A·P = QR`, then
+//! `Rᵀ = Q₂R₂`), in nanoseconds, and adds the front-end's own toll:
 //!
 //! * **blocked** — `2p` block columns of width `c`; each step runs `p`
 //!   meetings priced by
@@ -60,7 +60,7 @@ fn est_sweeps(n: usize) -> f64 {
 }
 
 /// Per-pair rotation compute: the streamed A-rotation plus the V-row
-/// update (the inner solve on `Rᵀ` always accumulates its `V`).
+/// update (the inner solve on `R₂ᵀ` always accumulates its `V`).
 fn pair_compute_ns(cm: &CostModel, me: usize, ne: usize) -> f64 {
     cm.rotation_cost(me) + cm.gamma * (8 * ne) as f64
 }
@@ -208,12 +208,14 @@ fn blocked_ordering(n_super: usize) -> OrderingKind {
 }
 
 /// The QR front-end's toll on an `m × n` input: the `2mn²` flops of the
-/// factorization plus the `2mn²` of the back-transform `U ← Q·[Ṽ; 0]`
-/// (which runs whether or not the caller wants vectors, since one-sided
-/// Jacobi always returns `U`), at the panel rate with 1.5× for the TSQR
-/// tree's reduction overhead.
+/// factorization `A·P = QR` plus the `2mn²` of the back-transform
+/// `U ← Q·[Ũ₂; 0]` (which runs whether or not the caller wants vectors,
+/// since one-sided Jacobi always returns `U`), and the same pair for the
+/// `n×n` second factorization `Rᵀ = Q₂R₂` and its back-transform
+/// `Q₂·Ṽ₂`: `4n²·(m + n)` flops at the panel rate, with 1.5× for the
+/// TSQR tree's reduction overhead.
 fn frontend_toll_ns(cm: &CostModel, m: usize, n: usize) -> f64 {
-    4.0 * (m * n * n) as f64 * cm.gamma_panel * 1.5
+    4.0 * (n * n * (m + n)) as f64 * cm.gamma_panel * 1.5
 }
 
 /// Run the full decision procedure (the cold path behind
@@ -225,8 +227,8 @@ pub fn compute_plan(problem: &TuneProblem, cal: &Calibration) -> TunePlan {
     let (mm, nn) = (mm.max(1), nn.max(1));
     let p = problem.processors.max(1);
 
-    // 1) The QR front-end: the sweeps run on the n×n factor Rᵀ, and its
-    //    inner solve always accumulates Ṽ (it becomes A's U)
+    // 1) The QR front-end: the sweeps run on the n×n factor R₂ᵀ, and its
+    //    inner solve always accumulates Ṽ₂ (Q₂·Ṽ₂ becomes A's V)
     let (me, ne) = (nn, nn);
     let ne_pad = ne + ne % 2;
 
