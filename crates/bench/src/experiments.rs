@@ -22,7 +22,7 @@ pub const COMM_ORDERINGS: [OrderingKind; 5] = [
 
 /// The paper's configuration: the QR front-end off, so the sweeps run on
 /// `A` itself. Every experiment here measures an ordering or an executor
-/// on `A`; behind the front-end they would measure it on `Rᵀ`.
+/// on `A`; behind the front-end they would measure it on `R₂ᵀ`.
 #[must_use]
 pub fn paper_opts() -> SvdOptions {
     SvdOptions::default().with_qr_frontend(false)

@@ -40,9 +40,10 @@ block kernels (with --processors): pairwise | gram   (default: gram)
 --threads N caps the host worker lanes (default: machine parallelism,
             or the TREESVD_THREADS environment variable)
 --no-qr-frontend sweeps A itself, as the paper does. By default every
-            solve sorts A's columns by norm, factors A·P = QR with the
-            TSQR tree, sweeps the small n×n factor Rᵀ, and
-            back-transforms U through the tree (never forming Q)
+            solve sorts A's columns by norm, factors A·P = QR and then
+            Rᵀ = Q₂R₂ with the TSQR tree, sweeps the small n×n factor
+            R₂ᵀ, and back-transforms U and V through the trees (never
+            forming Q)
 --hier-block auto|off|W controls cache-level blocking of the blocked
             driver's meetings: auto (default) probes L2 (TREESVD_L2
             override honored), off is flat, W splits unions wider than

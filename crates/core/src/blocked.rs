@@ -103,7 +103,7 @@ pub struct BlockedRun {
     /// pipeline.
     pub steady_alloc_events: u64,
     /// Whether the tall-skinny QR front-end engaged (the sweeps ran on
-    /// the `n×n` matrix `Rᵀ`; see [`SvdOptions::qr_frontend`]).
+    /// the `n×n` matrix `R₂ᵀ`; see [`SvdOptions::qr_frontend`]).
     pub qr_frontend: bool,
 }
 

@@ -58,8 +58,8 @@ pub struct SvdRun {
     pub off_history: Vec<f64>,
     /// Whether the tall-skinny QR front-end engaged: the sweeps (and
     /// `sweep_stats`, `simulated_time`, `off_history`) ran on the `n×n`
-    /// matrix `Rᵀ`, and `U` was back-transformed through `Q` (see
-    /// [`SvdOptions::qr_frontend`]).
+    /// matrix `R₂ᵀ`, and `U` and `V` were back-transformed through `Q`
+    /// and `Q₂` (see [`SvdOptions::qr_frontend`]).
     pub qr_frontend: bool,
 }
 
@@ -103,7 +103,8 @@ impl HestenesSvd {
     /// extreme magnitudes are swept at an exact power-of-two scale (see
     /// the crate's input screen); `σ` is returned unscaled. Unless
     /// [`SvdOptions::qr_frontend`] is off, the sweeps run on the `n×n`
-    /// factor `Rᵀ` of the norm-sorted input (see [`crate::tall`]).
+    /// factor `R₂ᵀ` of `Rᵀ = Q₂R₂`, where `R` is the triangular factor of
+    /// the norm-sorted input (see [`crate::tall`]).
     ///
     /// # Errors
     /// [`SvdError::EmptyMatrix`] for degenerate shapes,

@@ -26,8 +26,8 @@
 //!
 //! [`HestenesSvd::compute`] first preconditions the input with the QR
 //! front-end ([`tall`]): it sorts the columns by norm, factors
-//! `A·P = QR`, and hands the small `n×n` factor `Rᵀ` to the paper's
-//! machinery ([`SvdOptions::qr_frontend`] switches this off, and the
+//! `A·P = QR` and then `Rᵀ = Q₂R₂`, and hands the small `n×n` factor
+//! `R₂ᵀ` to the paper's machinery ([`SvdOptions::qr_frontend`] switches this off, and the
 //! paper's experiments do). That machinery distributes the columns over a
 //! simulated tree-connected multiprocessor (`treesvd-sim`), picks one of
 //! the paper's parallel Jacobi orderings (`treesvd-orderings`), and sweeps

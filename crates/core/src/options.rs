@@ -154,14 +154,15 @@ pub struct SvdOptions {
     pub threads: Option<usize>,
     /// The QR front-end (Drmač–Veselić preconditioning, LAPACK
     /// `DGEJSV`): sort `A`'s columns by decreasing norm, factor
-    /// `A·P = QR` with the TSQR tree ([`treesvd_matrix::qr`]), run the
-    /// Jacobi driver on the `n×n` matrix `Rᵀ = ŨΣṼᵀ` (whose columns start
-    /// out nearly orthogonal, so it takes fewer sweeps than `A`), and
-    /// return `U = Q·[Ṽ; 0]` — back-transformed without ever forming `Q`
-    /// — and `V = P·Ũ`. Wide inputs (`m < n`) go through the same path on
-    /// `Aᵀ`. Default `true`, on every shape; `false` sweeps `A` itself,
-    /// as the paper does (its experiments and the `blocked` benchmark
-    /// measure orderings and executors on `A` that way).
+    /// `A·P = QR` and then `Rᵀ = Q₂R₂` with the TSQR tree
+    /// ([`treesvd_matrix::qr`]), run the Jacobi driver on the `n×n` matrix
+    /// `R₂ᵀ = Ũ₂ΣṼ₂ᵀ` (whose columns start out nearly orthogonal, so it
+    /// takes fewer sweeps than `A` or `Rᵀ`), and return `U = Q·[Ũ₂; 0]` —
+    /// back-transformed without ever forming `Q` — and `V = P·Q₂·Ṽ₂`.
+    /// Wide inputs (`m < n`) go through the same path on `Aᵀ`. Default
+    /// `true`, on every shape; `false` sweeps `A` itself, as the paper does
+    /// (its experiments and the `blocked` benchmark measure orderings and
+    /// executors on `A` that way).
     pub qr_frontend: bool,
     /// Panel width (compact-WY block size) of the front-end's tiled QR.
     pub qr_panel: usize,
