@@ -130,9 +130,12 @@ pub enum Violation {
         /// One example pair that never met.
         example: (ColIndex, ColIndex),
     },
-    /// The layout is not restored after the ordering's claimed period.
+    /// The layout after `sweeps` sweeps is not the one the schedule needs
+    /// there: after the ordering's claimed period, the initial layout;
+    /// before it, the one the next sweep's program starts from.
     LayoutNotRestored {
-        /// Sweeps executed (the claimed period).
+        /// Sweeps executed (the claimed period, or fewer when a program
+        /// does not start where the sweeps before it left the columns).
         sweeps: usize,
         /// First slot whose content differs.
         slot: Slot,

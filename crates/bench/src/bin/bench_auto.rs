@@ -27,7 +27,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use treesvd_core::{
     auto_svd_for, blocked_svd, BlockKernel, BlockedOptions, HestenesSvd, SvdOptions, TuneProblem,
 };
@@ -120,34 +120,48 @@ struct PointResult {
 /// A named, repeatable solver configuration to be timed.
 type Config<'a> = (&'static str, Box<dyn FnMut() + 'a>);
 
-/// Median wall-clock seconds per configuration, with the samples
-/// interleaved round-robin across the configs: sequential per-config
-/// blocks let scheduler/thermal drift pull two *identical* code paths
-/// several percent apart, which a 5% gate cannot tolerate.
+/// The least wall-clock time one timing sample spans.
+const BATCH: Duration = Duration::from_millis(20);
+
+/// Median wall-clock seconds per run of each configuration, with the
+/// samples interleaved round-robin across the configs: sequential
+/// per-config blocks let scheduler/thermal drift pull two *identical* code
+/// paths several percent apart, which a 5% gate cannot tolerate.
 ///
-/// Each timed run directly follows an untimed run of the same config, so
-/// it sees the heap its own previous call left, as a caller repeating it
+/// A sample is the mean of a batch of back-to-back runs lasting at least
+/// [`BATCH`]: single runs of a ~2 ms solve spread about ±10% on a shared
+/// host, so medians of a few of them could not resolve 5% between two
+/// identical configs (auto plans exactly `blocked-gram` at the smoke's
+/// `blocked 256x64` point, and the gate failed there in about one run in
+/// five).
+///
+/// Each batch directly follows an untimed run of the same config, so it
+/// sees the heap its own previous call left, as a caller repeating it
 /// would. Timed straight after another config, a run inherits that
 /// config's allocator state: at `tall 2048x12` the same QR front-end
 /// solve took about 8% longer after a front-end solve than after a
 /// direct one (glibc trims the freed buffers off the heap, and the next
 /// solve faults them back in), so the config in the first slot was
 /// charged for the one in the last.
-fn time_round_robin(configs: &mut [Config<'_>], samples: usize) -> Vec<f64> {
-    let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(samples); configs.len()];
-    for _ in 0..samples {
+fn time_round_robin(configs: &mut [Config<'_>], rounds: usize) -> Vec<f64> {
+    let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); configs.len()];
+    for _ in 0..rounds {
         for (i, (_, f)) in configs.iter_mut().enumerate() {
             f();
             let t = Instant::now();
-            f();
-            times[i].push(t.elapsed().as_secs_f64());
+            let mut runs = 0u32;
+            while runs == 0 || t.elapsed() < BATCH {
+                f();
+                runs += 1;
+            }
+            times[i].push(t.elapsed().as_secs_f64() / f64::from(runs));
         }
     }
     times
         .into_iter()
         .map(|mut t| {
             t.sort_by(f64::total_cmp);
-            t[samples / 2]
+            t[rounds / 2]
         })
         .collect()
 }
@@ -176,7 +190,7 @@ fn run_auto(a: &Matrix, problem: &TuneProblem) {
 }
 
 /// Time every configuration at one grid point and judge the gates.
-fn measure_point(pt: &Point, samples: usize, seed: u64) -> PointResult {
+fn measure_point(pt: &Point, rounds: usize, seed: u64) -> PointResult {
     let a = generate::random_uniform(pt.m, pt.n, seed);
     let problem = TuneProblem::new(pt.m, pt.n).with_processors(pt.processors);
     // warm the decision cache so the timed auto runs exercise the steady
@@ -200,7 +214,7 @@ fn measure_point(pt: &Point, samples: usize, seed: u64) -> PointResult {
                 ),
                 ("default", Box::new(|| run_default(&a))),
             ];
-            let t = time_round_robin(&mut configs, samples);
+            let t = time_round_robin(&mut configs, rounds);
             (t[0], vec![("blocked-gram", t[1]), ("blocked-pairwise", t[2])], t[3])
         }
         Family::Tall => {
@@ -209,7 +223,7 @@ fn measure_point(pt: &Point, samples: usize, seed: u64) -> PointResult {
                 ("direct", Box::new(|| run_direct(&a))),
                 ("qr-frontend", Box::new(|| run_default(&a))),
             ];
-            let t = time_round_robin(&mut configs, samples);
+            let t = time_round_robin(&mut configs, rounds);
             // the front-end path IS the untuned default
             (t[0], vec![("direct", t[1]), ("qr-frontend", t[2])], t[2])
         }
@@ -372,7 +386,7 @@ fn smoke_run(seed: u64) -> bool {
     ];
     let mut results = Vec::new();
     for pt in &grid {
-        let r = measure_point(pt, 3, seed);
+        let r = measure_point(pt, 5, seed);
         report(&r);
         results.push(r);
     }

@@ -8,17 +8,19 @@
 //! ```
 //!
 //! The full run times `distributed_svd` end to end (one thread per
-//! processor, vectors accumulated) over three orderings and two problem
+//! processor, vectors accumulated; its sweep plan built once per shape,
+//! as the library's drivers keep it) over three orderings and two problem
 //! sizes, and writes median wall-clock seconds to `BENCH_distributed.json`
 //! at the repository root. The smoke run is the regression gate wired
 //! into `scripts/verify.sh`: the steady state must make zero payload
 //! allocations.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 use treesvd_matrix::generate;
 use treesvd_orderings::OrderingKind;
-use treesvd_sim::{distributed_svd, DistributedOutcome, ExecConfig};
+use treesvd_sim::{distributed_svd, DistributedOutcome, ExecConfig, SweepPlan};
 
 /// Timed samples per configuration; the median is reported.
 const SAMPLES: usize = 5;
@@ -36,12 +38,14 @@ fn time_distributed(
 ) -> (f64, DistributedOutcome) {
     let a = generate::random_uniform(m, n, seed);
     let ord = kind.build(n).expect("ordering");
+    let plan = Arc::new(SweepPlan::new(ord.as_ref(), n).expect("built-in orderings chain"));
     let mut samples = [0.0f64; SAMPLES];
     let mut last = None;
     for s in &mut samples {
         let columns = a.clone().into_columns();
+        let plan = Arc::clone(&plan);
         let t = Instant::now();
-        let run = distributed_svd(ord.as_ref(), columns, true, ExecConfig::default(), MAX_SWEEPS)
+        let run = distributed_svd(plan, columns, true, ExecConfig::default(), MAX_SWEEPS)
             .expect("distributed_svd");
         *s = t.elapsed().as_secs_f64();
         last = Some(run);

@@ -54,15 +54,14 @@
 //! lanes (nor on the SIMD tier of the pass). A single processor's meeting
 //! and the sub-meetings of a hierarchical meeting run on one lane.
 
-use crate::driver::checked_ordering;
 use crate::options::{BlockKernel, HierBlocking, SvdError, SvdOptions};
+use crate::plan::sweep_plan;
 use crate::result::{extract_svd, Svd};
 use crate::screen::screened;
 use treesvd_matrix::ops;
 use treesvd_matrix::rotation::{apply_rotation, apply_rotation_swapped, orthogonalize_pair};
 use treesvd_matrix::soa::{GramLanes, PassCounts, LANES};
 use treesvd_matrix::Matrix;
-use treesvd_orderings::Program;
 use treesvd_sim::par;
 
 /// Options for the blocked driver: the machine size plus the usual knobs.
@@ -242,24 +241,10 @@ fn blocked_svd_inner(
     let n_pad = c * n_super;
 
     // A single processor needs no ordering: both blocks are resident and
-    // every sweep is one meeting of the pair. Otherwise the layout cycle
-    // repeats with the ordering's restore period, so one period of sweep
-    // programs is built once, each with the layout in force during each
-    // of its steps and the layout it ends with; sweep k runs program
-    // k mod period.
-    let programs: Vec<(Program, Vec<Vec<usize>>, Vec<usize>)> = if n_super > 2 {
-        let ordering = checked_ordering(&opts.svd, n_super)?;
-        let programs = ordering.programs(ordering.restore_period().max(1));
-        programs
-            .into_iter()
-            .map(|prog| {
-                let (layouts, end) = (prog.layouts(), prog.final_layout());
-                (prog, layouts, end)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    // every sweep is one meeting of the pair. Otherwise sweep k runs the
+    // plan's program k mod period, with the layout in force during each of
+    // its steps.
+    let plan = if n_super > 2 { Some(sweep_plan(&opts.svd, n_super, None)?.sweeps) } else { None };
 
     // distribute columns: super-slot s holds labels [s*c, (s+1)*c),
     // stored contiguously per slot (padding columns stay zero)
@@ -315,7 +300,8 @@ fn blocked_svd_inner(
     let mut spare: Vec<BlockSlot> = (0..n_super).map(|_| BlockSlot::default()).collect();
 
     let single = [0, 1];
-    let mut layout: &[usize] = programs.first().map_or(&single, |(prog, ..)| &prog.initial_layout);
+    let mut layout: &[usize] =
+        plan.as_ref().map_or(&single, |plan| &plan.program(0).initial_layout);
     let mut sweeps = 0usize;
     let mut total_rotations = 0usize;
     let mut warm_alloc = 0u64;
@@ -325,14 +311,10 @@ fn blocked_svd_inner(
         let mut rotations = 0usize;
         let mut swaps = 0usize;
 
-        if programs.is_empty() {
-            let (r, s) = meet_leaf(&mut slots, layout, &ctx, &mut scratches[0]);
-            rotations += r;
-            swaps += s;
-        } else {
-            let (prog, layouts, end) = &programs[sweep % programs.len()];
+        if let Some(plan) = &plan {
+            let prog = plan.program(sweep);
             assert_eq!(layout, prog.initial_layout, "layout cycle broken");
-            for (step, lay) in prog.steps.iter().zip(layouts) {
+            for (step, lay) in prog.steps.iter().zip(plan.layouts(sweep)) {
                 let (r, s) = meet_range(&mut slots, lay, &mut scratches, tasks, &ctx);
                 rotations += r;
                 swaps += s;
@@ -342,7 +324,12 @@ fn blocked_svd_inner(
                 }
                 std::mem::swap(&mut slots, &mut spare);
             }
-            layout = end;
+            // the plan chains: the sweep ends where the next one starts
+            layout = &plan.program(sweep + 1).initial_layout;
+        } else {
+            let (r, s) = meet_leaf(&mut slots, layout, &ctx, &mut scratches[0]);
+            rotations += r;
+            swaps += s;
         }
         total_rotations += rotations;
         sweeps = sweep + 1;
@@ -920,14 +907,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "layout cycle broken")]
     fn wrong_restore_period_fails_loudly() {
         // the new ring ordering restores its layout every second sweep; an
         // ordering that claims every sweep would have its second sweep run
-        // on the wrong slot layout, mislabelling blocks, so it must stop
+        // on the wrong slot layout, mislabelling blocks, so it is refused
+        // before any block moves
         use crate::options::OrderingChoice;
         use std::sync::Arc;
-        use treesvd_orderings::JacobiOrdering;
+        use treesvd_analyze::Violation;
+        use treesvd_orderings::{JacobiOrdering, Program};
         struct EverySweep(Box<dyn JacobiOrdering>);
         impl JacobiOrdering for EverySweep {
             fn n(&self) -> usize {
@@ -952,6 +940,9 @@ mod tests {
             processors: 4,
             svd: SvdOptions { ordering, ..opts_with(4, BlockKernel::Gram).svd },
         };
-        let _ = blocked_svd(&generate::random_uniform(40, 32, 15), &opts);
+        match blocked_svd(&generate::random_uniform(40, 32, 15), &opts) {
+            Err(SvdError::Schedule(Violation::LayoutNotRestored { sweeps: 1, .. })) => {}
+            other => panic!("expected LayoutNotRestored after 1 sweep, got {other:?}"),
+        }
     }
 }

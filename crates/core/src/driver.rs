@@ -8,30 +8,15 @@
 //! rank handling.
 
 use crate::options::{SvdError, SvdOptions};
+use crate::plan::sweep_plan;
 use crate::result::{extract_svd, Svd};
 use crate::screen::screened;
 use treesvd_matrix::Matrix;
 use treesvd_net::Topology;
-use treesvd_orderings::{JacobiOrdering, OrderingError, OrderingKind};
+use treesvd_orderings::{OrderingError, OrderingKind};
 use treesvd_sim::{
-    analyze_program, execute_program_with_scratch, ColumnStore, ExecConfig, ExecScratch, Machine,
-    SweepStats,
+    execute_program_with_scratch, ColumnStore, ExecConfig, ExecScratch, Machine, SweepStats,
 };
-
-/// Build the configured ordering for `n` (padded) columns and, when
-/// [`SvdOptions::verify_schedule`] is set, gate it through the static
-/// schedule verifier before any matrix data is touched. Every driver
-/// builds its ordering here, so the gate cannot be bypassed.
-pub(crate) fn checked_ordering(
-    options: &SvdOptions,
-    n: usize,
-) -> Result<Box<dyn JacobiOrdering>, SvdError> {
-    let ordering = options.ordering.build(n)?;
-    if options.verify_schedule {
-        treesvd_analyze::verify_ordering_schedule(ordering.as_ref())?;
-    }
-    Ok(ordering)
-}
 
 /// A completed SVD run: the decomposition plus everything the experiments
 /// need to know about how it went.
@@ -168,18 +153,23 @@ impl HestenesSvd {
             return Ok(run);
         }
         let n_pad = self.padded_size(n)?;
-        let ordering = checked_ordering(&self.options, n_pad)?;
-
-        // distribute columns (zero columns as padding)
-        let mut columns = a.clone().into_columns();
-        columns.resize(n_pad, vec![0.0; m]);
-        let mut store = ColumnStore::from_columns(columns, self.options.vectors);
-
         // ring orderings accept any even n, so the processor count may not
         // be a power of two; embed the processors in the smallest complete
         // binary tree that holds them (extra leaves stay idle)
         let leaves = (n_pad / 2).next_power_of_two().max(2);
         let machine = Machine::new(Topology::new(self.options.topology, leaves), self.options.cost);
+        // a move carries the column and, with V, its V column
+        // (ColumnStore::column_words)
+        let words = m + if self.options.vectors { n_pad } else { 0 };
+        // one priced restore period serves every sweep of every solve of
+        // this shape
+        let plan = sweep_plan(&self.options, n_pad, Some((&machine, words as u64)))?;
+        let prices = plan.prices.expect("the plan was priced");
+
+        // distribute columns (zero columns as padding)
+        let mut columns = a.clone().into_columns();
+        columns.resize(n_pad, vec![0.0; m]);
+        let mut store = ColumnStore::from_columns(columns, self.options.vectors);
         let threshold = self.options.threshold.unwrap_or(n_pad as f64 * f64::EPSILON);
         let config = ExecConfig {
             threshold,
@@ -187,16 +177,6 @@ impl HestenesSvd {
             serial_cutoff: self.options.serial_cutoff,
             threads: self.options.threads.unwrap_or(0),
         };
-
-        // the layout cycle repeats with the ordering's restore period, so
-        // the sweep programs can be generated once and reused; their
-        // network cost depends only on the program and the column length,
-        // so each is priced once too
-        let period = ordering.restore_period().max(1);
-        let cached_programs = ordering.programs(period);
-        let words = store.column_words() as u64;
-        let cached_reports: Vec<_> =
-            cached_programs.iter().map(|prog| analyze_program(&machine, prog, words)).collect();
 
         let mut sweep_stats: Vec<SweepStats> = Vec::new();
         let mut off_history: Vec<f64> = Vec::new();
@@ -209,8 +189,7 @@ impl HestenesSvd {
         // a sweep allocates only the two vectors of its SweepStats
         let mut scratch = ExecScratch::new();
         for k in 0..self.options.max_sweeps {
-            let (prog, priced) = (&cached_programs[k % period], &cached_reports[k % period]);
-            debug_assert_eq!(store.layout, prog.initial_layout, "layout cycle broken");
+            let (prog, priced) = (plan.sweeps.program(k), &prices[k % plan.sweeps.period()]);
             let stats = execute_program_with_scratch(
                 &machine,
                 prog,
@@ -296,7 +275,7 @@ impl HestenesSvd {
             return Ok(run);
         }
         let n_pad = self.padded_size(n)?;
-        let ordering = checked_ordering(&self.options, n_pad)?;
+        let plan = sweep_plan(&self.options, n_pad, None)?;
         let mut columns = a.clone().into_columns();
         columns.resize(n_pad, vec![0.0; m]);
         let threshold = self.options.threshold.unwrap_or(n_pad as f64 * f64::EPSILON);
@@ -307,7 +286,7 @@ impl HestenesSvd {
             threads: self.options.threads.unwrap_or(0),
         };
         let outcome = treesvd_sim::distributed_svd(
-            ordering.as_ref(),
+            plan.sweeps,
             columns,
             self.options.vectors,
             config,
@@ -384,7 +363,7 @@ mod tests {
         use crate::options::OrderingChoice;
         use crate::{blocked_svd, BlockedOptions};
         use std::sync::Arc;
-        use treesvd_orderings::{PairStep, Permutation, Program};
+        use treesvd_orderings::{JacobiOrdering, PairStep, Permutation, Program};
 
         let a = generate::random_uniform(12, 8, 5);
         // all built-in orderings pass the pre-flight verifier

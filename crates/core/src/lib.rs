@@ -48,6 +48,7 @@ pub mod auto;
 pub mod blocked;
 pub mod driver;
 pub mod options;
+mod plan;
 mod proptests;
 pub mod result;
 mod screen;

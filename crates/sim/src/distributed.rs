@@ -33,11 +33,12 @@
 //! than a hang.
 
 use crate::exec::{rotate_pair, ColumnStore, ExecConfig, SlotData};
+use crate::plan::SweepPlan;
 use std::fmt;
 use std::sync::Arc;
 use treesvd_analyze::{tag_a, tag_v};
 use treesvd_comm::{allreduce_sum_in_place, Communicator, MsgBuf, RecvError, ThreadWorld};
-use treesvd_orderings::{ColIndex, JacobiOrdering, Program};
+use treesvd_orderings::ColIndex;
 
 /// Why a distributed run failed: a rank's bounded receive timed out (or its
 /// world was torn down) — on a lossless network, an executor bug.
@@ -110,7 +111,7 @@ fn recv_fail(rank: usize, sweep: usize, step: u64) -> impl Fn(RecvError) -> Dist
 /// storage the receiver adopts, and the step blocks on its arrivals.
 fn worker(
     comm: &mut Communicator,
-    programs: &[Program],
+    plan: &SweepPlan,
     max_sweeps: usize,
     mut left: SlotData,
     mut right: SlotData,
@@ -126,12 +127,9 @@ fn worker(
     let mut warm_allocs = 0u64;
 
     for sweep_no in 0..max_sweeps {
-        let program = &programs[sweep_no % programs.len()];
-        let layouts = program.layouts();
         let mut rotations = 0usize;
         let mut swaps = 0usize;
-        for (step_no, step) in program.steps.iter().enumerate() {
-            let layout = &layouts[step_no];
+        for (step, layout) in plan.program(sweep_no).steps.iter().zip(plan.layouts(sweep_no)) {
             let small_on_left = layout[my_slots[0]] < layout[my_slots[1]];
             let report =
                 rotate_pair(&mut left, &mut right, config.threshold, config.sort, small_on_left);
@@ -216,44 +214,42 @@ fn crosses_locally(perm: &treesvd_orderings::schedule::Permutation, rank: usize)
     false
 }
 
-/// Run the ordering to convergence with one thread per processor.
+/// Run the plan's sweeps to convergence with one thread per processor.
 ///
 /// `columns[j]` is column `j`; `accumulate_v` attaches identity `V`
-/// columns. Every rank runs the zero-copy worker in its own thread; the
-/// threads are all joined (a failed rank makes its peers time out, so
-/// every thread terminates) and the lowest failed rank's error is
-/// returned. Returns the final slots, layout, and counters.
+/// columns. Sweep `k` runs the plan's program `k mod period`, which every
+/// rank reads from the one shared plan. Every rank runs the zero-copy
+/// worker in its own thread; the threads are all joined (a failed rank
+/// makes its peers time out, so every thread terminates) and the lowest
+/// failed rank's error is returned. Returns the final slots, layout, and
+/// counters.
 ///
 /// # Errors
 /// Returns a [`DistError`] when a receive times out — an executor bug.
 ///
 /// # Panics
-/// Panics if `columns.len()` is odd or disagrees with the ordering.
+/// Panics if `columns.len()` is odd or disagrees with the plan.
 pub fn distributed_svd(
-    ordering: &dyn JacobiOrdering,
+    plan: Arc<SweepPlan>,
     columns: Vec<Vec<f64>>,
     accumulate_v: bool,
     config: ExecConfig,
     max_sweeps: usize,
 ) -> Result<DistributedOutcome, DistError> {
     let n = columns.len();
-    assert_eq!(n, ordering.n(), "column count disagrees with the ordering");
+    assert_eq!(n, plan.n(), "column count disagrees with the plan");
     assert_eq!(n % 2, 0, "need an even column count");
     let procs = n / 2;
 
-    // the layout cycle repeats with the ordering's restore period, so one
-    // period of programs is generated (they are deterministic) and shared
-    // read-only; sweep k runs program k mod period
-    let programs: Arc<Vec<Program>> = Arc::new(ordering.programs(ordering.restore_period().max(1)));
     let mut slots = ColumnStore::from_columns(columns, accumulate_v).slots;
 
     let mut handles = Vec::with_capacity(procs);
     for (rank, mut comm) in ThreadWorld::new(procs).into_communicators().into_iter().enumerate() {
         let left = std::mem::take(&mut slots[2 * rank]);
         let right = std::mem::take(&mut slots[2 * rank + 1]);
-        let programs = Arc::clone(&programs);
+        let plan = Arc::clone(&plan);
         handles.push(crate::par::spawn_worker(format!("treesvd-rank-{rank}"), move || {
-            worker(&mut comm, &programs, max_sweeps, left, right, config, accumulate_v)
+            worker(&mut comm, &plan, max_sweeps, left, right, config, accumulate_v)
         }));
     }
 
@@ -283,11 +279,8 @@ pub fn distributed_svd(
         return Err(e);
     }
 
-    // final layout: that of the last program run
-    let layout = match sweeps.checked_sub(1) {
-        Some(last) => programs[last % programs.len()].final_layout(),
-        None => ordering.initial_layout(),
-    };
+    // the plan chains, so the sweeps end where the next program starts
+    let layout = plan.program(sweeps).initial_layout.clone();
 
     Ok(DistributedOutcome {
         slots,
@@ -309,6 +302,10 @@ mod tests {
     use treesvd_matrix::generate;
     use treesvd_net::TopologyKind;
     use treesvd_orderings::OrderingKind;
+
+    fn plan(kind: OrderingKind, n: usize) -> Arc<SweepPlan> {
+        Arc::new(SweepPlan::new(kind.build(n).unwrap().as_ref(), n).unwrap())
+    }
 
     fn reference_run(
         kind: OrderingKind,
@@ -359,9 +356,9 @@ mod tests {
             } else {
                 generate::random_uniform(n + 4, n, 3)
             };
-            let ord = kind.build(n).unwrap();
+            let plan = plan(kind, n);
             let dist = distributed_svd(
-                ord.as_ref(),
+                Arc::clone(&plan),
                 a.clone().into_columns(),
                 accumulate_v,
                 ExecConfig::default(),
@@ -370,7 +367,7 @@ mod tests {
             .unwrap();
             let (ref_slots, ref_layout, ref_sweeps) = reference_run(kind, &a, accumulate_v, 40);
             let case = format!("{kind} n {n} tied {tied} v {accumulate_v}");
-            assert!(ref_sweeps > ord.restore_period(), "{case}: {ref_sweeps} sweeps");
+            assert!(ref_sweeps > plan.period(), "{case}: {ref_sweeps} sweeps");
             assert_eq!(dist.sweeps, ref_sweeps, "{case}");
             assert_eq!(dist.layout, ref_layout, "{case}");
             assert!(slot_bits(&dist.slots) == slot_bits(&ref_slots), "{case}: slots differ");
@@ -381,9 +378,8 @@ mod tests {
     fn distributed_with_v_accumulation() {
         let n = 8;
         let a = generate::random_uniform(10, n, 5);
-        let ord = OrderingKind::FatTree.build(n).unwrap();
         let dist = distributed_svd(
-            ord.as_ref(),
+            plan(OrderingKind::FatTree, n),
             a.clone().into_columns(),
             true,
             ExecConfig::default(),
@@ -402,9 +398,8 @@ mod tests {
     fn zero_copy_steady_state_makes_no_payload_allocations() {
         let n = 16;
         let a = generate::random_uniform(24, n, 13);
-        let ord = OrderingKind::NewRing.build(n).unwrap();
-        let run = distributed_svd(ord.as_ref(), a.into_columns(), true, ExecConfig::default(), 64)
-            .unwrap();
+        let plan = plan(OrderingKind::NewRing, n);
+        let run = distributed_svd(plan, a.into_columns(), true, ExecConfig::default(), 64).unwrap();
         assert!(run.converged);
         assert!(run.sweeps > 2, "need a steady state to measure");
         assert!(run.warm_payload_allocs > 0, "warm-up must populate the pools");
@@ -415,10 +410,9 @@ mod tests {
     fn distributed_converges_and_orthogonalizes() {
         let n = 16;
         let a = generate::random_uniform(20, n, 7);
-        let ord = OrderingKind::Hybrid.build(n).unwrap();
+        let plan = plan(OrderingKind::Hybrid, n);
         let dist =
-            distributed_svd(ord.as_ref(), a.into_columns(), false, ExecConfig::default(), 40)
-                .unwrap();
+            distributed_svd(plan, a.into_columns(), false, ExecConfig::default(), 40).unwrap();
         assert!(dist.converged);
         assert!(dist.total_rotations > 0);
         // all pairs orthogonal

@@ -1,9 +1,10 @@
 //! Executing a sweep program on real column data.
 //!
 //! The executor only rotates and moves columns. The sweep's network cost
-//! depends on the program and the column length, not on the data, so it
-//! is priced beforehand by [`analyze_program`] and copied into the
-//! sweep's [`SweepStats`]. The per-step buffers (permuted slots and
+//! depends on the program, the machine and the column length, not on the
+//! data, so it is priced beforehand by [`analyze_program`] (the drivers
+//! price a [`SweepPlan`](crate::SweepPlan) once per shape) and copied into
+//! the sweep's [`SweepStats`]. The per-step buffers (permuted slots and
 //! layout, pair reports) live in a reusable [`ExecScratch`]. A step's
 //! disjoint pairs are solved [`LANES`] at a time: their Gram entries, one
 //! SIMD-lane solve of their rotations ([`rotation_lanes`], bit for bit
@@ -245,9 +246,11 @@ impl ExecScratch {
 /// Execute one sweep program against the column store.
 ///
 /// Convenience wrapper that prices the program with [`analyze_program`]
-/// and pays for a fresh [`ExecScratch`] every call; drivers executing many
-/// sweeps should price each distinct program once, hold a scratch, and
-/// call [`execute_program_with_scratch`].
+/// and pays for a fresh [`ExecScratch`] on every call. The core drivers
+/// instead take each program and its report from a
+/// [`SweepPlan`](crate::SweepPlan) priced once per shape and kept across
+/// solves, hold one scratch per solve, and call
+/// [`execute_program_with_scratch`].
 ///
 /// # Panics
 /// Panics if the program's size disagrees with the store or machine.
@@ -271,7 +274,11 @@ pub fn execute_program(
 /// [`ExecConfig::serial_cutoff`] run serially. Movement is applied between
 /// steps. The sweep's communication cost is copied from `priced`, which
 /// must be this program's own [`analyze_program`] report for columns of
-/// [`ColumnStore::column_words`] words. Its step count and column length
+/// [`ColumnStore::column_words`] words, such as the
+/// [`SweepPlan::price`](crate::SweepPlan::price) entry of the program's
+/// sweep: the report depends on the program, the machine and the column
+/// length only, so one report serves every sweep of every solve that runs
+/// the program on that machine. Its step count and column length
 /// are checked; the report of another program with as many steps (the
 /// other half of a period-2 ordering) is not detected.
 ///

@@ -16,14 +16,15 @@
 //!    inter-leaf movements of every step are routed through the tree and
 //!    costed by the [`CostModel`](treesvd_net::CostModel) once, by
 //!    [`analyze::analyze_program`], because the cost depends on the
-//!    schedule and the column length but not on the data. The driver
-//!    prices each program of the ordering's restore period once and hands
-//!    the report to every sweep that runs it.
+//!    schedule, the machine and the column length but not on the data. A
+//!    [`plan::SweepPlan`] holds one restore period of an ordering's
+//!    programs; the core drivers build and price it once per shape and
+//!    hand each report to every sweep that runs its program.
 //!
 //! [`exec::execute_program`] returns both the numerical outcome (rotation
 //! counts, convergence measures) and the simulated time breakdown;
 //! [`analyze::analyze_program`] is the data-free pricing it copies from,
-//! also used by the communication benchmarks.
+//! also used by the communication experiments.
 //!
 //! ```
 //! use treesvd_sim::{analyze_program, Machine};
@@ -47,6 +48,7 @@ pub mod distributed;
 pub mod exec;
 pub mod machine;
 pub mod par;
+pub mod plan;
 pub mod timeline;
 
 pub use analyze::{analyze_program, CommReport};
@@ -56,6 +58,7 @@ pub use exec::{
     ExecConfig, ExecScratch, SortMode, SweepStats,
 };
 pub use machine::Machine;
+pub use plan::SweepPlan;
 pub use timeline::{StepTiming, Timeline};
 // the error a distributed receive returns, named by `DistError::err`
 pub use treesvd_comm::RecvError;
