@@ -16,7 +16,10 @@
 //! the Gram build (`ops::gram_block`, one meeting), the in-cache lane pass
 //! (`soa::GramLanes`: interleave the `P` meetings' `G`, one pass over all
 //! of them, hand back each `W`) and the panel apply (`ops::panel_update`,
-//! one meeting's `A` panel). The smoke run is the regression gate wired into
+//! one meeting's `A` panel). The two panel stages run on a copy of the
+//! panel that starts on a 64-byte line, as the driver's block slots do, and
+//! again 16 bytes past one (with `panel_update`'s tile), an offset glibc
+//! gives a plain `Vec`. The smoke run is the regression gate wired into
 //! `scripts/verify.sh`: at `c = 16` the Gram kernel must not lose to the
 //! pairwise oracle, and the Gram run must be allocation-free after the
 //! first sweep warms its scratch buffers.
@@ -25,6 +28,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 use treesvd_core::{blocked_svd, BlockKernel, BlockedOptions, BlockedRun, SvdOptions};
+use treesvd_matrix::aligned::AlignedBuf;
 use treesvd_matrix::soa::GramLanes;
 use treesvd_matrix::{generate, ops, Matrix};
 
@@ -76,16 +80,30 @@ fn per_call_us(mut f: impl FnMut()) -> f64 {
 
 /// Per-call microseconds of the Gram meeting's three stages at block
 /// width `c`, on the meetings of the first step (slot pair `p` holds
-/// columns `2pc..2(p+1)c` of `a`); at this first meeting of random columns
-/// every pair of every union rotates.
+/// columns `2pc..2(p+1)c` of `a`), with the meeting's panel (and
+/// `panel_update`'s tile) `offset` bytes past a 64-byte line; at this
+/// first meeting of random columns every pair of every union rotates.
 struct Stages {
     c: usize,
+    offset: usize,
     gram_block_us: f64,
-    lane_pass_us: f64,
+    /// Timed with the panel on a line only: the pass reads no panel.
+    lane_pass_us: Option<f64>,
     panel_update_us: f64,
 }
 
-fn time_stages(a: &Matrix, c: usize, processors: usize) -> Stages {
+/// Byte offsets past a line at which the panel stages are timed: where the
+/// driver's block slots start, and where glibc may put a plain `Vec`.
+const PANEL_OFFSETS: [usize; 2] = [0, 16];
+
+/// A copy of `src` at `buf[skip..]`, `skip` values past a 64-byte line.
+fn past_a_line(src: &[f64], skip: usize) -> AlignedBuf {
+    let mut buf = AlignedBuf::zeros(skip + src.len());
+    buf[skip..].copy_from_slice(src);
+    buf
+}
+
+fn time_stages(a: &Matrix, c: usize, processors: usize) -> Vec<Stages> {
     let (m, k) = (a.rows(), 2 * c);
     let unions: Vec<&[f64]> = a.as_slice().chunks_exact(k * m).take(processors).collect();
     let gs: Vec<Vec<f64>> = unions
@@ -97,12 +115,6 @@ fn time_stages(a: &Matrix, c: usize, processors: usize) -> Stages {
             g
         })
         .collect();
-    let mut g = vec![0.0; k * k];
-    let (x, y) = unions[0].split_at(c * m);
-    let gram_block_us = per_call_us(|| {
-        ops::gram_block(x, y, m, &mut g);
-        black_box(&g);
-    });
     // the driver's default threshold, n_pad·ε
     let threshold = (a.cols() as f64) * f64::EPSILON;
     let mut lanes = GramLanes::default();
@@ -118,15 +130,28 @@ fn time_stages(a: &Matrix, c: usize, processors: usize) -> Stages {
         }
         black_box(&w);
     });
-    let mut panel = unions[0].to_vec();
-    let mut tile = vec![0.0; k * ops::PANEL_TILE];
     lanes.w_into(0, &mut w);
-    let panel_update_us = per_call_us(|| {
-        let (x, y) = panel.split_at_mut(c * m);
-        ops::panel_update(x, y, m, &w, &mut tile);
-        black_box(&panel);
-    });
-    Stages { c, gram_block_us, lane_pass_us, panel_update_us }
+    let mut g = vec![0.0; k * k];
+    PANEL_OFFSETS
+        .iter()
+        .map(|&offset| {
+            let skip = offset / size_of::<f64>();
+            let mut panel = past_a_line(unions[0], skip);
+            let mut tile = past_a_line(&vec![0.0; k * ops::PANEL_TILE], skip);
+            let gram_block_us = per_call_us(|| {
+                let (x, y) = panel[skip..].split_at(c * m);
+                ops::gram_block(x, y, m, &mut g);
+                black_box(&g);
+            });
+            let panel_update_us = per_call_us(|| {
+                let (x, y) = panel[skip..].split_at_mut(c * m);
+                ops::panel_update(x, y, m, &w, &mut tile[skip..]);
+                black_box(&panel);
+            });
+            let lane_pass_us = (offset == 0).then_some(lane_pass_us);
+            Stages { c, offset, gram_block_us, lane_pass_us, panel_update_us }
+        })
+        .collect()
 }
 
 struct Record {
@@ -155,13 +180,17 @@ fn full_run(seed: u64) {
     for &c in &block_widths {
         let n = 2 * PROCESSORS * c;
         let a = generate::random_uniform(M, n, seed);
-        let st = time_stages(&a, c, PROCESSORS);
-        eprintln!(
-            "c={c:2} stages per call: gram_block {:.2} us, lane pass ({PROCESSORS} meetings) \
-             {:.2} us, panel_update {:.2} us",
-            st.gram_block_us, st.lane_pass_us, st.panel_update_us
-        );
-        stages.push(st);
+        for st in time_stages(&a, c, PROCESSORS) {
+            let lane_pass = st.lane_pass_us.map_or(String::new(), |us| {
+                format!(", lane pass ({PROCESSORS} meetings) {us:.2} us")
+            });
+            eprintln!(
+                "c={c:2} stages per call, panel {} B past a line: gram_block {:.2} us{lane_pass}, \
+                 panel_update {:.2} us",
+                st.offset, st.gram_block_us, st.panel_update_us
+            );
+            stages.push(st);
+        }
         for vectors in [true, false] {
             for kernel in [BlockKernel::Pairwise, BlockKernel::Gram] {
                 let (seconds, run) = time_blocked(&a, &opts_for(kernel, vectors, PROCESSORS));
@@ -197,18 +226,22 @@ fn full_run(seed: u64) {
     json.push_str("  ],\n");
     json.push_str(
         "  \"stages_unit\": \"microseconds per call (median): gram_block and panel_update \
-         on one meeting's A panel, the lane pass over the first step's meetings \
-         (every pair rotates)\",\n",
+         on one meeting's A panel, copied to start panel_offset_bytes past a 64-byte line \
+         (0: on a line, as the driver's block slots are; 16: with panel_update's tile, an \
+         offset glibc gives a plain Vec), the lane pass over the first step's meetings \
+         (every pair rotates; it reads no panel, so it is timed on the line only)\",\n",
     );
     let _ = writeln!(json, "  \"meetings_per_lane_pass\": {PROCESSORS},");
     json.push_str("  \"stages\": [\n");
     for (i, st) in stages.iter().enumerate() {
         let comma = if i + 1 < stages.len() { "," } else { "" };
+        let lane_pass =
+            st.lane_pass_us.map_or(String::new(), |us| format!(", \"lane_pass_us\": {us:.2}"));
         let _ = writeln!(
             json,
-            "    {{\"c\": {}, \"gram_block_us\": {:.2}, \"lane_pass_us\": {:.2}, \
+            "    {{\"c\": {}, \"panel_offset_bytes\": {}, \"gram_block_us\": {:.2}{lane_pass}, \
              \"panel_update_us\": {:.2}}}{comma}",
-            st.c, st.gram_block_us, st.lane_pass_us, st.panel_update_us
+            st.c, st.offset, st.gram_block_us, st.panel_update_us
         );
     }
     json.push_str("  ],\n");

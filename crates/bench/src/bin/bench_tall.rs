@@ -13,7 +13,8 @@
 //! Jacobi pays `O(m·n²)` per sweep on the full column height; the
 //! front-end pays the `O(m·n²)` factorization once and then sweeps on
 //! `n`-row columns, so the gap widens with `m/n` and with the sweep count.
-//! Median wall-clock seconds, the sweep counts (the front-end's are sweeps
+//! Median wall-clock seconds (of three samples, but one direct sample at
+//! the two largest shapes), the sweep counts (the front-end's are sweeps
 //! of `R₂ᵀ`) and the derived speedups go to `BENCH_tall.json` at the
 //! repository root.
 //!
@@ -80,13 +81,17 @@ struct Record {
     frontend_s: f64,
     direct_sweeps: usize,
     frontend_sweeps: usize,
+    /// Timed samples behind each median: (direct, front-end).
+    samples: (usize, usize),
     sigma_gap: f64,
 }
 
-fn run_shape(m: usize, n: usize, samples: usize, seed: u64) -> Record {
+/// Both paths on a random `m × n` input, each timed over its own number
+/// of samples.
+fn run_shape(m: usize, n: usize, samples: (usize, usize), seed: u64) -> Record {
     let a = generate::random_uniform(m, n, seed);
-    let (direct_s, direct) = time_blocked(&a, &opts_for(false), samples);
-    let (frontend_s, fe) = time_blocked(&a, &opts_for(true), samples);
+    let (direct_s, direct) = time_blocked(&a, &opts_for(false), samples.0);
+    let (frontend_s, fe) = time_blocked(&a, &opts_for(true), samples.1);
     assert!(!direct.qr_frontend, "direct path must not engage the front-end");
     assert!(fe.qr_frontend, "front-end must engage at m/n = {}", m / n);
     assert_eq!(fe.steady_alloc_events, 0, "front-end pipeline allocated in steady state");
@@ -97,6 +102,7 @@ fn run_shape(m: usize, n: usize, samples: usize, seed: u64) -> Record {
         frontend_s,
         direct_sweeps: direct.sweeps,
         frontend_sweeps: fe.sweeps,
+        samples,
         sigma_gap: sigma_gap(&direct.svd.sigma, &fe.svd.sigma),
     }
 }
@@ -214,9 +220,12 @@ fn full_run(seed: u64) {
         }
     }
 
-    // (rows, cols, timed samples): one sample at the largest shape, where a
-    // single direct run is already minutes of wall-clock.
-    let shapes = [(16384usize, 128usize, 3usize), (65536, 256, 1), (262144, 256, 1)];
+    // (rows, cols, (direct, front-end) timed samples): one direct sample
+    // at the two largest shapes, where a direct run takes 20 s to minutes;
+    // the front-end takes the median of three everywhere, since one sample
+    // of its 1–7 s run there moved by up to 45% between runs of one build
+    let shapes =
+        [(16384usize, 128usize, (3usize, 3usize)), (65536, 256, (1, 3)), (262144, 256, (1, 3))];
     let mut records = Vec::new();
 
     for &(m, n, samples) in &shapes {
@@ -241,7 +250,10 @@ fn full_run(seed: u64) {
     );
     let _ = writeln!(json, "  \"meta\": {},", treesvd_bench::meta::meta_json(seed));
     let _ = writeln!(json, "  \"processors\": {PROCESSORS},");
-    json.push_str("  \"unit\": \"seconds (median wall-clock, full blocked_svd, vectors on)\",\n");
+    json.push_str(
+        "  \"unit\": \"seconds (median wall-clock of the samples named, full blocked_svd, \
+         vectors on)\",\n",
+    );
     json.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 < records.len() { "," } else { "" };
@@ -249,7 +261,7 @@ fn full_run(seed: u64) {
             json,
             "    {{\"m\": {}, \"n\": {}, \"aspect\": {}, \"direct_seconds\": {:.6}, \
              \"frontend_seconds\": {:.6}, \"direct_sweeps\": {}, \"frontend_sweeps\": {}, \
-             \"sigma_gap\": {:.3e}}}{comma}",
+             \"direct_samples\": {}, \"frontend_samples\": {}, \"sigma_gap\": {:.3e}}}{comma}",
             r.m,
             r.n,
             r.m / r.n,
@@ -257,6 +269,8 @@ fn full_run(seed: u64) {
             r.frontend_s,
             r.direct_sweeps,
             r.frontend_sweeps,
+            r.samples.0,
+            r.samples.1,
             r.sigma_gap
         );
     }
@@ -326,7 +340,7 @@ fn smoke_run(seed: u64) -> bool {
         );
         alloc_free &= q.steady_alloc_events == 0;
     }
-    let r = run_shape(M, N, 1, seed);
+    let r = run_shape(M, N, (1, 1), seed);
 
     let fast_enough = r.frontend_s < r.direct_s;
     let accurate = r.sigma_gap < 1e-10;

@@ -58,6 +58,7 @@ use crate::options::{BlockKernel, HierBlocking, SvdError, SvdOptions};
 use crate::plan::sweep_plan;
 use crate::result::{extract_svd, Svd};
 use crate::screen::screened;
+use treesvd_matrix::aligned::AlignedBuf;
 use treesvd_matrix::ops;
 use treesvd_matrix::rotation::{apply_rotation, apply_rotation_swapped, orthogonalize_pair};
 use treesvd_matrix::soa::{GramLanes, PassCounts, LANES};
@@ -107,26 +108,28 @@ pub struct BlockedRun {
 }
 
 /// One block slot: `c` columns of `A` (and optionally of the accumulated
-/// `V`) stored contiguously column-major, in label order.
+/// `V`) stored contiguously column-major, in label order, each panel
+/// starting on a 64-byte line.
 #[derive(Debug, Clone, Default)]
 struct BlockSlot {
     /// `c` columns × `m` rows.
-    a: Vec<f64>,
+    a: AlignedBuf,
     /// `c` columns × `n_pad` rows; empty when vectors are off.
-    v: Vec<f64>,
+    v: AlignedBuf,
 }
 
 /// Per-leaf scratch for the Gram meetings: one meeting's `2c×2c` Gram
 /// matrix as [`ops::gram_block`] writes it, the interleaved lane pass, one
 /// meeting's update `W` as [`ops::panel_update`] reads it, and the
-/// panel-multiply tile. Reused across meetings; `alloc_events` counts
-/// buffer growth (zero after warm-up).
+/// panel-multiply tile (on a line, as the panels it snapshots are).
+/// Reused across meetings; `alloc_events` counts buffer growth (zero after
+/// warm-up).
 #[derive(Debug, Default)]
 struct MeetingScratch {
     g: Vec<f64>,
     lanes: GramLanes,
     w: Vec<f64>,
-    tile: Vec<f64>,
+    tile: AlignedBuf,
     alloc_events: u64,
 }
 
@@ -142,7 +145,7 @@ impl MeetingScratch {
     fn ensure(&mut self, k: usize, meetings: usize) {
         Self::grow(&mut self.g, k * k, &mut self.alloc_events);
         Self::grow(&mut self.w, k * k, &mut self.alloc_events);
-        Self::grow(&mut self.tile, k * ops::PANEL_TILE, &mut self.alloc_events);
+        self.alloc_events += u64::from(self.tile.resize(k * ops::PANEL_TILE));
         self.alloc_events += self.lanes.reset(k, meetings);
     }
 
@@ -233,7 +236,18 @@ fn blocked_svd_inner(
         run.qr_frontend = true;
         return Ok(run);
     }
+    sweep_blocks(a, opts, |_, _| ())
+}
 
+/// The blocked sweeps of `a` itself (`m ≥ n`, the front-end off), then the
+/// factors. `inspect` sees the block slots and the leaves' meeting
+/// scratches once the sweeps have converged (the tests check where they
+/// sit).
+fn sweep_blocks(
+    a: &Matrix,
+    opts: &BlockedOptions,
+    inspect: impl FnOnce(&[BlockSlot], &[MeetingScratch]),
+) -> Result<BlockedRun, SvdError> {
     let (m, n) = a.shape();
     let n_super = 2 * opts.processors;
     // block size: smallest c with n <= c * n_super
@@ -251,8 +265,8 @@ fn blocked_svd_inner(
     let vectors = opts.svd.vectors;
     let mut slots: Vec<BlockSlot> = (0..n_super)
         .map(|s| {
-            let mut a_buf = vec![0.0; c * m];
-            let mut v_buf = if vectors { vec![0.0; c * n_pad] } else { Vec::new() };
+            let mut a_buf = AlignedBuf::zeros(c * m);
+            let mut v_buf = if vectors { AlignedBuf::zeros(c * n_pad) } else { AlignedBuf::new() };
             for k in 0..c {
                 let j = s * c + k;
                 if j < n {
@@ -345,6 +359,7 @@ fn blocked_svd_inner(
         return Err(SvdError::NoConvergence { sweeps, last_coupling: f64::NAN });
     }
     let steady_alloc_events = scratches.iter().map(|s| s.alloc_events).sum::<u64>() - warm_alloc;
+    inspect(&slots, &scratches);
 
     // locate each label's column: label block `layout[s]` lives in slot s
     let mut locate: Vec<(usize, usize)> = vec![(0, 0); n_pad];
@@ -902,6 +917,51 @@ mod tests {
                 assert_eq!(bits(run.svd.v.as_slice()), bits(base.svd.v.as_slice()), "{what}: V");
                 assert_eq!(run.sweeps, base.sweeps, "{what}");
                 assert_eq!(run.total_rotations, base.total_rotations, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_slots_and_tiles_sit_on_lines() {
+        // the slots move by handing over their storage and the leaves
+        // reuse their tiles, so every panel still starts on a 64-byte line
+        // once the sweeps converge: both kernels; P = 1, 3 (new ring), 4
+        // and a hierarchical split; serial and forked; vectors on and off
+        let on_line = |x: &[f64]| (x.as_ptr() as usize).is_multiple_of(64);
+        let a = generate::random_uniform(40, 32, 15);
+        let gram = BlockKernel::Gram;
+        let cases = [
+            (1, gram, HierBlocking::Auto, usize::MAX),
+            (3, gram, HierBlocking::Auto, 0),
+            (4, gram, HierBlocking::Auto, 0),
+            (4, gram, HierBlocking::Cols(6), 0),
+            (4, BlockKernel::Pairwise, HierBlocking::Auto, 0),
+        ];
+        for (procs, kernel, hier, serial_cutoff) in cases {
+            for vectors in [true, false] {
+                let mut o = opts_with(procs, kernel);
+                o.svd = o.svd.with_hier_blocking(hier).with_vectors(vectors);
+                if procs == 3 {
+                    o.svd = o.svd.with_ordering(crate::OrderingKind::NewRing);
+                }
+                (o.svd.threads, o.svd.serial_cutoff) = (Some(2), serial_cutoff);
+                let what = format!("P = {procs}, {kernel}, {hier:?}, vectors {vectors}");
+                let mut seen = false;
+                sweep_blocks(&a, &o, |slots, scratches| {
+                    assert_eq!(slots.len(), 2 * procs, "{what}");
+                    for slot in slots {
+                        assert!(on_line(&slot.a), "{what}: A");
+                        assert_eq!(slot.v.is_empty(), !vectors, "{what}");
+                        assert!(!vectors || on_line(&slot.v), "{what}: V");
+                    }
+                    let tiles: Vec<&AlignedBuf> =
+                        scratches.iter().map(|s| &s.tile).filter(|t| !t.is_empty()).collect();
+                    assert_eq!(tiles.is_empty(), kernel == BlockKernel::Pairwise, "{what}");
+                    assert!(tiles.iter().all(|t| on_line(t)), "{what}: tile");
+                    seen = true;
+                })
+                .unwrap();
+                assert!(seen, "{what}: converged without showing its slots");
             }
         }
     }

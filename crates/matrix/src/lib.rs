@@ -15,7 +15,9 @@
 //! * [`checks`] — residual and orthogonality measures used by the test
 //!   suite and the experiment harness;
 //! * [`scaling`] — exact power-of-two rescaling of inputs whose entries
-//!   would overflow or underflow when squared.
+//!   would overflow or underflow when squared;
+//! * [`aligned`] — column storage whose first value sits on a 64-byte
+//!   line, for the sweep drivers and the QR working matrix.
 //!
 //! The crate is deliberately free of external linear-algebra dependencies:
 //! every kernel needed by the paper (dot products, norms, Householder
@@ -37,6 +39,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod aligned;
 pub mod cache;
 pub mod checks;
 pub mod error;

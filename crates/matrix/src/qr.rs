@@ -50,10 +50,10 @@
 //!
 //! The working matrix is `A` copied at a leading dimension of its own
 //! (`work_ld`): `m` rounded up to whole 64-byte lines, plus a line when
-//! that is a whole number of 4 KiB pages, with the first column on a line
-//! boundary. So every column of `V` and of the trailing matrix starts on
-//! a line, and at power-of-two heights the columns no longer map to one
-//! L1 set. The kernels take separate strides for `V` and `C`, since the
+//! that is a whole number of 4 KiB pages, into an [`AlignedBuf`], whose
+//! first value sits on a line. So every column of `V` and of the trailing
+//! matrix starts on a line, and at power-of-two heights the columns no
+//! longer map to one L1 set. The kernels take separate strides for `V` and `C`, since the
 //! matrices `Q` is applied to keep their own.
 //!
 //! The factorization's steady state (the per-panel loop) is
@@ -64,10 +64,10 @@
 //! allocated once per node, except the `m×n` working matrix: a dropped
 //! [`TsqrQr`] leaves it in a one-slot spare of its thread, and the next
 //! `factor` on that thread copies `A` into the spare when its capacity
-//! lies between the `ld·n + 7` values it needs (the padded columns, and
-//! room to align the first) and twice that; otherwise the spare is freed
-//! and a new buffer allocated. So a steady stream of same-shape
-//! factorizations allocates no working matrix, and each thread holds at
+//! ([`AlignedBuf::capacity`]) lies between the `ld·n` values it needs (the
+//! padded columns) and twice that; otherwise the spare is freed and a new
+//! buffer allocated. So a steady stream of same-shape factorizations
+//! allocates no working matrix, and each thread holds at
 //! most one spare, no larger than twice the working matrix of the
 //! factorization that filled it. Reuse also keeps the allocator from
 //! handing the pages back to the kernel between solves — with glibc, a
@@ -75,6 +75,7 @@
 //! trim threshold, and every later request then faults its pages in
 //! again.
 
+use crate::aligned::{AlignedBuf, LINE};
 use crate::error::MatrixError;
 use crate::matrix::Matrix;
 use crate::ops;
@@ -83,7 +84,7 @@ use std::cell::Cell;
 thread_local! {
     /// The working matrix of the last [`TsqrQr`] dropped on this thread,
     /// kept for the next [`TsqrQr::factor`] on it (see the module docs).
-    static SPARE: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+    static SPARE: Cell<AlignedBuf> = const { Cell::new(AlignedBuf::new()) };
 }
 
 /// Fork–join hook for the TSQR tree: this crate is the workspace's
@@ -241,21 +242,14 @@ pub struct TsqrQr {
     n: usize,
     /// Leading dimension of the working matrix ([`work_ld`] of `m`).
     ld: usize,
-    /// Offset of the working matrix in `work`: its first column starts on
-    /// a 64-byte boundary.
-    off: usize,
-    /// The buffer of the reduced working matrix (`m × n`, column-major at
-    /// stride `ld` from `off`): below each panel's diagonal it holds the
-    /// reflectors of the panel's leaves.
-    work: Vec<f64>,
+    /// The reduced working matrix (`m × n`, column-major at stride `ld`):
+    /// below each panel's diagonal it holds the reflectors of the panel's
+    /// leaves.
+    work: AlignedBuf,
     panels: Vec<PanelFactor>,
     r: Matrix,
     stats: QrStats,
 }
-
-/// Doubles in a 64-byte cache line, the alignment of the working matrix's
-/// columns.
-const LINE: usize = 8;
 
 /// The leading dimension of the working matrix of an `m`-row factor: `m`
 /// rounded up to whole cache lines, so that every column starts on a line
@@ -783,23 +777,21 @@ impl TsqrQr {
         let lanes = opts.lanes.max(1);
         let mut scratches: Vec<QrScratch> = (0..lanes).map(|_| QrScratch::default()).collect();
         let ld = work_ld(m);
-        // room to move the first column onto a cache line
-        let need = ld * n + LINE - 1;
+        let need = ld * n;
         let spare = SPARE.try_with(Cell::take).unwrap_or_default();
         let mut buf = if (need..=2 * need).contains(&spare.capacity()) {
             spare
         } else {
             drop(spare); // free it before the new buffer is taken
-            Vec::with_capacity(need)
+            AlignedBuf::new()
         };
-        buf.clear();
-        let off = buf.as_ptr().align_offset(LINE * size_of::<f64>());
-        buf.resize(off, 0.0);
-        for j in 0..n {
-            buf.extend_from_slice(col(j));
-            buf.resize(off + (j + 1) * ld, 0.0);
+        buf.resize(need);
+        let work = buf.as_mut_slice();
+        for (j, dst) in work.chunks_exact_mut(ld).enumerate() {
+            let (head, pad) = dst.split_at_mut(m);
+            head.copy_from_slice(col(j));
+            pad.fill(0.0);
         }
-        let work = &mut buf[off..];
         let bw_max = opts.panel.clamp(1, n);
         let mut panels: Vec<PanelFactor> = Vec::with_capacity(n.div_ceil(bw_max));
         let mut stats = QrStats::default();
@@ -893,7 +885,7 @@ impl TsqrQr {
         for j in 0..n {
             r.col_mut(j)[..=j].copy_from_slice(&work[j * ld..j * ld + j + 1]);
         }
-        Ok(TsqrQr { m, n, ld, off, work: buf, panels, r, stats })
+        Ok(TsqrQr { m, n, ld, work: buf, panels, r, stats })
     }
 
     /// Column count of the factored matrix.
@@ -929,7 +921,7 @@ impl TsqrQr {
         let m = self.m;
         let mut scratches: Vec<QrScratch> = (0..lanes).map(|_| QrScratch::default()).collect();
         let mut chunks = chunk_columns(x.as_mut_slice(), m, lanes.min(k));
-        let (panels, vs, ldv) = (&self.panels, &self.work[self.off..], self.ld);
+        let (panels, vs, ldv) = (&self.panels, &self.work, self.ld);
         fan_out(&mut chunks, &mut scratches, lanes, join, &|chunk, s| {
             if trans {
                 for p in panels.iter() {
@@ -1441,7 +1433,7 @@ mod tests {
             let opts = QrOptions { panel: 16, leaf_rows: 0, lanes: 1 };
             let qr = TsqrQr::factor(&a, &opts, &SerialJoin).unwrap();
             assert_eq!(qr.ld, ld);
-            assert_eq!(qr.work[qr.off..].as_ptr() as usize % 64, 0, "{m} rows: unaligned");
+            assert_eq!(qr.work.as_ptr() as usize % 64, 0, "{m} rows: unaligned");
             assert_eq!(qr.stats().steady_alloc_events, 0, "{m} rows");
             assert_qr(&a, &qr, 1e-12);
             let head = generate::random_uniform(40, 40, m as u64 + 1);

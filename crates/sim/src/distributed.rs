@@ -11,10 +11,12 @@
 //! is fully determined by the schedule and f64 arithmetic is deterministic.
 //!
 //! The transport is **zero-copy**: a departing column's storage *is* the
-//! message. The sender moves its `Vec` into a detached
-//! [`MsgBuf`](treesvd_comm::MsgBuf) and the receiver adopts the
-//! allocation, so exactly `n` data (and `n` vector) buffers exist for the
-//! whole run, wandering between ranks along the movement permutations; the
+//! message. The sender moves its allocation, line padding included
+//! ([`AlignedBuf::into_padded`]), into a detached
+//! [`MsgBuf`](treesvd_comm::MsgBuf) and the receiver adopts it
+//! ([`AlignedBuf::from_padded`]), so the column arrives on the line it left
+//! on. Exactly `n` data (and `n` vector) buffers exist for the whole run,
+//! wandering between ranks along the movement permutations, and the
 //! steady state performs **zero payload allocations** (collectives lease
 //! from the rank-local [`BufferPool`](treesvd_comm::BufferPool), which is
 //! warm after the first sweep).
@@ -38,6 +40,7 @@ use std::fmt;
 use std::sync::Arc;
 use treesvd_analyze::{tag_a, tag_v};
 use treesvd_comm::{allreduce_sum_in_place, Communicator, MsgBuf, RecvError, ThreadWorld};
+use treesvd_matrix::aligned::AlignedBuf;
 use treesvd_orderings::ColIndex;
 
 /// Why a distributed run failed: a rank's bounded receive timed out (or its
@@ -143,10 +146,10 @@ fn worker(
                 let d = perm.dest_of(s);
                 if d / 2 != rank {
                     let slot = if i == 0 { &mut left } else { &mut right };
-                    let a = std::mem::take(&mut slot.a);
+                    let a = std::mem::take(&mut slot.a).into_padded();
                     comm.send_buf(d / 2, tag_a(global_step, d), MsgBuf::detached(a));
                     if vectors {
-                        let v = std::mem::take(&mut slot.v);
+                        let v = std::mem::take(&mut slot.v).into_padded();
                         comm.send_buf(d / 2, tag_v(global_step, d), MsgBuf::detached(v));
                     }
                 }
@@ -161,13 +164,15 @@ fn worker(
                 let src_slot = inv.dest_of(dest_slot);
                 if src_slot / 2 != rank {
                     let slot = if local == 0 { &mut left } else { &mut right };
-                    slot.a = comm
-                        .recv(src_slot / 2, tag_a(global_step, dest_slot))
-                        .map_err(recv_fail(rank, sweep_no, global_step as u64))?;
+                    slot.a = AlignedBuf::from_padded(
+                        comm.recv(src_slot / 2, tag_a(global_step, dest_slot))
+                            .map_err(recv_fail(rank, sweep_no, global_step as u64))?,
+                    );
                     if vectors {
-                        slot.v = comm
-                            .recv(src_slot / 2, tag_v(global_step, dest_slot))
-                            .map_err(recv_fail(rank, sweep_no, global_step as u64))?;
+                        slot.v = AlignedBuf::from_padded(
+                            comm.recv(src_slot / 2, tag_v(global_step, dest_slot))
+                                .map_err(recv_fail(rank, sweep_no, global_step as u64))?,
+                        );
                     }
                 }
             }
@@ -296,7 +301,7 @@ pub fn distributed_svd(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::tests::{slot_bits, tied_columns};
+    use crate::exec::tests::{slot_bits, slots_on_lines, tied_columns};
     use crate::exec::{execute_program, ColumnStore, ExecConfig};
     use crate::machine::Machine;
     use treesvd_matrix::generate;
@@ -404,6 +409,22 @@ mod tests {
         assert!(run.sweeps > 2, "need a steady state to measure");
         assert!(run.warm_payload_allocs > 0, "warm-up must populate the pools");
         assert_eq!(run.steady_payload_allocs, 0, "steady state allocated payload buffers");
+    }
+
+    #[test]
+    fn columns_arrive_on_the_lines_they_left_on() {
+        // a column travels as its allocation, padding included, so after
+        // the run every rank's A and V columns still start on a line
+        let n = 16;
+        let a = generate::random_uniform(12, n, 31);
+        for vectors in [true, false] {
+            let plan = plan(OrderingKind::FatTree, n);
+            let run =
+                distributed_svd(plan, a.clone().into_columns(), vectors, ExecConfig::default(), 64)
+                    .unwrap();
+            assert!(run.converged && run.sweeps > 1, "need sweeps that move columns");
+            assert!(slots_on_lines(&run.slots, vectors), "vectors {vectors}");
+        }
     }
 
     #[test]

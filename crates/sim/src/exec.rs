@@ -16,6 +16,7 @@
 use crate::analyze::{analyze_program, CommReport};
 use crate::machine::Machine;
 use crate::par;
+use treesvd_matrix::aligned::AlignedBuf;
 use treesvd_matrix::ops;
 use treesvd_matrix::rotation::{compute_rotation, Rotation};
 use treesvd_matrix::soa::{rotation_lanes, LANES};
@@ -72,13 +73,15 @@ impl Default for ExecConfig {
 }
 
 /// One processor slot's payload: a matrix column and (optionally) the
-/// matching column of the accumulated right-singular-vector matrix `V`.
+/// matching column of the accumulated right-singular-vector matrix `V`,
+/// each starting on a 64-byte line. A column moves between slots (and
+/// between ranks) by handing over its storage.
 #[derive(Debug, Clone, Default)]
 pub struct SlotData {
     /// The `A` column (length `m`).
-    pub a: Vec<f64>,
+    pub a: AlignedBuf,
     /// The `V` column (length `n`), empty when `V` is not accumulated.
-    pub v: Vec<f64>,
+    pub v: AlignedBuf,
 }
 
 /// The machine's memory: one [`SlotData`] per slot plus the slot→index
@@ -92,9 +95,9 @@ pub struct ColumnStore {
 }
 
 impl ColumnStore {
-    /// Distribute the columns of an `m × n` matrix (given as owned column
-    /// vectors) over `n` slots in index order, optionally accumulating `V`
-    /// (initialized to the identity).
+    /// Distribute the columns of an `m × n` matrix (given as column
+    /// vectors, copied onto lines) over `n` slots in index order, optionally
+    /// accumulating `V` (initialized to the identity).
     ///
     /// # Panics
     /// Panics if `columns` is empty or ragged.
@@ -108,13 +111,13 @@ impl ColumnStore {
             .map(|(j, a)| {
                 assert_eq!(a.len(), m, "ragged columns");
                 let v = if accumulate_v {
-                    let mut e = vec![0.0; n];
+                    let mut e = AlignedBuf::zeros(n);
                     e[j] = 1.0;
                     e
                 } else {
-                    Vec::new()
+                    AlignedBuf::new()
                 };
-                SlotData { a, v }
+                SlotData { a: AlignedBuf::from_slice(&a), v }
             })
             .collect();
         Self { slots, layout: (0..n).collect() }
@@ -705,9 +708,37 @@ pub(crate) mod tests {
         );
     }
 
+    #[test]
+    fn slot_columns_stay_on_lines_through_sweeps() {
+        // a step hands each moving column over with its storage, so after
+        // sweeps run serially and forked every A and V column still starts
+        // on a 64-byte line (12 rows: not a whole number of lines)
+        let n = 16;
+        let ord = FatTreeOrdering::new(n).unwrap();
+        let mac = machine(n);
+        for (threads, serial_cutoff) in [(1, usize::MAX), (2, 0)] {
+            let mut store = store_from(12, n, 29, true);
+            let cfg = ExecConfig { threads, serial_cutoff, ..ExecConfig::default() };
+            let mut layout = ord.initial_layout();
+            for k in 0..3 {
+                let prog = ord.sweep_program(k, &layout);
+                execute_program(&mac, &prog, &mut store, &cfg);
+                layout = prog.final_layout();
+                assert!(slots_on_lines(&store.slots, true), "{threads} thread(s), sweep {k}");
+            }
+        }
+    }
+
+    /// Whether every slot's `A` column, and its `V` column when `vectors`
+    /// (else `V` is empty), starts on a 64-byte line.
+    pub(crate) fn slots_on_lines(slots: &[SlotData], vectors: bool) -> bool {
+        let on_line = |x: &[f64]| (x.as_ptr() as usize).is_multiple_of(64);
+        slots.iter().all(|s| on_line(&s.a) && if vectors { on_line(&s.v) } else { s.v.is_empty() })
+    }
+
     /// Bit patterns of every `A` and `V` entry, slot by slot.
     pub(crate) fn slot_bits(slots: &[SlotData]) -> Vec<u64> {
-        slots.iter().flat_map(|s| s.a.iter().chain(&s.v)).map(|x| x.to_bits()).collect()
+        slots.iter().flat_map(|s| s.a.iter().chain(s.v.iter())).map(|x| x.to_bits()).collect()
     }
 
     /// The columns of an `m × n` uniform input whose columns 1 and 3 tie
