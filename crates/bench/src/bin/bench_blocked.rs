@@ -15,11 +15,15 @@
 //! call at each width, on the first step's `P` meetings of the same input:
 //! the Gram build (`ops::gram_block`, one meeting), the in-cache lane pass
 //! (`soa::GramLanes`: interleave the `P` meetings' `G`, one pass over all
-//! of them, hand back each `W`) and the panel apply (`ops::panel_update`,
-//! one meeting's `A` panel). The two panel stages run on a copy of the
-//! panel that starts on a 64-byte line, as the driver's block slots do, and
-//! again 16 bytes past one (with `panel_update`'s tile), an offset glibc
-//! gives a plain `Vec`. The smoke run is the regression gate wired into
+//! of them, hand back each `W`) and the panel apply on one meeting's `A`
+//! panel, in both forms: `ops::panel_update_into`, which the driver's flat
+//! meetings run, writing into two spare panels, and the in-place
+//! `ops::panel_update` (band snapshot), which its hierarchical
+//! sub-meetings run. The panel stages run on a copy of the panel that
+//! starts on a 64-byte line, as the driver's block slots and spares do;
+//! the Gram build and the in-place update run again 16 bytes past one
+//! (with `panel_update`'s tile), an offset glibc gives a plain `Vec`. The
+//! smoke run is the regression gate wired into
 //! `scripts/verify.sh`: at `c = 16` the Gram kernel must not lose to the
 //! pairwise oracle, and the Gram run must be allocation-free after the
 //! first sweep warms its scratch buffers.
@@ -89,6 +93,11 @@ struct Stages {
     gram_block_us: f64,
     /// Timed with the panel on a line only: the pass reads no panel.
     lane_pass_us: Option<f64>,
+    /// The out-of-place update into two spare panels on lines, as the
+    /// driver's flat meetings run it; timed on a line only, where the
+    /// driver keeps its panels.
+    panel_update_into_us: Option<f64>,
+    /// The in-place update (band snapshot into the tile).
     panel_update_us: f64,
 }
 
@@ -148,8 +157,15 @@ fn time_stages(a: &Matrix, c: usize, processors: usize) -> Vec<Stages> {
                 ops::panel_update(x, y, m, &w, &mut tile[skip..]);
                 black_box(&panel);
             });
+            let panel_update_into_us = (offset == 0).then(|| {
+                let (mut xo, mut yo) = (AlignedBuf::zeros(c * m), AlignedBuf::zeros(c * m));
+                per_call_us(|| {
+                    let (x, y) = panel.split_at(c * m);
+                    black_box(ops::panel_update_into(x, y, m, &w, &mut xo, &mut yo));
+                })
+            });
             let lane_pass_us = (offset == 0).then_some(lane_pass_us);
-            Stages { c, offset, gram_block_us, lane_pass_us, panel_update_us }
+            Stages { c, offset, gram_block_us, lane_pass_us, panel_update_into_us, panel_update_us }
         })
         .collect()
 }
@@ -184,9 +200,12 @@ fn full_run(seed: u64) {
             let lane_pass = st.lane_pass_us.map_or(String::new(), |us| {
                 format!(", lane pass ({PROCESSORS} meetings) {us:.2} us")
             });
+            let into = st
+                .panel_update_into_us
+                .map_or(String::new(), |us| format!(", panel_update_into {us:.2} us"));
             eprintln!(
-                "c={c:2} stages per call, panel {} B past a line: gram_block {:.2} us{lane_pass}, \
-                 panel_update {:.2} us",
+                "c={c:2} stages per call, panel {} B past a line: gram_block {:.2} us{lane_pass}\
+                 {into}, panel_update {:.2} us",
                 st.offset, st.gram_block_us, st.panel_update_us
             );
             stages.push(st);
@@ -225,11 +244,14 @@ fn full_run(seed: u64) {
     }
     json.push_str("  ],\n");
     json.push_str(
-        "  \"stages_unit\": \"microseconds per call (median): gram_block and panel_update \
-         on one meeting's A panel, copied to start panel_offset_bytes past a 64-byte line \
-         (0: on a line, as the driver's block slots are; 16: with panel_update's tile, an \
-         offset glibc gives a plain Vec), the lane pass over the first step's meetings \
-         (every pair rotates; it reads no panel, so it is timed on the line only)\",\n",
+        "  \"stages_unit\": \"microseconds per call (median): gram_block, panel_update_into \
+         (the out-of-place update the driver's flat meetings run, into two spare panels on \
+         lines) and panel_update (in place, with its band snapshot) on one meeting's A panel, \
+         copied to start panel_offset_bytes past a 64-byte line (0: on a line, as the \
+         driver's block slots are; 16: with panel_update's tile, an offset glibc gives a \
+         plain Vec; panel_update_into is timed on the line only), the lane pass over the \
+         first step's meetings (every pair rotates; it reads no panel, so it is timed on the \
+         line only)\",\n",
     );
     let _ = writeln!(json, "  \"meetings_per_lane_pass\": {PROCESSORS},");
     json.push_str("  \"stages\": [\n");
@@ -237,10 +259,13 @@ fn full_run(seed: u64) {
         let comma = if i + 1 < stages.len() { "," } else { "" };
         let lane_pass =
             st.lane_pass_us.map_or(String::new(), |us| format!(", \"lane_pass_us\": {us:.2}"));
+        let into = st
+            .panel_update_into_us
+            .map_or(String::new(), |us| format!(", \"panel_update_into_us\": {us:.2}"));
         let _ = writeln!(
             json,
-            "    {{\"c\": {}, \"panel_offset_bytes\": {}, \"gram_block_us\": {:.2}{lane_pass}, \
-             \"panel_update_us\": {:.2}}}{comma}",
+            "    {{\"c\": {}, \"panel_offset_bytes\": {}, \"gram_block_us\": {:.2}{lane_pass}\
+             {into}, \"panel_update_us\": {:.2}}}{comma}",
             st.c, st.offset, st.gram_block_us, st.panel_update_us
         );
     }

@@ -28,9 +28,8 @@
 //! `G`'s lower triangle *in cache* — identical rotation and interchange
 //! decisions, since `compute_rotation` only ever consumes the Gram
 //! entries — while accumulating the `2c×2c` orthogonal update `W`, and
-//! finally applies `[X Y] ← [X Y]·W` (and the `V` panel) as one blocked
-//! panel multiply on the register tiles of [`ops::gemm_acc`]
-//! ([`ops::panel_update`]). The panel is read O(1) times per meeting
+//! finally writes `[X Y]·W` (and the `V` panel's product) out of place
+//! ([`ops::panel_update_into`]). The panel is read O(1) times per meeting
 //! instead of O(c), which is what turns the dominant cost into
 //! BLAS-3-shaped work. Convergence is preserved because the meeting still
 //! fully orthogonalizes and sorts `X ∪ Y`: `G` is rebuilt from the actual
@@ -38,16 +37,39 @@
 //! the termination rule (a full block sweep with no rotation and no
 //! interchange) is evaluated on the same quantities as the pairwise path.
 //!
+//! # The out-of-place update
+//!
+//! Each leaf keeps one union of spare panels: two `A` panels of `c·m`
+//! values and two `V` panels of `c·n_pad` (none when vectors are off),
+//! each on a 64-byte line. A flat meeting writes `[X Y]·W` into them
+//! with write-only register tiles: every output tile of 16 rows × up to 8
+//! columns starts at `+0` in registers, takes `X`'s columns and then
+//! `Y`'s as fused multiply-adds in ascending order and is stored once,
+//! so the union is read once per band and nothing is snapshotted or
+//! zeroed. The meeting then trades each slot that has a moved column for
+//! its spare, the pointer hand-over block movement already uses; a panel
+//! none of whose columns `W` moves keeps its buffer. The bits are those of
+//! the in-place [`ops::panel_update`] (band snapshot, same tiles), which
+//! the hierarchical sub-meetings still run, since a sub-block is a range
+//! of a slot's buffer and cannot be traded. On the `blocked` benchmark
+//! shape (512×128, planted κ = 10⁴, `P = 4`, vectors on, one thread, 13
+//! sweeps of 28 meetings) a solve's updates took 4.6–4.8 ms of
+//! 12.0–12.5 ms, against 7.3–7.7 ms of 14.9–15.6 ms with the in-place
+//! update, while the Gram builds (3.2–3.4 ms) and the lane passes
+//! (3.9–4.2 ms) did not move (best of 60 solves in alternating runs of
+//! each build; a timing probe, not in the repository).
+//!
 //! Meetings of distinct processors touch disjoint blocks, so each step
 //! fans the `P` meetings out over the persistent worker pool
 //! ([`treesvd_sim::par`]) with one scratch arena per leaf; after the first
-//! sweep the driver performs no allocation (block movement swaps
-//! pre-allocated buffers, and the Gram/`W`/tile scratches are reused).
+//! sweep the driver performs no allocation (block movement and the
+//! meetings' panel trades swap pre-allocated buffers, and the
+//! Gram/`W`/spare scratches are reused).
 //!
 //! Within a leaf the step's meetings also run side by side, as the
 //! paper's machine runs them: a leaf builds each meeting's `G`, then runs
 //! the in-cache passes of up to [`LANES`] meetings in SIMD lockstep, one
-//! lane per meeting ([`GramLanes`]), then applies each meeting's `W`. A
+//! lane per meeting ([`GramLanes`]), then writes each meeting's update. A
 //! lane computes exactly what a one-meeting pass computes, decision for
 //! decision and bit for bit, so σ, U, V, the sweep count and the rotation
 //! count do not depend on how the meetings are grouped into leaves and
@@ -120,15 +142,18 @@ struct BlockSlot {
 
 /// Per-leaf scratch for the Gram meetings: one meeting's `2c×2c` Gram
 /// matrix as [`ops::gram_block`] writes it, the interleaved lane pass, one
-/// meeting's update `W` as [`ops::panel_update`] reads it, and the
-/// panel-multiply tile (on a line, as the panels it snapshots are).
-/// Reused across meetings; `alloc_events` counts buffer growth (zero after
-/// warm-up).
+/// meeting's update `W` as the panel update reads it, the spare panels a
+/// flat meeting writes `[X Y]·W` into (one union of `A` and `V` panels,
+/// each on a 64-byte line, traded with the meeting's slots), and the
+/// band snapshot of the in-place update the hierarchical sub-meetings run
+/// (on a line, as the panels it copies are). Reused across meetings;
+/// `alloc_events` counts buffer growth (zero after warm-up).
 #[derive(Debug, Default)]
 struct MeetingScratch {
     g: Vec<f64>,
     lanes: GramLanes,
     w: Vec<f64>,
+    spare: [BlockSlot; 2],
     tile: AlignedBuf,
     alloc_events: u64,
 }
@@ -141,12 +166,21 @@ impl MeetingScratch {
         buf.resize(len, 0.0);
     }
 
-    /// Size everything for `meetings` unions of `k` columns.
-    fn ensure(&mut self, k: usize, meetings: usize) {
+    /// Size everything for `meetings` unions of `k` columns: with
+    /// `panels`, the spare panels of a flat meeting for slots of that many
+    /// (`A`, `V`) values; without, the sub-meetings' band snapshot.
+    fn ensure(&mut self, k: usize, meetings: usize, panels: Option<(usize, usize)>) {
         Self::grow(&mut self.g, k * k, &mut self.alloc_events);
         Self::grow(&mut self.w, k * k, &mut self.alloc_events);
-        self.alloc_events += u64::from(self.tile.resize(k * ops::PANEL_TILE));
         self.alloc_events += self.lanes.reset(k, meetings);
+        self.alloc_events += match panels {
+            Some((a, v)) => self
+                .spare
+                .iter_mut()
+                .map(|s| u64::from(s.a.resize(a)) + u64::from(s.v.resize(v)))
+                .sum(),
+            None => u64::from(self.tile.resize(k * ops::PANEL_TILE)),
+        };
     }
 
     /// Build the Gram matrix of the union `[X Y]` (`m`-row columns) into
@@ -156,25 +190,57 @@ impl MeetingScratch {
         self.lanes.load(lane, &self.g);
     }
 
-    /// After the pass: apply lane `lane`'s `W` to the union's `A` columns
-    /// and `V` columns (none when vectors are off) if the lane rotated or
-    /// swapped. Returns its (rotations, interchanges).
-    fn apply(
+    /// Lane `lane`'s `W` into `self.w`, if the lane rotated or swapped.
+    fn take_w(&mut self, lane: usize, counts: PassCounts) -> bool {
+        let moved = counts.rotations > 0 || counts.swaps > 0;
+        if moved {
+            self.lanes.w_into(lane, &mut self.w);
+        }
+        moved
+    }
+
+    /// After the pass of a flat meeting: write lane `lane`'s `W` applied to
+    /// the slots' `A` and `V` panels into the spare panels, then trade
+    /// each slot that has a moved column for its spare (a pointer swap).
+    fn apply_into(
+        &mut self,
+        lane: usize,
+        counts: PassCounts,
+        (lo, hi): (&mut BlockSlot, &mut BlockSlot),
+        ctx: &MeetCtx,
+    ) {
+        if !self.take_w(lane, counts) {
+            return;
+        }
+        let [sx, sy] = &mut self.spare;
+        let written = ops::panel_update_into(&lo.a, &hi.a, ctx.m, &self.w, &mut sx.a, &mut sy.a);
+        if ctx.v_len > 0 {
+            ops::panel_update_into(&lo.v, &hi.v, ctx.v_len, &self.w, &mut sx.v, &mut sy.v);
+        }
+        // `W` moves the same columns of `V` as of `A`
+        for (slot, spare, written) in [(lo, sx, written[0]), (hi, sy, written[1])] {
+            if written {
+                std::mem::swap(slot, spare);
+            }
+        }
+    }
+
+    /// After the pass of a sub-meeting: apply lane `lane`'s `W` in place to
+    /// the union's `A` columns and `V` columns (none when vectors are off).
+    fn apply_in_place(
         &mut self,
         lane: usize,
         counts: PassCounts,
         (xa, ya): (&mut [f64], &mut [f64]),
         (xv, yv): (&mut [f64], &mut [f64]),
         ctx: &MeetCtx,
-    ) -> (usize, usize) {
-        if counts.rotations > 0 || counts.swaps > 0 {
-            self.lanes.w_into(lane, &mut self.w);
+    ) {
+        if self.take_w(lane, counts) {
             ops::panel_update(xa, ya, ctx.m, &self.w, &mut self.tile);
             if ctx.v_len > 0 {
                 ops::panel_update(xv, yv, ctx.v_len, &self.w, &mut self.tile);
             }
         }
-        (counts.rotations, counts.swaps)
     }
 }
 
@@ -241,12 +307,11 @@ fn blocked_svd_inner(
 
 /// The blocked sweeps of `a` itself (`m ≥ n`, the front-end off), then the
 /// factors. `inspect` sees the block slots and the leaves' meeting
-/// scratches once the sweeps have converged (the tests check where they
-/// sit).
+/// scratches after every step (the tests check where they sit).
 fn sweep_blocks(
     a: &Matrix,
     opts: &BlockedOptions,
-    inspect: impl FnOnce(&[BlockSlot], &[MeetingScratch]),
+    mut inspect: impl FnMut(&[BlockSlot], &[MeetingScratch]),
 ) -> Result<BlockedRun, SvdError> {
     let (m, n) = a.shape();
     let n_super = 2 * opts.processors;
@@ -337,6 +402,7 @@ fn sweep_blocks(
                     spare[step.move_after.dest_of(src)] = std::mem::take(slot);
                 }
                 std::mem::swap(&mut slots, &mut spare);
+                inspect(&slots, &scratches);
             }
             // the plan chains: the sweep ends where the next one starts
             layout = &plan.program(sweep + 1).initial_layout;
@@ -344,6 +410,7 @@ fn sweep_blocks(
             let (r, s) = meet_leaf(&mut slots, layout, &ctx, &mut scratches[0]);
             rotations += r;
             swaps += s;
+            inspect(&slots, &scratches);
         }
         total_rotations += rotations;
         sweeps = sweep + 1;
@@ -359,7 +426,6 @@ fn sweep_blocks(
         return Err(SvdError::NoConvergence { sweeps, last_coupling: f64::NAN });
     }
     let steady_alloc_events = scratches.iter().map(|s| s.alloc_events).sum::<u64>() - warm_alloc;
-    inspect(&slots, &scratches);
 
     // locate each label's column: label block `layout[s]` lives in slot s
     let mut locate: Vec<(usize, usize)> = vec![(0, 0); n_pad];
@@ -605,8 +671,9 @@ fn hierarchical_meeting(
 /// `group`, in lockstep: each meeting's Gram matrix `G = [X Y]ᵀ[X Y]`
 /// ([`ops::gram_block`]), one cyclic sorted pass over all of them in cache,
 /// one lane per meeting, accumulating each meeting's orthogonal update `W`
-/// ([`GramLanes`]), then `[X Y] ← [X Y]·W` (and the `V` panel) as one
-/// blocked panel multiply per meeting that rotated or swapped. The rotation
+/// ([`GramLanes`]), then, for each meeting that rotated or swapped,
+/// `[X Y]·W` (and the `V` panel's) written into the leaf's spare panels,
+/// which it trades for the slots' buffers. The rotation
 /// and interchange decisions are computed from exactly the Gram quantities
 /// the pairwise path measures, so both kernels agree on what a meeting does
 /// (up to rounding in how the updates are realized), and a meeting's bits
@@ -619,22 +686,16 @@ fn gram_group(
     scratch: &mut MeetingScratch,
 ) -> (usize, usize) {
     let k = 2 * group[0].a.len() / ctx.m;
-    scratch.ensure(k, group.len() / 2);
+    scratch.ensure(k, group.len() / 2, Some((group[0].a.len(), group[0].v.len())));
     for (lane, (pair, lay)) in group.chunks_exact_mut(2).zip(lay.chunks_exact(2)).enumerate() {
         let (lo, hi) = in_label_order(pair, lay);
         scratch.load(lane, &lo.a, &hi.a, ctx.m);
     }
     let counts = scratch.lanes.pass(ctx.threshold, ctx.sort);
-    let mut rotations = 0usize;
-    let mut swaps = 0usize;
     for (lane, (pair, lay)) in group.chunks_exact_mut(2).zip(lay.chunks_exact(2)).enumerate() {
-        let (lo, hi) = in_label_order(pair, lay);
-        let (a, v) = ((&mut *lo.a, &mut *hi.a), (&mut *lo.v, &mut *hi.v));
-        let (r, s) = scratch.apply(lane, counts[lane], a, v, ctx);
-        rotations += r;
-        swaps += s;
+        scratch.apply_into(lane, counts[lane], in_label_order(pair, lay), ctx);
     }
-    (rotations, swaps)
+    counts.iter().take(group.len() / 2).fold((0, 0), |(r, s), c| (r + c.rotations, s + c.swaps))
 }
 
 /// One flat Gram meeting over the union `[X Y]` given as raw column panels
@@ -649,10 +710,11 @@ fn gram_union(
     ctx: &MeetCtx,
     scratch: &mut MeetingScratch,
 ) -> (usize, usize) {
-    scratch.ensure((xa.len() + ya.len()) / ctx.m, 1);
+    scratch.ensure((xa.len() + ya.len()) / ctx.m, 1, None);
     scratch.load(0, xa, ya, ctx.m);
     let [counts, ..] = scratch.lanes.pass(ctx.threshold, ctx.sort);
-    scratch.apply(0, counts, (xa, ya), (xv, yv), ctx)
+    scratch.apply_in_place(0, counts, (xa, ya), (xv, yv), ctx);
+    (counts.rotations, counts.swaps)
 }
 
 #[cfg(test)]
@@ -923,10 +985,12 @@ mod tests {
 
     #[test]
     fn block_slots_and_tiles_sit_on_lines() {
-        // the slots move by handing over their storage and the leaves
-        // reuse their tiles, so every panel still starts on a 64-byte line
-        // once the sweeps converge: both kernels; P = 1, 3 (new ring), 4
-        // and a hierarchical split; serial and forked; vectors on and off
+        // the slots move by handing over their storage, a flat meeting
+        // trades its slots' panels for the leaf's spares, and the leaves
+        // reuse their spares and tiles, so after every step every panel
+        // still starts on a 64-byte line: both kernels; P = 1, 3 (new
+        // ring), 4 and a hierarchical split; serial and forked; vectors on
+        // and off
         let on_line = |x: &[f64]| (x.as_ptr() as usize).is_multiple_of(64);
         let a = generate::random_uniform(40, 32, 15);
         let gram = BlockKernel::Gram;
@@ -946,7 +1010,8 @@ mod tests {
                 }
                 (o.svd.threads, o.svd.serial_cutoff) = (Some(2), serial_cutoff);
                 let what = format!("P = {procs}, {kernel}, {hier:?}, vectors {vectors}");
-                let mut seen = false;
+                let flat = kernel == gram && hier == HierBlocking::Auto;
+                let mut steps = 0;
                 sweep_blocks(&a, &o, |slots, scratches| {
                     assert_eq!(slots.len(), 2 * procs, "{what}");
                     for slot in slots {
@@ -954,14 +1019,21 @@ mod tests {
                         assert_eq!(slot.v.is_empty(), !vectors, "{what}");
                         assert!(!vectors || on_line(&slot.v), "{what}: V");
                     }
-                    let tiles: Vec<&AlignedBuf> =
-                        scratches.iter().map(|s| &s.tile).filter(|t| !t.is_empty()).collect();
-                    assert_eq!(tiles.is_empty(), kernel == BlockKernel::Pairwise, "{what}");
-                    assert!(tiles.iter().all(|t| on_line(t)), "{what}: tile");
-                    seen = true;
+                    for s in scratches {
+                        let spares = s.spare.iter().flat_map(|p| [&p.a, &p.v]);
+                        let bufs: Vec<&AlignedBuf> = spares.chain([&s.tile]).collect();
+                        assert!(bufs.iter().all(|b| b.is_empty() || on_line(b)), "{what}");
+                        // flat meetings write into spares, sub-meetings
+                        // snapshot into the tile, pairwise ones use neither
+                        let [x, y] = &s.spare;
+                        assert_eq!(x.a.is_empty() || y.a.is_empty(), !flat, "{what}: spare A");
+                        assert_eq!(x.v.is_empty() || y.v.is_empty(), !flat || !vectors, "{what}");
+                        assert_eq!(s.tile.is_empty(), kernel != gram || flat, "{what}: tile");
+                    }
+                    steps += 1;
                 })
                 .unwrap();
-                assert!(seen, "{what}: converged without showing its slots");
+                assert!(steps > 0, "{what}: converged without showing its slots");
             }
         }
     }

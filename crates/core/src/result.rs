@@ -117,9 +117,9 @@ pub(crate) fn extract_svd<'c>(
     for j in 0..n {
         if norms[j] > rank_tol {
             sigma[j] = norms[j];
-            let mut c = col(order[j]).0.to_vec();
-            ops::scal(1.0 / norms[j], &mut c);
-            u.set_col(j, &c);
+            let uj = u.col_mut(j);
+            uj.copy_from_slice(col(order[j]).0);
+            ops::scal(1.0 / norms[j], uj);
         } else {
             zero_u.push(j);
         }
@@ -201,9 +201,9 @@ pub fn complete_orthonormal(q: &mut Matrix, zero_cols: &[usize]) {
             if other == j {
                 continue;
             }
-            let col = q.col(other).to_vec();
-            let proj = treesvd_matrix::ops::dot(&cand, &col);
-            treesvd_matrix::ops::axpy(-proj, &col, &mut cand);
+            let col = q.col(other);
+            let proj = treesvd_matrix::ops::dot(&cand, col);
+            treesvd_matrix::ops::axpy(-proj, col, &mut cand);
         }
         let norm = treesvd_matrix::ops::norm2(&cand);
         treesvd_matrix::ops::scal(1.0 / norm, &mut cand);

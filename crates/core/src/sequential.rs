@@ -98,9 +98,9 @@ fn sweep_to_convergence(a: &Matrix, max_sweeps: usize) -> Result<SequentialRun, 
     for j in 0..n {
         if norms[j] > rank_tol {
             sigma[j] = norms[j];
-            let mut col = h.col(j).to_vec();
-            treesvd_matrix::ops::scal(1.0 / norms[j], &mut col);
-            u.set_col(j, &col);
+            let uj = u.col_mut(j);
+            uj.copy_from_slice(h.col(j));
+            treesvd_matrix::ops::scal(1.0 / norms[j], uj);
         } else {
             zero_cols.push(j);
         }

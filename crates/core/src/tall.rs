@@ -367,6 +367,56 @@ mod tests {
         }
     }
 
+    #[test]
+    fn lane_count_does_not_change_the_bits() {
+        // the QR's column chunks and the drivers' forked steps touch
+        // disjoint data, so one lane and two through the pool's join give
+        // the same bits: R, the thin Q and q_times of the factorization,
+        // and the blocked and simulated front-end solves' σ, U and V with
+        // forced forking
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (m, n, panel, leaf_rows) in [(1000, 40, 16, 0), (4096, 16, 8, 512), (300, 64, 32, 0)] {
+            let what = format!("{m}x{n}, panel {panel}, leaf rows {leaf_rows}");
+            let a = generate::random_uniform(m, n, 31);
+            let head = generate::random_uniform(n, n, 32);
+            let on = |lanes| {
+                let qr = TsqrQr::factor(&a, &QrOptions { panel, leaf_rows, lanes }, &PoolJoin);
+                let qr = qr.unwrap();
+                let r = bits(qr.r().as_slice());
+                let q = bits(qr.thin_q(&PoolJoin).as_slice());
+                (r, q, bits(qr.q_times(&head, lanes, &PoolJoin).as_slice()))
+            };
+            let (one, two) = (on(1), on(2));
+            assert_eq!(one.0, two.0, "{what}: R");
+            assert_eq!(one.1, two.1, "{what}: thin Q");
+            assert_eq!(one.2, two.2, "{what}: q_times");
+        }
+        let a = generate::random_uniform(1000, 40, 33);
+        let opts = |threads: usize| {
+            let mut o = fe_opts().with_threads(Some(threads));
+            o.serial_cutoff = if threads > 1 { 0 } else { o.serial_cutoff };
+            o
+        };
+        let solve = |name: &str, threads: usize| match name {
+            "blocked" => {
+                let svd = opts(threads);
+                let run = blocked_svd(&a, &BlockedOptions { processors: 4, svd }).unwrap();
+                (run.svd, run.sweeps)
+            }
+            _ => {
+                let run = HestenesSvd::new(opts(threads)).compute(&a).unwrap();
+                (run.svd, run.sweeps)
+            }
+        };
+        for name in ["blocked", "simulated"] {
+            let ((x, sx), (y, sy)) = (solve(name, 1), solve(name, 2));
+            assert_eq!(bits(&x.sigma), bits(&y.sigma), "{name}: σ");
+            assert_eq!(bits(x.u.as_slice()), bits(y.u.as_slice()), "{name}: U");
+            assert_eq!(bits(x.v.as_slice()), bits(y.v.as_slice()), "{name}: V");
+            assert_eq!(sx, sy, "{name}: sweeps");
+        }
+    }
+
     /// `b` with column `j` scaled by `10^(-decades·(1 − j/(n−1)))`: scales
     /// rising from `10^-decades` to 1.
     fn rising(b: &Matrix, decades: f64) -> Matrix {

@@ -5,14 +5,15 @@
 //! touches one line; on one that starts where the allocator put it (0, 16,
 //! 32 or 48 bytes past a line with glibc), most of them straddle two. On a
 //! meeting of 32 columns of 1024 rows (`BENCH_blocked.json`, an AVX-512
-//! host), [`ops::gram_block`] took 30.6 µs on a line against 50.7 µs
-//! 16 bytes past one, and [`ops::panel_update`] 83.7 against 87.2 µs.
+//! host), [`ops::gram_block`] took 25.7 µs on a line against 41.0 µs
+//! 16 bytes past one, and [`ops::panel_update`] 51.3 against 59.1 µs.
 //!
 //! [`AlignedBuf`] gets the line in safe code: it allocates `LINE − 1`
 //! values more than it holds and starts at the first value on a line. The
 //! sweep drivers keep their column storage in it (the blocked driver's
-//! block slots and panel-multiply tile, the simulated and distributed
-//! executors' slot columns), and so does the TSQR working matrix.
+//! block slots, spare panels and in-place tile, the simulated and
+//! distributed executors' slot columns), and so does the TSQR working
+//! matrix.
 //! [`Matrix`](crate::Matrix) stays a plain `Vec<f64>`.
 //!
 //! [`ops::gram_block`]: crate::ops::gram_block

@@ -533,11 +533,14 @@ fn rotate_impl<const SWAP: bool>(c: f64, s: f64, a: &mut [f64], b: &mut [f64]) {
     }
 }
 
-/// Row-band height (in elements) of [`panel_update`]: each band of the
-/// input union is snapshotted into caller scratch before its output rows
-/// are overwritten. With a `2c = 64` column union the snapshot is
-/// `64 · 128 · 8 B = 64 KiB`, resident in L2 while [`gemm_acc`]'s register
-/// tiles stream the band's outputs over it.
+/// Row-band height (in elements) of [`panel_update`] and
+/// [`panel_update_into`]. The in-place form snapshots each band of the
+/// input union into caller scratch before its output rows are
+/// overwritten: with a `2c = 64` column union the snapshot is
+/// `64 · 128 · 8 B = 64 KiB`, resident in L2 while the register tiles
+/// stream the band's outputs over it. The out-of-place form snapshots
+/// nothing; its bands keep a union's rows in L1 while every output column
+/// reads them.
 pub const PANEL_TILE: usize = 128;
 
 /// Columns `i..` of the union panel `[X Y]` (both column-major with `m`
@@ -599,22 +602,38 @@ pub fn gram_block(x: &[f64], y: &[f64], m: usize, g: &mut [f64]) {
     }
 }
 
-/// Blocked panel update `[X Y] ← [X Y] · W` where `W` is the `k×k`
-/// column-major orthogonal update accumulated by a block meeting
+/// The union width `k` of a panel update's operands, checked.
+fn panel_width(what: &str, x: &[f64], y: &[f64], m: usize, w: &[f64]) -> usize {
+    assert_eq!(x.len() % m.max(1), 0, "{what}: x is not whole columns");
+    assert_eq!(y.len() % m.max(1), 0, "{what}: y is not whole columns");
+    let k = (x.len() + y.len()).checked_div(m).unwrap_or(0);
+    assert_eq!(w.len(), k * k, "{what}: w must be k×k");
+    k
+}
+
+/// Whether the `k×k` update `W` moves output column `j`: `W[:, j] ≠ e_j`.
+fn moves(w: &[f64], k: usize, j: usize) -> bool {
+    let wj = &w[k * j..k * (j + 1)];
+    wj[j] != 1.0 || wj.iter().enumerate().any(|(i, &v)| i != j && v != 0.0)
+}
+
+/// Blocked panel update `[X Y] ← [X Y] · W` in place, where `W` is the
+/// `k×k` column-major orthogonal update accumulated by a block meeting
 /// (`k = (x.len() + y.len()) / m`).
 ///
 /// Row-banded by [`PANEL_TILE`]: each band of the input union is
-/// snapshotted into `tile` (caller scratch, length ≥ `k · PANEL_TILE`),
-/// then the band's outputs are zeroed and accumulated from the snapshot by
-/// [`gemm_acc`]'s register tiles, one run of adjacent output columns of
-/// one panel at a time: one read plus one write of the panel in total,
-/// against the O(k²·m) column traffic of applying rotations one pair at a
-/// time. A column whose `W` column is exactly `e_j` is left as it is, so a
-/// near-identity `W` (late sweeps) rewrites only the columns it moves.
+/// snapshotted into `tile` (caller scratch, length ≥ `k · PANEL_TILE`), the
+/// one copy the in-place form needs, since its outputs overwrite its
+/// sources. Then every run of adjacent output columns of one panel that
+/// `W` moves is written from the snapshot by the write-only register
+/// tiles of [`panel_update_into`]. A column whose `W` column is exactly
+/// `e_j` is left as it is, so a near-identity `W` (late sweeps) rewrites
+/// only the columns it moves.
 ///
 /// Every rewritten element is the fused-multiply-add chain over its
-/// column's weights in ascending source order, starting from `+0.0`. A
-/// zero weight adds an exact zero, so on finite input the result is
+/// column's weights in ascending source order, starting from `+0.0`, as
+/// in [`panel_update_into`], so the two agree bit for bit. A zero weight
+/// adds an exact zero, so on finite input the result is
 /// [`naive::panel_update`]'s bit for bit; the two can differ only in the
 /// sign of a zero, when a partial sum underflows to `−0.0`.
 ///
@@ -622,20 +641,12 @@ pub fn gram_block(x: &[f64], y: &[f64], m: usize, g: &mut [f64]) {
 /// Panics if a panel length is not a multiple of `m`, `w.len() != k²`, or
 /// `tile` is shorter than `k · PANEL_TILE`.
 pub fn panel_update(x: &mut [f64], y: &mut [f64], m: usize, w: &[f64], tile: &mut [f64]) {
-    assert_eq!(x.len() % m.max(1), 0, "panel_update: x is not whole columns");
-    assert_eq!(y.len() % m.max(1), 0, "panel_update: y is not whole columns");
-    let k = (x.len() + y.len()).checked_div(m).unwrap_or(0);
-    assert_eq!(w.len(), k * k, "panel_update: w must be k×k");
+    let k = panel_width("panel_update", x, y, m, w);
     if k == 0 {
         return;
     }
     assert!(tile.len() >= k * PANEL_TILE, "panel_update: tile scratch too short");
     let cx = x.len() / m;
-    // whether W[:, j] differs from e_j, i.e. output column j is rewritten
-    let moved = |j: usize| {
-        let wj = &w[k * j..k * (j + 1)];
-        wj[j] != 1.0 || wj.iter().enumerate().any(|(i, &v)| i != j && v != 0.0)
-    };
     let mut r0 = 0;
     while r0 < m {
         let tb = (m - r0).min(PANEL_TILE);
@@ -643,27 +654,136 @@ pub fn panel_update(x: &mut [f64], y: &mut [f64], m: usize, w: &[f64], tile: &mu
             let src = &union_col(x, y, m, i)[r0..r0 + tb];
             tile[i * PANEL_TILE..i * PANEL_TILE + tb].copy_from_slice(src);
         }
-        for (panel, c0) in [(&mut *x, 0), (&mut *y, cx)] {
-            let cols = panel.len() / m;
-            let mut j = 0;
-            while j < cols {
-                if !moved(c0 + j) {
-                    j += 1;
-                    continue;
-                }
-                let mut j1 = j + 1;
-                while j1 < cols && moved(c0 + j1) {
-                    j1 += 1;
-                }
-                for col in panel[j * m..j1 * m].chunks_exact_mut(m) {
-                    col[r0..r0 + tb].fill(0.0);
-                }
-                let wr = &w[k * (c0 + j)..k * (c0 + j1)];
-                gemm_acc(tb, tile, PANEL_TILE, k, wr, j1 - j, 1.0, &mut panel[j * m + r0..], m);
-                j = j1;
+        let src = Sources { x: tile, ldx: PANEL_TILE, cx: k, y: &[], ldy: 0, cy: 0, r0: 0 };
+        put_band(x, m, r0, tb, 0, src, w, false);
+        put_band(y, m, r0, tb, cx, src, w, false);
+        r0 += tb;
+    }
+}
+
+/// Blocked panel update out of place: `[Xo Yo] ← [X Y] · W`, where `W` is
+/// the `k×k` column-major orthogonal update accumulated by a block meeting
+/// (`k = (x.len() + y.len()) / m`) and `xo`, `yo` have the shapes of `x`,
+/// `y`. Returns whether each of `xo` and `yo` was written: an output panel
+/// none of whose columns `W` moves (`W[:, j] = e_j` for each) is left
+/// untouched, since it would equal its input.
+///
+/// Each output tile of 16 rows × up to 8 columns ([`gemm_acc`]'s register
+/// tile, not loaded from the output) starts at `+0.0` in registers, takes
+/// `X`'s columns and then `Y`'s as exactly rounded fused multiply-adds in
+/// ascending source order, and is stored once: one read of the union
+/// (banded by [`PANEL_TILE`] rows, so a band stays in L1 while every
+/// output column reads it) and one write of each written panel, with no
+/// snapshot and no zero pass. In a written panel, a column whose `W`
+/// column is exactly `e_j` is copied from its input. Every element is
+/// therefore [`panel_update`]'s bit for bit, at every SIMD tier.
+///
+/// # Panics
+/// Panics if a panel length is not a multiple of `m`, `w.len() != k²`, or
+/// an output's length differs from its input's.
+pub fn panel_update_into(
+    x: &[f64],
+    y: &[f64],
+    m: usize,
+    w: &[f64],
+    xo: &mut [f64],
+    yo: &mut [f64],
+) -> [bool; 2] {
+    let k = panel_width("panel_update_into", x, y, m, w);
+    assert!(
+        xo.len() == x.len() && yo.len() == y.len(),
+        "panel_update_into: outputs must match the inputs"
+    );
+    let cx = x.len().checked_div(m).unwrap_or(0);
+    let written = [(0..cx).any(|j| moves(w, k, j)), (cx..k).any(|j| moves(w, k, j))];
+    let mut r0 = 0;
+    while r0 < m {
+        let tb = (m - r0).min(PANEL_TILE);
+        let src = Sources { x, ldx: m, cx, y, ldy: m, cy: k - cx, r0 };
+        for (out, c0, write) in [(&mut *xo, 0, written[0]), (&mut *yo, cx, written[1])] {
+            if write {
+                put_band(out, m, r0, tb, c0, src, w, true);
             }
         }
         r0 += tb;
+    }
+    written
+}
+
+/// The source columns of an [`acc_block`], in order: `x`'s `cx` columns at
+/// stride `ldx`, then `y`'s `cy` at stride `ldy`, each from row `r0` on.
+#[derive(Clone, Copy)]
+struct Sources<'a> {
+    x: &'a [f64],
+    ldx: usize,
+    cx: usize,
+    y: &'a [f64],
+    ldy: usize,
+    cy: usize,
+    r0: usize,
+}
+
+impl Sources<'_> {
+    /// Whether every column holds rows `r0..r0 + rows`.
+    fn hold(&self, rows: usize) -> bool {
+        let end = self.r0 + rows;
+        let fits =
+            |p: &[f64], ld: usize, n: usize| n == 0 || (ld >= end && p.len() >= (n - 1) * ld + end);
+        fits(self.x, self.ldx, self.cx) && fits(self.y, self.ldy, self.cy)
+    }
+
+    /// Source `i` from row `r0` on.
+    fn col(&self, i: usize) -> &[f64] {
+        if i < self.cx {
+            &self.x[i * self.ldx + self.r0..]
+        } else {
+            &self.y[(i - self.cx) * self.ldy + self.r0..]
+        }
+    }
+
+    /// The two runs as (row `r0 + r` of the first column, stride,
+    /// columns); a run of no columns is never read.
+    #[cfg(all(target_arch = "x86_64", target_feature = "fma"))]
+    fn runs(&self, r: usize) -> [(*const f64, usize, usize); 2] {
+        let at = |p: &[f64]| p.as_ptr().wrapping_add(self.r0 + r);
+        [(at(self.x), self.ldx, self.cx), (at(self.y), self.ldy, self.cy)]
+    }
+}
+
+/// Rows `r0..r0 + tb` of the output panel `out` (`m`-row columns, which
+/// are union columns `c0..`), from `src`, whose first row is row `r0`:
+/// every run of adjacent columns that `W` moves is written by
+/// [`acc_cols`] (tiles started at `+0.0`); with `copy`, every other
+/// column's rows are copied from its source.
+#[allow(clippy::too_many_arguments)] // a band of a strided GEMM: (out, rows) × (src, w)
+fn put_band(
+    out: &mut [f64],
+    m: usize,
+    r0: usize,
+    tb: usize,
+    c0: usize,
+    src: Sources<'_>,
+    w: &[f64],
+    copy: bool,
+) {
+    let k = src.cx + src.cy;
+    let cols = out.len() / m;
+    let mut j = 0;
+    while j < cols {
+        if !moves(w, k, c0 + j) {
+            if copy {
+                out[j * m + r0..j * m + r0 + tb].copy_from_slice(&src.col(c0 + j)[..tb]);
+            }
+            j += 1;
+            continue;
+        }
+        let mut j1 = j + 1;
+        while j1 < cols && moves(w, k, c0 + j1) {
+            j1 += 1;
+        }
+        let (wj, cj) = (&w[k * (c0 + j)..], &mut out[j * m + r0..]);
+        acc_cols::<false>(tb, src, wj, k, j1 - j, cj, m);
+        j = j1;
     }
 }
 
@@ -1187,7 +1307,8 @@ const ACC_DEPTH: usize = 64;
 /// of 16 end in masked lanes. Each element of `C` receives its sources in
 /// order `i = 0, 1, …` as exactly rounded fused multiply-adds, so every
 /// lane path agrees bitwise, and an exact zero weight on a finite source
-/// adds an exact zero.
+/// adds an exact zero. [`panel_update_into`] runs the same tiles started
+/// at `+0.0` instead of loaded from `C`.
 ///
 /// # Panics
 /// Panics if a panel is too short for its view, a leading dimension is
@@ -1211,65 +1332,103 @@ pub fn gemm_acc(
     }
     assert!(a.len() >= (p - 1) * lda + rows, "gemm_acc: a too short");
     assert!(c.len() >= (q - 1) * ldc + rows, "gemm_acc: c too short");
-    let mut ws = [[0.0f64; ACC_COLS]; ACC_DEPTH];
-    let mut j = 0;
-    while j < q {
+    // one block's scaled weights, column-major: `ws[i + depth·y]`
+    let mut ws = [0.0f64; ACC_DEPTH * ACC_COLS];
+    for j in (0..q).step_by(ACC_COLS) {
         let nc = (q - j).min(ACC_COLS);
-        let mut i0 = 0;
-        while i0 < p {
+        for i0 in (0..p).step_by(ACC_DEPTH) {
             let depth = (p - i0).min(ACC_DEPTH);
-            for (i, row) in ws[..depth].iter_mut().enumerate() {
-                for (y, wy) in row[..nc].iter_mut().enumerate() {
-                    *wy = alpha * w[i0 + i + p * (j + y)];
+            for y in 0..nc {
+                for i in 0..depth {
+                    ws[i + depth * y] = alpha * w[i0 + i + p * (j + y)];
                 }
             }
-            let (ai, cj, ws) = (&a[i0 * lda..], &mut c[j * ldc..], &ws[..depth]);
-            match nc {
-                8 => acc_block::<8>(rows, ai, lda, ws, cj, ldc),
-                7 => acc_block::<7>(rows, ai, lda, ws, cj, ldc),
-                6 => acc_block::<6>(rows, ai, lda, ws, cj, ldc),
-                5 => acc_block::<5>(rows, ai, lda, ws, cj, ldc),
-                4 => acc_block::<4>(rows, ai, lda, ws, cj, ldc),
-                3 => acc_block::<3>(rows, ai, lda, ws, cj, ldc),
-                2 => acc_block::<2>(rows, ai, lda, ws, cj, ldc),
-                _ => acc_block::<1>(rows, ai, lda, ws, cj, ldc),
-            }
-            i0 += depth;
+            let src =
+                Sources { x: &a[i0 * lda..], ldx: lda, cx: depth, y: &[], ldy: 0, cy: 0, r0: 0 };
+            acc_cols::<true>(rows, src, &ws, depth, nc, &mut c[j * ldc..], ldc);
         }
-        j += nc;
     }
 }
 
-/// `C[:, 0..NC] += Σᵢ A[:, i]·ws[i][0..NC]` over the `ws.len()` sources,
-/// one register tile of [`ACC_ROWS`] rows at a time.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-#[inline]
-fn acc_block<const NC: usize>(
+/// Columns `0..q` of `C` from the sources of `src` (weight `W[i, y]` at
+/// `w[i + y·ldw]`), [`ACC_COLS`] at a time by [`acc_block`]: added onto
+/// `C` with `LOAD`, written over it without.
+fn acc_cols<const LOAD: bool>(
     rows: usize,
-    a: &[f64],
-    lda: usize,
-    ws: &[[f64; ACC_COLS]],
+    src: Sources<'_>,
+    w: &[f64],
+    ldw: usize,
+    q: usize,
     c: &mut [f64],
     ldc: usize,
 ) {
-    let depth = ws.len();
+    for j in (0..q).step_by(ACC_COLS) {
+        let (w, c) = (&w[j * ldw..], &mut c[j * ldc..]);
+        match (q - j).min(ACC_COLS) {
+            8 => acc_block::<8, LOAD>(rows, src, w, ldw, c, ldc),
+            7 => acc_block::<7, LOAD>(rows, src, w, ldw, c, ldc),
+            6 => acc_block::<6, LOAD>(rows, src, w, ldw, c, ldc),
+            5 => acc_block::<5, LOAD>(rows, src, w, ldw, c, ldc),
+            4 => acc_block::<4, LOAD>(rows, src, w, ldw, c, ldc),
+            3 => acc_block::<3, LOAD>(rows, src, w, ldw, c, ldc),
+            2 => acc_block::<2, LOAD>(rows, src, w, ldw, c, ldc),
+            _ => acc_block::<1, LOAD>(rows, src, w, ldw, c, ldc),
+        }
+    }
+}
+
+/// Asserts the views of an [`acc_block`]: every source holds `rows` rows,
+/// `w` holds `NC` columns of one weight per source at stride `ldw`, and
+/// `c` holds `NC` columns of `rows` at stride `ldc`.
+fn acc_views<const NC: usize>(
+    rows: usize,
+    src: &Sources<'_>,
+    w: &[f64],
+    ldw: usize,
+    c: &[f64],
+    ldc: usize,
+) {
+    let k = src.cx + src.cy;
     assert!(
-        depth > 0 && a.len() >= (depth - 1) * lda + rows && c.len() >= (NC - 1) * ldc + rows,
+        k > 0
+            && src.hold(rows)
+            && ldw >= k
+            && w.len() >= (NC - 1) * ldw + k
+            && ldc >= rows
+            && c.len() >= (NC - 1) * ldc + rows,
         "acc_block: view out of bounds"
     );
+}
+
+/// `C[:, 0..NC] (+)= Σᵢ src[i]·W[i, 0..NC]` over the sources in order, one
+/// register tile of [`ACC_ROWS`] rows at a time; each tile starts from
+/// `C` with `LOAD`, from `+0.0` in registers without.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[inline]
+fn acc_block<const NC: usize, const LOAD: bool>(
+    rows: usize,
+    src: Sources<'_>,
+    w: &[f64],
+    ldw: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    acc_views::<NC>(rows, &src, w, ldw, c, ldc);
     let mut r = 0;
     while r < rows {
         let n = (rows - r).min(ACC_ROWS);
-        // SAFETY: by the assert above, rows `r..r + n ≤ rows` of source
-        // column `i < depth` lie inside `a` at `i·lda + r`, and those of
-        // output column `y < NC` inside `c` at `y·ldc + r`; the masks enable
-        // exactly those `n` rows (the second vector only when `n > 8`).
+        // SAFETY: by `acc_views`, rows `r..r + n ≤ rows` of every source
+        // lie inside its panel at the offsets `runs(r)` gives, the weights
+        // of every source for columns `y < NC` inside `w`, and rows
+        // `r..r + n` of output column `y < NC` inside `c` at `y·ldc + r`;
+        // the masks enable exactly those `n` rows (the second vector only
+        // when `n > 8`).
         unsafe {
-            let (pa, pc) = (a.as_ptr().add(r), c.as_mut_ptr().add(r));
+            let (runs, pw, pc) = (src.runs(r), w.as_ptr(), c.as_mut_ptr().add(r));
             if n > 8 {
-                acc_tile::<2, NC>(pa, lda, ws, pc, ldc, [u8::MAX, lane_mask(n - 8)]);
+                acc_tile::<2, NC, LOAD>(runs, pw, ldw, pc, ldc, [u8::MAX, lane_mask(n - 8)]);
             } else {
-                acc_tile::<1, NC>(pa, lda, ws, pc, ldc, [lane_mask(n)]);
+                acc_tile::<1, NC, LOAD>(runs, pw, ldw, pc, ldc, [lane_mask(n)]);
             }
         }
         r += n;
@@ -1277,41 +1436,50 @@ fn acc_block<const NC: usize>(
 }
 
 /// One register tile of [`acc_block`]: `NR` 8-row vectors × `NC` columns
-/// of `C`, loaded once, updated by every source, stored once.
+/// of `C`, loaded once (`LOAD`) or started at `+0.0`, updated by every
+/// source of both runs in order, stored once.
 ///
 /// # Safety
-/// For every source `i < ws.len()`, vector `v < NR` and lane `l` enabled
-/// in `masks[v]`, the element `pa + i·lda + 8v + l` must be readable and
-/// `pc + y·ldc + 8v + l` readable and writable for every column `y < NC`;
-/// the first lane of every vector must be enabled.
+/// For every run `(p, ld, count)`, source `i < count`, vector `v < NR` and
+/// lane `l` enabled in `masks[v]`, the element `p + i·ld + 8v + l` must be
+/// readable; `w + s + y·ldw` readable for every source `s` (counted across
+/// both runs) and column `y < NC`; and `pc + y·ldc + 8v + l` writable, and
+/// readable with `LOAD`. The first lane of every vector must be enabled.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 #[inline(always)]
-unsafe fn acc_tile<const NR: usize, const NC: usize>(
-    pa: *const f64,
-    lda: usize,
-    ws: &[[f64; ACC_COLS]],
+unsafe fn acc_tile<const NR: usize, const NC: usize, const LOAD: bool>(
+    runs: [(*const f64, usize, usize); 2],
+    w: *const f64,
+    ldw: usize,
     pc: *mut f64,
     ldc: usize,
     masks: [u8; NR],
 ) {
     use core::arch::x86_64::*;
-    // SAFETY: every offset below addresses the first lane of a vector the
-    // caller guarantees in bounds, and the masked loads and stores touch
-    // only the lanes the caller guarantees accessible. AVX-512F is a
-    // compile-time target feature.
+    // SAFETY: every offset below addresses the first lane of a vector, or
+    // a weight, the caller guarantees in bounds, and the masked loads and
+    // stores touch only the lanes the caller guarantees accessible.
+    // AVX-512F is a compile-time target feature.
     unsafe {
         let mut acc: [[__m512d; NR]; NC] = core::array::from_fn(|y| {
-            core::array::from_fn(|v| _mm512_maskz_loadu_pd(masks[v], pc.add(y * ldc + 8 * v)))
+            core::array::from_fn(|v| match LOAD {
+                true => _mm512_maskz_loadu_pd(masks[v], pc.add(y * ldc + 8 * v)),
+                false => _mm512_setzero_pd(),
+            })
         });
-        for (i, wi) in ws.iter().enumerate() {
-            let src = pa.add(i * lda);
-            let va: [__m512d; NR] =
-                core::array::from_fn(|v| _mm512_maskz_loadu_pd(masks[v], src.add(8 * v)));
-            for y in 0..NC {
-                let wv = _mm512_set1_pd(wi[y]);
-                for v in 0..NR {
-                    acc[y][v] = _mm512_fmadd_pd(wv, va[v], acc[y][v]);
+        let mut s = 0;
+        for (p, ld, count) in runs {
+            for i in 0..count {
+                let col = p.add(i * ld);
+                let va: [__m512d; NR] =
+                    core::array::from_fn(|v| _mm512_maskz_loadu_pd(masks[v], col.add(8 * v)));
+                for (y, acc_y) in acc.iter_mut().enumerate() {
+                    let wv = _mm512_set1_pd(*w.add(s + y * ldw));
+                    for v in 0..NR {
+                        acc_y[v] = _mm512_fmadd_pd(wv, va[v], acc_y[v]);
+                    }
                 }
+                s += 1;
             }
         }
         for (y, acc_y) in acc.iter().enumerate() {
@@ -1328,34 +1496,33 @@ unsafe fn acc_tile<const NR: usize, const NC: usize>(
 /// per-element chains are the AVX-512 lane's, so the two agree bitwise.
 #[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
 #[inline]
-fn acc_block<const NC: usize>(
+fn acc_block<const NC: usize, const LOAD: bool>(
     rows: usize,
-    a: &[f64],
-    lda: usize,
-    ws: &[[f64; ACC_COLS]],
+    src: Sources<'_>,
+    w: &[f64],
+    ldw: usize,
     c: &mut [f64],
     ldc: usize,
 ) {
-    let depth = ws.len();
-    assert!(
-        depth > 0 && a.len() >= (depth - 1) * lda + rows && c.len() >= (NC - 1) * ldc + rows,
-        "acc_block: view out of bounds"
-    );
+    acc_views::<NC>(rows, &src, w, ldw, c, ldc);
     let full = rows - rows % ACC_ROWS;
     for r in (0..full).step_by(ACC_ROWS) {
         let mut y0 = 0;
         while y0 < NC {
             let nq = (NC - y0).min(4);
-            // SAFETY: by the assert above, rows `r..r + 8 ≤ rows` of source
-            // column `i < depth` lie inside `a` at `i·lda + r`, and those of
-            // output column `y0 + y < NC` inside `c` at `(y0 + y)·ldc + r`.
+            // SAFETY: by `acc_views`, rows `r..r + 8 ≤ rows` of every
+            // source lie inside its panel at the offsets `runs(r)` gives,
+            // the weights of every source for columns `y0 + y < NC` inside
+            // `w`, and rows `r..r + 8` of output column `y0 + y` inside `c`
+            // at `(y0 + y)·ldc + r`.
             unsafe {
-                let (pa, pc) = (a.as_ptr().add(r), c.as_mut_ptr().add(y0 * ldc + r));
+                let runs = src.runs(r);
+                let (pw, pc) = (w.as_ptr().add(y0 * ldw), c.as_mut_ptr().add(y0 * ldc + r));
                 match nq {
-                    4 => acc_avx2::<4>(pa, lda, ws, y0, pc, ldc),
-                    3 => acc_avx2::<3>(pa, lda, ws, y0, pc, ldc),
-                    2 => acc_avx2::<2>(pa, lda, ws, y0, pc, ldc),
-                    _ => acc_avx2::<1>(pa, lda, ws, y0, pc, ldc),
+                    4 => acc_avx2::<4, LOAD>(runs, pw, ldw, pc, ldc),
+                    3 => acc_avx2::<3, LOAD>(runs, pw, ldw, pc, ldc),
+                    2 => acc_avx2::<2, LOAD>(runs, pw, ldw, pc, ldc),
+                    _ => acc_avx2::<1, LOAD>(runs, pw, ldw, pc, ldc),
                 }
             }
             y0 += nq;
@@ -1363,47 +1530,56 @@ fn acc_block<const NC: usize>(
     }
     for y in 0..NC {
         for r in full..rows {
-            let mut acc = c[y * ldc + r];
-            for (i, wi) in ws.iter().enumerate() {
-                acc = wi[y].mul_add(a[i * lda + r], acc);
+            let mut acc = if LOAD { c[y * ldc + r] } else { 0.0 };
+            for i in 0..src.cx + src.cy {
+                acc = w[i + y * ldw].mul_add(src.col(i)[r], acc);
             }
             c[y * ldc + r] = acc;
         }
     }
 }
 
-/// One AVX2 tile of [`acc_block`]: 8 rows × `NQ` columns of `C` (weights
-/// `ws[i][y0..y0 + NQ]`), loaded once, updated by every source, stored
-/// once.
+/// One AVX2 tile of [`acc_block`]: 8 rows × `NQ` columns of `C`, loaded
+/// once (`LOAD`) or started at `+0.0`, updated by every source of both
+/// runs in order, stored once.
 ///
 /// # Safety
-/// For every source `i < ws.len()`, `pa + i·lda .. + 8` must be readable,
-/// and for every column `y < NQ`, `pc + y·ldc .. + 8` readable and
-/// writable; `y0 + NQ ≤ ACC_COLS`.
+/// For every run `(p, ld, count)` and source `i < count`,
+/// `p + i·ld .. + 8` must be readable; `w + s + y·ldw` readable for every
+/// source `s` (counted across both runs) and column `y < NQ`; and
+/// `pc + y·ldc .. + 8` writable for every `y < NQ`, and readable with
+/// `LOAD`.
 #[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
 #[inline(always)]
-unsafe fn acc_avx2<const NQ: usize>(
-    pa: *const f64,
-    lda: usize,
-    ws: &[[f64; ACC_COLS]],
-    y0: usize,
+unsafe fn acc_avx2<const NQ: usize, const LOAD: bool>(
+    runs: [(*const f64, usize, usize); 2],
+    w: *const f64,
+    ldw: usize,
     pc: *mut f64,
     ldc: usize,
 ) {
     use core::arch::x86_64::*;
-    // SAFETY: every access stays in the 8-row runs the caller guarantees;
-    // FMA (and with it AVX2) is a compile-time target feature.
+    // SAFETY: every access stays in the 8-row runs and the weights the
+    // caller guarantees; FMA (and with it AVX2) is a compile-time target
+    // feature.
     unsafe {
         let mut acc: [[__m256d; 2]; NQ] = core::array::from_fn(|y| {
-            core::array::from_fn(|v| _mm256_loadu_pd(pc.add(y * ldc + 4 * v)))
+            core::array::from_fn(|v| match LOAD {
+                true => _mm256_loadu_pd(pc.add(y * ldc + 4 * v)),
+                false => _mm256_setzero_pd(),
+            })
         });
-        for (i, wi) in ws.iter().enumerate() {
-            let src = pa.add(i * lda);
-            let va = [_mm256_loadu_pd(src), _mm256_loadu_pd(src.add(4))];
-            for y in 0..NQ {
-                let wv = _mm256_set1_pd(wi[y0 + y]);
-                acc[y][0] = _mm256_fmadd_pd(wv, va[0], acc[y][0]);
-                acc[y][1] = _mm256_fmadd_pd(wv, va[1], acc[y][1]);
+        let mut s = 0;
+        for (p, ld, count) in runs {
+            for i in 0..count {
+                let col = p.add(i * ld);
+                let va = [_mm256_loadu_pd(col), _mm256_loadu_pd(col.add(4))];
+                for (y, [lo, hi]) in acc.iter_mut().enumerate() {
+                    let wv = _mm256_set1_pd(*w.add(s + y * ldw));
+                    *lo = _mm256_fmadd_pd(wv, va[0], *lo);
+                    *hi = _mm256_fmadd_pd(wv, va[1], *hi);
+                }
+                s += 1;
             }
         }
         for (y, [lo, hi]) in acc.into_iter().enumerate() {
@@ -1417,31 +1593,30 @@ unsafe fn acc_avx2<const NQ: usize>(
 /// multiply-adds, so it agrees with the vector lanes bitwise.
 #[cfg(not(all(target_arch = "x86_64", target_feature = "fma")))]
 #[inline]
-fn acc_block<const NC: usize>(
+fn acc_block<const NC: usize, const LOAD: bool>(
     rows: usize,
-    a: &[f64],
-    lda: usize,
-    ws: &[[f64; ACC_COLS]],
+    src: Sources<'_>,
+    w: &[f64],
+    ldw: usize,
     c: &mut [f64],
     ldc: usize,
 ) {
-    let depth = ws.len();
-    assert!(
-        depth > 0 && a.len() >= (depth - 1) * lda + rows && c.len() >= (NC - 1) * ldc + rows,
-        "acc_block: view out of bounds"
-    );
+    acc_views::<NC>(rows, &src, w, ldw, c, ldc);
     let mut r = 0;
     while r < rows {
         let n = (rows - r).min(ACC_ROWS);
         let mut acc = [[0.0f64; ACC_ROWS]; NC];
-        for (y, t) in acc.iter_mut().enumerate() {
-            t[..n].copy_from_slice(&c[y * ldc + r..y * ldc + r + n]);
+        if LOAD {
+            for (y, t) in acc.iter_mut().enumerate() {
+                t[..n].copy_from_slice(&c[y * ldc + r..y * ldc + r + n]);
+            }
         }
-        for (i, wi) in ws.iter().enumerate() {
-            let src = &a[i * lda + r..i * lda + r + n];
-            for (t, &wy) in acc.iter_mut().zip(wi.iter()) {
+        for i in 0..src.cx + src.cy {
+            let col = &src.col(i)[r..r + n];
+            for (y, t) in acc.iter_mut().enumerate() {
+                let wy = w[i + y * ldw];
                 for l in 0..n {
-                    t[l] = wy.mul_add(src[l], t[l]);
+                    t[l] = wy.mul_add(col[l], t[l]);
                 }
             }
         }
@@ -1759,6 +1934,82 @@ mod tests {
         panel_update(&mut x, &mut y, m, &w, &mut tile);
         assert_eq!(x, x0);
         assert_eq!(y, y0);
+    }
+
+    #[test]
+    fn panel_update_into_matches_in_place_and_naive() {
+        // widths on and across the 8-column tile edge, X and Y of equal and
+        // unequal widths; rows from one to past the band, on and off the
+        // 16-row tile edge; W dense, with some e_j columns, a pure
+        // interchange of column pairs, and the identity
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for k in [2usize, 5, 16, 32, 33] {
+            let mut dense = test_panel(k, k, 41);
+            let mut some_unit = test_panel(k, k, 42);
+            let (mut swaps, mut identity) = (vec![0.0; k * k], vec![0.0; k * k]);
+            for j in 0..k {
+                identity[j + k * j] = 1.0;
+                // pairs (0 1), (2 3), … trade places; an odd last column stays
+                let i = if j % 2 == 0 { (j + 1).min(k - 1) } else { j - 1 };
+                swaps[i + k * j] = 1.0;
+                if j % 3 == 1 {
+                    some_unit[k * j..k * (j + 1)].copy_from_slice(&identity[k * j..k * (j + 1)]);
+                }
+            }
+            dense[k * (k - 1)] = 0.0; // an exact zero weight in a moved column
+            for cx in [k / 2, 1, k - 1] {
+                for m in [1usize, 7, 16, 127, 512] {
+                    let signed = |mut p: Vec<f64>| {
+                        p.iter_mut().step_by(5).for_each(|v| *v = -0.0);
+                        p
+                    };
+                    let x = signed(test_panel(m, cx, 43));
+                    let y = signed(test_panel(m, k - cx, 44));
+                    for (what, w) in [
+                        ("dense", &dense),
+                        ("e_j", &some_unit),
+                        ("swaps", &swaps),
+                        ("id", &identity),
+                    ] {
+                        let case = format!("k={k} cx={cx} m={m} W {what}");
+                        let (mut xi, mut yi) = (x.clone(), y.clone());
+                        let mut tile = vec![0.0; k * PANEL_TILE];
+                        panel_update(&mut xi, &mut yi, m, w, &mut tile);
+                        let (mut xn, mut yn) = (x.clone(), y.clone());
+                        naive::panel_update(&mut xn, &mut yn, m, w);
+                        // a NaN fill shows every value the update leaves
+                        let (mut xo, mut yo) = (vec![f64::NAN; x.len()], vec![f64::NAN; y.len()]);
+                        let written = panel_update_into(&x, &y, m, w, &mut xo, &mut yo);
+                        let moved =
+                            |js: std::ops::Range<usize>| js.into_iter().any(|j| moves(w, k, j));
+                        assert_eq!(written, [moved(0..cx), moved(cx..k)], "{case}");
+                        let sides = [
+                            ("X", written[0], &xo, &x, &xi, &xn),
+                            ("Y", written[1], &yo, &y, &yi, &yn),
+                        ];
+                        for (side, side_written, into, input, in_place, naive) in sides {
+                            let result = if side_written { into } else { input };
+                            assert_eq!(
+                                bits(result),
+                                bits(in_place),
+                                "{case} {side}: into vs in place"
+                            );
+                            if !side_written {
+                                assert!(
+                                    into.iter().all(|v| v.is_nan()),
+                                    "{case} {side}: untouched"
+                                );
+                            }
+                            for (r, (got, want)) in in_place.iter().zip(naive.iter()).enumerate() {
+                                let same = got.to_bits() == want.to_bits()
+                                    || (*got == 0.0 && *want == 0.0);
+                                assert!(same, "{case} {side}[{r}]: {got} vs naive {want}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
