@@ -20,22 +20,28 @@
 //!
 //! The full run also records the QR layer on its own (the `qr` block):
 //! `TsqrQr::factor`, `apply_q` on an `m×n` block, and the back-transform
-//! `q_times` of an `n×n` head on one thread, best of [`QR_REPS`], at
-//! panels 16, 32 and 64, each in ms and GF/s. Four tall shapes stand for
-//! the front-end's first factorization, `A·P = QR`, and three square ones
-//! (n = 64, 128, 256) for its second, `Rᵀ = Q₂R₂`, and the back-transform
-//! `Q₂·Ṽ₂`; each row names its `layer`.
+//! `q_times` of an `n×n` head on one thread, at panels 16, 32 and 64,
+//! each in ms and GF/s: the median over [`QR_ROUNDS`] rounds of each
+//! round's best of [`QR_REPS`], the panels of a shape taking turns within
+//! every round. Four tall shapes stand for the front-end's first
+//! factorization, `A·P = QR`, and three square ones (n = 64, 128, 256)
+//! for its second, `Rᵀ = Q₂R₂`, and the back-transform `Q₂·Ṽ₂`; each row
+//! names its `layer`, and `frontend` marks the panel the front-end itself
+//! takes for that shape ([`qr_panel_for`]).
 //!
 //! The smoke run is the regression gate wired into `scripts/verify.sh`:
 //! at `m/n = 128` the front-end must beat direct Jacobi outright, the
 //! whole pipeline (TSQR + sweeps + back-transform) must be
 //! allocation-free after warm-up, the factorization alone must be
-//! allocation-free after warm-up at every panel width, and both paths
-//! must agree on the spectrum.
+//! allocation-free after warm-up at every panel width, both paths must
+//! agree on the spectrum, and on the front-end's own factorization
+//! (one panel at 8192×64) `q_times` of a random head must equal
+//! `apply_q` of the zero-padded head bit for bit.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
+use treesvd_core::tall::qr_panel_for;
 use treesvd_core::{blocked_svd, BlockKernel, BlockedOptions, BlockedRun, SvdOptions};
 use treesvd_matrix::qr::{QrOptions, SerialJoin, TsqrQr};
 use treesvd_matrix::{generate, Matrix};
@@ -127,8 +133,15 @@ fn qr_layer(m: usize, n: usize) -> &'static str {
     }
 }
 
-/// Timed repetitions per QR-layer entry; the best one is recorded.
-const QR_REPS: usize = 15;
+/// Rounds of the QR-layer table: in each, every panel of a shape takes
+/// its turn, and the median over rounds of each round's best is recorded.
+/// A single best of 15 moved entries by up to a third between runs of one
+/// build on a shared host, as its speed drifted from one entry to the
+/// next.
+const QR_ROUNDS: usize = 7;
+
+/// Timed repetitions per panel and round; the round keeps the best.
+const QR_REPS: usize = 3;
 
 struct QrRecord {
     m: usize,
@@ -164,6 +177,11 @@ impl QrRecord {
     fn q_times_gflops(&self) -> f64 {
         self.apply_flops() / (self.q_times_ms * 1e6)
     }
+
+    /// Whether the front-end factors this shape in panels of this width.
+    fn frontend(&self) -> bool {
+        self.panel == qr_panel_for(self.m, self.n, SvdOptions::default().qr_panel)
+    }
 }
 
 /// Best wall-clock milliseconds of `reps` calls.
@@ -177,25 +195,63 @@ fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// One thread's factorization of `a` in panels of `panel` columns.
+fn factor(a: &Matrix, panel: usize) -> TsqrQr {
+    let opts = QrOptions { panel, leaf_rows: 0, lanes: 1 };
+    TsqrQr::factor(a, &opts, &SerialJoin).expect("m >= n")
+}
+
 /// `TsqrQr::factor`, `apply_q` (on an `m×n` block) and `q_times` (of an
 /// `n×n` head, its `m×n` result allocated per call as in the front-end) on
-/// one thread.
-fn time_qr(m: usize, n: usize, panel: usize, reps: usize, seed: u64) -> QrRecord {
+/// one thread, at each of `panels`: in each of `rounds` rounds every panel
+/// takes its turn and keeps its best of `reps` calls, and each entry is
+/// the median over rounds of those bests.
+fn time_qr(
+    m: usize,
+    n: usize,
+    panels: &[usize],
+    rounds: usize,
+    reps: usize,
+    seed: u64,
+) -> Vec<QrRecord> {
     let a = generate::random_uniform(m, n, seed);
-    let opts = QrOptions { panel, leaf_rows: 0, lanes: 1 };
-    let factor = || TsqrQr::factor(&a, &opts, &SerialJoin).expect("m >= n");
-    let factor_ms = best_ms(reps, || {
-        black_box(factor());
-    });
-    let qr = factor();
     let mut x = generate::random_uniform(m, n, seed + 1);
-    let apply_ms = best_ms(reps, || qr.apply_q(black_box(&mut x), 1, &SerialJoin));
     let head = generate::random_uniform(n, n, seed + 2);
-    let q_times_ms = best_ms(reps, || {
-        black_box(qr.q_times(black_box(&head), 1, &SerialJoin));
-    });
-    let steady_alloc_events = qr.stats().steady_alloc_events;
-    QrRecord { m, n, panel, factor_ms, apply_ms, q_times_ms, steady_alloc_events }
+    // per panel, each round's bests: (factor, apply_q, q_times)
+    let mut bests = vec![Vec::with_capacity(rounds); panels.len()];
+    let mut steady = vec![0; panels.len()];
+    for _ in 0..rounds {
+        for (k, &panel) in panels.iter().enumerate() {
+            let factor_ms = best_ms(reps, || {
+                black_box(factor(&a, panel));
+            });
+            let qr = factor(&a, panel);
+            let apply_ms = best_ms(reps, || qr.apply_q(black_box(&mut x), 1, &SerialJoin));
+            let q_times_ms = best_ms(reps, || {
+                black_box(qr.q_times(black_box(&head), 1, &SerialJoin));
+            });
+            bests[k].push([factor_ms, apply_ms, q_times_ms]);
+            steady[k] += qr.stats().steady_alloc_events;
+        }
+    }
+    let median = |rows: &[[f64; 3]], i: usize| {
+        let mut v: Vec<f64> = rows.iter().map(|r| r[i]).collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    panels
+        .iter()
+        .zip(bests.iter().zip(steady))
+        .map(|(&panel, (b, steady_alloc_events))| QrRecord {
+            m,
+            n,
+            panel,
+            factor_ms: median(b, 0),
+            apply_ms: median(b, 1),
+            q_times_ms: median(b, 2),
+            steady_alloc_events,
+        })
+        .collect()
 }
 
 fn full_run(seed: u64) {
@@ -203,11 +259,12 @@ fn full_run(seed: u64) {
     // solves below, the same factorizations timed up to 2× slower
     let mut qr_records = Vec::new();
     for &(m, n) in &QR_SHAPES {
-        for &panel in &QR_PANELS {
-            let q = time_qr(m, n, panel, QR_REPS, seed);
+        for q in time_qr(m, n, &QR_PANELS, QR_ROUNDS, QR_REPS, seed) {
             eprintln!(
-                "qr {m:5}x{n:<3} panel {panel:2}: factor {:7.3} ms ({:5.1} GF/s), \
+                "qr {m:5}x{n:<3} panel {:2}{}: factor {:7.3} ms ({:5.1} GF/s), \
                  apply_q {:7.3} ms ({:5.1} GF/s), q_times {:7.3} ms ({:5.1} GF/s)",
+                q.panel,
+                if q.frontend() { "*" } else { " " },
                 q.factor_ms,
                 q.factor_gflops(),
                 q.apply_ms,
@@ -284,25 +341,28 @@ fn full_run(seed: u64) {
     json.push_str("  \"qr\": {\n");
     let _ = writeln!(
         json,
-        "    \"unit\": \"ms (best of {QR_REPS}, one thread): TsqrQr::factor, apply_q on an \
-         m x n block, and q_times of an n x n head (Q*[head; 0], result allocated per call); \
-         GF/s from 2mn^2 - 2n^3/3 flops for the factor and 4mn^2 - 2n^3 for apply_q and \
-         q_times (q_times skips the zero rows of the padded head: its rate is effective); \
-         layer names the front-end factorization a shape stands for, the first of A or the \
-         second, of the n x n R^T\","
+        "    \"unit\": \"ms (one thread; the median over {QR_ROUNDS} rounds of each round's \
+         best of {QR_REPS}, a shape's panels taking turns within each round): TsqrQr::factor, \
+         apply_q on an m x n block, and q_times of an n x n head (Q*[head; 0], result \
+         allocated per call); GF/s from 2mn^2 - 2n^3/3 flops for the factor and 4mn^2 - 2n^3 \
+         for apply_q and q_times (q_times skips the zero rows of the padded head: its rate is \
+         effective); layer names the front-end factorization a shape stands for, the first of \
+         A or the second, of the n x n R^T; frontend marks the panel the front-end takes for \
+         the shape\","
     );
     json.push_str("    \"results\": [\n");
     for (i, q) in qr_records.iter().enumerate() {
         let comma = if i + 1 < qr_records.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "      {{\"layer\": \"{}\", \"m\": {}, \"n\": {}, \"panel\": {}, \
+            "      {{\"layer\": \"{}\", \"m\": {}, \"n\": {}, \"panel\": {}, \"frontend\": {}, \
              \"factor_ms\": {:.3}, \"factor_gflops\": {:.1}, \"apply_q_ms\": {:.3}, \
              \"apply_q_gflops\": {:.1}, \"q_times_ms\": {:.3}, \"q_times_gflops\": {:.1}}}{comma}",
             qr_layer(q.m, q.n),
             q.m,
             q.n,
             q.panel,
+            q.frontend(),
             q.factor_ms,
             q.factor_gflops(),
             q.apply_ms,
@@ -324,26 +384,52 @@ fn full_run(seed: u64) {
     eprintln!("front-end speedup at 262144x256: {headline:.2}x");
 }
 
+/// Whether `q_times` of a random `n×n` head equals `apply_q` of the
+/// zero-padded head, bit for bit, on one thread.
+fn q_times_is_apply_q(qr: &TsqrQr, m: usize, n: usize, seed: u64) -> bool {
+    let head = generate::random_uniform(n, n, seed);
+    let mut padded = Matrix::zeros(m, n).expect("nonzero shape");
+    for j in 0..n {
+        padded.col_mut(j)[..n].copy_from_slice(head.col(j));
+    }
+    qr.apply_q(&mut padded, 1, &SerialJoin);
+    let got = qr.q_times(&head, 1, &SerialJoin);
+    let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    bits(&got) == bits(&padded)
+}
+
 /// Quick gate at `m/n = 128`: the QR front-end must beat direct Jacobi
 /// outright, stay allocation-free in steady state (the whole pipeline, and
-/// the factorization alone at every panel width), and agree with the
-/// direct spectrum to near machine precision.
+/// the factorization alone at every panel width), agree with the direct
+/// spectrum to near machine precision, and, on the front-end's own
+/// factorization, back-transform a head exactly as `apply_q` does.
 fn smoke_run(seed: u64) -> bool {
     const M: usize = 8192;
     const N: usize = 64; // c = 8 at P = 4
     let mut alloc_free = true;
-    for &panel in &QR_PANELS {
-        let q = time_qr(M, N, panel, 1, seed);
+    for q in time_qr(M, N, &QR_PANELS, 1, 1, seed) {
         println!(
-            "smoke qr {M}x{N} panel {panel}: {} steady-state scratch allocation(s)",
-            q.steady_alloc_events
+            "smoke qr {M}x{N} panel {}: {} steady-state scratch allocation(s)",
+            q.panel, q.steady_alloc_events
         );
         alloc_free &= q.steady_alloc_events == 0;
     }
+    let panel = qr_panel_for(M, N, SvdOptions::default().qr_panel);
+    let qr = factor(&generate::random_uniform(M, N, seed), panel);
+    let exact = q_times_is_apply_q(&qr, M, N, seed + 3);
+    alloc_free &= qr.stats().steady_alloc_events == 0;
+    println!(
+        "smoke qr {M}x{N}, the front-end's panel {panel} ({} panel(s)): q_times {} apply_q \
+         of the padded head bit for bit, {} steady-state scratch allocation(s)",
+        qr.stats().panels,
+        if exact { "equals" } else { "DIFFERS from" },
+        qr.stats().steady_alloc_events
+    );
     let r = run_shape(M, N, (1, 1), seed);
 
     let fast_enough = r.frontend_s < r.direct_s;
     let accurate = r.sigma_gap < 1e-10;
+    let pass = fast_enough && accurate && alloc_free && exact;
     println!(
         "smoke {M}x{N} (m/n = {}): qr front-end {:.1} ms vs direct {:.1} ms ({:.2}x), \
          sigma gap {:.1e} — {}",
@@ -352,9 +438,9 @@ fn smoke_run(seed: u64) -> bool {
         r.direct_s * 1e3,
         r.direct_s / r.frontend_s,
         r.sigma_gap,
-        if fast_enough && accurate && alloc_free { "PASS" } else { "FAIL" }
+        if pass { "PASS" } else { "FAIL" }
     );
-    fast_enough && accurate && alloc_free
+    pass
 }
 
 fn main() {

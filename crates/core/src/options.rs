@@ -165,6 +165,11 @@ pub struct SvdOptions {
     /// executors on `A` that way).
     pub qr_frontend: bool,
     /// Panel width (compact-WY block size) of the front-end's tiled QR.
+    /// Default 32. A tall-skinny input (`m ≥ 16n`) at most twice this
+    /// wide is factored as one panel of all its columns instead, so the
+    /// back-transform writes `U` in one pass; the `n×n` second
+    /// factorization and every other shape keep this width
+    /// ([`crate::tall::qr_panel_for`]).
     pub qr_panel: usize,
     /// Outer cache-level blocking of the blocked driver's meetings.
     pub hier: HierBlocking,

@@ -18,7 +18,9 @@
 //!
 //! with tiled back-transforms that never form `Q` or `Q₂` and skip the
 //! zero rows of `[Ũ₂; 0]` ([`TsqrQr::q_times`]). `P` only permutes the
-//! rows of the `n×n` `Q₂·Ṽ₂`.
+//! rows of the `n×n` `Q₂·Ṽ₂`. A tall-skinny `A` is factored as one panel
+//! of all its columns ([`qr_panel_for`]), so `Q·[Ũ₂; 0]` reads only the
+//! reflectors and writes `U` once.
 //!
 //! * **Sweeping `R₂ᵀ`.** The columns of `Rᵀ` — the rows of `R` — start
 //!   out much closer to orthogonal than those of `A` or `R`, and the
@@ -70,10 +72,27 @@ impl Joiner for PoolJoin {
     }
 }
 
+/// The panel width of the front-end's factorization of an `m×n` matrix
+/// ([`QrOptions::panel`]), given [`SvdOptions::qr_panel`]. A tall-skinny
+/// matrix, `m ≥ 16n`, at most twice `qr_panel` wide is factored as one
+/// panel of all `n` columns, as TSQR factors a tall-skinny matrix: that
+/// leaves no trailing update, and the back-transform's one panel reads
+/// only `V` and writes `U` once ([`TsqrQr::q_times`]). Every other shape
+/// keeps `qr_panel`, the `n×n` second factorization among them.
+pub fn qr_panel_for(m: usize, n: usize, qr_panel: usize) -> usize {
+    let panel = qr_panel.max(1);
+    if m >= 16 * n && n <= 2 * panel {
+        n
+    } else {
+        panel
+    }
+}
+
 /// Solve `a` through the front-end: sort its columns by the sums of
 /// squares `norms` (the entry screen's), factor `A·P = QR` and then `Rᵀ =
 /// Q₂R₂` on the worker pool (the explicit thread budget, else the machine
-/// parallelism), run `driver` on `R₂ᵀ` with the inner options — the
+/// parallelism), each in panels of [`qr_panel_for`] its shape, run
+/// `driver` on `R₂ᵀ` with the inner options — the
 /// caller's, with the front-end barred and vectors on — and turn `R₂ᵀ =
 /// Ũ₂ΣṼ₂ᵀ` into `U = Q·[Ũ₂; 0]`, `V = P·Q₂·Ṽ₂` in the decomposition `svd`
 /// selects from the run. Also returns the two factorizations'
@@ -86,14 +105,16 @@ pub(crate) fn solve<R>(
     svd: impl FnOnce(&mut R) -> &mut Svd,
 ) -> Result<(R, u64), SvdError> {
     let lanes = opts.threads.unwrap_or_else(par::num_threads).max(1);
-    let qr_opts = QrOptions { panel: opts.qr_panel.max(1), leaf_rows: 0, lanes };
+    let (m, n) = a.shape();
+    let qr_opts =
+        |m, n| QrOptions { panel: qr_panel_for(m, n, opts.qr_panel), leaf_rows: 0, lanes };
     // P: the columns by decreasing norm, ties in index order (stable)
-    let mut order: Vec<usize> = (0..a.cols()).collect();
+    let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| norms[j].total_cmp(&norms[i]));
     // the drivers pass m ≥ n and one norm per column, so neither can fail
-    let qr = TsqrQr::factor_permuted(a, &order, &qr_opts, &PoolJoin)
+    let qr = TsqrQr::factor_permuted(a, &order, &qr_opts(m, n), &PoolJoin)
         .map_err(|_| SvdError::EmptyMatrix)?;
-    let qr2 = TsqrQr::factor(&qr.r().transpose(), &qr_opts, &PoolJoin)
+    let qr2 = TsqrQr::factor(&qr.r().transpose(), &qr_opts(n, n), &PoolJoin)
         .map_err(|_| SvdError::EmptyMatrix)?;
     let allocs = qr.stats().steady_alloc_events + qr2.stats().steady_alloc_events;
     let inner = SvdOptions { qr_frontend: false, vectors: true, ..opts.clone() };
@@ -256,12 +277,33 @@ mod tests {
     }
 
     #[test]
+    fn panel_rule_takes_one_panel_only_for_tall_skinny_inputs() {
+        let panel = SvdOptions::default().qr_panel;
+        for (m, n) in [(1024, 64), (2048, 48), (8192, 64)] {
+            assert_eq!(qr_panel_for(m, n, panel), n, "{m}x{n}: one panel");
+        }
+        // too short (m < 16n), the n×n second factorization, too wide
+        for (m, n) in [(256, 64), (512, 64), (64, 64), (1000, 100), (16384, 128)] {
+            assert_eq!(qr_panel_for(m, n, panel), panel, "{m}x{n}: qr_panel");
+        }
+        // the bound moves with qr_panel, and a narrower input is one panel
+        // whatever the rule says
+        assert_eq!(qr_panel_for(16384, 128, 64), 128);
+        assert_eq!(qr_panel_for(8192, 64, 16), 16);
+        assert_eq!(qr_panel_for(100, 12, 32), 32);
+    }
+
+    #[test]
     fn graded_input_keeps_relative_accuracy() {
         // A = B·D with B uniform random and D graded over 8 and 12
         // decades, columns decreasing and increasing: through the
         // front-end every σ of every driver stays within 1e-13 relative
-        // of the direct simulated driver's, down to the smallest
-        for (m, n) in [(2048usize, 16usize), (1024, 32), (4096, 64)] {
+        // of the direct simulated driver's, down to the smallest. The
+        // first factorization of 2048×48 and 4096×64 is one panel
+        let panel = SvdOptions::default().qr_panel;
+        assert_eq!(qr_panel_for(2048, 48, panel), 48);
+        assert_eq!(qr_panel_for(4096, 64, panel), 64);
+        for (m, n) in [(2048usize, 16usize), (1024, 32), (2048, 48), (4096, 64)] {
             let b = generate::random_uniform(m, n, (m + n) as u64);
             for decades in [8.0, 12.0] {
                 for increasing in [false, true] {
@@ -371,11 +413,14 @@ mod tests {
     fn lane_count_does_not_change_the_bits() {
         // the QR's column chunks and the drivers' forked steps touch
         // disjoint data, so one lane and two through the pool's join give
-        // the same bits: R, the thin Q and q_times of the factorization,
-        // and the blocked and simulated front-end solves' σ, U and V with
-        // forced forking
+        // the same bits: R, the thin Q and q_times of the factorization
+        // (8192×64 as one panel, as the front-end factors it), and the
+        // blocked and simulated front-end solves' σ, U and V with forced
+        // forking (1000×40 is one panel there)
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for (m, n, panel, leaf_rows) in [(1000, 40, 16, 0), (4096, 16, 8, 512), (300, 64, 32, 0)] {
+        for (m, n, panel, leaf_rows) in
+            [(1000, 40, 16, 0), (4096, 16, 8, 512), (300, 64, 32, 0), (8192, 64, 64, 0)]
+        {
             let what = format!("{m}x{n}, panel {panel}, leaf rows {leaf_rows}");
             let a = generate::random_uniform(m, n, 31);
             let head = generate::random_uniform(n, n, 32);

@@ -1293,6 +1293,13 @@ const ACC_COLS: usize = 8;
 /// once per call whenever `p ≤ 64`.
 const ACC_DEPTH: usize = 64;
 
+/// Row-band height of [`gemm_acc`] and [`gemm_set`]: every column block of
+/// `C` is computed for one band of rows before the next band starts, so
+/// the band of `A` (`ACC_BAND · p` values, 128 KiB at `p = 64`) stays in
+/// L2 while all of `C`'s column blocks read it, instead of streaming all
+/// `rows` of `A` from memory once per 8 columns of `C`.
+const ACC_BAND: usize = 256;
+
 /// Rank-`p` accumulation `C ← C + α·A·W` for a strided column-major
 /// output: `A` is `rows×p` (column stride `lda`), `W` is a dense `p×q`
 /// column-major coefficient block, and column `j` of `C` is
@@ -1304,11 +1311,12 @@ const ACC_DEPTH: usize = 64;
 /// loads and sixteen fused multiply-adds with the broadcast weights
 /// `α·W[i, j]`, and the tile is stored once. Narrower column edges run the
 /// same kernel with fewer columns, and row counts that are not a multiple
-/// of 16 end in masked lanes. Each element of `C` receives its sources in
-/// order `i = 0, 1, …` as exactly rounded fused multiply-adds, so every
-/// lane path agrees bitwise, and an exact zero weight on a finite source
-/// adds an exact zero. [`panel_update_into`] runs the same tiles started
-/// at `+0.0` instead of loaded from `C`.
+/// of 16 end in masked lanes. The rows run in bands of [`ACC_BAND`]. Each
+/// element of `C` receives its sources in order `i = 0, 1, …` as exactly
+/// rounded fused multiply-adds, whatever the band, so every lane path
+/// agrees bitwise, and an exact zero weight on a finite source adds an
+/// exact zero. [`gemm_set`] and [`panel_update_into`] run the same tiles
+/// started at `+0.0` instead of loaded from `C`.
 ///
 /// # Panics
 /// Panics if a panel is too short for its view, a leading dimension is
@@ -1325,6 +1333,45 @@ pub fn gemm_acc(
     c: &mut [f64],
     ldc: usize,
 ) {
+    gemm_banded::<true>(rows, a, lda, p, w, q, alpha, c, ldc, ACC_BAND);
+}
+
+/// `C ← α·A·W`, [`gemm_acc`] on an output it never reads: every tile
+/// starts at `+0.0` in registers instead of being loaded from `C` (for
+/// `p > 64` only the first block of sources does; the later blocks add
+/// onto what it stored). Bit for bit [`gemm_acc`] onto a `C` of `+0.0`.
+///
+/// # Panics
+/// As [`gemm_acc`].
+#[allow(clippy::too_many_arguments)] // a strided-view GEMM is inherently (ptr, ld, k) × 3
+pub(crate) fn gemm_set(
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    p: usize,
+    w: &[f64],
+    q: usize,
+    alpha: f64,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    gemm_banded::<false>(rows, a, lda, p, w, q, alpha, c, ldc, ACC_BAND);
+}
+
+/// [`gemm_acc`] (`LOAD`) or [`gemm_set`] in row bands of `band` rows.
+#[allow(clippy::too_many_arguments)]
+fn gemm_banded<const LOAD: bool>(
+    rows: usize,
+    a: &[f64],
+    lda: usize,
+    p: usize,
+    w: &[f64],
+    q: usize,
+    alpha: f64,
+    c: &mut [f64],
+    ldc: usize,
+    band: usize,
+) {
     assert!(lda >= rows && ldc >= rows, "gemm_acc: leading dimension < rows");
     assert_eq!(w.len(), p * q, "gemm_acc: w must be p×q");
     if p == 0 || q == 0 || rows == 0 {
@@ -1334,18 +1381,26 @@ pub fn gemm_acc(
     assert!(c.len() >= (q - 1) * ldc + rows, "gemm_acc: c too short");
     // one block's scaled weights, column-major: `ws[i + depth·y]`
     let mut ws = [0.0f64; ACC_DEPTH * ACC_COLS];
-    for j in (0..q).step_by(ACC_COLS) {
-        let nc = (q - j).min(ACC_COLS);
-        for i0 in (0..p).step_by(ACC_DEPTH) {
-            let depth = (p - i0).min(ACC_DEPTH);
-            for y in 0..nc {
-                for i in 0..depth {
-                    ws[i + depth * y] = alpha * w[i0 + i + p * (j + y)];
+    for r0 in (0..rows).step_by(band.max(1)) {
+        let rb = (rows - r0).min(band.max(1));
+        for j in (0..q).step_by(ACC_COLS) {
+            let nc = (q - j).min(ACC_COLS);
+            for i0 in (0..p).step_by(ACC_DEPTH) {
+                let depth = (p - i0).min(ACC_DEPTH);
+                for y in 0..nc {
+                    for i in 0..depth {
+                        ws[i + depth * y] = alpha * w[i0 + i + p * (j + y)];
+                    }
+                }
+                let x = &a[i0 * lda..];
+                let src = Sources { x, ldx: lda, cx: depth, y: &[], ldy: 0, cy: 0, r0 };
+                let c = &mut c[j * ldc + r0..];
+                if LOAD || i0 > 0 {
+                    acc_cols::<true>(rb, src, &ws, depth, nc, c, ldc);
+                } else {
+                    acc_cols::<false>(rb, src, &ws, depth, nc, c, ldc);
                 }
             }
-            let src =
-                Sources { x: &a[i0 * lda..], ldx: lda, cx: depth, y: &[], ldy: 0, cy: 0, r0: 0 };
-            acc_cols::<true>(rows, src, &ws, depth, nc, &mut c[j * ldc..], ldc);
         }
     }
 }
@@ -2061,6 +2116,69 @@ mod tests {
                         (got - want).abs() <= 1e-11 * (p.max(1) as f64),
                         "({rows},{p},{q}) col {j} row {r}: {got} vs {want}"
                     );
+                }
+            }
+        }
+    }
+
+    /// A `gemm_acc` operand set: `A` (`rows × p` at stride `rows + 3`)
+    /// with every seventh entry `−0.0`, and `W` (`p × q`) with a zero
+    /// column and every fifth weight an exact zero.
+    fn gemm_operands(rows: usize, p: usize, q: usize) -> (Vec<f64>, usize, Vec<f64>) {
+        let lda = rows + 3;
+        let mut a = test_panel(lda, p, (rows * p) as u64);
+        a.iter_mut().step_by(7).for_each(|v| *v = -0.0);
+        let mut w = test_panel(p, q, (p * q) as u64 + 1);
+        w.iter_mut().step_by(5).for_each(|v| *v = 0.0);
+        w[..p].fill(0.0);
+        (a, lda, w)
+    }
+
+    #[test]
+    fn gemm_set_equals_gemm_acc_onto_zeros() {
+        // rows within a tile, across tile edges and across bands, none a
+        // multiple of 8 past the first tile; p within one block of sources
+        // and past it (p > 64 adds later blocks onto the first's store)
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for rows in [1usize, 7, 16, 37, ACC_BAND + 13, 2 * ACC_BAND + 45] {
+            for (p, q) in [(1usize, 3usize), (5, 8), (64, 13), (70, 9), (130, 2)] {
+                let (a, lda, w) = gemm_operands(rows, p, q);
+                let ldc = rows + 5;
+                let mut zeroed = vec![0.0; ldc * q];
+                gemm_acc(rows, &a, lda, p, &w, q, -1.0, &mut zeroed, ldc);
+                // a NaN fill shows every output read, and every row past
+                // the view written
+                let mut set = vec![f64::NAN; ldc * q];
+                gemm_set(rows, &a, lda, p, &w, q, -1.0, &mut set, ldc);
+                for j in 0..q {
+                    let (got, want) = (&set[j * ldc..][..ldc], &zeroed[j * ldc..][..ldc]);
+                    let case = format!("rows {rows} p {p} q {q} column {j}");
+                    assert_eq!(bits(&got[..rows]), bits(&want[..rows]), "{case}");
+                    assert!(got[rows..].iter().all(|v| v.is_nan()), "{case}: past the view");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_acc_bands_match_one_band() {
+        // rows spanning several bands, none a multiple of 8; bands of the
+        // default height and of heights that end tiles mid-band
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for rows in [2 * ACC_BAND + 37, 3 * ACC_BAND + 3, 101] {
+            for (p, q) in [(6usize, 11usize), (64, 8), (97, 5)] {
+                let (a, lda, w) = gemm_operands(rows, p, q);
+                let ldc = rows + 2;
+                let c0 = test_panel(ldc, q, 77);
+                for band in [ACC_BAND, 40, 24] {
+                    let (mut one, mut banded) = (c0.clone(), c0.clone());
+                    gemm_banded::<true>(rows, &a, lda, p, &w, q, 0.5, &mut one, ldc, rows);
+                    gemm_banded::<true>(rows, &a, lda, p, &w, q, 0.5, &mut banded, ldc, band);
+                    assert_eq!(bits(&banded), bits(&one), "acc rows {rows} p {p} band {band}");
+                    let (mut one, mut banded) = (c0.clone(), c0.clone());
+                    gemm_banded::<false>(rows, &a, lda, p, &w, q, 0.5, &mut one, ldc, rows);
+                    gemm_banded::<false>(rows, &a, lda, p, &w, q, 0.5, &mut banded, ldc, band);
+                    assert_eq!(bits(&banded), bits(&one), "set rows {rows} p {p} band {band}");
                 }
             }
         }

@@ -45,8 +45,12 @@
 //! * **Back-transform** ([`TsqrQr::q_times`]): `Q·[X; 0]` for an `n`-row
 //!   `X`. The first panel it applies is the last one, and there every
 //!   leaf's rows below its `bw`-row head are still zero, so its `VᵀC`
-//!   multiplies the heads only — bit for bit what [`TsqrQr::apply_q`]
-//!   computes on the zero-padded matrix.
+//!   multiplies the heads only and its update writes the tail rows
+//!   without reading them ([`ops::gemm_set`]) — bit for bit what
+//!   [`TsqrQr::apply_q`] computes on the zero-padded matrix. A
+//!   factorization of one panel (the front-end's choice for tall-skinny
+//!   inputs) thus reads only `V` and the heads, and writes the result
+//!   once.
 //!
 //! The working matrix is `A` copied at a leading dimension of its own
 //! (`work_ld`): `m` rounded up to whole 64-byte lines, plus a line when
@@ -118,7 +122,11 @@ pub struct QrOptions {
     pub panel: usize,
     /// Row-tile height for the TSQR leaves; `0` derives it from the L2
     /// probe so one leaf tile (`leaf_rows × panel` doubles) fills about
-    /// half the cache.
+    /// half the cache at panels up to 32 columns. Wider panels keep the
+    /// 32-column height (4096 rows on a 2 MiB L2): at 64 columns a leaf
+    /// of half the cache (2048 rows) paid for twice the combines of
+    /// `2bw×bw` strips, and the one-panel factor plus its back-transform
+    /// at 8192×64 ran slower.
     pub leaf_rows: usize,
     /// Fork lanes for the column-chunk trailing updates and applies; `1`
     /// runs serially regardless of the [`Joiner`].
@@ -133,14 +141,15 @@ impl Default for QrOptions {
 
 impl QrOptions {
     /// The effective leaf height for a panel of width `bw`: the explicit
-    /// override, else `L2/2` worth of tile rows capped at 16384, then
-    /// floored at two panels' worth so the tree does not degenerate on
-    /// tiny caches (the floor wins for panels wider than 8192 columns).
+    /// override, else `L2/2` worth of tile rows at `min(bw, 32)` columns,
+    /// capped at 16384, then floored at two panels' worth so the tree does
+    /// not degenerate on tiny caches (the floor wins for panels wider than
+    /// 8192 columns).
     fn leaf_height(&self, bw: usize) -> usize {
         if self.leaf_rows > 0 {
             self.leaf_rows.max(bw)
         } else {
-            (crate::cache::l2_bytes() / (16 * bw.max(1))).min(16384).max(2 * bw)
+            (crate::cache::l2_bytes() / (16 * bw.clamp(1, 32))).min(16384).max(2 * bw)
         }
     }
 }
@@ -551,7 +560,10 @@ fn vt_c(
 /// [`vt_c`] and the upper-triangular `T` at stride `ldt`. `trans`
 /// selects `op(T) = Tᵀ` (the `Qᵀ` direction) over `T`. The unit head
 /// (made dense, `bw²` values) and the tail are multiplied by
-/// [`ops::gemm_tn`] and [`ops::gemm_acc`] tiles, `op(T)` by [`tri_mul`].
+/// [`ops::gemm_tn`] and [`ops::gemm_acc`] tiles, `op(T)` by [`tri_mul`];
+/// with `zero_tail` the tail rows are written by [`ops::gemm_set`], which
+/// never reads them: its tiles start at `+0`, the value
+/// [`ops::gemm_acc`] would have loaded, so `C` keeps the same bits.
 /// `s` is scratch of at least `2·bw·(k + bw)` values: `W = VᵀC`, the
 /// head, `Tᵀ` and `op(T)·W`.
 #[allow(clippy::too_many_arguments)]
@@ -580,7 +592,8 @@ fn apply_wy(
     let tw = &mut tw[..bw * k];
     vt_c(v, ldv, h, bw, c, ldc, rows, zero_tail, k, w, vh);
     tri_mul(t, ldt, trans, bw, w, bw, k, tt, tw);
-    ops::gemm_acc(h - bw, &v[bw..], ldv, bw, tw, k, -1.0, &mut c[tail..], ldc);
+    let gemm = if zero_tail { ops::gemm_set } else { ops::gemm_acc };
+    gemm(h - bw, &v[bw..], ldv, bw, tw, k, -1.0, &mut c[tail..], ldc);
     ops::gemm_acc(bw, vh, bw, bw, tw, k, -1.0, &mut c[head..], ldc);
 }
 
@@ -950,7 +963,9 @@ impl TsqrQr {
     /// tall-skinny SVD pipeline. Bitwise equal to [`TsqrQr::apply_q`] on
     /// the zero-padded `m×k` matrix, but the first panel applied reads
     /// only the rows that are not yet zero, which skips about a quarter
-    /// of the flops at two panels.
+    /// of the flops at two panels, and writes its leaves' other rows
+    /// without reading them; at one panel that is every row but the
+    /// heads.
     ///
     /// # Panics
     /// Panics if `head` does not have `n` rows.
@@ -1160,25 +1175,33 @@ mod tests {
 
     #[test]
     fn q_times_matches_apply_q_bitwise() {
-        // (m, n, panel, leaf_rows, lanes): a four-leaf last panel, two
-        // lanes over 128 columns, odd panels and leaves, and the square
-        // and one-row-taller edges where the last panel has a single leaf
+        // (m, n, panel, leaf_rows, lanes, leaves of the last panel when
+        // leaf_rows sets them): a four-leaf last panel, two lanes over 128
+        // columns, odd panels and leaves, the square and one-row-taller
+        // edges where the last panel has a single leaf, and one panel of
+        // every column, as the front-end factors a tall-skinny input, at
+        // the default leaves and at three and five, where the combines
+        // fill the heads below the first before the tails are written
         let cases = [
-            (20000, 96, 32, 4096, 1),
-            (16384, 128, 32, 0, 2),
-            (3000, 70, 17, 200, 2),
-            (131, 67, 5, 0, 1),
-            (64, 64, 32, 0, 1),
-            (65, 64, 32, 0, 1),
+            (20000, 96, 32, 4096, 1, 4),
+            (16384, 128, 32, 0, 2, 0),
+            (3000, 70, 17, 200, 2, 0),
+            (131, 67, 5, 0, 1, 0),
+            (64, 64, 32, 0, 1, 0),
+            (65, 64, 32, 0, 1, 0),
+            (8192, 64, 64, 0, 2, 0),
+            (2000, 48, 48, 600, 1, 3),
+            (2500, 33, 33, 500, 2, 5),
         ];
-        for (m, n, panel, leaf_rows, lanes) in cases {
+        for (m, n, panel, leaf_rows, lanes, leaves) in cases {
             let a = generate::random_uniform(m, n, (m + n) as u64);
             let qr =
                 TsqrQr::factor(&a, &QrOptions { panel, leaf_rows, lanes }, &SerialJoin).unwrap();
-            if m == 20000 {
+            if leaves > 0 {
                 let last = qr.panels.last().unwrap();
-                assert_eq!(last.leaves.len(), 4, "the last panel must have four leaves");
+                assert_eq!(last.leaves.len(), leaves, "{m}x{n}: leaves of the last panel");
             }
+            assert_eq!(qr.panels.len(), n.div_ceil(panel), "{m}x{n} panel {panel}");
             let mut head = generate::random_uniform(n, n, (m * n) as u64);
             // a zero column of −0.0, and −0.0 on the diagonal
             head.col_mut(1).fill(-0.0);
@@ -1460,6 +1483,10 @@ mod tests {
         assert_eq!(QrOptions::default().leaf_height(9000), 18000);
         let h = QrOptions::default().leaf_height(32);
         assert!((64..=16384).contains(&h), "leaf height {h}");
+        // past 32 columns the leaves stop shrinking
+        for bw in [33, 64, 128] {
+            assert_eq!(QrOptions::default().leaf_height(bw), h.max(2 * bw), "{bw} columns");
+        }
         assert_eq!(QrOptions { leaf_rows: 10, ..QrOptions::default() }.leaf_height(32), 32);
     }
 }
